@@ -28,6 +28,7 @@ from .configs import (
 from .groebner import (
     ComputationLimitError,
     GenericityError,
+    LastVariableError,
     derive_seed,
     gin,
     regularity_surrogate,
@@ -244,7 +245,8 @@ def ahp_flats(n, r, s):
     t^n/n! - aHP.
     """
     bi = flats_hp_bivariate(n, r, s)
-    assert bi.degree_m() <= n, "bivariate degree in m exceeds ambient dimension"
+    if bi.degree_m() > n:
+        raise RuntimeError("bivariate degree in m exceeds ambient dimension")
     ahp = bi.coefficient_of_m(n)
     lam = UniPoly.t_power(n, Fraction(1, factorial(n))) - ahp
     return ahp, lam
@@ -456,8 +458,8 @@ def _is_factorial(m):
 
 def compute_report_row(config: Config, t, m, seed, entry_bound) -> ReportRow:
     """One (config, m) row: symbolic power -> gin -> staircase, lattice
-    count of the complement and both volume paths.  Resource and
-    genericity failures are captured in the row, not raised."""
+    count of the complement and both volume paths.  Resource, genericity
+    and saturation failures are captured in the row, not raised."""
     t = Fraction(t)
     n = config.n
     row = ReportRow(m=m)
@@ -481,7 +483,7 @@ def compute_report_row(config: Config, t, m, seed, entry_bound) -> ReportRow:
             row.count - st.gamma_volume(mt)
         ) <= lattice_volume_error_bound(n, m, t)
         row.staircase = st
-    except (ComputationLimitError, GenericityError) as exc:
+    except (ComputationLimitError, GenericityError, LastVariableError) as exc:
         row.error = f"{type(exc).__name__}: {exc}"
     return row
 
@@ -498,9 +500,9 @@ def ahf_estimate(
     """Exact finite-m data for the asymptotic Hilbert function at t.
 
     Closed-form target attached when the configuration has one.  Rows
-    failing with resource or genericity errors are flagged, not fatal.
-    Rows are independent; jobs > 1 computes them in worker processes and
-    merges in m order.
+    failing with resource, genericity or saturation errors are flagged, not
+    fatal.  Rows are independent; jobs > 1 computes them in worker
+    processes and merges in m order.
     """
     if not m_list or list(m_list) != sorted(set(m_list)):
         raise ValueError("m_list must be nonempty and strictly increasing")

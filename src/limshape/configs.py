@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import linalg
-from .groebner import Ideal, groebner_basis, intersect_ideals, ideal_contains
+from .groebner import Ideal, intersect_ideals
 from .rings import Polynomial
 
 GENERIC_COORD_BOUND = 100
@@ -144,7 +144,10 @@ def _flats_disjoint(forms_a, forms_b, n) -> bool:
 def point_ideal(point, n) -> Ideal:
     """The n independent linear forms vanishing at the point."""
     kernel = linalg.nullspace([list(point)])
-    assert len(kernel) == n
+    if len(kernel) != n:
+        raise RuntimeError(
+            f"point has a {len(kernel)}-dimensional kernel, not {n}"
+        )
     return Ideal.of(Polynomial.linear_form(v) for v in kernel)
 
 
@@ -168,13 +171,8 @@ def ideal_of(config: Config) -> Ideal:
 
 @dataclass(frozen=True)
 class SymbolicPower:
-    base: Ideal
     m: int
     ideal: Ideal
-
-    def verify_contained_in_base(self) -> bool:
-        gb = groebner_basis(self.base)
-        return ideal_contains(gb, self.ideal)
 
 
 def symbolic_power(config: Config, m: int) -> SymbolicPower:
@@ -188,7 +186,7 @@ def symbolic_power(config: Config, m: int) -> SymbolicPower:
     ideal = component_ideal(comps[0], config.n).power(m)
     for c in comps[1:]:
         ideal = intersect_ideals(ideal, component_ideal(c, config.n).power(m))
-    return SymbolicPower(ideal_of(config), m, ideal)
+    return SymbolicPower(m, ideal)
 
 
 def differential_membership_check(f: Polynomial, config: PointConfig, m: int) -> bool:

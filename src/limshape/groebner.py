@@ -26,7 +26,7 @@ from .rings import (
     exp_lcm,
     mul_exp,
 )
-from .staircase import MonomialStaircase, minimalize, monomials_in_ideal_count
+from .staircase import MonomialStaircase, k_polynomial, minimalize
 
 DEFAULT_PAIR_CAP = 200_000
 
@@ -293,10 +293,11 @@ def intersect_ideals(a: Ideal, b: Ideal, pair_cap=DEFAULT_PAIR_CAP) -> Ideal:
 
 def hf_via_initial(gb: GroebnerBasis, d: int) -> int:
     """HF of the ideal at degree d via standard monomials of its initial
-    ideal."""
+    ideal, summed over the initial ideal's K-polynomial."""
     n = gb.ideal.nvars
-    return comb(d + n - 1, n - 1) - monomials_in_ideal_count(
-        initial_ideal(gb), d, n
+    return sum(
+        c * comb(d - e + n - 1, n - 1)
+        for e, c in k_polynomial(initial_ideal(gb)).items() if e <= d
     )
 
 

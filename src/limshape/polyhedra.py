@@ -105,10 +105,12 @@ class RationalPolyhedron:
         ineqs = tuple(sorted(ineqs))
         for v in self.vertices:
             for a, b in ineqs:
-                assert _dot(a, v) >= b, "vertex violates computed facet"
+                if _dot(a, v) < b:
+                    raise RuntimeError("vertex violates computed facet")
         for r in self.rays:
             for a, _ in ineqs:
-                assert _dot(a, r) >= 0, "ray violates computed facet"
+                if _dot(a, r) < 0:
+                    raise RuntimeError("ray violates computed facet")
         object.__setattr__(self, "facets", ineqs)
         return ineqs
 
@@ -170,7 +172,8 @@ def convex_union_approximant(polys) -> RationalPolyhedron:
     hull = RationalPolyhedron.of(dim, points, rays).canonical()
     for p in polys:
         for v in p.vertices:
-            assert hull.contains_point(v), "hull fails to contain an input vertex"
+            if not hull.contains_point(v):
+                raise RuntimeError("hull fails to contain an input vertex")
     return hull
 
 

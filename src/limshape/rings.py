@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 
 class DimensionError(ValueError):
@@ -394,21 +393,3 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
     flush()
     p = Polynomial(nvars, terms)
     return p
-
-
-def clear_denominators(p: Polynomial) -> Polynomial:
-    """Scale p to primitive integer coefficients with positive leading sign.
-
-    Used to keep Buchberger intermediate results small; preserves the ideal.
-    """
-    if p.is_zero():
-        return p
-    denom = 1
-    for c in p.terms.values():
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in p.terms.values()]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    scale = Fraction(denom, g)
-    return p * scale

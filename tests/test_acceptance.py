@@ -211,9 +211,9 @@ def test_criterion_7_lattice_identity():
     ok = True
     instances = 0
     for which, gb, st, m, t in _lattice_instances():
-        # HF of the actual symbolic power at degree mt vs the complement
-        # count of its gin staircase (which itself cross-checks the
-        # slice/cumulative routes internally)
+        # HF of the actual symbolic power at degree mt, read off its own
+        # initial ideal, vs the complement count of its gin staircase: one
+        # Hilbert function, from the K-polynomials of two initial ideals
         ok &= hf_via_initial(gb, m * t) == st.hilbert_function(m * t)
         instances += 1
     ok &= instances >= 30
@@ -302,7 +302,7 @@ def test_criterion_10_oracle_equivalence():
         poly = RationalPolyhedron.of(n, verts)
         ok &= volume(poly, apex_last=False) == volume(poly, apex_last=True)
     report_line(
-        10, "inclusion-exclusion vs enumeration on 200 staircases; two "
+        10, "K-polynomial counts vs enumeration on 200 staircases; two "
         "triangulation apexes on 100 polytopes",
         ok, budget=60, elapsed=time.monotonic() - start,
     )

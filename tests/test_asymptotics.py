@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from limshape import asymptotics
 from limshape.asymptotics import (
     AdditivityReport,
     BiPoly,
@@ -22,6 +23,7 @@ from limshape.asymptotics import (
     power_sum,
 )
 from limshape.configs import FlatConfig, PointConfig, UnionConfig
+from limshape.groebner import LastVariableError, derive_seed
 
 INTERSECTING_LINES = FlatConfig.of(3, [
     [(1, 0, 0, 0), (0, 1, 0, 0)],
@@ -156,6 +158,23 @@ def test_ahf_estimate_report_formats():
     assert data["target_value"] == "1/2"
     assert [row["m"] for row in data["rows"]] == [1, 2]
     assert data["rows"][0]["lattice_bound_ok"] is True
+
+
+def test_ahf_estimate_keeps_rows_past_saturation_failure(monkeypatch):
+    real_gin = asymptotics.gin
+
+    def gin_failing_at_m2(ideal, seed, entry_bound):
+        if seed == derive_seed(0, "row", 2):
+            raise LastVariableError("gin generator involves the last variable")
+        return real_gin(ideal, seed, entry_bound)
+
+    monkeypatch.setattr(asymptotics, "gin", gin_failing_at_m2)
+    cfg = PointConfig.of(2, [(0, 0, 1)])
+    report = ahf_estimate(cfg, t=1, m_list=[1, 2, 3], seed=0)
+    failed, = (r for r in report.rows if r.error is not None)
+    assert failed.m == 2
+    assert failed.error.startswith("LastVariableError:")
+    assert [r.count for r in report.rows if r.m != 2] == [comb(2, 2), comb(4, 2)]
 
 
 def test_ahf_estimate_validation():

@@ -1,20 +1,57 @@
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
+from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from limshape.rings import divides
 from limshape.staircase import (
     MonomialStaircase,
     gamma_count_for,
+    k_polynomial,
     lattice_volume_error_bound,
     minimalize,
-    monomials_in_ideal_count,
     simplex_count,
 )
 
 # staircase of the two-generic-lines example in dehomogenized coordinates
 QUAD = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1)]
+
+
+def subset_joins(gens):
+    """(sign, degree of the lcm) for every subset of gens: the
+    inclusion-exclusion oracle for the K-polynomial kernel."""
+    for k in range(len(gens) + 1):
+        for sub in combinations(gens, k):
+            yield (-1) ** k, sum(map(max, zip(*sub))) if sub else 0
+
+
+def subset_k_polynomial(gens):
+    poly = {}
+    for sign, d in subset_joins(gens):
+        poly[d] = poly.get(d, 0) + sign
+    return {d: c for d, c in poly.items() if c}
+
+
+def subset_gamma_volume(gens, n, cutoff):
+    return sum(
+        (sign * (cutoff - d) ** n / factorial(n)
+         for sign, d in subset_joins(gens) if d < cutoff),
+        Fraction(0),
+    )
+
+
+def degree_slice_bruteforce(staircase, d):
+    """Degree-d monomials in n+1 variables outside the homogenized ideal."""
+    n1 = staircase.nvars + 1
+    count = 0
+    for mono in combinations_with_replacement(range(n1), d):
+        alpha = tuple(mono.count(i) for i in range(n1))
+        if not any(divides(g + (0,), alpha) for g in staircase.min_gens):
+            count += 1
+    return count
 
 
 def test_minimalize():
@@ -72,27 +109,77 @@ def test_hilbert_function_equals_cumulative_gamma():
         assert st_.hilbert_function(d) == st_.count_gamma(d)
 
 
-gen_strategy = st.integers(2, 3).flatmap(
-    lambda n: st.lists(
-        st.tuples(*[st.integers(0, 5)] * n), min_size=0, max_size=6
-    ).map(lambda gens: MonomialStaircase.from_generators(n, gens))
+# ideals in 1-4 variables with at most 8 (not necessarily minimal) generators
+gens_strategy = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(*[st.integers(0, 5)] * n), min_size=0, max_size=8),
+    )
 )
+staircase_strategy = gens_strategy.map(
+    lambda ng: MonomialStaircase.from_generators(*ng)
+)
+EMPTY = MonomialStaircase.from_generators(3, [])
+UNIT = MonomialStaircase.from_generators(3, [(0, 0, 0)])
 
 
-@given(gen_strategy, st.integers(0, 9))
+def test_k_polynomial_known_values():
+    assert k_polynomial([]) == {0: 1}
+    assert k_polynomial([(0, 0)]) == {}
+    assert k_polynomial([(1, 0), (0, 1)]) == {0: 1, 1: -2, 2: 1}
+    # (x, y)^2: 1 - 3t^2 + 2t^3
+    assert k_polynomial([(2, 0), (1, 1), (0, 2)]) == {0: 1, 2: -3, 3: 2}
+
+
+@given(gens_strategy)
+@example((3, []))
+@example((3, [(0, 0, 0)]))
+@example((2, [(0, 0), (1, 3)]))
+@settings(max_examples=150, deadline=None)
+def test_k_polynomial_matches_subset_sum(n_gens):
+    _, gens = n_gens
+    assert k_polynomial(gens) == subset_k_polynomial(gens)
+
+
+@given(staircase_strategy, st.integers(0, 9))
+@example(EMPTY, 4)
+@example(UNIT, 4)
 @settings(max_examples=80, deadline=None)
 def test_count_gamma_matches_bruteforce(staircase, bound):
     assert staircase.count_gamma(bound) == staircase.count_gamma_bruteforce(bound)
 
 
-@given(gen_strategy, st.integers(0, 7))
+@given(staircase_strategy, st.integers(0, 7))
+@example(EMPTY, 3)
+@example(UNIT, 3)
 @settings(max_examples=40, deadline=None)
-def test_count_inside_matches_degree_slices(staircase, bound):
-    by_slices = sum(
-        monomials_in_ideal_count(staircase.min_gens, d, staircase.nvars)
-        for d in range(bound + 1)
-    )
-    assert staircase.count_inside(bound) == by_slices
+def test_hilbert_function_matches_degree_slices(staircase, d):
+    assert staircase.hilbert_function(d) == degree_slice_bruteforce(staircase, d)
+
+
+@given(staircase_strategy, st.fractions(0, 15, max_denominator=7))
+@example(EMPTY, Fraction(7, 2))
+@example(UNIT, Fraction(7, 2))
+@example(UNIT, Fraction(0))
+@settings(max_examples=80, deadline=None)
+def test_gamma_volume_matches_subset_sum(staircase, cutoff):
+    expected = subset_gamma_volume(staircase.min_gens, staircase.nvars, cutoff)
+    assert staircase.gamma_volume(cutoff) == expected
+
+
+def test_power_of_maximal_ideal():
+    # (x1, x2, x3)^6: 28 minimal generators, far beyond subset enumeration;
+    # the complement is every point of coordinate sum at most 5
+    gens = [
+        tuple(mono.count(i) for i in range(3))
+        for mono in combinations_with_replacement(range(3), 6)
+    ]
+    st_ = MonomialStaircase.from_generators(3, gens)
+    assert len(st_.min_gens) == 28
+    for b in range(10):
+        expected = comb(min(b, 5) + 3, 3)
+        assert st_.count_gamma(b) == expected == st_.count_gamma_bruteforce(b)
+        assert st_.hilbert_function(b) == expected
 
 
 def test_gamma_volume_single_corner():
