@@ -356,6 +356,7 @@ class ReportRow:
     below_regularity: bool = None
     lattice_bound_ok: bool = None
     staircase = None
+    hull = None  # conv(L_m)/m; None for a failed row or an empty staircase
     error: str = None
 
 
@@ -470,18 +471,19 @@ def compute_report_row(config: Config, t, m, seed, entry_bound) -> ReportRow:
         mt = Fraction(m) * t
         row.count = st.count_gamma(floor(mt))
         row.count_over_mn = Fraction(row.count, m**n)
-        row.vol_lm_scaled = st.lm_volume(mt) / m**n
-        row.vol_gamma_scaled = st.gamma_volume(mt) / m**n
+        simplex = t**n / factorial(n)
+        gvol = st.gamma_volume(mt)
+        row.vol_gamma_scaled = gvol / m**n
+        row.vol_lm_scaled = simplex - row.vol_gamma_scaled
         if st.is_empty():
-            row.vol_gamma_convex = t**n / factorial(n)
+            row.vol_gamma_convex = simplex
         else:
-            hull = scale(newton_polyhedron(st), Fraction(1, m))
-            row.vol_gamma_convex = t**n / factorial(n) - clipped_volume(hull, t)
+            row.hull = scale(newton_polyhedron(st), Fraction(1, m))
+            row.vol_gamma_convex = simplex - clipped_volume(row.hull, t)
         row.regularity = regularity_surrogate(g)
         row.below_regularity = mt < row.regularity
-        row.lattice_bound_ok = abs(
-            row.count - st.gamma_volume(mt)
-        ) <= lattice_volume_error_bound(n, m, t)
+        bound = lattice_volume_error_bound(n, m, t)
+        row.lattice_bound_ok = abs(row.count - gvol) <= bound
         row.staircase = st
     except (ComputationLimitError, GenericityError, LastVariableError) as exc:
         row.error = f"{type(exc).__name__}: {exc}"

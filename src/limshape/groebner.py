@@ -2,7 +2,7 @@
 ideal intersection by elimination, and the regularity surrogate.
 
 Inputs are desk scale (n <= 4, small degrees); the S-pair loop carries a
-configurable cap so runaway computations fail predictably instead of
+fixed cap (PAIR_CAP) so runaway computations fail predictably instead of
 hanging.
 """
 
@@ -28,7 +28,7 @@ from .rings import (
 )
 from .staircase import MonomialStaircase, k_polynomial, minimalize
 
-DEFAULT_PAIR_CAP = 200_000
+PAIR_CAP = 200_000  # S-pairs one Buchberger run may take; read at call time
 
 
 class ComputationLimitError(RuntimeError):
@@ -152,11 +152,11 @@ def s_polynomial(f, g, order):
     return mf * f - mg * g
 
 
-def buchberger(gens, order: MonomialOrder = DEGREVLEX, pair_cap=DEFAULT_PAIR_CAP):
+def buchberger(gens, order: MonomialOrder = DEGREVLEX):
     """Reduced Groebner basis of the given polynomials.
 
     Normal selection strategy (smallest lcm first) with Buchberger's coprime
-    and chain criteria.  Raises ComputationLimitError past pair_cap.
+    and chain criteria.  Raises ComputationLimitError past PAIR_CAP.
     """
     basis = []
     for g in gens:
@@ -181,9 +181,9 @@ def buchberger(gens, order: MonomialOrder = DEGREVLEX, pair_cap=DEFAULT_PAIR_CAP
     processed = 0
     while pairs:
         processed += 1
-        if processed > pair_cap:
+        if processed > PAIR_CAP:
             raise ComputationLimitError(
-                f"S-pair cap {pair_cap} exhausted ({len(basis)} basis elements)"
+                f"S-pair cap {PAIR_CAP} exhausted ({len(basis)} basis elements)"
             )
         i, j = min(pairs, key=lambda p: (order.key(exp_lcm(lm(p[0]), lm(p[1]))), p))
         pairs.discard((i, j))
@@ -240,10 +240,8 @@ def _interreduce(basis, order):
     return tuple(reduced)
 
 
-def groebner_basis(
-    ideal: Ideal, order: MonomialOrder = DEGREVLEX, pair_cap=DEFAULT_PAIR_CAP
-) -> GroebnerBasis:
-    return GroebnerBasis(ideal, order, buchberger(ideal.generators, order, pair_cap))
+def groebner_basis(ideal: Ideal, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
+    return GroebnerBasis(ideal, order, buchberger(ideal.generators, order))
 
 
 def initial_ideal(gb: GroebnerBasis):
@@ -260,7 +258,7 @@ def ideals_equal(a: Ideal, b: Ideal, order=DEGREVLEX) -> bool:
     return ideal_contains(ga, b) and ideal_contains(gb_, a)
 
 
-def intersect_ideals(a: Ideal, b: Ideal, pair_cap=DEFAULT_PAIR_CAP) -> Ideal:
+def intersect_ideals(a: Ideal, b: Ideal) -> Ideal:
     """Intersection of a and b via u*a + (1-u)*b and elimination of u.
 
     u is prepended as the most significant variable; the elimination-block
@@ -279,7 +277,7 @@ def intersect_ideals(a: Ideal, b: Ideal, pair_cap=DEFAULT_PAIR_CAP) -> Ideal:
     gens = [lift(f, 1) for f in a.generators]
     gens += [(one - u) * lift(g, 0) for g in b.generators]
     order = MonomialOrder("elim", split=1)
-    basis = buchberger(gens, order, pair_cap)
+    basis = buchberger(gens, order)
     kept = []
     for g in basis:
         if all(al[0] == 0 for al in g.terms):
@@ -359,22 +357,17 @@ def random_change_matrix(rng: random.Random, n: int, entry_bound: int):
             return m
 
 
-def _gin_once(ideal: Ideal, seed: int, entry_bound: int, pair_cap):
+def _gin_once(ideal: Ideal, seed: int, entry_bound: int):
     rng = random.Random(seed)
     matrix = random_change_matrix(rng, ideal.nvars, entry_bound)
     moved = Ideal.of(
         g.linear_substitute([list(r) for r in matrix]) for g in ideal.generators
     )
-    gb = groebner_basis(moved, DEGREVLEX, pair_cap)
+    gb = groebner_basis(moved, DEGREVLEX)
     return matrix, initial_ideal(gb)
 
 
-def gin(
-    ideal: Ideal,
-    seed: int,
-    entry_bound: int = 100,
-    pair_cap=DEFAULT_PAIR_CAP,
-) -> GinResult:
+def gin(ideal: Ideal, seed: int, entry_bound: int = 100) -> GinResult:
     """Generic initial ideal via a seeded random coordinate change.
 
     A second independent draw must reproduce the same initial ideal; minimal
@@ -382,8 +375,8 @@ def gin(
     """
     if entry_bound < 10:
         raise ValueError("entry_bound must be >= 10")
-    matrix, raw = _gin_once(ideal, derive_seed(seed, "gin", 0), entry_bound, pair_cap)
-    _, raw2 = _gin_once(ideal, derive_seed(seed, "gin", 1), entry_bound, pair_cap)
+    matrix, raw = _gin_once(ideal, derive_seed(seed, "gin", 0), entry_bound)
+    _, raw2 = _gin_once(ideal, derive_seed(seed, "gin", 1), entry_bound)
     if raw != raw2:
         raise GenericityError(
             "two coordinate draws disagree; raise entry_bound "

@@ -87,10 +87,3 @@ def nullspace(mat):
             v[c] = -ech[r][f]
         basis.append(v)
     return basis
-
-
-def matmul(a, b):
-    return [
-        [sum(Fraction(x) * Fraction(y) for x, y in zip(row, col)) for col in zip(*b)]
-        for row in a
-    ]

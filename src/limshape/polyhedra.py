@@ -43,13 +43,14 @@ def _primitive(vec):
 
 def _hyperplanes(generators, dim):
     """Facet normals of the cone spanned by `generators` in R^dim: primitive
-    w with w.g >= 0 for all g and equality on a rank-(dim-1) subset."""
+    w with w.g >= 0 for all g and equality on a rank-(dim-1) subset.
+
+    A (dim-1) x dim matrix has a one-dimensional kernel exactly when its
+    rank is dim-1, so one elimination per subset decides both."""
     normals = set()
     gens = [list(g) for g in generators]
     for sub in combinations(range(len(gens)), dim - 1):
         mat = [gens[i] for i in sub]
-        if linalg.rank(mat) != dim - 1:
-            continue
         kernel = linalg.nullspace(mat)
         if len(kernel) != 1:
             continue

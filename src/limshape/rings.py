@@ -155,9 +155,6 @@ class Polynomial:
         degs = {degree(a) for a in self.terms}
         return len(degs) <= 1
 
-    def is_monomial(self):
-        return len(self.terms) == 1
-
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other):

@@ -177,6 +177,16 @@ def test_ahf_estimate_keeps_rows_past_saturation_failure(monkeypatch):
     assert [r.count for r in report.rows if r.m != 2] == [comb(2, 2), comb(4, 2)]
 
 
+def test_report_row_volumes_partition_the_simplex():
+    cfg = PointConfig.generic(2, 3, seed=5)
+    t = Fraction(7, 2)
+    report = ahf_estimate(cfg, t=t, m_list=[1, 2, 3], seed=5)
+    for r in report.rows:
+        assert r.error is None
+        assert r.vol_lm_scaled + r.vol_gamma_scaled == t**2 / factorial(2)
+        assert r.vol_lm_scaled == r.staircase.lm_volume(r.m * t) / r.m**2
+
+
 def test_ahf_estimate_validation():
     cfg = PointConfig.of(2, [(0, 0, 1)])
     with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from limshape import cli
+from limshape import asymptotics, cli, groebner
 from limshape.groebner import ComputationLimitError, GenericityError
 
 
@@ -44,6 +44,16 @@ def test_usage_errors(capsys, tmp_path):
     assert run(["gin", "--config", str(bad)], capsys)[0] == cli.EXIT_USAGE
     missing = tmp_path / "missing.json"
     assert run(["gin", "--config", str(missing)], capsys)[0] == cli.EXIT_USAGE
+    # each command takes only the flags it reads
+    for argv in (
+        ["gin", "--jobs", "2"],
+        ["staircase", "--format", "csv"],
+        ["symbolic-power", "--seed", "1"],
+        ["symbolic-power", "--entry-bound", "50"],
+        ["ahp-flats", "--n", "3", "--r", "1", "--s", "2", "--format", "json"],
+        ["volume", "--poly", str(missing), "--format", "json"],
+    ):
+        assert run(argv, capsys)[0] == cli.EXIT_USAGE
 
 
 def test_gin_command(config_path, capsys):
@@ -172,3 +182,58 @@ def test_resource_cap_maps_to_exit_4(config_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "symbolic_power", boom)
     code, _, err = run(["gin", "--config", config_path], capsys)
     assert code == cli.EXIT_RESOURCE
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [(GenericityError, cli.EXIT_GENERICITY), (ComputationLimitError, cli.EXIT_RESOURCE)],
+)
+def test_limiting_shape_exit_code_follows_row_failures(
+    error, code, config_path, tmp_path, capsys, monkeypatch
+):
+    def boom(*a, **k):
+        raise error("every m fails")
+
+    monkeypatch.setattr(asymptotics, "gin", boom)
+    argv = ["limiting-shape", "--config", config_path, "--m-max", "2", "--t", "2",
+            "--out", str(tmp_path / "out")]
+    got, _, err = run(argv, capsys)
+    assert got == code
+    assert error.__name__ in err
+
+
+def test_pair_cap_maps_to_exit_4(config_path, tmp_path, capsys, monkeypatch):
+    # the real cap, not a faked exception: one S-pair is too few for any
+    # symbolic power of two points
+    monkeypatch.setattr(groebner, "PAIR_CAP", 1)
+    assert run(["gin", "--config", config_path], capsys)[0] == cli.EXIT_RESOURCE
+    code, out, _ = run(
+        ["report", "--config", config_path, "--m-max", "2", "--t", "2"], capsys
+    )
+    assert code == cli.EXIT_OK
+    errors = [r["error"] for r in json.loads(out)["rows"]]
+    assert all(e.startswith("ComputationLimitError: S-pair cap 1") for e in errors)
+    code, _, _ = run(
+        ["limiting-shape", "--config", config_path, "--m-max", "2", "--t", "2",
+         "--out", str(tmp_path / "out")],
+        capsys,
+    )
+    assert code == cli.EXIT_RESOURCE
+
+
+def test_limiting_shape_builds_one_hull_per_row(config_path, tmp_path, capsys,
+                                                monkeypatch):
+    calls = []
+    for owner in (asymptotics, cli):
+        def counted(st, inner=owner.newton_polyhedron):
+            calls.append(st)
+            return inner(st)
+
+        monkeypatch.setattr(owner, "newton_polyhedron", counted)
+    code, _, _ = run(
+        ["limiting-shape", "--config", config_path, "--m-max", "3", "--t", "2",
+         "--out", str(tmp_path / "out")],
+        capsys,
+    )
+    assert code == cli.EXIT_OK
+    assert len(calls) == 3

@@ -74,6 +74,43 @@ def test_facets_of_square():
     assert not sq.contains_point((2, 0))
 
 
+def with_midpoints(points):
+    """The points plus the midpoint of every pair of them."""
+    pts = [tuple(Fraction(x) for x in p) for p in points]
+    return pts + [
+        tuple((x + y) / 2 for x, y in zip(p, q))
+        for i, p in enumerate(pts) for q in pts[i + 1:]
+    ]
+
+
+def test_cube_facets_survive_face_centres_and_edge_midpoints():
+    # many of the added points lie on one facet, so most candidate
+    # subsets of the lifted points are rank deficient
+    half = Fraction(1, 2)
+    centres = [
+        tuple(c if i == axis else half for i in range(3))
+        for axis in range(3) for c in (0, 1)
+    ]
+    midpoints = [
+        tuple(half if i == axis else v[i] for i in range(3))
+        for v in cube(3).vertices for axis in range(3) if v[axis] == 0
+    ]
+    crowded = RationalPolyhedron.of(3, list(cube(3).vertices) + centres + midpoints)
+    assert len(crowded.vertices) == 8 + 6 + 12
+    assert crowded.facet_inequalities() == cube(3).facet_inequalities()
+    assert len(crowded.facet_inequalities()) == 6
+
+
+@given(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1, max_size=5))
+@settings(max_examples=30, deadline=None)
+def test_facets_unchanged_by_pairwise_midpoints(points):
+    # coplanar, collinear and repeated points included: degenerate subsets
+    # must neither add nor drop a facet
+    plain = RationalPolyhedron.of(3, points)
+    crowded = RationalPolyhedron.of(3, with_midpoints(points))
+    assert crowded.facet_inequalities() == plain.facet_inequalities()
+
+
 def test_minimal_vertices_drop_redundant_points():
     tri = RationalPolyhedron.of(
         2, [(0, 0), (2, 0), (0, 2), (1, 0), (Fraction(1, 2), Fraction(1, 2))]
