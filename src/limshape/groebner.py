@@ -8,6 +8,7 @@ hanging.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +25,7 @@ from .rings import (
     divides,
     exp_div,
     exp_lcm,
+    linear_substitute,
     mul_exp,
 )
 from .staircase import MonomialStaircase, k_polynomial, minimalize
@@ -36,7 +38,8 @@ class ComputationLimitError(RuntimeError):
 
 
 class GenericityError(RuntimeError):
-    """Two independent coordinate draws produced different initial ideals."""
+    """Two independent coordinate draws produced different initial ideals,
+    or the initial ideal they agree on is not Borel-fixed."""
 
 
 class LastVariableError(RuntimeError):
@@ -103,8 +106,6 @@ def _reduce_terms(terms, reducers, order):
     Works top-down through the support with a lazy max-heap, mutating a
     scratch dict; the workhorse behind normal_form and buchberger.
     """
-    import heapq
-
     key = order.key
     work = dict(terms)
     heap = [(_neg_key(key(a)), a) for a in work]
@@ -155,8 +156,10 @@ def s_polynomial(f, g, order):
 def buchberger(gens, order: MonomialOrder = DEGREVLEX):
     """Reduced Groebner basis of the given polynomials.
 
-    Normal selection strategy (smallest lcm first) with Buchberger's coprime
-    and chain criteria.  Raises ComputationLimitError past PAIR_CAP.
+    Normal selection strategy (smallest lcm first, ties by pair index) with
+    Buchberger's coprime and chain criteria; pending pairs wait in a heap,
+    the pair queue of Gebauer-Moeller.  Raises ComputationLimitError past
+    PAIR_CAP.
     """
     basis = []
     for g in gens:
@@ -166,7 +169,8 @@ def buchberger(gens, order: MonomialOrder = DEGREVLEX):
         return ()
     leads = [g.leading_monomial(order) for g in basis]
     reducers = [(leads[i], basis[i].terms) for i in range(len(basis))]
-    pairs = set()
+    pairs = set()  # pending pairs, for the chain criterion's lookups
+    queue = []  # the same pairs as a heap on (order.key(lcm), pair)
 
     def lm(i):
         return leads[i]
@@ -174,18 +178,20 @@ def buchberger(gens, order: MonomialOrder = DEGREVLEX):
     def add_pairs(j):
         for i in range(j):
             pairs.add((i, j))
+            key = order.key(exp_lcm(leads[i], leads[j]))
+            heapq.heappush(queue, (key, (i, j)))
 
     for j in range(len(basis)):
         add_pairs(j)
 
     processed = 0
-    while pairs:
+    while queue:
         processed += 1
         if processed > PAIR_CAP:
             raise ComputationLimitError(
                 f"S-pair cap {PAIR_CAP} exhausted ({len(basis)} basis elements)"
             )
-        i, j = min(pairs, key=lambda p: (order.key(exp_lcm(lm(p[0]), lm(p[1]))), p))
+        _, (i, j) = heapq.heappop(queue)
         pairs.discard((i, j))
         li, lj = lm(i), lm(j)
         l = exp_lcm(li, lj)
@@ -350,7 +356,7 @@ def derive_seed(seed: int, *labels) -> int:
 def random_change_matrix(rng: random.Random, n: int, entry_bound: int):
     while True:
         m = tuple(
-            tuple(Fraction(rng.randint(-entry_bound, entry_bound)) for _ in range(n))
+            tuple(rng.randint(-entry_bound, entry_bound) for _ in range(n))
             for _ in range(n)
         )
         if linalg.det([list(r) for r in m]) != 0:
@@ -360,9 +366,7 @@ def random_change_matrix(rng: random.Random, n: int, entry_bound: int):
 def _gin_once(ideal: Ideal, seed: int, entry_bound: int):
     rng = random.Random(seed)
     matrix = random_change_matrix(rng, ideal.nvars, entry_bound)
-    moved = Ideal.of(
-        g.linear_substitute([list(r) for r in matrix]) for g in ideal.generators
-    )
+    moved = Ideal.of(linear_substitute(ideal.generators, matrix))
     gb = groebner_basis(moved, DEGREVLEX)
     return matrix, initial_ideal(gb)
 
@@ -370,8 +374,9 @@ def _gin_once(ideal: Ideal, seed: int, entry_bound: int):
 def gin(ideal: Ideal, seed: int, entry_bound: int = 100) -> GinResult:
     """Generic initial ideal via a seeded random coordinate change.
 
-    A second independent draw must reproduce the same initial ideal; minimal
-    generators must avoid the last variable (saturated input).
+    A second independent draw must reproduce the same initial ideal, which
+    must be Borel-fixed (Galligo, Bayer-Stillman); minimal generators must
+    avoid the last variable (saturated input).
     """
     if entry_bound < 10:
         raise ValueError("entry_bound must be >= 10")
@@ -381,6 +386,11 @@ def gin(ideal: Ideal, seed: int, entry_bound: int = 100) -> GinResult:
         raise GenericityError(
             "two coordinate draws disagree; raise entry_bound "
             f"(currently {entry_bound})"
+        )
+    if not MonomialStaircase.from_generators(ideal.nvars, raw).is_borel_fixed():
+        raise GenericityError(
+            f"initial ideal {raw} is not Borel-fixed; the coordinate draws "
+            "were not generic"
         )
     last = ideal.nvars - 1
     for g in raw:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 
 class DimensionError(ValueError):
@@ -285,24 +286,7 @@ class Polynomial:
 
         The matrix must be square of size nvars and invertible.
         """
-        from .linalg import det
-
-        n = self.nvars
-        if len(matrix) != n or any(len(row) != n for row in matrix):
-            raise DimensionError("matrix size != nvars")
-        if det(matrix) == 0:
-            raise SingularMatrixError("coordinate change matrix is singular")
-        images = [
-            Polynomial.linear_form([Fraction(c) for c in row]) for row in matrix
-        ]
-        result = Polynomial.zero(n)
-        for a, c in self.terms.items():
-            term = Polynomial.constant(n, c)
-            for i, e in enumerate(a):
-                if e:
-                    term = term * images[i] ** e
-            result = result + term
-        return result
+        return linear_substitute([self], matrix)[0]
 
     # -- text format -------------------------------------------------------
 
@@ -333,6 +317,64 @@ class Polynomial:
         return out
 
     __repr__ = __str__
+
+
+def linear_substitute(polys, matrix):
+    """Each polynomial with x_i replaced by sum_j matrix[i][j] * x_j.
+
+    The polynomials share one table of monomial images: the image of x^a is
+    built once, as the image of x^a / x_i times row i, where x_i is the
+    first variable of x^a.  Integer entries stay Python ints in the table,
+    and each polynomial is expanded with its denominators cleared, so the
+    inner products are integer products when the matrix is integral.  The
+    matrix must be square of size nvars and invertible.
+    """
+    from .linalg import det
+
+    polys = list(polys)
+    n = polys[0].nvars if polys else len(matrix)
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise DimensionError("matrix size != nvars")
+    if any(p.nvars != n for p in polys):
+        raise DimensionError("mixed variable counts in substituted polynomials")
+    if det(matrix) == 0:
+        raise SingularMatrixError("coordinate change matrix is singular")
+    rows = [[(j, c) for j, c in enumerate(row) if c] for row in matrix]
+    table = {(0,) * n: {(0,) * n: 1}}
+
+    def image(alpha):
+        img = table.get(alpha)
+        if img is None:
+            i = next(k for k, e in enumerate(alpha) if e)
+            lower = image(alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :])
+            img = {}
+            for beta, v in lower.items():
+                for j, c in rows[i]:
+                    gamma = beta[:j] + (beta[j] + 1,) + beta[j + 1 :]
+                    s = img.get(gamma, 0) + v * c
+                    if s:
+                        img[gamma] = s
+                    else:
+                        del img[gamma]
+            table[alpha] = img
+        return img
+
+    sums = []
+    for p in polys:
+        scale = lcm(*(c.denominator for c in p.terms.values()))
+        acc = {}
+        for alpha, c in p.terms.items():
+            c = c.numerator * (scale // c.denominator)
+            for beta, v in image(alpha).items():
+                acc[beta] = acc.get(beta, 0) + c * v
+        sums.append((scale, acc))
+    # the table is the largest thing alive here; free it before the
+    # Fraction coefficients are made, so the two do not add up to the peak
+    table.clear()
+    return [
+        Polynomial(n, {b: Fraction(v) / scale for b, v in acc.items()})
+        for scale, acc in sums
+    ]
 
 
 _TOKEN = re.compile(

@@ -95,6 +95,22 @@ class MonomialStaircase:
             raise ValueError("exponent length != nvars")
         return any(divides(g, alpha) for g in self.min_gens)
 
+    def is_borel_fixed(self) -> bool:
+        """True when the ideal is Borel-fixed (strongly stable, in
+        characteristic 0): for every minimal generator g and every x_j
+        dividing it, g * x_i / x_j lies in the ideal for each i < j."""
+        for g in self.min_gens:
+            for j, e in enumerate(g):
+                if not e:
+                    continue
+                for i in range(j):
+                    moved = list(g)
+                    moved[i] += 1
+                    moved[j] -= 1
+                    if not self.membership(moved):
+                        return False
+        return True
+
     # -- lattice counting --------------------------------------------------
 
     def count_gamma(self, bound: int) -> int:

@@ -202,6 +202,31 @@ def test_limiting_shape_exit_code_follows_row_failures(
     assert error.__name__ in err
 
 
+INTERSECTING_LINES = json.dumps({"n": 3, "components": [
+    {"type": "flat", "forms": [[1, 0, 0, 0], [0, 1, 0, 0]]},
+    {"type": "flat", "forms": [[1, 0, 0, 0], [0, 0, 1, 0]]},
+]})
+
+
+def test_non_borel_initial_ideal_maps_to_exit_3(tmp_path, capsys, monkeypatch):
+    # the real gate, not a faked exception: without a change of coordinates
+    # the initial ideal of I^(2) of two intersecting lines is not Borel-fixed
+    identity = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    monkeypatch.setattr(groebner, "random_change_matrix",
+                        lambda rng, n, bound: identity)
+    path = tmp_path / "config.json"
+    path.write_text(INTERSECTING_LINES)
+    code, _, err = run(["gin", "--config", str(path), "--m", "2"], capsys)
+    assert code == cli.EXIT_GENERICITY
+    assert "Borel-fixed" in err
+    code, out, _ = run(
+        ["report", "--config", str(path), "--m-max", "2", "--t", "2"], capsys
+    )
+    assert code == cli.EXIT_OK
+    rows = {r["m"]: r["error"] for r in json.loads(out)["rows"]}
+    assert rows[2].startswith("GenericityError:")
+
+
 def test_pair_cap_maps_to_exit_4(config_path, tmp_path, capsys, monkeypatch):
     # the real cap, not a faked exception: one S-pair is too few for any
     # symbolic power of two points

@@ -2,9 +2,13 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from test_rings import expand_substitute
 
+from limshape import groebner
+from limshape.configs import FlatConfig, PointConfig, symbolic_power
 from limshape.groebner import (
     DEGREVLEX,
+    ComputationLimitError,
     GenericityError,
     GroebnerBasis,
     Ideal,
@@ -234,3 +238,52 @@ def test_basis_is_reduced_and_monic():
             for j, lm in enumerate(leads):
                 if j != i:
                     assert not divides(lm, alpha)
+
+
+# two fixed disjoint lines in P^3 and three fixed points of P^3
+TWO_LINES = FlatConfig.of(3, [[(1, 2, -1, 3), (2, -1, 1, -1)],
+                              [(3, 1, 2, -2), (-1, 4, 1, 2)]])
+THREE_POINTS = PointConfig.of(3, [(1, 2, -1, 3), (2, -1, 1, -1), (3, 1, 2, -2)])
+INTERSECTING_LINES = FlatConfig.of(3, [[(1, 0, 0, 0), (0, 1, 0, 0)],
+                                       [(1, 0, 0, 0), (0, 0, 1, 0)]])
+
+
+@pytest.mark.parametrize("config", [TWO_LINES, THREE_POINTS], ids=["lines", "points"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_gin_matches_term_by_term_substitution(config, m):
+    # the shared monomial-image table against expanding every term on its
+    # own, under the coordinate matrix of gin's first draw
+    ideal = symbolic_power(config, m).ideal
+    g = gin(ideal, seed=5)
+    moved = Ideal.of(expand_substitute(p, g.coordinate_matrix)
+                     for p in ideal.generators)
+    assert g.raw_initial == initial_ideal(groebner_basis(moved))
+
+
+# S-pairs one Buchberger run takes for I^(2) of TWO_LINES (the elimination
+# inside the intersection), counted with the linear scan the pair heap
+# replaced; the heap must hand out the pairs in the same order
+TWO_LINES_SQUARE_PAIRS = 561
+
+
+def test_pair_order_is_pinned(monkeypatch):
+    monkeypatch.setattr(groebner, "PAIR_CAP", TWO_LINES_SQUARE_PAIRS)
+    symbolic_power(TWO_LINES, 2)
+    monkeypatch.setattr(groebner, "PAIR_CAP", TWO_LINES_SQUARE_PAIRS - 1)
+    with pytest.raises(ComputationLimitError):
+        symbolic_power(TWO_LINES, 2)
+
+
+def test_gin_rejects_initial_ideal_that_is_not_borel_fixed(monkeypatch):
+    # in the coordinates it is given in, I^(2) of the lines x1 = x2 = 0 and
+    # x1 = x3 = 0 is the monomial ideal (x1^2, x1*x2*x3, x2^2*x3^2), which
+    # does not hold x2^2*x3^2 * x2/x3; so the identity is not a generic draw
+    identity = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    monkeypatch.setattr(groebner, "random_change_matrix",
+                        lambda rng, n, bound: identity)
+    ideal = symbolic_power(INTERSECTING_LINES, 2).ideal
+    assert initial_ideal(groebner_basis(ideal)) == (
+        (0, 2, 2, 0), (1, 1, 1, 0), (2, 0, 0, 0)
+    )
+    with pytest.raises(GenericityError, match="Borel-fixed"):
+        gin(ideal, seed=1)

@@ -1,5 +1,6 @@
 import ast
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -20,19 +21,43 @@ def test_no_assert_statements():
     assert found == []
 
 
-def test_benchmark_trace_targets_resolve(monkeypatch):
-    # the benchmark wraps these names to time each layer; a rename in the
-    # package would otherwise surface only as a crash of a traced run
+def load_benchmark_module(monkeypatch, name):
+    """A module of the benchmark, loaded without writing bytecode next to
+    it."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spec = importlib.util.spec_from_file_location(
-        "perfbench_run", PERFBENCH / "run.py"
+        f"perfbench_{name}", PERFBENCH / f"{name}.py"
     )
-    run = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the module body runs
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_trace_targets_resolve(monkeypatch):
+    # the benchmark wraps these names to time each layer; a rename in the
+    # package would otherwise surface only as a crash of a traced run
+    run = load_benchmark_module(monkeypatch, "run")
     missing = [
         f"{getattr(owner, '__name__', owner)}.{attr}"
         for owner, attr, _ in run.trace_targets()
         if not hasattr(owner, attr)
     ]
     assert missing == []
+
+
+def test_two_lines_pass_matches_benchmark_digest(monkeypatch, tmp_path):
+    # one pass of the benchmark's two-lines workload must reproduce the
+    # committed digest byte for byte, so an output change fails here too
+    workloads = load_benchmark_module(monkeypatch, "workloads")
+    workload = workloads.WORKLOADS["two-lines"]
+    config = workload.build(1, tmp_path)
+    result = workload.run_pass(config, tmp_path / "pass")
+    assert result.failures == [None] * workload.m_max
+    workload.check(1, result)
+    assert result.problems == []
+    assert result.failures == [None] * workload.m_max
+    expected = json.loads((PERFBENCH / "expected.json").read_text())
+    assert result.digest == expected["two-lines"]["*"]

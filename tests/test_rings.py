@@ -5,13 +5,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from limshape import linalg
 from limshape.rings import (
     DimensionError,
     Polynomial,
     SingularMatrixError,
     compare,
+    linear_substitute,
     parse_polynomial,
 )
+
+
+def expand_substitute(p, matrix):
+    """Oracle for linear_substitute: expand every term of p on its own, by
+    repeated products of the images of the variables."""
+    n = p.nvars
+    images = [Polynomial.linear_form([Fraction(c) for c in row]) for row in matrix]
+    result = Polynomial.zero(n)
+    for a, c in p.terms.items():
+        term = Polynomial.constant(n, c)
+        for i, e in enumerate(a):
+            if e:
+                term = term * images[i] ** e
+        result = result + term
+    return result
 
 
 def all_monomials(nvars, d):
@@ -154,15 +171,68 @@ def test_linear_substitute_examples():
     assert q == x1 + 2 * x2
 
 
+def _evaluate_substituted(p, matrix, pt):
+    """p at the image of pt under the rows of matrix."""
+    image = [sum(Fraction(m) * Fraction(x) for m, x in zip(row, pt))
+             for row in matrix]
+    return p.evaluate(image)
+
+
 def test_linear_substitute_evaluation_oracle():
     p = parse_polynomial("x1^2*x2 - 1/2*x2^3 + x1", 2)
     M = [[Fraction(2), Fraction(1)], [Fraction(-1), Fraction(3)]]
     q = p.linear_substitute(M)
     pts = [(1, 2), (Fraction(1, 3), -1), (0, 5), (-2, Fraction(7, 2)), (4, 4)]
     for pt in pts:
-        image = [sum(Fraction(m) * Fraction(x) for m, x in zip(row, pt))
-                 for row in M]
-        assert q.evaluate(pt) == p.evaluate(image)
+        assert q.evaluate(pt) == _evaluate_substituted(p, M, pt)
+
+
+small_ints = st.integers(-4, 4)
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@st.composite
+def shared_substitution_cases(draw):
+    """Polynomials in 1-4 variables drawn from one pool of monomials, so that
+    they share monomials, and an invertible integer or rational matrix."""
+    n = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.tuples(*[st.integers(0, 2)] * n),
+                         min_size=1, max_size=6, unique=True))
+    polys = draw(st.lists(
+        st.dictionaries(st.sampled_from(pool), coeffs, max_size=4).map(
+            lambda d: Polynomial(n, d)
+        ),
+        min_size=1, max_size=4,
+    ))
+    entries = draw(st.sampled_from([small_ints, small_fractions]))
+    matrix = draw(
+        st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+        .filter(lambda m: linalg.det(m) != 0)
+    )
+    return polys, matrix
+
+
+@given(shared_substitution_cases())
+@settings(max_examples=60, deadline=None)
+def test_shared_table_matches_expansion_and_evaluation(case):
+    polys, matrix = case
+    moved = linear_substitute(polys, matrix)
+    assert len(moved) == len(polys)
+    n = polys[0].nvars
+    pts = [tuple(range(1, n + 1)), tuple(Fraction(k - 2, 3) for k in range(n))]
+    for p, q in zip(polys, moved):
+        assert q == expand_substitute(p, matrix)
+        assert q == p.linear_substitute(matrix)
+        for pt in pts:
+            assert q.evaluate(pt) == _evaluate_substituted(p, matrix, pt)
+
+
+def test_linear_substitute_checks_its_inputs():
+    x1 = Polynomial.variable(1, 2)
+    with pytest.raises(DimensionError):
+        linear_substitute([x1, Polynomial.variable(1, 3)], [[1, 0], [0, 1]])
+    with pytest.raises(DimensionError):
+        linear_substitute([x1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def test_linear_substitute_composition_convention():

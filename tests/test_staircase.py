@@ -167,6 +167,76 @@ def test_gamma_volume_matches_subset_sum(staircase, cutoff):
     assert staircase.gamma_volume(cutoff) == expected
 
 
+def borel_fixed_bruteforce(staircase):
+    """The definition, on every monomial of the ideal up to the largest
+    generator degree: each move x_j -> x_i with i < j stays in the ideal."""
+    n = staircase.nvars
+    top = max((sum(g) for g in staircase.min_gens), default=0)
+    for d in range(top + 1):
+        for mono in combinations_with_replacement(range(n), d):
+            alpha = [mono.count(i) for i in range(n)]
+            if not staircase.membership(alpha):
+                continue
+            for j in range(n):
+                for i in range(j):
+                    if alpha[j]:
+                        moved = list(alpha)
+                        moved[i] += 1
+                        moved[j] -= 1
+                        if not staircase.membership(moved):
+                            return False
+    return True
+
+
+def borel_closure(n, gens):
+    """Every monomial reached from gens by moves x_j -> x_i, i < j."""
+    seen, todo = set(), list(gens)
+    while todo:
+        g = todo.pop()
+        if g in seen:
+            continue
+        seen.add(g)
+        for j in range(n):
+            for i in range(j):
+                if g[j]:
+                    moved = list(g)
+                    moved[i] += 1
+                    moved[j] -= 1
+                    todo.append(tuple(moved))
+    return MonomialStaircase.from_generators(n, seen)
+
+
+small_gens = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=0, max_size=5),
+    )
+)
+
+
+def test_is_borel_fixed_known_values():
+    def borel(n, gens):
+        return MonomialStaircase.from_generators(n, gens).is_borel_fixed()
+
+    assert borel(3, [(2, 0, 0), (1, 1, 0), (0, 3, 0)])
+    assert borel(3, QUAD)
+    assert not borel(2, [(0, 1)])
+    # I^(2) of the lines x1 = x2 = 0 and x1 = x3 = 0, in those coordinates
+    assert not borel(4, [(2, 0, 0, 0), (1, 1, 1, 0), (0, 2, 2, 0)])
+    assert EMPTY.is_borel_fixed() and UNIT.is_borel_fixed()
+
+
+@given(small_gens, st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_is_borel_fixed_matches_definition(n_gens, close):
+    n, gens = n_gens
+    staircase = (borel_closure(n, gens) if close
+                 else MonomialStaircase.from_generators(n, gens))
+    assert staircase.is_borel_fixed() == borel_fixed_bruteforce(staircase)
+    if close:
+        assert staircase.is_borel_fixed()
+
+
 def test_power_of_maximal_ideal():
     # (x1, x2, x3)^6: 28 minimal generators, far beyond subset enumeration;
     # the complement is every point of coordinate sum at most 5
