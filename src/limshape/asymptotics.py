@@ -356,7 +356,7 @@ class ReportRow:
     below_regularity: bool = None
     lattice_bound_ok: bool = None
     staircase = None
-    hull = None  # conv(L_m)/m; None for a failed row or an empty staircase
+    hull = None  # conv(L_m)/m; None for a failed row
     error: str = None
 
 
@@ -475,11 +475,8 @@ def compute_report_row(config: Config, t, m, seed, entry_bound) -> ReportRow:
         gvol = st.gamma_volume(mt)
         row.vol_gamma_scaled = gvol / m**n
         row.vol_lm_scaled = simplex - row.vol_gamma_scaled
-        if st.is_empty():
-            row.vol_gamma_convex = simplex
-        else:
-            row.hull = scale(newton_polyhedron(st), Fraction(1, m))
-            row.vol_gamma_convex = simplex - clipped_volume(row.hull, t)
+        row.hull = scale(newton_polyhedron(st), Fraction(1, m))
+        row.vol_gamma_convex = simplex - clipped_volume(row.hull, t)
         row.regularity = regularity_surrogate(g)
         row.below_regularity = mt < row.regularity
         bound = lattice_volume_error_bound(n, m, t)

@@ -1,6 +1,11 @@
 """Buchberger engine: reduced Groebner bases, initial ideals, gin,
 ideal intersection by elimination, and the regularity surrogate.
 
+The engine keeps each basis element as a monic (leading monomial, term
+dict) pair, from the input generators to the reduced basis; that list is
+also its reducer list, and Polynomials are built only for the returned
+basis.
+
 Inputs are desk scale (n <= 4, small degrees); the S-pair loop carries a
 fixed cap (PAIR_CAP) so runaway computations fail predictably instead of
 hanging.
@@ -104,7 +109,9 @@ def _reduce_terms(terms, reducers, order):
     """Remainder dict of a term dict modulo (lm, terms) reducer pairs.
 
     Works top-down through the support with a lazy max-heap, mutating a
-    scratch dict; the workhorse behind normal_form and buchberger.
+    scratch dict; the workhorse behind normal_form and buchberger.  The
+    remainder's terms are inserted in decreasing order, so its first key is
+    its leading monomial.
     """
     key = order.key
     work = dict(terms)
@@ -145,14 +152,6 @@ def normal_form(f, basis, order: MonomialOrder = DEGREVLEX) -> Polynomial:
     return Polynomial(f.nvars, _reduce_terms(f.terms, reducers, order))
 
 
-def s_polynomial(f, g, order):
-    lf, lg = f.leading_monomial(order), g.leading_monomial(order)
-    l = exp_lcm(lf, lg)
-    mf = Polynomial.monomial(exp_div(l, lf), 1 / f.terms[lf])
-    mg = Polynomial.monomial(exp_div(l, lg), 1 / g.terms[lg])
-    return mf * f - mg * g
-
-
 def buchberger(gens, order: MonomialOrder = DEGREVLEX):
     """Reduced Groebner basis of the given polynomials.
 
@@ -161,25 +160,25 @@ def buchberger(gens, order: MonomialOrder = DEGREVLEX):
     the pair queue of Gebauer-Moeller.  Raises ComputationLimitError past
     PAIR_CAP.
     """
+    key = order.key
+    # (leading monomial, monic term dict) per element; also the reducer
+    # list that _reduce_terms takes
     basis = []
     for g in gens:
-        if not g.is_zero():
-            basis.append(g.monic(order))
+        if g.terms:
+            lead = max(g.terms, key=key)
+            lc = g.terms[lead]
+            basis.append((lead, {a: c / lc for a, c in g.terms.items()}))
     if not basis:
         return ()
-    leads = [g.leading_monomial(order) for g in basis]
-    reducers = [(leads[i], basis[i].terms) for i in range(len(basis))]
     pairs = set()  # pending pairs, for the chain criterion's lookups
     queue = []  # the same pairs as a heap on (order.key(lcm), pair)
 
-    def lm(i):
-        return leads[i]
-
     def add_pairs(j):
+        lj = basis[j][0]
         for i in range(j):
             pairs.add((i, j))
-            key = order.key(exp_lcm(leads[i], leads[j]))
-            heapq.heappush(queue, (key, (i, j)))
+            heapq.heappush(queue, (key(exp_lcm(basis[i][0], lj)), (i, j)))
 
     for j in range(len(basis)):
         add_pairs(j)
@@ -193,17 +192,17 @@ def buchberger(gens, order: MonomialOrder = DEGREVLEX):
             )
         _, (i, j) = heapq.heappop(queue)
         pairs.discard((i, j))
-        li, lj = lm(i), lm(j)
+        (li, fi), (lj, fj) = basis[i], basis[j]
         l = exp_lcm(li, lj)
         # coprime criterion
         if l == mul_exp(li, lj):
             continue
         # chain criterion
         skip = False
-        for k in range(len(basis)):
+        for k, (lk, _) in enumerate(basis):
             if k in (i, j):
                 continue
-            if divides(lm(k), l):
+            if divides(lk, l):
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
                 if pik not in pairs and pjk not in pairs:
@@ -211,39 +210,44 @@ def buchberger(gens, order: MonomialOrder = DEGREVLEX):
                     break
         if skip:
             continue
-        s = s_polynomial(basis[i], basis[j], order)
-        rem = _reduce_terms(s.terms, reducers, order)
+        # S-polynomial of two monic elements: their leading terms cancel
+        si, sj = exp_div(l, li), exp_div(l, lj)
+        s = {mul_exp(a, si): c for a, c in fi.items()}
+        for a, c in fj.items():
+            b = mul_exp(a, sj)
+            v = s.get(b, 0) - c
+            if v:
+                s[b] = v
+            else:
+                del s[b]
+        rem = _reduce_terms(s, basis, order)
         if rem:
-            r = Polynomial(s.nvars, rem).monic(order)
-            basis.append(r)
-            leads.append(r.leading_monomial(order))
-            reducers.append((leads[-1], r.terms))
+            lead = next(iter(rem))  # remainder terms come top-down
+            lc = rem[lead]
+            basis.append((lead, {a: c / lc for a, c in rem.items()}))
             add_pairs(len(basis) - 1)
-    return _interreduce(basis, order)
+    nvars = len(basis[0][0])
+    return tuple(Polynomial(nvars, terms) for terms in _interreduce(basis, order))
 
 
 def _interreduce(basis, order):
-    """Minimalize leading terms, then fully reduce each element: the unique
-    reduced (monic) Groebner basis."""
-    lms = [g.leading_monomial(order) for g in basis]
-    keep = []
-    for i, g in enumerate(basis):
-        if any(
-            j != i
-            and divides(lms[j], lms[i])
-            and (lms[j] != lms[i] or j < i)
-            for j in range(len(basis))
-        ):
-            continue
-        keep.append(g)
-    reduced = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1 :]
-        r = normal_form(g, others, order)
-        if not r.is_zero():
-            reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
-    return tuple(reduced)
+    """Term dicts of the unique reduced Groebner basis, sorted by leading
+    monomial, from monic (lead, terms) pairs of a Groebner basis: minimalize
+    the leading terms, then fully reduce each kept element by the others."""
+    keep = [
+        (li, fi)
+        for i, (li, fi) in enumerate(basis)
+        if not any(
+            j != i and divides(lj, li) and (lj != li or j < i)
+            for j, (lj, _) in enumerate(basis)
+        )
+    ]
+    keep.sort(key=lambda p: order.key(p[0]))
+    # no kept lead divides another, so each remainder keeps its monic lead
+    return [
+        _reduce_terms(fi, keep[:i] + keep[i + 1 :], order)
+        for i, (_, fi) in enumerate(keep)
+    ]
 
 
 def groebner_basis(ideal: Ideal, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
@@ -269,7 +273,8 @@ def intersect_ideals(a: Ideal, b: Ideal) -> Ideal:
 
     u is prepended as the most significant variable; the elimination-block
     order restricted to u-free monomials is degrevlex on the original ring,
-    so the surviving elements form a degrevlex basis of the intersection.
+    so the u-free elements of the reduced elimination basis are the reduced
+    degrevlex basis of the intersection, already in degrevlex order.
     """
     if a.nvars != b.nvars:
         raise DimensionError("intersection of ideals in different rings")
@@ -288,7 +293,6 @@ def intersect_ideals(a: Ideal, b: Ideal) -> Ideal:
     for g in basis:
         if all(al[0] == 0 for al in g.terms):
             kept.append(Polynomial(n, {al[1:]: c for al, c in g.terms.items()}))
-    kept = _interreduce(kept, DEGREVLEX)
     return Ideal.of(kept)
 
 

@@ -244,11 +244,6 @@ class Polynomial:
     def leading_coeff(self, order: MonomialOrder = DEGREVLEX):
         return self.terms[self.leading_monomial(order)]
 
-    def monic(self, order: MonomialOrder = DEGREVLEX):
-        if self.is_zero():
-            return self
-        return self * (1 / self.leading_coeff(order))
-
     def sorted_terms(self, order: MonomialOrder = DEGREVLEX):
         """(exponent, coefficient) pairs, biggest monomial first."""
         return [

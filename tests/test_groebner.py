@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_rings import expand_substitute
 
 from limshape import groebner
@@ -25,13 +27,27 @@ from limshape.groebner import (
     lbsr_fit,
     normal_form,
     regularity_surrogate,
-    s_polynomial,
 )
-from limshape.rings import Polynomial, divides, parse_polynomial
+from limshape.rings import (
+    MonomialOrder,
+    Polynomial,
+    divides,
+    exp_div,
+    exp_lcm,
+    parse_polynomial,
+)
 
 
 def P(text, n):
     return parse_polynomial(text, n)
+
+
+def s_polynomial(f, g, order):
+    lf, lg = f.leading_monomial(order), g.leading_monomial(order)
+    l = exp_lcm(lf, lg)
+    mf = Polynomial.monomial(exp_div(l, lf), 1 / f.terms[lf])
+    mg = Polynomial.monomial(exp_div(l, lg), 1 / g.terms[lg])
+    return mf * f - mg * g
 
 
 def assert_is_groebner(gb: GroebnerBasis):
@@ -287,3 +303,66 @@ def test_gin_rejects_initial_ideal_that_is_not_borel_fixed(monkeypatch):
     )
     with pytest.raises(GenericityError, match="Borel-fixed"):
         gin(ideal, seed=1)
+
+
+def textbook_groebner(gens, order):
+    """Reduced Groebner basis by the textbook algorithm: every S-pair, no
+    criteria, then minimalize and reduce each element by the others."""
+    basis = list(gens)
+    todo = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while todo:
+        i, j = todo.pop(0)
+        r = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
+        if not r.is_zero():
+            todo += [(k, len(basis)) for k in range(len(basis))]
+            basis.append(r * (1 / r.leading_coeff(order)))
+    leads = [g.leading_monomial(order) for g in basis]
+    minimal = [
+        g for i, g in enumerate(basis)
+        if not any(j != i and divides(lj, leads[i]) and (lj != leads[i] or j < i)
+                   for j, lj in enumerate(leads))
+    ]
+    reduced = []
+    for i, g in enumerate(minimal):
+        r = normal_form(g, minimal[:i] + minimal[i + 1:], order)
+        reduced.append(r * (1 / r.leading_coeff(order)))
+    return tuple(sorted(reduced, key=lambda g: order.key(g.leading_monomial(order))))
+
+
+@st.composite
+def small_homogeneous_ideals(draw):
+    nvars = draw(st.integers(2, 3))
+    gens = []
+    for _ in range(draw(st.integers(2, 3))):
+        monos = all_monomials(nvars, draw(st.integers(1, 3)))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monos),
+                               max_size=len(monos)).filter(any))
+        gens.append(Polynomial(nvars, dict(zip(monos, coeffs))))
+    return Ideal.of(gens)
+
+
+ORDERS = [DEGREVLEX, MonomialOrder("elim", split=1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_homogeneous_ideals(), st.sampled_from(ORDERS))
+def test_buchberger_matches_textbook_algorithm(ideal, order):
+    expect = textbook_groebner(ideal.generators, order)
+    assert groebner_basis(ideal, order).basis == expect
+    # the engine reads a remainder's leading monomial off its first key
+    reducers = [(g.leading_monomial(order), g.terms) for g in ideal.generators]
+    for i, g in enumerate(ideal.generators):
+        rem = groebner._reduce_terms(g.terms, reducers[:i] + reducers[i + 1:], order)
+        assert list(rem) == sorted(rem, key=order.key, reverse=True)
+
+
+@pytest.mark.parametrize(
+    "config", [TWO_LINES, THREE_POINTS, INTERSECTING_LINES],
+    ids=["lines", "points", "intersecting"],
+)
+@pytest.mark.parametrize("m", [1, 2])
+def test_intersection_is_already_the_reduced_basis(config, m):
+    # intersect_ideals returns the u-free part of the reduced elimination
+    # basis as it is, which must be the reduced degrevlex basis in order
+    ideal = symbolic_power(config, m).ideal
+    assert groebner_basis(ideal).basis == ideal.generators
