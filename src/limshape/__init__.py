@@ -3,7 +3,7 @@ symbolic powers of point/flat configurations in projective space."""
 
 __version__ = "0.1.0"
 
-from .rings import Polynomial, MonomialOrder, DEGREVLEX, compare, parse_polynomial
+from .rings import Polynomial, MonomialOrder, DEGREVLEX
 from .groebner import (
     Ideal,
     GroebnerBasis,
@@ -13,7 +13,6 @@ from .groebner import (
     intersect_ideals,
     gin,
     regularity_surrogate,
-    lbsr_fit,
 )
 from .staircase import MonomialStaircase
 from .polyhedra import (
@@ -29,9 +28,7 @@ from .configs import (
     PointConfig,
     FlatConfig,
     UnionConfig,
-    ideal_of,
     symbolic_power,
-    differential_membership_check,
 )
 from .asymptotics import (
     UniPoly,

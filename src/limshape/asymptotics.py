@@ -23,7 +23,6 @@ from .configs import (
     config_to_dict,
     configs_disjoint,
     symbolic_power,
-    _flats_disjoint,
 )
 from .groebner import (
     ComputationLimitError,
@@ -299,12 +298,9 @@ def ahp_of_config(config: Config) -> UniPoly:
             for r in config.flat_dimensions:
                 total = total + ahp_flats(n, r, 1)[0]
             return total
-        if (
-            n == 3
-            and len(config.flats) == 2
-            and config.flat_dimensions == (1, 1)
-            and _lines_meet_in_point(config)
-        ):
+        # FlatConfig.of rejects a repeated line, so two lines of P^3 that
+        # are not disjoint meet in a point
+        if n == 3 and config.flat_dimensions == (1, 1):
             return ahp_intersecting_lines()
         raise ValueError("no closed-form aHP for this flat configuration")
     if isinstance(config, UnionConfig):
@@ -318,11 +314,6 @@ def ahp_of_config(config: Config) -> UniPoly:
             total = total + ahp_of_config(p)
         return total
     raise TypeError(f"unsupported configuration {type(config).__name__}")
-
-
-def _lines_meet_in_point(config: FlatConfig) -> bool:
-    a, b = config.flats
-    return not _flats_disjoint(a, b, config.n)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from .groebner import (
 )
 from .polyhedra import (
     RationalPolyhedron,
-    clip_to_simplex,
+    clipped_volume,
     convex_union_approximant,
     gamma_region,
     # not called here; kept because the benchmark's tracer wraps cli.newton_polyhedron
@@ -111,14 +111,7 @@ def _parse_rational(text):
 
 
 def _emit(payload, args, name):
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / name).write_text(text)
-        print(f"wrote {outdir / name}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
+    _emit_text(json.dumps(payload, indent=2) + "\n", args, name)
 
 
 def _emit_text(text, args, name):
@@ -246,9 +239,7 @@ def cmd_volume(args):
     except (OSError, ValueError, KeyError) as exc:
         raise CliError(f"bad polyhedron file: {exc}", EXIT_USAGE)
     if args.t is not None:
-        t = _parse_rational(args.t)
-        region = clip_to_simplex(poly, t)
-        vol = Fraction(0) if region.polytope is None else volume(region.polytope)
+        vol = clipped_volume(poly, _parse_rational(args.t))
     else:
         if not poly.is_bounded():
             raise CliError(
@@ -439,7 +430,8 @@ def build_parser():
             p.add_argument("--m", type=int, default=1, help="symbolic power")
         if rows:
             p.add_argument("--m-max", type=int, default=2, dest="m_max")
-            p.add_argument("--t", help="rational truncation parameter, e.g. 7/2")
+            p.add_argument("--t", required=True,
+                           help="rational truncation parameter, e.g. 7/2")
             p.add_argument("--jobs", type=int, default=1)
             p.add_argument("--format", choices=["json", "csv"], default="json")
         if draws:

@@ -12,7 +12,6 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from . import linalg
 from .groebner import Ideal, intersect_ideals
@@ -84,6 +83,14 @@ class FlatConfig:
             if linalg.rank([list(f) for f in forms]) != len(forms):
                 raise DegenerateConfigError("dependent defining forms for a flat")
             clean.append(forms)
+        for i in range(len(clean)):
+            for j in range(i + 1, len(clean)):
+                # the forms of the larger flat lie in the span of the other's
+                a, b = clean[i], clean[j]
+                if linalg.rank([list(f) for f in a + b]) == max(len(a), len(b)):
+                    raise DegenerateConfigError(
+                        f"flats {i} and {j} coincide or one contains the other"
+                    )
         disjoint = all(
             _flats_disjoint(clean[i], clean[j], n)
             for i in range(len(clean))
@@ -158,17 +165,6 @@ def component_ideal(component, n) -> Ideal:
     return Ideal.of(Polynomial.linear_form(f) for f in data)
 
 
-def ideal_of(config: Config) -> Ideal:
-    """Radical ideal of the configuration: intersection over components."""
-    comps = config.components
-    if not comps:
-        raise DegenerateConfigError("empty configuration")
-    ideal = component_ideal(comps[0], config.n)
-    for c in comps[1:]:
-        ideal = intersect_ideals(ideal, component_ideal(c, config.n))
-    return ideal
-
-
 @dataclass(frozen=True)
 class SymbolicPower:
     m: int
@@ -187,35 +183,6 @@ def symbolic_power(config: Config, m: int) -> SymbolicPower:
     for c in comps[1:]:
         ideal = intersect_ideals(ideal, component_ideal(c, config.n).power(m))
     return SymbolicPower(m, ideal)
-
-
-def differential_membership_check(f: Polynomial, config: PointConfig, m: int) -> bool:
-    """True iff every partial of order <= m-1 vanishes at every point.
-
-    Cross-check oracle for symbolic-power membership on point sets.
-    """
-    if not isinstance(config, PointConfig):
-        raise TypeError("differential check is only decidable for point sets")
-    if not f.is_homogeneous():
-        raise ValueError("f must be homogeneous")
-    nvars = config.n + 1
-    for alpha in _multi_indices(nvars, m - 1):
-        g = f
-        for i, e in enumerate(alpha):
-            for _ in range(e):
-                g = g.partial(i + 1)
-        if g.is_zero():
-            continue
-        for p in config.points:
-            if g.evaluate(p) != 0:
-                return False
-    return True
-
-
-def _multi_indices(n, max_total):
-    for alpha in product(range(max_total + 1), repeat=n):
-        if sum(alpha) <= max_total:
-            yield alpha
 
 
 def configs_disjoint(a: Config, b: Config) -> bool:
@@ -256,10 +223,6 @@ def config_to_dict(config: Config):
                 {"type": "flat", "forms": [[_frac_str(c) for c in f] for f in data]}
             )
     return {"n": config.n, "components": comps}
-
-
-def config_to_json(config: Config) -> str:
-    return json.dumps(config_to_dict(config))
 
 
 def config_from_dict(data) -> Config:

@@ -16,9 +16,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
-from math import comb
+from itertools import combinations_with_replacement
 
 from . import linalg
 from .rings import (
@@ -33,7 +31,7 @@ from .rings import (
     linear_substitute,
     mul_exp,
 )
-from .staircase import MonomialStaircase, k_polynomial, minimalize
+from .staircase import MonomialStaircase, minimalize
 
 PAIR_CAP = 200_000  # S-pairs one Buchberger run may take; read at call time
 
@@ -94,12 +92,6 @@ class GroebnerBasis:
     def leading_monomials(self):
         return [g.leading_monomial(self.order) for g in self.basis]
 
-    def reduce(self, f: Polynomial) -> Polynomial:
-        return normal_form(f, self.basis, self.order)
-
-    def contains(self, f: Polynomial) -> bool:
-        return self.reduce(f).is_zero()
-
 
 def _neg_key(k):
     return tuple(-x if isinstance(x, int) else _neg_key(x) for x in k)
@@ -109,9 +101,9 @@ def _reduce_terms(terms, reducers, order):
     """Remainder dict of a term dict modulo (lm, terms) reducer pairs.
 
     Works top-down through the support with a lazy max-heap, mutating a
-    scratch dict; the workhorse behind normal_form and buchberger.  The
-    remainder's terms are inserted in decreasing order, so its first key is
-    its leading monomial.
+    scratch dict; the workhorse behind buchberger.  The remainder's terms
+    are inserted in decreasing order, so its first key is its leading
+    monomial.
     """
     key = order.key
     work = dict(terms)
@@ -142,14 +134,6 @@ def _reduce_terms(terms, reducers, order):
             remainder[lm] = lc
             del work[lm]
     return remainder
-
-
-def normal_form(f, basis, order: MonomialOrder = DEGREVLEX) -> Polynomial:
-    """Full multivariate division remainder of f by basis."""
-    reducers = [
-        (g.leading_monomial(order), g.terms) for g in basis if not g.is_zero()
-    ]
-    return Polynomial(f.nvars, _reduce_terms(f.terms, reducers, order))
 
 
 def buchberger(gens, order: MonomialOrder = DEGREVLEX):
@@ -259,15 +243,6 @@ def initial_ideal(gb: GroebnerBasis):
     return minimalize(gb.leading_monomials())
 
 
-def ideal_contains(gb: GroebnerBasis, other: Ideal) -> bool:
-    return all(gb.contains(g) for g in other.generators)
-
-
-def ideals_equal(a: Ideal, b: Ideal, order=DEGREVLEX) -> bool:
-    ga, gb_ = groebner_basis(a, order), groebner_basis(b, order)
-    return ideal_contains(ga, b) and ideal_contains(gb_, a)
-
-
 def intersect_ideals(a: Ideal, b: Ideal) -> Ideal:
     """Intersection of a and b via u*a + (1-u)*b and elimination of u.
 
@@ -294,47 +269,6 @@ def intersect_ideals(a: Ideal, b: Ideal) -> Ideal:
         if all(al[0] == 0 for al in g.terms):
             kept.append(Polynomial(n, {al[1:]: c for al, c in g.terms.items()}))
     return Ideal.of(kept)
-
-
-# -- Hilbert function oracles ---------------------------------------------
-
-
-def hf_via_initial(gb: GroebnerBasis, d: int) -> int:
-    """HF of the ideal at degree d via standard monomials of its initial
-    ideal, summed over the initial ideal's K-polynomial."""
-    n = gb.ideal.nvars
-    return sum(
-        c * comb(d - e + n - 1, n - 1)
-        for e, c in k_polynomial(initial_ideal(gb)).items() if e <= d
-    )
-
-
-def hf_via_rank(ideal: Ideal, d: int) -> int:
-    """HF at degree d by exact linear algebra: codimension of the span of all
-    degree-d multiples of the generators.  Independent of Groebner bases."""
-    n = ideal.nvars
-    monos = sorted(_degree_monomials(n, d))
-    index = {m: i for i, m in enumerate(monos)}
-    rows = []
-    for g in ideal.generators:
-        rem = d - g.total_degree()
-        if rem < 0:
-            continue
-        for shift in _degree_monomials(n, rem):
-            row = [Fraction(0)] * len(monos)
-            for a, c in g.terms.items():
-                row[index[mul_exp(a, shift)]] = c
-            rows.append(row)
-    return len(monos) - linalg.rank(rows)
-
-
-def _degree_monomials(n, d):
-    if n == 1:
-        yield (d,)
-        return
-    for e in range(d + 1):
-        for rest in _degree_monomials(n - 1, d - e):
-            yield (e,) + rest
 
 
 # -- generic initial ideals ------------------------------------------------
@@ -413,42 +347,3 @@ def regularity_surrogate(g: GinResult) -> int:
     """Max total degree among minimal gin generators (equals the
     Castelnuovo-Mumford regularity for Borel-fixed ideals in char 0)."""
     return max((degree(a) for a in g.staircase.min_gens), default=0)
-
-
-def lbsr_fit(regs):
-    """Minimax (Chebyshev) linear fit reg <= a*m + b over (m, reg) points.
-
-    Returns (a, b, max_residual) with exact rational arithmetic.  The
-    optimum of a Chebyshev line fit is attained at an equioscillating
-    2- or 3-point configuration, so candidates are enumerated directly.
-    """
-    pts = [(Fraction(m), Fraction(r)) for m, r in regs]
-    if len(pts) < 2:
-        raise ValueError("need at least 2 points")
-
-    def max_resid(a, b):
-        return max(abs(y - a * x - b) for x, y in pts)
-
-    best = None
-    for (x1, y1), (x2, y2) in combinations(sorted(pts), 2):
-        if x1 == x2:
-            continue
-        a = (y2 - y1) / (x2 - x1)
-        b = y1 - a * x1
-        cand = (max_resid(a, b), a, b)
-        best = cand if best is None else min(best, cand)
-    for tri in combinations(sorted(pts), 3):
-        (x1, y1), (x2, y2), (x3, y3) = tri
-        if len({x1, x2, x3}) < 3:
-            continue
-        # equioscillation: residuals e, -e, e at the three points
-        sol = linalg.solve(
-            [[x1, 1, 1], [x2, 1, -1], [x3, 1, 1]], [y1, y2, y3]
-        )
-        if sol is None:
-            continue
-        a, b, _ = sol
-        cand = (max_resid(a, b), a, b)
-        best = min(best, cand)
-    e, a, b = best
-    return a, b, e

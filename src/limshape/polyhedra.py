@@ -91,19 +91,32 @@ class RationalPolyhedron:
     def facet_inequalities(self):
         """Inequalities a.x >= b describing the polyhedron; cached.
 
-        Computed from facets of the homogenizing cone spanned by (v, 1) and
-        (r, 0).  Each vertex and ray is re-checked against every inequality.
+        Computed from the homogenizing cone spanned by (v, 1) and (r, 0):
+        the equations of its linear span, in both signs, and its facets
+        within that span.  A full-dimensional polyhedron has no equations.
+        Each vertex and ray is re-checked against every inequality.
         """
         if self.facets is not None:
             return self.facets
         d = self.dim
         lifted = [v + (Fraction(1),) for v in self.vertices]
         lifted += [r + (Fraction(0),) for r in self.rays]
-        ineqs = []
-        for w in _hyperplanes(lifted, d + 1):
-            a, b = tuple(Fraction(x) for x in w[:d]), -Fraction(w[d])
-            ineqs.append((a, b))
-        ineqs = tuple(sorted(ineqs))
+        normals = set()
+        for w in linalg.nullspace(lifted):
+            w = _primitive(w)
+            normals |= {w, tuple(-x for x in w)}
+        # on its pivot coordinates the span is all of R^k, so the cone is
+        # full-dimensional there; a facet normal extends by zeros
+        pivots = linalg.row_echelon(lifted)[1]
+        projected = [[g[c] for c in pivots] for g in lifted]
+        for u in _hyperplanes(projected, len(pivots)):
+            w = [0] * (d + 1)
+            for c, x in zip(pivots, u):
+                w[c] = x
+            normals.add(tuple(w))
+        ineqs = tuple(sorted(
+            (tuple(Fraction(x) for x in w[:d]), -Fraction(w[d])) for w in normals
+        ))
         for v in self.vertices:
             for a, b in ineqs:
                 if _dot(a, v) < b:
@@ -181,13 +194,6 @@ def convex_union_approximant(polys) -> RationalPolyhedron:
 # -- clipping and volume ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClippedRegion:
-    base: RationalPolyhedron
-    t: Fraction
-    polytope: RationalPolyhedron | None  # bounded; None when empty
-
-
 def _vertex_enumerate(ineqs, dim):
     """Vertices of {x : a.x >= b for all (a, b)}; assumes boundedness."""
     ineqs = sorted(set(ineqs))
@@ -214,17 +220,15 @@ def simplex_inequalities(dim, t):
     return ineqs
 
 
-def clip_to_simplex(poly: RationalPolyhedron, t) -> ClippedRegion:
-    """Intersection with the corner simplex {x >= 0, sum x_i <= t}."""
+def clip_to_simplex(poly: RationalPolyhedron, t):
+    """Intersection with the corner simplex {x >= 0, sum x_i <= t}: a
+    bounded polyhedron, or None when it is empty."""
     t = Fraction(t)
     if t < 0:
         raise ValueError("t must be >= 0")
     ineqs = list(poly.facet_inequalities()) + simplex_inequalities(poly.dim, t)
     verts = _vertex_enumerate(ineqs, poly.dim)
-    if not verts:
-        return ClippedRegion(poly, t, None)
-    clipped = RationalPolyhedron.of(poly.dim, verts)
-    return ClippedRegion(poly, t, clipped)
+    return RationalPolyhedron.of(poly.dim, verts) if verts else None
 
 
 def affine_rank(points):
@@ -282,10 +286,8 @@ def volume(poly: RationalPolyhedron, apex_last=False) -> Fraction:
 
 
 def clipped_volume(poly: RationalPolyhedron, t, apex_last=False) -> Fraction:
-    region = clip_to_simplex(poly, t)
-    if region.polytope is None:
-        return Fraction(0)
-    return volume(region.polytope, apex_last)
+    clipped = clip_to_simplex(poly, t)
+    return Fraction(0) if clipped is None else volume(clipped, apex_last)
 
 
 def gamma_region(delta: RationalPolyhedron, t):
@@ -297,8 +299,8 @@ def gamma_region(delta: RationalPolyhedron, t):
     """
     t = Fraction(t)
     n = delta.dim
-    region = clip_to_simplex(delta, t)
-    excluded = Fraction(0) if region.polytope is None else volume(region.polytope)
+    clipped = clip_to_simplex(delta, t)
+    excluded = Fraction(0) if clipped is None else volume(clipped)
     vol = t**n / factorial(n) - excluded
     description = {
         "dim": n,
@@ -307,9 +309,7 @@ def gamma_region(delta: RationalPolyhedron, t):
             {"coeffs": [str(c) for c in a], "rhs": str(b)}
             for a, b in simplex_inequalities(n, t)
         ],
-        "excluded": None
-        if region.polytope is None
-        else polyhedron_to_dict(region.polytope),
+        "excluded": None if clipped is None else polyhedron_to_dict(clipped),
     }
     return vol, description
 
@@ -328,10 +328,6 @@ def polyhedron_to_dict(poly: RationalPolyhedron):
             {"coeffs": [str(c) for c in a], "rhs": str(b)} for a, b in poly.facets
         ]
     return data
-
-
-def polyhedron_to_json(poly: RationalPolyhedron) -> str:
-    return json.dumps(polyhedron_to_dict(poly))
 
 
 def polyhedron_from_dict(data) -> RationalPolyhedron:

@@ -8,7 +8,6 @@ construction and safe to share.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -75,14 +74,6 @@ def _grevlex_key(alpha):
 DEGREVLEX = MonomialOrder("degrevlex")
 
 
-def compare(a, b, order: MonomialOrder = DEGREVLEX) -> int:
-    """-1 / 0 / +1 as x^a is smaller / equal / bigger than x^b."""
-    if len(a) != len(b):
-        raise DimensionError(f"monomials in {len(a)} vs {len(b)} variables")
-    ka, kb = order.key(a), order.key(b)
-    return (ka > kb) - (ka < kb)
-
-
 class Polynomial:
     """Sparse polynomial with exact rational coefficients.
 
@@ -113,10 +104,6 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
-
-    @classmethod
     def constant(cls, nvars, c):
         return cls(nvars, {(0,) * nvars: Fraction(c)})
 
@@ -126,10 +113,6 @@ class Polynomial:
         e = [0] * nvars
         e[i - 1] = 1
         return cls(nvars, {tuple(e): Fraction(1)})
-
-    @classmethod
-    def monomial(cls, alpha, c=1):
-        return cls(len(alpha), {tuple(alpha): Fraction(c)})
 
     @classmethod
     def linear_form(cls, coeffs):
@@ -147,10 +130,6 @@ class Polynomial:
 
     def is_zero(self):
         return not self.terms
-
-    def total_degree(self):
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return max((degree(a) for a in self.terms), default=-1)
 
     def is_homogeneous(self):
         degs = {degree(a) for a in self.terms}
@@ -210,18 +189,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power")
-        result = Polynomial.constant(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -241,9 +208,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=order.key)
 
-    def leading_coeff(self, order: MonomialOrder = DEGREVLEX):
-        return self.terms[self.leading_monomial(order)]
-
     def sorted_terms(self, order: MonomialOrder = DEGREVLEX):
         """(exponent, coefficient) pairs, biggest monomial first."""
         return [
@@ -251,30 +215,7 @@ class Polynomial:
             for a in sorted(self.terms, key=order.key, reverse=True)
         ]
 
-    # -- calculus / substitution ------------------------------------------
-
-    def evaluate(self, point):
-        if len(point) != self.nvars:
-            raise DimensionError("point length != nvars")
-        total = Fraction(0)
-        for a, c in self.terms.items():
-            v = c
-            for x, e in zip(point, a):
-                if e:
-                    v *= Fraction(x) ** e
-            total += v
-        return total
-
-    def partial(self, i):
-        """d/dx_i, 1-based."""
-        terms = {}
-        for a, c in self.terms.items():
-            e = a[i - 1]
-            if e:
-                b = list(a)
-                b[i - 1] -= 1
-                terms[tuple(b)] = terms.get(tuple(b), 0) + c * e
-        return Polynomial(self.nvars, terms)
+    # -- substitution ------------------------------------------------------
 
     def linear_substitute(self, matrix):
         """Replace x_i by sum_j matrix[i][j] * x_j (rows act on variables).
@@ -370,60 +311,3 @@ def linear_substitute(polys, matrix):
         Polynomial(n, {b: Fraction(v) / scale for b, v in acc.items()})
         for scale, acc in sums
     ]
-
-
-_TOKEN = re.compile(
-    r"\s*(?:(?P<coeff>-?\d+(?:/\d+)?)|(?P<var>x\d+)(?:\^(?P<pow>\d+))?"
-    r"|(?P<op>[+*-]))"
-)
-
-
-def parse_polynomial(text: str, nvars: int) -> Polynomial:
-    """Parse sums of terms like `3*x1^2*x2 - 1/2*x3 + 4`.
-
-    Round-trips exactly with str(Polynomial).
-    """
-    pos = 0
-    terms = {}
-    sign = Fraction(1)
-    coeff = None
-    expo = None
-
-    def flush():
-        nonlocal sign, coeff, expo
-        if coeff is None and expo is None:
-            return
-        c = sign * (coeff if coeff is not None else 1)
-        a = tuple(expo) if expo is not None else (0,) * nvars
-        if c:
-            terms[a] = terms.get(a, 0) + c
-        sign, coeff, expo = Fraction(1), None, None
-
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError(f"cannot parse polynomial near {text[pos:]!r}")
-            break
-        pos = m.end()
-        if m.group("op") == "+":
-            flush()
-        elif m.group("op") == "-":
-            flush()
-            sign = Fraction(-1)
-        elif m.group("op") == "*":
-            pass
-        elif m.group("coeff"):
-            c = Fraction(m.group("coeff"))
-            coeff = c if coeff is None else coeff * c
-        else:
-            i = int(m.group("var")[1:])
-            if not 1 <= i <= nvars:
-                raise DimensionError(f"variable x{i} outside 1..{nvars}")
-            e = int(m.group("pow") or 1)
-            if expo is None:
-                expo = [0] * nvars
-            expo[i - 1] += e
-    flush()
-    p = Polynomial(nvars, terms)
-    return p

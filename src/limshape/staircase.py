@@ -142,27 +142,6 @@ class MonomialStaircase:
             raise ValueError("degree must be >= 0")
         return self.count_gamma(d)
 
-    # -- semigroup containment checks -------------------------------------
-
-    def contains_scaled(self, other: "MonomialStaircase", k: int):
-        """Check k*alpha in self for every minimal generator alpha of other.
-
-        Returns (ok, witness): witness is the first failing generator.
-        """
-        for g in other.min_gens:
-            if not self.membership(tuple(k * e for e in g)):
-                return False, g
-        return True, None
-
-    def contains_minkowski(self, p: "MonomialStaircase", q: "MonomialStaircase"):
-        """Check g+h in self for all generators g of p, h of q."""
-        for g in p.min_gens:
-            for h in q.min_gens:
-                s = tuple(a + b for a, b in zip(g, h))
-                if not self.membership(s):
-                    return False, (g, h)
-        return True, None
-
     # -- exact volume of the complement region -----------------------------
 
     def gamma_volume(self, cutoff: Fraction) -> Fraction:
@@ -196,10 +175,6 @@ class MonomialStaircase:
             {"nvars": self.nvars, "generators": [list(g) for g in self.min_gens]}
         )
 
-    @classmethod
-    def from_json(cls, text: str):
-        data = json.loads(text)
-        return cls.from_generators(data["nvars"], data["generators"])
 
 
 def _simplex_points(n, bound):
@@ -209,11 +184,6 @@ def _simplex_points(n, bound):
     for e in range(bound + 1):
         for rest in _simplex_points(n - 1, bound - e):
             yield (e,) + rest
-
-
-def gamma_count_for(staircase: MonomialStaircase, m: int, t) -> int:
-    """#Gamma_{m,t}: complement lattice points with coordinate sum <= floor(m*t)."""
-    return staircase.count_gamma(floor(Fraction(m) * Fraction(t)))
 
 
 def lattice_volume_error_bound(n: int, m: int, t) -> int:

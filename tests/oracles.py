@@ -1,0 +1,257 @@
+"""Independent oracles and helpers that only the tests use.
+
+Each one recomputes by another route something the pipeline computes:
+membership and ideal equality by full division, Hilbert functions by
+exact linear algebra, symbolic-power membership by derivatives at the
+points, semigroup properties of staircases by direct membership, and the
+monomial order by pairwise comparison.  `parse_polynomial` reads the
+text form that `str(Polynomial)` writes.
+"""
+
+import re
+from fractions import Fraction
+from itertools import product
+from math import comb
+
+from limshape import linalg
+from limshape.configs import PointConfig
+from limshape.groebner import (
+    GroebnerBasis,
+    Ideal,
+    _reduce_terms,
+    groebner_basis,
+    initial_ideal,
+)
+from limshape.rings import (
+    DEGREVLEX,
+    DimensionError,
+    MonomialOrder,
+    Polynomial,
+    degree,
+    mul_exp,
+)
+from limshape.staircase import MonomialStaircase, k_polynomial
+
+
+# -- polynomials -----------------------------------------------------------
+
+
+def compare(a, b, order: MonomialOrder = DEGREVLEX) -> int:
+    """-1 / 0 / +1 as x^a is smaller / equal / bigger than x^b."""
+    if len(a) != len(b):
+        raise DimensionError(f"monomials in {len(a)} vs {len(b)} variables")
+    ka, kb = order.key(a), order.key(b)
+    return (ka > kb) - (ka < kb)
+
+
+def monomial(alpha, c=1) -> Polynomial:
+    return Polynomial(len(alpha), {tuple(alpha): Fraction(c)})
+
+
+def total_degree(p: Polynomial) -> int:
+    """Degree of the polynomial; -1 for the zero polynomial."""
+    return max((degree(a) for a in p.terms), default=-1)
+
+
+def evaluate(p: Polynomial, point):
+    if len(point) != p.nvars:
+        raise DimensionError("point length != nvars")
+    total = Fraction(0)
+    for a, c in p.terms.items():
+        v = c
+        for x, e in zip(point, a):
+            if e:
+                v *= Fraction(x) ** e
+        total += v
+    return total
+
+
+def partial(p: Polynomial, i) -> Polynomial:
+    """d/dx_i, 1-based."""
+    terms = {}
+    for a, c in p.terms.items():
+        e = a[i - 1]
+        if e:
+            b = list(a)
+            b[i - 1] -= 1
+            terms[tuple(b)] = terms.get(tuple(b), 0) + c * e
+    return Polynomial(p.nvars, terms)
+
+
+_TOKEN = re.compile(
+    r"\s*(?:(?P<coeff>-?\d+(?:/\d+)?)|(?P<var>x\d+)(?:\^(?P<pow>\d+))?"
+    r"|(?P<op>[+*-]))"
+)
+
+
+def parse_polynomial(text: str, nvars: int) -> Polynomial:
+    """Parse sums of terms like `3*x1^2*x2 - 1/2*x3 + 4`.
+
+    Round-trips exactly with str(Polynomial).
+    """
+    pos = 0
+    terms = {}
+    sign = Fraction(1)
+    coeff = None
+    expo = None
+
+    def flush():
+        nonlocal sign, coeff, expo
+        if coeff is None and expo is None:
+            return
+        c = sign * (coeff if coeff is not None else 1)
+        a = tuple(expo) if expo is not None else (0,) * nvars
+        if c:
+            terms[a] = terms.get(a, 0) + c
+        sign, coeff, expo = Fraction(1), None, None
+
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m:
+            if text[pos:].strip():
+                raise ValueError(f"cannot parse polynomial near {text[pos:]!r}")
+            break
+        pos = m.end()
+        if m.group("op") == "+":
+            flush()
+        elif m.group("op") == "-":
+            flush()
+            sign = Fraction(-1)
+        elif m.group("op") == "*":
+            pass
+        elif m.group("coeff"):
+            c = Fraction(m.group("coeff"))
+            coeff = c if coeff is None else coeff * c
+        else:
+            i = int(m.group("var")[1:])
+            if not 1 <= i <= nvars:
+                raise DimensionError(f"variable x{i} outside 1..{nvars}")
+            e = int(m.group("pow") or 1)
+            if expo is None:
+                expo = [0] * nvars
+            expo[i - 1] += e
+    flush()
+    return Polynomial(nvars, terms)
+
+
+# -- membership and ideal equality -------------------------------------------
+
+
+def normal_form(f, basis, order: MonomialOrder = DEGREVLEX) -> Polynomial:
+    """Full multivariate division remainder of f by basis."""
+    reducers = [
+        (g.leading_monomial(order), g.terms) for g in basis if not g.is_zero()
+    ]
+    return Polynomial(f.nvars, _reduce_terms(f.terms, reducers, order))
+
+
+def contains(gb: GroebnerBasis, f: Polynomial) -> bool:
+    return normal_form(f, gb.basis, gb.order).is_zero()
+
+
+def ideal_contains(gb: GroebnerBasis, other: Ideal) -> bool:
+    return all(contains(gb, g) for g in other.generators)
+
+
+def ideals_equal(a: Ideal, b: Ideal, order=DEGREVLEX) -> bool:
+    ga, gb_ = groebner_basis(a, order), groebner_basis(b, order)
+    return ideal_contains(ga, b) and ideal_contains(gb_, a)
+
+
+# -- Hilbert functions -------------------------------------------------------
+
+
+def hf_via_initial(gb: GroebnerBasis, d: int) -> int:
+    """HF of the ideal at degree d via standard monomials of its initial
+    ideal, summed over the initial ideal's K-polynomial."""
+    n = gb.ideal.nvars
+    return sum(
+        c * comb(d - e + n - 1, n - 1)
+        for e, c in k_polynomial(initial_ideal(gb)).items() if e <= d
+    )
+
+
+def hf_via_rank(ideal: Ideal, d: int) -> int:
+    """HF at degree d by exact linear algebra: codimension of the span of all
+    degree-d multiples of the generators.  Independent of Groebner bases."""
+    n = ideal.nvars
+    monos = sorted(_degree_monomials(n, d))
+    index = {m: i for i, m in enumerate(monos)}
+    rows = []
+    for g in ideal.generators:
+        rem = d - total_degree(g)
+        if rem < 0:
+            continue
+        for shift in _degree_monomials(n, rem):
+            row = [Fraction(0)] * len(monos)
+            for a, c in g.terms.items():
+                row[index[mul_exp(a, shift)]] = c
+            rows.append(row)
+    return len(monos) - linalg.rank(rows)
+
+
+def _degree_monomials(n, d):
+    if n == 1:
+        yield (d,)
+        return
+    for e in range(d + 1):
+        for rest in _degree_monomials(n - 1, d - e):
+            yield (e,) + rest
+
+
+# -- symbolic powers of points -----------------------------------------------
+
+
+def differential_membership_check(f: Polynomial, config: PointConfig, m: int) -> bool:
+    """True iff every partial of order <= m-1 vanishes at every point.
+
+    Cross-check oracle for symbolic-power membership on point sets.
+    """
+    if not isinstance(config, PointConfig):
+        raise TypeError("differential check is only decidable for point sets")
+    if not f.is_homogeneous():
+        raise ValueError("f must be homogeneous")
+    nvars = config.n + 1
+    for alpha in _multi_indices(nvars, m - 1):
+        g = f
+        for i, e in enumerate(alpha):
+            for _ in range(e):
+                g = partial(g, i + 1)
+        if g.is_zero():
+            continue
+        for p in config.points:
+            if evaluate(g, p) != 0:
+                return False
+    return True
+
+
+def _multi_indices(n, max_total):
+    for alpha in product(range(max_total + 1), repeat=n):
+        if sum(alpha) <= max_total:
+            yield alpha
+
+
+# -- semigroup containment of staircases -------------------------------------
+
+
+def contains_scaled(staircase: MonomialStaircase, other: MonomialStaircase, k: int):
+    """Check k*alpha in staircase for every minimal generator alpha of other.
+
+    Returns (ok, witness): witness is the first failing generator.
+    """
+    for g in other.min_gens:
+        if not staircase.membership(tuple(k * e for e in g)):
+            return False, g
+    return True, None
+
+
+def contains_minkowski(
+    staircase: MonomialStaircase, p: MonomialStaircase, q: MonomialStaircase
+):
+    """Check g+h in staircase for all generators g of p, h of q."""
+    for g in p.min_gens:
+        for h in q.min_gens:
+            s = tuple(a + b for a, b in zip(g, h))
+            if not staircase.membership(s):
+                return False, (g, h)
+    return True, None

@@ -12,6 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from oracles import contains_minkowski, contains_scaled, hf_via_initial
+
 from limshape.asymptotics import (
     ahf_estimate,
     ahp_additivity_check,
@@ -21,7 +23,7 @@ from limshape.asymptotics import (
     intersecting_lines_hp,
 )
 from limshape.configs import FlatConfig, PointConfig, symbolic_power
-from limshape.groebner import gin, groebner_basis, hf_via_initial, regularity_surrogate
+from limshape.groebner import gin, groebner_basis, regularity_surrogate
 from limshape.polyhedra import RationalPolyhedron, gamma_region, volume
 from limshape.staircase import MonomialStaircase
 
@@ -239,12 +241,12 @@ def test_criterion_8_semigroup_properties():
         for p in ms:
             for k in range(2, max(ms) + 1):
                 if k * p in stairs:
-                    good, _ = stairs[k * p].contains_scaled(stairs[p], k)
+                    good, _ = contains_scaled(stairs[k * p], stairs[p], k)
                     ok &= good
             for q in ms:
                 if p + q in stairs:
-                    good, _ = stairs[p + q].contains_minkowski(
-                        stairs[p], stairs[q]
+                    good, _ = contains_minkowski(
+                        stairs[p + q], stairs[p], stairs[q]
                     )
                     ok &= good
     rep = points_report()

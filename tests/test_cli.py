@@ -36,7 +36,7 @@ def test_ahp_flats_bad_params(capsys):
     assert code == cli.EXIT_USAGE
 
 
-def test_usage_errors(capsys, tmp_path):
+def test_usage_errors(capsys, tmp_path, config_path):
     assert run(["gin"], capsys)[0] == cli.EXIT_USAGE  # missing --config
     assert run(["no-such-command"], capsys)[0] == cli.EXIT_USAGE
     bad = tmp_path / "bad.json"
@@ -52,6 +52,9 @@ def test_usage_errors(capsys, tmp_path):
         ["symbolic-power", "--entry-bound", "50"],
         ["ahp-flats", "--n", "3", "--r", "1", "--s", "2", "--format", "json"],
         ["volume", "--poly", str(missing), "--format", "json"],
+        # the report commands need --t
+        ["report", "--config", config_path],
+        ["limiting-shape", "--config", config_path, "--out", str(tmp_path)],
     ):
         assert run(argv, capsys)[0] == cli.EXIT_USAGE
 
@@ -133,6 +136,35 @@ def test_volume_command(tmp_path, capsys):
     code, out, _ = run(["volume", "--poly", str(cone), "--t", "3"], capsys)
     assert code == cli.EXIT_OK
     assert json.loads(out)["volume"] == "9/2"
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [[["0", "0"], ["1", "1"]], [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"]]],
+    ids=["segment", "triangle-in-3-space"],
+)
+def test_volume_of_lower_dimensional_polytope_is_zero(vertices, tmp_path, capsys):
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({"dim": len(vertices[0]), "vertices": vertices}))
+    for extra in ([], ["--t", "2"]):
+        code, out, _ = run(["volume", "--poly", str(poly)] + extra, capsys)
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["volume"] == "0"
+
+
+def test_repeated_line_is_a_usage_error(tmp_path, capsys):
+    # the same line twice, in two presentations, has no closed form of two
+    # lines; the configuration is rejected, as coincident points are
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n": 3, "components": [
+        {"type": "flat", "forms": [[1, 0, 0, 0], [0, 1, 0, 0]]},
+        {"type": "flat", "forms": [[1, 1, 0, 0], [1, -1, 0, 0]]},
+    ]}))
+    code, _, err = run(
+        ["report", "--config", str(path), "--m-max", "1", "--t", "2"], capsys
+    )
+    assert code == cli.EXIT_USAGE
+    assert "coincide" in err
 
 
 def test_outputs_are_deterministic(config_path, tmp_path, capsys):

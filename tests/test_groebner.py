@@ -1,9 +1,18 @@
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (
+    contains,
+    hf_via_initial,
+    hf_via_rank,
+    ideal_contains,
+    ideals_equal,
+    monomial,
+    normal_form,
+    parse_polynomial,
+)
 from test_rings import expand_substitute
 
 from limshape import groebner
@@ -18,24 +27,11 @@ from limshape.groebner import (
     derive_seed,
     gin,
     groebner_basis,
-    hf_via_initial,
-    hf_via_rank,
-    ideal_contains,
-    ideals_equal,
     initial_ideal,
     intersect_ideals,
-    lbsr_fit,
-    normal_form,
     regularity_surrogate,
 )
-from limshape.rings import (
-    MonomialOrder,
-    Polynomial,
-    divides,
-    exp_div,
-    exp_lcm,
-    parse_polynomial,
-)
+from limshape.rings import MonomialOrder, Polynomial, divides, exp_div, exp_lcm
 
 
 def P(text, n):
@@ -45,8 +41,8 @@ def P(text, n):
 def s_polynomial(f, g, order):
     lf, lg = f.leading_monomial(order), g.leading_monomial(order)
     l = exp_lcm(lf, lg)
-    mf = Polynomial.monomial(exp_div(l, lf), 1 / f.terms[lf])
-    mg = Polynomial.monomial(exp_div(l, lg), 1 / g.terms[lg])
+    mf = monomial(exp_div(l, lf), 1 / f.terms[lf])
+    mg = monomial(exp_div(l, lg), 1 / g.terms[lg])
     return mf * f - mg * g
 
 
@@ -80,9 +76,9 @@ def test_groebner_collapses_dependent_generators():
     assert_is_groebner(gb)
     # the reduced basis is just the linear form
     assert gb.basis == (P("x1 + x2", 2),)
-    assert gb.contains(P("x1^2 - x2^2", 2))
-    assert gb.contains(P("x1^3 + x2^3", 2) - P("3*x1*x2^2 + 3*x1^2*x2", 2) * 0)
-    assert not gb.contains(P("x1 - x2", 2))
+    assert contains(gb, P("x1^2 - x2^2", 2))
+    assert contains(gb, P("x1^3 + x2^3", 2) - P("3*x1*x2^2 + 3*x1^2*x2", 2) * 0)
+    assert not contains(gb, P("x1 - x2", 2))
 
 
 def test_membership_oracle_products():
@@ -92,8 +88,8 @@ def test_membership_oracle_products():
     assert_is_groebner(gb)
     mult = [P("x3", 3), P("x1 - 2*x2", 3), P("x1*x3 + x2^2", 3)]
     combo = gens[0] * mult[0] + gens[1] * mult[1] + gens[0] * mult[2]
-    assert gb.contains(combo)
-    assert not gb.contains(P("x1", 3))
+    assert contains(gb, combo)
+    assert not contains(gb, P("x1", 3))
 
 
 def test_intersection_simple():
@@ -119,7 +115,7 @@ def test_intersection_monomial_vs_bruteforce():
     for d in range(0, 5):
         for alpha in all_monomials(4, d):
             expect = in_monomial(alpha, ga) and in_monomial(alpha, gbm)
-            got = gb.contains(Polynomial.monomial(alpha))
+            got = contains(gb, monomial(alpha))
             assert got == expect, alpha
 
 
@@ -212,23 +208,6 @@ def test_ideal_contains():
     assert not ideal_contains(big, Ideal.of([Polynomial.constant(2, 1)]))
 
 
-def test_lbsr_fit_exact_line():
-    a, b, resid = lbsr_fit([(1, 2), (2, 4), (3, 6)])
-    assert (a, b, resid) == (2, 0, 0)
-
-
-def test_lbsr_fit_equioscillation():
-    # points (0,0), (1,1), (2,0): best line is y = 1/2 with residual 1/2
-    a, b, resid = lbsr_fit([(0, 0), (1, 1), (2, 0)])
-    assert resid == Fraction(1, 2)
-    assert a == 0 and b == Fraction(1, 2)
-
-
-def test_lbsr_fit_needs_two_points():
-    with pytest.raises(ValueError):
-        lbsr_fit([(1, 2)])
-
-
 def test_returned_bases_satisfy_buchberger_criterion():
     samples = [
         Ideal.of([P("x1^3 - x2^2*x3", 3), P("x1*x3 - x2^2", 3)]),
@@ -240,7 +219,7 @@ def test_returned_bases_satisfy_buchberger_criterion():
         gb = groebner_basis(ideal)
         assert_is_groebner(gb)
         for g in ideal.generators:
-            assert gb.contains(g)
+            assert contains(gb, g)
 
 
 def test_basis_is_reduced_and_monic():
@@ -249,7 +228,7 @@ def test_basis_is_reduced_and_monic():
     )
     leads = gb.leading_monomials()
     for i, g in enumerate(gb.basis):
-        assert g.leading_coeff(DEGREVLEX) == 1
+        assert g.terms[leads[i]] == 1
         for alpha in g.terms:
             for j, lm in enumerate(leads):
                 if j != i:
@@ -315,7 +294,7 @@ def textbook_groebner(gens, order):
         r = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
         if not r.is_zero():
             todo += [(k, len(basis)) for k in range(len(basis))]
-            basis.append(r * (1 / r.leading_coeff(order)))
+            basis.append(r * (1 / r.terms[r.leading_monomial(order)]))
     leads = [g.leading_monomial(order) for g in basis]
     minimal = [
         g for i, g in enumerate(basis)
@@ -325,7 +304,7 @@ def textbook_groebner(gens, order):
     reduced = []
     for i, g in enumerate(minimal):
         r = normal_form(g, minimal[:i] + minimal[i + 1:], order)
-        reduced.append(r * (1 / r.leading_coeff(order)))
+        reduced.append(r * (1 / r.terms[r.leading_monomial(order)]))
     return tuple(sorted(reduced, key=lambda g: order.key(g.leading_monomial(order))))
 
 

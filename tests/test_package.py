@@ -61,3 +61,59 @@ def test_two_lines_pass_matches_benchmark_digest(monkeypatch, tmp_path):
     assert result.failures == [None] * workload.m_max
     expected = json.loads((PERFBENCH / "expected.json").read_text())
     assert result.digest == expected["two-lines"]["*"]
+
+
+def test_staircase_sweep_pass_matches_benchmark_digest(monkeypatch, tmp_path):
+    # one pass of the sweep at seed 1 must reproduce its committed digest, so
+    # a change to counts, volumes or polyhedra fails here too
+    workloads = load_benchmark_module(monkeypatch, "workloads")
+    workload = workloads.WORKLOADS["staircase-sweep"]
+    staircases = workload.build(1, tmp_path)
+    result = workload.run_pass(staircases, tmp_path / "pass")
+    ops = workload.family_size + 1
+    assert result.failures == [None] * ops
+    workload.check(1, result)
+    assert result.problems == []
+    assert result.failures == [None] * ops
+    expected = json.loads((PERFBENCH / "expected.json").read_text())
+    assert result.digest == expected["staircase-sweep"]["1"]
+
+
+def _definitions(tree):
+    """(qualified name, node) of each top-level function and class and of
+    each method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def test_every_definition_has_a_caller():
+    # code that only tests reach belongs in the tests; a reference is a Name
+    # or Attribute node outside the definition itself, so imports and
+    # keyword arguments do not count
+    trees = {
+        path: ast.parse(path.read_text())
+        for path in sorted(PACKAGE.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    }
+    refs = [
+        (node.id if isinstance(node, ast.Name) else node.attr, node)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    uncalled = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for qualname, node in _definitions(tree):
+            name = qualname.rsplit(".", 1)[-1]
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            if not any(r == name and id(n) not in own for r, n in refs):
+                uncalled.append(f"{path.name}:{qualname}")
+    assert uncalled == []

@@ -13,8 +13,8 @@ from limshape.polyhedra import (
     convex_union_approximant,
     gamma_region,
     newton_polyhedron,
-    polyhedron_from_json,
-    polyhedron_to_json,
+    polyhedron_from_dict,
+    polyhedron_to_dict,
     scale,
     volume,
 )
@@ -53,6 +53,30 @@ def test_volume_apex_choice_agrees():
 def test_volume_lower_dimensional_is_zero():
     seg = RationalPolyhedron.of(2, [(0, 0), (1, 1), (2, 2)])
     assert volume(seg) == 0
+
+
+@pytest.mark.parametrize(
+    "vertices, inside, outside",
+    [
+        ([(0, 0), (1, 1)], [(Fraction(1, 2), Fraction(1, 2))], [(0, 5), (2, 2)]),
+        (
+            [(0, 0, 0), (1, 0, 0), (0, 1, 0)],
+            [(Fraction(1, 4), Fraction(1, 4), 0)],
+            [(0, 0, 1), (1, 1, 0)],
+        ),
+    ],
+    ids=["segment", "triangle-in-3-space"],
+)
+def test_lower_dimensional_polytope_keeps_to_its_affine_hull(
+    vertices, inside, outside
+):
+    # the hull's equations hold in both signs, and its facets within the
+    # hull cut off the points of the hull beyond the polytope
+    poly = RationalPolyhedron.of(len(vertices[0]), vertices)
+    assert all(poly.contains_point(v) for v in poly.vertices + tuple(inside))
+    assert not any(poly.contains_point(p) for p in outside)
+    assert poly.minimal_vertices() == poly.vertices
+    assert clipped_volume(poly, 2) == 0
 
 
 def test_volume_unbounded_raises():
@@ -168,8 +192,7 @@ def test_clip_orthant_gives_corner_simplex():
 
 def test_clip_empty_intersection():
     shifted = RationalPolyhedron.of(2, [(5, 5)], rays=[(1, 0), (0, 1)])
-    region = clip_to_simplex(shifted, 3)
-    assert region.polytope is None
+    assert clip_to_simplex(shifted, 3) is None
     assert clipped_volume(shifted, 3) == 0
 
 
@@ -241,7 +264,7 @@ def test_volume_matches_lattice_count_estimate():
 def test_json_round_trip():
     st_ = MonomialStaircase.from_generators(3, QUAD)
     delta = newton_polyhedron(st_)
-    again = polyhedron_from_json(polyhedron_to_json(delta))
+    again = polyhedron_from_dict(polyhedron_to_dict(delta))
     assert again.vertices == delta.vertices and again.rays == delta.rays
 
 

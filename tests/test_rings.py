@@ -4,15 +4,14 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import compare, evaluate, parse_polynomial, partial, total_degree
 
 from limshape import linalg
 from limshape.rings import (
     DimensionError,
     Polynomial,
     SingularMatrixError,
-    compare,
     linear_substitute,
-    parse_polynomial,
 )
 
 
@@ -21,12 +20,12 @@ def expand_substitute(p, matrix):
     repeated products of the images of the variables."""
     n = p.nvars
     images = [Polynomial.linear_form([Fraction(c) for c in row]) for row in matrix]
-    result = Polynomial.zero(n)
+    result = Polynomial(n)
     for a, c in p.terms.items():
         term = Polynomial.constant(n, c)
         for i, e in enumerate(a):
-            if e:
-                term = term * images[i] ** e
+            for _ in range(e):
+                term = term * images[i]
         result = result + term
     return result
 
@@ -149,13 +148,15 @@ def test_leading_term_multiplicative(p, q):
         x + y
         for x, y in zip(p.leading_monomial(), q.leading_monomial())
     )
-    assert (p * q).leading_coeff() == p.leading_coeff() * q.leading_coeff()
+    assert (p * q).terms[lm] == (
+        p.terms[p.leading_monomial()] * q.terms[q.leading_monomial()]
+    )
 
 
 def test_poly_arith_examples():
     x1 = Polynomial.variable(1, 2)
     x2 = Polynomial.variable(2, 2)
-    assert (x1 + x2) * (x1 - x2) == x1**2 - x2**2
+    assert (x1 + x2) * (x1 - x2) == x1 * x1 - x2 * x2
     p = parse_polynomial("x1*x3 + x2^2", 3)
     # x2^2 > x1*x3 per the degree-2 fixture (restricted to 3 vars)
     assert p.leading_monomial() == (0, 2, 0)
@@ -164,7 +165,7 @@ def test_poly_arith_examples():
 def test_linear_substitute_examples():
     x1 = Polynomial.variable(1, 2)
     x2 = Polynomial.variable(2, 2)
-    p = x1**2 + 3 * x2
+    p = x1 * x1 + 3 * x2
     assert p.linear_substitute([[1, 0], [0, 1]]) == p
     assert x1.linear_substitute([[0, 1], [1, 0]]) == x2
     q = (x1 + x2).linear_substitute([[1, 1], [0, 1]])
@@ -175,7 +176,7 @@ def _evaluate_substituted(p, matrix, pt):
     """p at the image of pt under the rows of matrix."""
     image = [sum(Fraction(m) * Fraction(x) for m, x in zip(row, pt))
              for row in matrix]
-    return p.evaluate(image)
+    return evaluate(p, image)
 
 
 def test_linear_substitute_evaluation_oracle():
@@ -184,7 +185,7 @@ def test_linear_substitute_evaluation_oracle():
     q = p.linear_substitute(M)
     pts = [(1, 2), (Fraction(1, 3), -1), (0, 5), (-2, Fraction(7, 2)), (4, 4)]
     for pt in pts:
-        assert q.evaluate(pt) == _evaluate_substituted(p, M, pt)
+        assert evaluate(q, pt) == _evaluate_substituted(p, M, pt)
 
 
 small_ints = st.integers(-4, 4)
@@ -224,7 +225,7 @@ def test_shared_table_matches_expansion_and_evaluation(case):
         assert q == expand_substitute(p, matrix)
         assert q == p.linear_substitute(matrix)
         for pt in pts:
-            assert q.evaluate(pt) == _evaluate_substituted(p, matrix, pt)
+            assert evaluate(q, pt) == _evaluate_substituted(p, matrix, pt)
 
 
 def test_linear_substitute_checks_its_inputs():
@@ -255,7 +256,7 @@ def test_linear_substitute_singular():
 def test_substitution_preserves_degree_and_homogeneity():
     p = parse_polynomial("x1^3 - 2*x1*x2^2", 2)
     q = p.linear_substitute([[1, 5], [2, 3]])
-    assert q.total_degree() == 3 and q.is_homogeneous()
+    assert total_degree(q) == 3 and q.is_homogeneous()
 
 
 def test_parser_round_trip():
@@ -272,5 +273,5 @@ def test_parser_round_trip_random(p):
 
 def test_partial_and_evaluate():
     p = parse_polynomial("x1^2*x2", 2)
-    assert p.partial(1) == parse_polynomial("2*x1*x2", 2)
-    assert p.evaluate((2, 3)) == 12
+    assert partial(p, 1) == parse_polynomial("2*x1*x2", 2)
+    assert evaluate(p, (2, 3)) == 12
