@@ -22,11 +22,13 @@ from .configs import (
     UnionConfig,
     config_to_dict,
     configs_disjoint,
+    coordinate_position,
     symbolic_power,
 )
 from .groebner import (
     ComputationLimitError,
     GenericityError,
+    GinResult,
     LastVariableError,
     derive_seed,
     gin,
@@ -448,6 +450,18 @@ def _is_factorial(m):
     return f == m
 
 
+def gin_of_symbolic_power(config: Config, m, seed, entry_bound=100) -> GinResult:
+    """gin of I^(m), computed on the configuration moved into coordinate
+    position.
+
+    Sound because gin(hI) = gin(I) for every invertible linear change h
+    (Bayer-Stillman 1987; Green 1998).  In coordinate position I^(m) has
+    small coefficients, and is a monomial ideal when every component is a
+    coordinate subspace.
+    """
+    return gin(symbolic_power(coordinate_position(config), m).ideal, seed, entry_bound)
+
+
 def compute_report_row(config: Config, t, m, seed, entry_bound) -> ReportRow:
     """One (config, m) row: symbolic power -> gin -> staircase, lattice
     count of the complement and both volume paths.  Resource, genericity
@@ -456,8 +470,7 @@ def compute_report_row(config: Config, t, m, seed, entry_bound) -> ReportRow:
     n = config.n
     row = ReportRow(m=m)
     try:
-        sp = symbolic_power(config, m)
-        g = gin(sp.ideal, derive_seed(seed, "row", m), entry_bound)
+        g = gin_of_symbolic_power(config, m, derive_seed(seed, "row", m), entry_bound)
         st = g.staircase
         mt = Fraction(m) * t
         row.count = st.count_gamma(floor(mt))

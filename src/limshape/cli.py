@@ -23,6 +23,7 @@ from .asymptotics import (
     ahp_additivity_check,
     ahp_flats,
     flats_hp,
+    gin_of_symbolic_power,
     intersecting_lines_hp,
     UniPoly,
 )
@@ -37,7 +38,6 @@ from .groebner import (
     ComputationLimitError,
     GenericityError,
     LastVariableError,
-    gin,
     regularity_surrogate,
 )
 from .polyhedra import (
@@ -132,8 +132,7 @@ def cmd_gin(args):
     manifest = RunManifest(
         "gin", __version__, args.config, digest, args.seed, args.entry_bound, args.m
     )
-    sp = symbolic_power(config, args.m)
-    result = gin(sp.ideal, args.seed, args.entry_bound)
+    result = gin_of_symbolic_power(config, args.m, args.seed, args.entry_bound)
     payload = {
         "manifest": manifest.as_dict(),
         "staircase": json.loads(result.staircase.to_json()),
@@ -165,8 +164,7 @@ def cmd_staircase(args):
         "staircase", __version__, args.config, digest, args.seed,
         args.entry_bound, args.m,
     )
-    sp = symbolic_power(config, args.m)
-    result = gin(sp.ideal, args.seed, args.entry_bound)
+    result = gin_of_symbolic_power(config, args.m, args.seed, args.entry_bound)
     payload = {
         "manifest": manifest.as_dict(),
         **json.loads(result.staircase.to_json()),
@@ -236,7 +234,7 @@ def cmd_ahp_flats(args):
 def cmd_volume(args):
     try:
         poly = polyhedron_from_json(Path(args.poly).read_text())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(f"bad polyhedron file: {exc}", EXIT_USAGE)
     if args.t is not None:
         vol = clipped_volume(poly, _parse_rational(args.t))
@@ -295,8 +293,7 @@ def _check(name, ok, detail=""):
 def _verify_two_lines(seed, entry_bound):
     ok = True
     config = FlatConfig.generic(3, 1, 2, seed)
-    sp = symbolic_power(config, 1)
-    g = gin(sp.ideal, seed, entry_bound)
+    g = gin_of_symbolic_power(config, 1, seed, entry_bound)
     expected = {(1, 0, 1), (0, 2, 0), (1, 1, 0), (2, 0, 0)}
     ok &= _check(
         "gin(I) contains the degree-2 quadruple",
@@ -334,8 +331,7 @@ def _verify_intersecting_lines(seed, entry_bound):
         ],
     )
     for m in (1, 2):
-        sp = symbolic_power(lines, m)
-        g = gin(sp.ideal, seed, entry_bound)
+        g = gin_of_symbolic_power(lines, m, seed, entry_bound)
         reg = regularity_surrogate(g)
         hp = intersecting_lines_hp(m)
         match = all(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import linalg
@@ -185,6 +185,63 @@ def symbolic_power(config: Config, m: int) -> SymbolicPower:
     return SymbolicPower(m, ideal)
 
 
+def coordinate_position(config: Config) -> Config:
+    """The same configuration in coordinates where it is simple.
+
+    The vectors spanning the meet of each pair of flats, then those spanning
+    each component (the point itself, or the kernel of a flat's forms) in
+    component order, then the unit vectors, are kept greedily while they
+    are independent: a basis B of k^(n+1).  If a point outside the basis
+    has no zero coordinate in it, the basis is scaled so that the point
+    becomes (1,...,1), the projective frame.  Points map to B^-1 p, scaled
+    to a leading 1, and forms to f B, in reduced row-echelon form, so a
+    flat spanned by basis vectors is cut out by variables.  gin is
+    invariant under this change of coordinates.
+    """
+    n = config.n
+    forms = [list(data) for kind, data in config.components if kind == "flat"]
+    spans = [
+        v for i, a in enumerate(forms) for b in forms[i + 1 :]
+        for v in linalg.nullspace(a + b)
+    ]
+    for kind, data in config.components:
+        spans += [list(data)] if kind == "point" else linalg.nullspace(list(data))
+    spans += [[Fraction(int(i == j)) for j in range(n + 1)] for i in range(n + 1)]
+    basis = []
+    for v in spans:
+        if linalg.rank(basis + [v]) > len(basis):
+            basis.append(v)
+    for kind, p in config.components:
+        if kind == "point" and list(p) not in basis:
+            frame = _coordinates(basis, p)
+            if all(frame):
+                basis = [[x * c for x in v] for v, c in zip(basis, frame)]
+                break
+
+    def move(part):
+        if isinstance(part, PointConfig):
+            points = []
+            for p in part.points:
+                c = _coordinates(basis, p)
+                lead = next(x for x in c if x)
+                points.append(tuple(x / lead for x in c))
+            return replace(part, points=tuple(points))
+        flats = []
+        for forms in part.flats:
+            moved = [[sum(a * b for a, b in zip(f, v)) for v in basis] for f in forms]
+            flats.append(tuple(tuple(r) for r in linalg.row_echelon(moved)[0]))
+        return replace(part, flats=tuple(flats))
+
+    if isinstance(config, UnionConfig):
+        return replace(config, parts=tuple(move(p) for p in config.parts))
+    return move(config)
+
+
+def _coordinates(basis, p):
+    """The coordinates of p in the basis: B^-1 p."""
+    return linalg.solve([list(r) for r in zip(*basis)], p)
+
+
 def configs_disjoint(a: Config, b: Config) -> bool:
     """Exact check that the zero sets share no projective point."""
     if a.n != b.n:
@@ -251,6 +308,10 @@ def config_from_dict(data) -> Config:
         raise DegenerateConfigError("configuration has no components")
     if len(parts) == 1:
         return parts[0]
+    for i, p in enumerate(points):
+        for j, forms in enumerate(flats):
+            if not any(sum(a * b for a, b in zip(f, p)) for f in forms):
+                raise DegenerateConfigError(f"point {i} lies on flat {j}")
     return UnionConfig(n, tuple(parts))
 
 

@@ -22,8 +22,14 @@ from limshape.asymptotics import (
     intersecting_lines_hp,
     power_sum,
 )
-from limshape.configs import FlatConfig, PointConfig, UnionConfig
-from limshape.groebner import LastVariableError, derive_seed
+from limshape.configs import (
+    FlatConfig,
+    PointConfig,
+    UnionConfig,
+    config_from_dict,
+    symbolic_power,
+)
+from limshape.groebner import LastVariableError, derive_seed, gin
 
 INTERSECTING_LINES = FlatConfig.of(3, [
     [(1, 0, 0, 0), (0, 1, 0, 0)],
@@ -210,3 +216,38 @@ def test_ahf_estimate_convergence_toward_target():
     assert gaps[-1] < gaps[0]
     # convex-hull volume path hits the limit from m = 1 for two points
     assert all(r.vol_gamma_convex == target for r in report.rows)
+
+
+# gin(hI) = gin(I): the entry point moves each configuration into
+# coordinate position first, and must find the staircase that the same
+# gin draws find on the configuration as given
+MOVE_ORACLE_CASES = {
+    "two-lines": (FlatConfig.generic(3, 1, 2, seed=3), 3),
+    "three-points": (PointConfig.generic(3, 3, seed=3), 3),
+    "intersecting-lines": (
+        FlatConfig.of(3, [
+            [(2, -1, 3, 1), (1, 4, -2, 5)],
+            [(2, -1, 3, 1), (-3, 1, 1, 2)],
+        ]),
+        3,
+    ),
+    "point-plus-line": (
+        config_from_dict({"n": 3, "components": [
+            {"type": "point", "coords": [1, 2, -3, 5]},
+            {"type": "flat", "forms": [[2, -1, 4, 7], [3, 5, -2, 1]]},
+        ]}),
+        3,
+    ),
+    # m = 3 takes minutes without the move
+    "five-points": (PointConfig.generic(3, 5, seed=3), 2),
+}
+
+
+@pytest.mark.parametrize("name", MOVE_ORACLE_CASES)
+def test_gin_of_symbolic_power_matches_unmoved_gin(name):
+    config, m_max = MOVE_ORACLE_CASES[name]
+    for m in range(1, m_max + 1):
+        seed = derive_seed(3, "row", m)
+        moved = asymptotics.gin_of_symbolic_power(config, m, seed)
+        given_coords = gin(symbolic_power(config, m).ideal, seed)
+        assert moved.staircase == given_coords.staircase, (name, m)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from limshape import asymptotics, cli, groebner
+from limshape.configs import config_from_json, coordinate_position, symbolic_power
 from limshape.groebner import ComputationLimitError, GenericityError
 
 
@@ -57,6 +58,21 @@ def test_usage_errors(capsys, tmp_path, config_path):
         ["limiting-shape", "--config", config_path, "--out", str(tmp_path)],
     ):
         assert run(argv, capsys)[0] == cli.EXIT_USAGE
+    # a point on a flat of the same configuration is a redundant component
+    on_flat = tmp_path / "on_flat.json"
+    on_flat.write_text(json.dumps({"n": 3, "components": [
+        {"type": "point", "coords": [1, 0, 0, 0]},
+        {"type": "flat", "forms": [[0, 1, 0, 0], [0, 0, 1, 0]]},
+    ]}))
+    code, _, err = run(
+        ["report", "--config", str(on_flat), "--m-max", "1", "--t", "2"], capsys
+    )
+    assert code == cli.EXIT_USAGE and "lies on flat" in err
+    # a polyhedron file of the wrong shape
+    bad_poly = tmp_path / "bad_poly.json"
+    bad_poly.write_text('{"dim": 2, "vertices": 5}')
+    code, _, err = run(["volume", "--poly", str(bad_poly)], capsys)
+    assert code == cli.EXIT_USAGE and "bad polyhedron file" in err
 
 
 def test_gin_command(config_path, capsys):
@@ -79,6 +95,19 @@ def test_symbolic_power_command(config_path, capsys):
     payload = json.loads(out)
     assert payload["nvars"] == 3
     assert payload["generators"]
+
+
+def test_symbolic_power_command_keeps_input_coordinates(tmp_path, capsys):
+    # only the gin path moves the configuration into coordinate position
+    path = tmp_path / "lines.json"
+    path.write_text('{"n": 3, "generic": {"r": 1, "s": 2, "seed": 3}}')
+    code, out, _ = run(["symbolic-power", "--config", str(path), "--m", "1"], capsys)
+    assert code == cli.EXIT_OK
+    config = config_from_json(path.read_text())
+    given = symbolic_power(config, 1).ideal.generators
+    moved = symbolic_power(coordinate_position(config), 1).ideal.generators
+    assert json.loads(out)["generators"] == [str(g) for g in given]
+    assert [str(g) for g in given] != [str(g) for g in moved]
 
 
 def test_staircase_command(config_path, capsys):
@@ -201,7 +230,7 @@ def test_genericity_maps_to_exit_3(config_path, capsys, monkeypatch):
     def boom(*a, **k):
         raise GenericityError("draws disagree")
 
-    monkeypatch.setattr(cli, "gin", boom)
+    monkeypatch.setattr(asymptotics, "gin", boom)
     code, _, err = run(["gin", "--config", config_path], capsys)
     assert code == cli.EXIT_GENERICITY
     assert "genericity" in err
@@ -211,7 +240,7 @@ def test_resource_cap_maps_to_exit_4(config_path, capsys, monkeypatch):
     def boom(*a, **k):
         raise ComputationLimitError("pair cap exceeded")
 
-    monkeypatch.setattr(cli, "symbolic_power", boom)
+    monkeypatch.setattr(asymptotics, "symbolic_power", boom)
     code, _, err = run(["gin", "--config", config_path], capsys)
     assert code == cli.EXIT_RESOURCE
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from oracles import (
     contains,
     differential_membership_check,
@@ -19,6 +21,7 @@ from oracles import (
 from limshape import linalg
 from limshape.configs import (
     DegenerateConfigError,
+    _forms_of,
     FlatConfig,
     PointConfig,
     UnionConfig,
@@ -26,6 +29,8 @@ from limshape.configs import (
     config_from_json,
     config_to_dict,
     configs_disjoint,
+    component_ideal,
+    coordinate_position,
     point_ideal,
     symbolic_power,
 )
@@ -92,6 +97,19 @@ def test_flat_config_rejects_repeated_and_nested_flats():
     for flats in ([line, same_line], [line, point_on_line], [point_on_line, line]):
         with pytest.raises(DegenerateConfigError):
             FlatConfig.of(3, flats)
+
+
+def test_config_rejects_point_on_flat():
+    with pytest.raises(DegenerateConfigError, match="point 0 lies on flat 0"):
+        config_from_dict({"n": 3, "components": [
+            {"type": "point", "coords": [1, 0, 0, 0]},
+            {"type": "flat", "forms": [[0, 1, 0, 0], [0, 0, 1, 0]]},
+        ]})
+    off_line = config_from_dict({"n": 3, "components": [
+        {"type": "point", "coords": [1, 1, 1, 1]},
+        {"type": "flat", "forms": [[0, 1, 0, 0], [0, 0, 1, 0]]},
+    ]})
+    assert len(off_line.components) == 2
 
 
 def test_two_intersecting_lines_radical():
@@ -236,3 +254,88 @@ def test_config_json_rejects_garbage():
         config_from_json('{"n": 2, "components": []}')
     with pytest.raises(DegenerateConfigError):
         config_from_json('{"n": 2, "components": [{"type": "blob"}]}')
+
+
+# -- coordinate position -------------------------------------------------
+
+
+def _generic_intersecting_lines():
+    """Two lines meeting in one point, cut out by seeded integer forms."""
+    rng = random.Random(4)
+    while True:
+        f, g, h = ([rng.randint(-9, 9) for _ in range(4)] for _ in range(3))
+        if linalg.rank([f, g, h]) == 3:
+            return FlatConfig.of(3, [[f, g], [f, h]])
+
+
+def _is_monomial(p):
+    return len(p.terms) == 1 and set(p.terms.values()) == {1}
+
+
+@pytest.mark.parametrize("config", [
+    FlatConfig.generic(3, 1, 2, seed=3),
+    PointConfig.generic(3, 4, seed=3),
+    PointConfig.generic(2, 3, seed=8),
+    _generic_intersecting_lines(),
+], ids=["two-skew-lines", "n+1-points-P3", "n+1-points-P2", "intersecting-lines"])
+def test_coordinate_position_gives_monomial_ideals(config):
+    moved = coordinate_position(config)
+    for component in moved.components:
+        gens = component_ideal(component, moved.n).generators
+        assert all(_is_monomial(g) and total_degree(g) == 1 for g in gens)
+    sp = symbolic_power(moved, 1)
+    assert all(_is_monomial(g) for g in sp.ideal.generators)
+    # the unmoved configuration has no such generators
+    assert not all(_is_monomial(g) for g in symbolic_power(config, 1).ideal.generators)
+
+
+def test_coordinate_position_puts_next_point_on_the_frame():
+    cfg = PointConfig.generic(3, 6, seed=3)
+    moved = coordinate_position(cfg)
+    units = [tuple(Fraction(int(i == j)) for j in range(4)) for i in range(4)]
+    assert list(moved.points[:4]) == units
+    assert moved.points[4] == (1, 1, 1, 1)
+    assert len(set(moved.points)) == 6
+    # a point with a zero coordinate in the basis is passed over for the frame
+    skew = PointConfig.of(2, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 2, 3)])
+    assert coordinate_position(skew).points[3:] == ((1, Fraction(1, 2), 0), (1, 1, 1))
+    union = config_from_dict({"n": 3, "components": [
+        {"type": "point", "coords": [1, 2, 3, 4]},
+        {"type": "flat", "forms": [[1, 0, 0, 0], [0, 1, 0, 0]]},
+    ]})
+    # the point is a basis vector, so no point lies outside the basis
+    assert coordinate_position(union).components[0] == ("point", tuple(units[0]))
+
+
+_coords = st.lists(st.integers(-3, 3), min_size=4, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    points=st.lists(_coords, max_size=3),
+    flats=st.lists(st.lists(_coords, min_size=1, max_size=3), max_size=3),
+)
+def test_coordinate_position_keeps_incidences(points, flats):
+    comps = [{"type": "point", "coords": p} for p in points]
+    comps += [{"type": "flat", "forms": f} for f in flats]
+    try:
+        config = config_from_dict({"n": 3, "components": comps})
+    except DegenerateConfigError:
+        assume(False)
+    moved = coordinate_position(config)
+    assert type(moved) is type(config)
+    assert len(moved.components) == len(config.components)
+    before = [[list(f) for f in _forms_of(c, 3)] for c in config.components]
+    after = [[list(f) for f in _forms_of(c, 3)] for c in moved.components]
+    for a, b in zip(before, after):
+        assert len(a) == len(b) and linalg.rank(b) == len(b)
+    for i in range(len(before)):
+        for j in range(i + 1, len(before)):
+            rank = linalg.rank(before[i] + before[j])
+            assert rank == linalg.rank(after[i] + after[j])
+    parts = moved.parts if isinstance(moved, UnionConfig) else (moved,)
+    for part in parts:
+        if isinstance(part, FlatConfig):
+            assert FlatConfig.of(3, part.flats) == part
+        else:
+            assert PointConfig.of(3, part.points) == part
