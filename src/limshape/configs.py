@@ -133,6 +133,20 @@ class UnionConfig:
     n: int
     parts: tuple  # PointConfig / FlatConfig instances
 
+    @classmethod
+    def of(cls, n, parts):
+        """Raises DegenerateConfigError if a point lies on a flat, where it
+        would be a redundant component."""
+        parts = tuple(parts)
+        comps = [c for part in parts for c in part.components]
+        points = [p for kind, p in comps if kind == "point"]
+        flats = [forms for kind, forms in comps if kind == "flat"]
+        for i, p in enumerate(points):
+            for j, forms in enumerate(flats):
+                if not any(sum(a * b for a, b in zip(f, p)) for f in forms):
+                    raise DegenerateConfigError(f"point {i} lies on flat {j}")
+        return cls(n, parts)
+
     @property
     def components(self):
         return tuple(c for part in self.parts for c in part.components)
@@ -188,24 +202,20 @@ def symbolic_power(config: Config, m: int) -> SymbolicPower:
 def coordinate_position(config: Config) -> Config:
     """The same configuration in coordinates where it is simple.
 
-    The vectors spanning the meet of each pair of flats, then those spanning
-    each component (the point itself, or the kernel of a flat's forms) in
-    component order, then the unit vectors, are kept greedily while they
-    are independent: a basis B of k^(n+1).  If a point outside the basis
-    has no zero coordinate in it, the basis is scaled so that the point
-    becomes (1,...,1), the projective frame.  Points map to B^-1 p, scaled
-    to a leading 1, and forms to f B, in reduced row-echelon form, so a
-    flat spanned by basis vectors is cut out by variables.  gin is
-    invariant under this change of coordinates.
+    The vectors spanning each component (the point itself, or the kernel
+    of a flat's forms) in component order, then the unit vectors, are kept
+    greedily while they are independent: a basis B of k^(n+1).  If a point
+    outside the basis has no zero coordinate in it, the basis is scaled so
+    that the point becomes (1,...,1), the projective frame.  Points map to
+    B^-1 p, scaled to a leading 1, and forms to f B, in reduced row-echelon
+    form, so a flat spanned by basis vectors is cut out by variables.  gin
+    is invariant under this change of coordinates.
     """
     n = config.n
-    forms = [list(data) for kind, data in config.components if kind == "flat"]
     spans = [
-        v for i, a in enumerate(forms) for b in forms[i + 1 :]
-        for v in linalg.nullspace(a + b)
+        v for kind, data in config.components
+        for v in ([list(data)] if kind == "point" else linalg.nullspace(list(data)))
     ]
-    for kind, data in config.components:
-        spans += [list(data)] if kind == "point" else linalg.nullspace(list(data))
     spans += [[Fraction(int(i == j)) for j in range(n + 1)] for i in range(n + 1)]
     basis = []
     for v in spans:
@@ -308,11 +318,7 @@ def config_from_dict(data) -> Config:
         raise DegenerateConfigError("configuration has no components")
     if len(parts) == 1:
         return parts[0]
-    for i, p in enumerate(points):
-        for j, forms in enumerate(flats):
-            if not any(sum(a * b for a, b in zip(f, p)) for f in forms):
-                raise DegenerateConfigError(f"point {i} lies on flat {j}")
-    return UnionConfig(n, tuple(parts))
+    return UnionConfig.of(n, parts)
 
 
 def config_from_json(text: str) -> Config:

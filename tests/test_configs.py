@@ -110,6 +110,11 @@ def test_config_rejects_point_on_flat():
         {"type": "flat", "forms": [[0, 1, 0, 0], [0, 0, 1, 0]]},
     ]})
     assert len(off_line.components) == 2
+    # the same check holds for a union built directly
+    line = FlatConfig.of(3, [[(0, 1, 0, 0), (0, 0, 1, 0)]])
+    with pytest.raises(DegenerateConfigError, match="point 0 lies on flat 0"):
+        UnionConfig.of(3, [PointConfig.of(3, [(1, 0, 0, 0)]), line])
+    assert UnionConfig.of(3, [PointConfig.of(3, [(1, 1, 1, 1)]), line]) == off_line
 
 
 def test_two_intersecting_lines_radical():
@@ -259,15 +264,6 @@ def test_config_json_rejects_garbage():
 # -- coordinate position -------------------------------------------------
 
 
-def _generic_intersecting_lines():
-    """Two lines meeting in one point, cut out by seeded integer forms."""
-    rng = random.Random(4)
-    while True:
-        f, g, h = ([rng.randint(-9, 9) for _ in range(4)] for _ in range(3))
-        if linalg.rank([f, g, h]) == 3:
-            return FlatConfig.of(3, [[f, g], [f, h]])
-
-
 def _is_monomial(p):
     return len(p.terms) == 1 and set(p.terms.values()) == {1}
 
@@ -276,7 +272,11 @@ def _is_monomial(p):
     FlatConfig.generic(3, 1, 2, seed=3),
     PointConfig.generic(3, 4, seed=3),
     PointConfig.generic(2, 3, seed=8),
-    _generic_intersecting_lines(),
+    # two lines through (1,0,0,0), cut out by forms that are not variables
+    FlatConfig.of(3, [
+        [(0, 2, -1, 3), (0, 1, 4, -2)],
+        [(0, 2, -1, 3), (0, -3, 1, 1)],
+    ]),
 ], ids=["two-skew-lines", "n+1-points-P3", "n+1-points-P2", "intersecting-lines"])
 def test_coordinate_position_gives_monomial_ideals(config):
     moved = coordinate_position(config)
