@@ -32,9 +32,7 @@ from .configs import (
 )
 from .asymptotics import (
     UniPoly,
-    BiPoly,
     flats_hp,
-    flats_hp_bivariate,
     ahp_flats,
     ahf_estimate,
     ahp_additivity_check,

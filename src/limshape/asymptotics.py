@@ -64,9 +64,6 @@ class UniPoly:
     def t_power(cls, k, c=1):
         return cls.of([0] * k + [c])
 
-    def degree(self):
-        return len(self.coeffs) - 1
-
     def __add__(self, other):
         if not isinstance(other, UniPoly):
             other = UniPoly.constant(other)
@@ -125,55 +122,6 @@ class UniPoly:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class BiPoly:
-    """Polynomial in (m, t): mapping (m_power, t_power) -> Fraction."""
-
-    coeffs: tuple  # sorted ((i, j), Fraction) pairs
-
-    @classmethod
-    def of(cls, mapping):
-        items = tuple(
-            sorted(((i, j), Fraction(c)) for (i, j), c in mapping.items() if c)
-        )
-        return cls(items)
-
-    def as_dict(self):
-        return dict(self.coeffs)
-
-    def degree_m(self):
-        return max((i for (i, _), _ in self.coeffs), default=-1)
-
-    def coefficient_of_m(self, k) -> UniPoly:
-        out = {}
-        for (i, j), c in self.coeffs:
-            if i == k:
-                out[j] = c
-        size = max(out, default=-1) + 1
-        return UniPoly.of([out.get(j, 0) for j in range(size)])
-
-    def __add__(self, other):
-        out = self.as_dict()
-        for key, c in other.coeffs:
-            out[key] = out.get(key, 0) + c
-        return BiPoly.of(out)
-
-    def __call__(self, m, t):
-        m, t = Fraction(m), Fraction(t)
-        return sum((c * m**i * t**j for (i, j), c in self.coeffs), Fraction(0))
-
-
-def power_sum(k) -> UniPoly:
-    """S_k(m) = sum_{i=0}^{m-1} i^k as a polynomial in m (Faulhaber)."""
-    sums = []
-    for j in range(k + 1):
-        p = UniPoly.t_power(j + 1)  # m^{j+1}
-        for i in range(j):
-            p = p - comb(j + 1, i) * sums[i]
-        sums.append(p * Fraction(1, j + 1))
-    return sums[k]
-
-
 # -- closed forms for s disjoint r-flats -----------------------------------
 
 
@@ -203,52 +151,18 @@ def flats_hp(n, r, s, m) -> UniPoly:
     return total * s
 
 
-def flats_hp_bivariate(n, r, s) -> BiPoly:
-    """HP_{I^(m)}(m*t) as an exact polynomial in (m, t).
-
-    The summand C(mt-i+r, r)*C(i+n-r-1, n-r-1) is expanded as a polynomial
-    in (u, i) with u = m*t, the i-sum is closed by Faulhaber power sums,
-    and u^a is rewritten as m^a t^a.
-    """
-    _check_flat_params(n, r, s)
-    # polynomial in (u, i): dict (u_pow, i_pow) -> Fraction
-    term = {(0, 0): Fraction(1)}
-
-    def times_linear(poly, cu, ci, const):
-        out = {}
-        for (a, b), c in poly.items():
-            for da, db, f in ((1, 0, cu), (0, 1, ci), (0, 0, const)):
-                if f:
-                    key = (a + da, b + db)
-                    out[key] = out.get(key, 0) + c * Fraction(f)
-        return out
-
-    for k in range(r):
-        term = times_linear(term, 1, -1, r - k)  # (u - i + r - k)
-    for k in range(n - r - 1):
-        term = times_linear(term, 0, 1, k + 1)  # (i + k + 1)
-    scale_c = Fraction(s, factorial(r) * factorial(n - r - 1))
-
-    # sum over i = 0..m-1: i^b -> S_b(m); then u^a -> m^a t^a
-    out = {}
-    for (a, b), c in term.items():
-        for mp, fc in enumerate(power_sum(b).coeffs):
-            if fc:
-                key = (mp + a, a)
-                out[key] = out.get(key, 0) + c * fc * scale_c
-    return BiPoly.of(out)
-
-
 def ahp_flats(n, r, s):
     """(aHP, Lambda) for s disjoint r-flats in P^n.
 
-    aHP is the m^n slice of the bivariate polynomial; Lambda(n,r,s) is
-    t^n/n! - aHP.
+    With i = m*x, the m^n part of `flats_hp(n, r, s, m)` at m*t is
+    s/(r!(n-r-1)!) * int_0^1 (t-x)^r x^(n-r-1) dx, whose t^j coefficient
+    carries (-1)^(r-j) C(r, j)/(n-j).  Lambda(n,r,s) is t^n/n! - aHP.
     """
-    bi = flats_hp_bivariate(n, r, s)
-    if bi.degree_m() > n:
-        raise RuntimeError("bivariate degree in m exceeds ambient dimension")
-    ahp = bi.coefficient_of_m(n)
+    _check_flat_params(n, r, s)
+    c = Fraction(s, factorial(r) * factorial(n - r - 1))
+    ahp = UniPoly.of(
+        [c * (-1) ** (r - j) * Fraction(comb(r, j), n - j) for j in range(r + 1)]
+    )
     lam = UniPoly.t_power(n, Fraction(1, factorial(n))) - ahp
     return ahp, lam
 
@@ -264,24 +178,6 @@ def intersecting_lines_hp(m) -> UniPoly:
     return UniPoly.of(
         [-(m**3) + Fraction(m**2, 2) + Fraction(3 * m, 2), m**2 + m]
     )
-
-
-def intersecting_lines_bivariate() -> BiPoly:
-    """HP_{L^(m)}(m*t) for the intersecting-lines pair, in (m, t)."""
-    return BiPoly.of(
-        {
-            (3, 1): 1,
-            (2, 1): 1,
-            (3, 0): -1,
-            (2, 0): Fraction(1, 2),
-            (1, 0): Fraction(3, 2),
-        }
-    )
-
-
-def ahp_intersecting_lines() -> UniPoly:
-    """m^3 slice of the intersecting-lines bivariate polynomial: t - 1."""
-    return intersecting_lines_bivariate().coefficient_of_m(3)
 
 
 # -- closed-form aHP per configuration -------------------------------------
@@ -303,7 +199,8 @@ def ahp_of_config(config: Config) -> UniPoly:
         # FlatConfig.of rejects a repeated line, so two lines of P^3 that
         # are not disjoint meet in a point
         if n == 3 and config.flat_dimensions == (1, 1):
-            return ahp_intersecting_lines()
+            # the m^3 coefficient of intersecting_lines_hp(m)(m*t)
+            return UniPoly.of([-1, 1])
         raise ValueError("no closed-form aHP for this flat configuration")
     if isinstance(config, UnionConfig):
         parts = config.parts

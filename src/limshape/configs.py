@@ -12,6 +12,7 @@ import json
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 
 from . import linalg
 from .groebner import Ideal, intersect_ideals
@@ -31,6 +32,7 @@ class PointConfig:
 
     @classmethod
     def of(cls, n, points):
+        _check_ambient(n)
         pts = tuple(tuple(Fraction(c) for c in p) for p in points)
         for p in pts:
             if len(p) != n + 1:
@@ -48,6 +50,7 @@ class PointConfig:
     @classmethod
     def generic(cls, n, r, seed, bound=GENERIC_COORD_BOUND):
         """r seeded random points with integer coordinates."""
+        _check_ambient(n)  # else the draws below never end
         rng = random.Random(seed)
         pts = []
         while len(pts) < r:
@@ -74,28 +77,27 @@ class FlatConfig:
 
     @classmethod
     def of(cls, n, flats):
+        _check_ambient(n)
         clean = []
         for forms in flats:
             forms = tuple(tuple(Fraction(c) for c in f) for f in forms)
+            if not 1 <= len(forms) <= n:
+                # no form cuts out all of P^n, n+1 independent ones nothing
+                raise DegenerateConfigError(
+                    f"a flat in P^{n} needs 1 to {n} forms, got {len(forms)}"
+                )
             for f in forms:
                 if len(f) != n + 1:
                     raise DegenerateConfigError("form length != n+1")
             if linalg.rank([list(f) for f in forms]) != len(forms):
                 raise DegenerateConfigError("dependent defining forms for a flat")
             clean.append(forms)
-        for i in range(len(clean)):
-            for j in range(i + 1, len(clean)):
-                # the forms of the larger flat lie in the span of the other's
-                a, b = clean[i], clean[j]
-                if linalg.rank([list(f) for f in a + b]) == max(len(a), len(b)):
-                    raise DegenerateConfigError(
-                        f"flats {i} and {j} coincide or one contains the other"
-                    )
-        disjoint = all(
-            _flats_disjoint(clean[i], clean[j], n)
-            for i in range(len(clean))
-            for j in range(i + 1, len(clean))
-        )
+        for (i, a), (j, b) in combinations(enumerate(clean), 2):
+            if _nested(a, b):
+                raise DegenerateConfigError(
+                    f"flats {i} and {j} coincide or one contains the other"
+                )
+        disjoint = all(_flats_disjoint(a, b, n) for a, b in combinations(clean, 2))
         return cls(n, tuple(clean), disjoint)
 
     @classmethod
@@ -135,16 +137,27 @@ class UnionConfig:
 
     @classmethod
     def of(cls, n, parts):
-        """Raises DegenerateConfigError if a point lies on a flat, where it
-        would be a redundant component."""
+        """Raises DegenerateConfigError if a component of one part equals or
+        lies in a component of another, where it would be redundant."""
         parts = tuple(parts)
-        comps = [c for part in parts for c in part.components]
-        points = [p for kind, p in comps if kind == "point"]
-        flats = [forms for kind, forms in comps if kind == "flat"]
-        for i, p in enumerate(points):
-            for j, forms in enumerate(flats):
-                if not any(sum(a * b for a, b in zip(f, p)) for f in forms):
-                    raise DegenerateConfigError(f"point {i} lies on flat {j}")
+        if any(part.n != n for part in parts):
+            raise DegenerateConfigError("parts lie in different dimensions")
+        count = {"point": 0, "flat": 0}
+        comps = []  # (part, kind, index among that kind, forms)
+        for k, part in enumerate(parts):
+            for kind, data in part.components:
+                comps.append((k, kind, count[kind], _forms_of((kind, data), n)))
+                count[kind] += 1
+        for (ka, kind_a, ia, a), (kb, kind_b, ib, b) in combinations(comps, 2):
+            if ka == kb or not _nested(a, b):
+                continue
+            if kind_a != kind_b:
+                point, flat = (ia, ib) if kind_a == "point" else (ib, ia)
+                raise DegenerateConfigError(f"point {point} lies on flat {flat}")
+            raise DegenerateConfigError(
+                f"points {ia} and {ib} coincide projectively" if kind_a == "point"
+                else f"flats {ia} and {ib} coincide or one contains the other"
+            )
         return cls(n, parts)
 
     @property
@@ -155,11 +168,23 @@ class UnionConfig:
 Config = PointConfig | FlatConfig | UnionConfig
 
 
+def _check_ambient(n):
+    if n < 1:
+        raise DegenerateConfigError(f"need projective dimension n >= 1, got {n}")
+
+
 def _flats_disjoint(forms_a, forms_b, n) -> bool:
     """Two flats are disjoint iff their combined forms have only the zero
     solution, i.e. full rank n+1."""
     mat = [list(f) for f in forms_a] + [list(f) for f in forms_b]
     return linalg.rank(mat) == n + 1
+
+
+def _nested(forms_a, forms_b) -> bool:
+    """Two components coincide or one contains the other iff the forms of
+    the larger one lie in the span of the other's."""
+    rank = linalg.rank([list(f) for f in forms_a + forms_b])
+    return rank == max(len(forms_a), len(forms_b))
 
 
 def point_ideal(point, n) -> Ideal:

@@ -3,15 +3,16 @@
 Each one recomputes by another route something the pipeline computes:
 membership and ideal equality by full division, Hilbert functions by
 exact linear algebra, symbolic-power membership by derivatives at the
-points, semigroup properties of staircases by direct membership, and the
-monomial order by pairwise comparison.  `parse_polynomial` reads the
+points, semigroup properties of staircases by direct membership, the
+monomial order by pairwise comparison, and asymptotic Hilbert polynomials
+by finite differences in m.  `parse_polynomial` reads the
 text form that `str(Polynomial)` writes.
 """
 
 import re
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, factorial
 
 from limshape import linalg
 from limshape.configs import PointConfig
@@ -255,3 +256,23 @@ def contains_minkowski(
             if not staircase.membership(s):
                 return False, (g, h)
     return True, None
+
+
+# -- asymptotic Hilbert polynomials ----------------------------------------
+
+
+def ahp_by_differences(hp, n, t):
+    """aHP(t) = lim HP_m(m t) / m^n from the definition, for hp(m) the Hilbert
+    polynomial of I^(m).
+
+    For fixed t, HP_m(m t) is a polynomial in m of degree at most n, so its
+    m^n coefficient is its n-th difference over m = 1..n+1 divided by n!,
+    and its (n+1)-th difference over m = 1..n+2 is zero.
+    """
+    t = Fraction(t)
+    values = [hp(m)(m * t) for m in range(1, n + 3)]
+    for _ in range(n):
+        values = [b - a for a, b in zip(values, values[1:])]
+    if values[0] != values[1]:
+        raise ValueError("HP_m(m t) is not a polynomial of degree <= n in m")
+    return values[0] / factorial(n)

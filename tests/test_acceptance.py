@@ -12,14 +12,18 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from oracles import contains_minkowski, contains_scaled, hf_via_initial
+from oracles import (
+    ahp_by_differences,
+    contains_minkowski,
+    contains_scaled,
+    hf_via_initial,
+)
 
 from limshape.asymptotics import (
     ahf_estimate,
     ahp_additivity_check,
     ahp_flats,
     flats_hp,
-    intersecting_lines_bivariate,
     intersecting_lines_hp,
 )
 from limshape.configs import FlatConfig, PointConfig, symbolic_power
@@ -170,17 +174,19 @@ def test_criterion_5_intersecting_lines_hilbert_function():
 
 def test_criterion_6_additivity():
     start = time.monotonic()
-    slice_t_minus_1 = intersecting_lines_bivariate().coefficient_of_m(3)
-    ok = slice_t_minus_1.coeffs == (Fraction(-1), Fraction(1))
     rep = ahp_additivity_check(
         intersecting_config(), PointConfig.of(3, [(1, 1, 1, 1)])
     )
-    ok &= rep.ahp_a == slice_t_minus_1
+    ok = rep.ahp_a.coeffs == (Fraction(-1), Fraction(1))
+    ok &= all(
+        rep.ahp_a(t) == ahp_by_differences(intersecting_lines_hp, 3, t)
+        for t in (0, 1, Fraction(5, 2))
+    )
     ok &= rep.ahp_b.coeffs == (Fraction(1, 6),)
     ok &= rep.total.coeffs == (Fraction(-5, 6), Fraction(1))
     report_line(
         6, "aHP additivity: (t - 1) + 1/6 = t - 5/6 with t - 1 as the "
-        "m^3 bivariate slice",
+        "m^3 coefficient of HP(mt)",
         ok, budget=1, elapsed=time.monotonic() - start,
     )
 

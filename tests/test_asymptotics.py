@@ -3,24 +3,18 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from oracles import ahp_by_differences
 
 from limshape import asymptotics
 from limshape.asymptotics import (
     AdditivityReport,
-    BiPoly,
     UniPoly,
     ahf_estimate,
     ahp_flats,
-    ahp_intersecting_lines,
     ahp_of_config,
     ahp_additivity_check,
     flats_hp,
-    flats_hp_bivariate,
-    intersecting_lines_bivariate,
     intersecting_lines_hp,
-    power_sum,
 )
 from limshape.configs import (
     FlatConfig,
@@ -48,19 +42,6 @@ def test_unipoly_basics():
     assert (p - p)(7) == 0
 
 
-def test_bipoly_slicing():
-    b = BiPoly.of({(2, 1): Fraction(1), (2, 0): Fraction(-1, 2), (1, 3): 4})
-    assert b.degree_m() == 2
-    assert b.coefficient_of_m(2).coeffs == (Fraction(-1, 2), Fraction(1))
-    assert b(2, 3) == Fraction(1) * 4 * 3 - Fraction(1, 2) * 4 + 4 * 2 * 27
-
-
-@given(st.integers(0, 5), st.integers(0, 12))
-@settings(max_examples=60)
-def test_power_sum_faulhaber(k, m):
-    assert power_sum(k)(m) == sum(i**k for i in range(m))
-
-
 def test_flats_hp_known_values():
     # two disjoint lines in P^3, first power: 2t + 2
     assert flats_hp(3, 1, 2, 1).coeffs == (2, 2)
@@ -79,13 +60,17 @@ def test_flats_hp_counts_monomials_for_one_flat():
     assert [hp(t) for t in (0, 1, 2, 3)] == [1, 2, 3, 4]
 
 
-def test_flats_hp_bivariate_matches_direct():
-    for n, r, s in [(3, 1, 2), (2, 0, 3), (4, 2, 1), (4, 1, 2)]:
-        bi = flats_hp_bivariate(n, r, s)
-        for m in (1, 2, 3):
-            direct = flats_hp(n, r, s, m)
-            for t in (1, 2, 5, Fraction(7, 2)):
-                assert bi(m, t) == direct(Fraction(m) * Fraction(t))
+def test_ahp_flats_matches_definition():
+    # aHP(t) = lim HP_m(m t) / m^n, read off by finite differences in m; six
+    # values of t pin down every aHP here, whose degree r is at most 5
+    for n in range(1, 7):
+        for r in range(n):
+            for s in range(1, 4):
+                ahp, lam = ahp_flats(n, r, s)
+                hp = lambda m: flats_hp(n, r, s, m)
+                for t in (1, 2, Fraction(7, 2), Fraction(1, 3), 0, 5):
+                    assert ahp(t) == ahp_by_differences(hp, n, t), (n, r, s, t)
+                    assert lam(t) == Fraction(t) ** n / factorial(n) - ahp(t)
 
 
 def test_ahp_flats_points():
@@ -112,11 +97,10 @@ def test_ahp_flats_validation():
 def test_intersecting_lines_hp():
     assert intersecting_lines_hp(1).coeffs == (1, 2)  # 2t + 1
     assert intersecting_lines_hp(2).coeffs == (-3, 6)  # 6t - 3
-    bi = intersecting_lines_bivariate()
-    for m in (1, 2, 3, 4):
-        for t in (1, 3, Fraction(5, 2)):
-            assert bi(m, t) == intersecting_lines_hp(m)(Fraction(m) * Fraction(t))
-    assert str(ahp_intersecting_lines()) == "t - 1"
+    ahp = ahp_of_config(INTERSECTING_LINES)
+    assert str(ahp) == "t - 1"
+    for t in (0, 1, 3, Fraction(5, 2)):
+        assert ahp(t) == ahp_by_differences(intersecting_lines_hp, 3, t)
 
 
 def test_ahp_of_config():

@@ -68,6 +68,16 @@ def test_usage_errors(capsys, tmp_path, config_path):
         ["report", "--config", str(on_flat), "--m-max", "1", "--t", "2"], capsys
     )
     assert code == cli.EXIT_USAGE and "lies on flat" in err
+    # a flat cut out by 4 independent forms in P^3 is the empty set
+    empty_flat = tmp_path / "empty_flat.json"
+    empty_flat.write_text(json.dumps({"n": 3, "components": [
+        {"type": "flat", "forms": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                                   [0, 0, 0, 1]]},
+    ]}))
+    code, _, err = run(
+        ["report", "--config", str(empty_flat), "--m-max", "1", "--t", "2"], capsys
+    )
+    assert code == cli.EXIT_USAGE and "needs 1 to 3 forms" in err
     # a polyhedron file of the wrong shape
     bad_poly = tmp_path / "bad_poly.json"
     bad_poly.write_text('{"dim": 2, "vertices": 5}')

@@ -88,6 +88,23 @@ def test_flat_config_validation():
         FlatConfig.of(3, [[(1, 0, 0, 0), (2, 0, 0, 0)]])  # dependent forms
     cfg = FlatConfig.of(3, [[(1, 0, 0, 0), (0, 1, 0, 0)]])
     assert cfg.flat_dimensions == (1,)
+    # no forms cut out all of P^3, and the 4 unit forms the empty set
+    units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    for forms in ([], units):
+        with pytest.raises(DegenerateConfigError, match="needs 1 to 3 forms"):
+            FlatConfig.of(3, [forms])
+
+
+def test_config_needs_positive_dimension():
+    for data in (
+        {"n": 0, "components": [{"type": "point", "coords": [1]}]},
+        {"n": 0, "components": [{"type": "flat", "forms": [[1]]}]},
+        {"n": -1, "components": [{"type": "point", "coords": []}]},
+        # the seeded draws would never find two distinct points in P^0
+        {"n": 0, "generic": {"r": 0, "s": 2, "seed": 1}},
+    ):
+        with pytest.raises(DegenerateConfigError, match="n >= 1"):
+            config_from_dict(data)
 
 
 def test_flat_config_rejects_repeated_and_nested_flats():
@@ -115,6 +132,28 @@ def test_config_rejects_point_on_flat():
     with pytest.raises(DegenerateConfigError, match="point 0 lies on flat 0"):
         UnionConfig.of(3, [PointConfig.of(3, [(1, 0, 0, 0)]), line])
     assert UnionConfig.of(3, [PointConfig.of(3, [(1, 1, 1, 1)]), line]) == off_line
+    # the flat may come first; indices count points and flats apart
+    with pytest.raises(DegenerateConfigError, match="point 1 lies on flat 0"):
+        UnionConfig.of(3, [line, PointConfig.of(3, [(1, 1, 1, 1), (1, 0, 0, 0)])])
+
+
+def test_union_rejects_repeated_and_nested_components():
+    pt = PointConfig.of(3, [(1, 2, 3, 4)])
+    with pytest.raises(DegenerateConfigError, match="points 0 and 1 coincide"):
+        UnionConfig.of(3, [pt, PointConfig.of(3, [(2, 4, 6, 8)])])
+    line = FlatConfig.of(3, [[(1, 0, 0, 0), (0, 1, 0, 0)]])
+    same_line = FlatConfig.of(3, [[(1, 1, 0, 0), (1, -1, 0, 0)]])
+    plane = FlatConfig.of(3, [[(1, 0, 0, 0)]])
+    for parts in ([line, same_line], [line, plane], [plane, line]):
+        with pytest.raises(DegenerateConfigError, match="flats 0 and 1 coincide"):
+            UnionConfig.of(3, parts)
+    # distinct points, and two lines meeting in a point, are kept
+    other = PointConfig.of(3, [(1, 2, 3, 5)])
+    assert len(UnionConfig.of(3, [pt, other]).components) == 2
+    crossing = FlatConfig.of(3, [[(1, 0, 0, 0), (0, 0, 1, 0)]])
+    assert len(UnionConfig.of(3, [line, crossing]).components) == 2
+    with pytest.raises(DegenerateConfigError, match="different dimensions"):
+        UnionConfig.of(3, [pt, PointConfig.of(2, [(1, 0, 0)])])
 
 
 def test_two_intersecting_lines_radical():

@@ -91,20 +91,29 @@ def _definitions(tree):
                     yield f"{node.name}.{sub.name}", sub
 
 
+def _referenced_name(node, method):
+    """The name a node can reach a definition by: a function or class through
+    a Name or an Attribute, a method only through an Attribute or a string
+    that names it, as the benchmark's trace targets do."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if method:
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return node.value
+    elif isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
 def test_every_definition_has_a_caller():
-    # code that only tests reach belongs in the tests; a reference is a Name
-    # or Attribute node outside the definition itself, so imports and
-    # keyword arguments do not count
+    # code that only tests reach belongs in the tests; a reference lies
+    # outside the definition itself, so imports and keyword arguments do
+    # not count, and a function does not make a method of its name called
     trees = {
         path: ast.parse(path.read_text())
         for path in sorted(PACKAGE.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
     }
-    refs = [
-        (node.id if isinstance(node, ast.Name) else node.attr, node)
-        for tree in trees.values()
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
-    ]
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
     uncalled = []
     for path, tree in trees.items():
         if path.parent != PACKAGE:
@@ -114,6 +123,10 @@ def test_every_definition_has_a_caller():
             if name.startswith("__") and name.endswith("__"):
                 continue
             own = {id(n) for n in ast.walk(node)}
-            if not any(r == name and id(n) not in own for r, n in refs):
+            method = "." in qualname
+            if not any(
+                _referenced_name(n, method) == name and id(n) not in own
+                for n in nodes
+            ):
                 uncalled.append(f"{path.name}:{qualname}")
     assert uncalled == []
