@@ -103,11 +103,26 @@ def _load_config(path):
     return config, digest
 
 
-def _parse_rational(text):
+def _parse_t(text):
+    """The value of --t: a rational number >= 0."""
     try:
-        return Fraction(text)
+        t = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise CliError(f"bad rational {text!r}", EXIT_USAGE)
+        raise argparse.ArgumentTypeError(f"bad rational {text!r}")
+    if t < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return t
+
+
+def _parse_jobs(text):
+    """The value of --jobs: a whole number >= 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}")
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return jobs
 
 
 def _emit(payload, args, name):
@@ -175,14 +190,13 @@ def cmd_staircase(args):
 
 def cmd_limiting_shape(args):
     config, digest = _load_config(args.config)
-    t = _parse_rational(args.t)
     manifest = RunManifest(
         "limiting-shape", __version__, args.config, digest, args.seed,
-        args.entry_bound, m_max=args.m_max, t=str(t),
+        args.entry_bound, m_max=args.m_max, t=str(args.t),
     )
     report = ahf_estimate(
         config,
-        t,
+        args.t,
         list(range(1, args.m_max + 1)),
         seed=args.seed,
         entry_bound=args.entry_bound,
@@ -198,7 +212,7 @@ def cmd_limiting_shape(args):
     delta = convex_union_approximant(
         [r.hull for r in report.rows if r.hull is not None]
     )
-    gvol, gdesc = gamma_region(delta, t)
+    gvol, gdesc = gamma_region(delta, args.t)
     payload = {
         "manifest": manifest.as_dict(),
         "delta_approximant": polyhedron_to_dict(delta),
@@ -237,7 +251,7 @@ def cmd_volume(args):
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(f"bad polyhedron file: {exc}", EXIT_USAGE)
     if args.t is not None:
-        vol = clipped_volume(poly, _parse_rational(args.t))
+        vol = clipped_volume(poly, args.t)
     else:
         if not poly.is_bounded():
             raise CliError(
@@ -246,7 +260,7 @@ def cmd_volume(args):
         vol = volume(poly)
     payload = {
         "manifest": RunManifest(
-            "volume", __version__, t=None if args.t is None else args.t
+            "volume", __version__, t=None if args.t is None else str(args.t)
         ).as_dict(),
         "volume": str(vol),
     }
@@ -256,14 +270,13 @@ def cmd_volume(args):
 
 def cmd_report(args):
     config, digest = _load_config(args.config)
-    t = _parse_rational(args.t)
     manifest = RunManifest(
         "report", __version__, args.config, digest, args.seed, args.entry_bound,
-        m_max=args.m_max, t=str(t),
+        m_max=args.m_max, t=str(args.t),
     )
     report = ahf_estimate(
         config,
-        t,
+        args.t,
         list(range(1, args.m_max + 1)),
         seed=args.seed,
         entry_bound=args.entry_bound,
@@ -426,9 +439,9 @@ def build_parser():
             p.add_argument("--m", type=int, default=1, help="symbolic power")
         if rows:
             p.add_argument("--m-max", type=int, default=2, dest="m_max")
-            p.add_argument("--t", required=True,
+            p.add_argument("--t", type=_parse_t, required=True,
                            help="rational truncation parameter, e.g. 7/2")
-            p.add_argument("--jobs", type=int, default=1)
+            p.add_argument("--jobs", type=_parse_jobs, default=1)
             p.add_argument("--format", choices=["json", "csv"], default="json")
         if draws:
             p.add_argument("--seed", type=int, default=0)
@@ -460,7 +473,8 @@ def build_parser():
 
     p = sub.add_parser("volume", help="exact volume of a polyhedron JSON")
     p.add_argument("--poly", required=True, help="polyhedron JSON path")
-    p.add_argument("--t", help="clip against the corner simplex at t")
+    p.add_argument("--t", type=_parse_t,
+                   help="clip against the corner simplex at t")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_volume)
 

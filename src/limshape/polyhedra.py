@@ -1,9 +1,10 @@
 """Exact rational polyhedral geometry at desk scale (dim <= 6).
 
-Polyhedra are conv(vertices) + cone(rays) with Fraction coordinates.
-Facets come from brute-force hyperplane enumeration over the lifted cone,
-vertex enumeration from facet intersections, and volumes from a recursive
-boundary triangulation with a selectable apex.  No floating point anywhere.
+Polyhedra are conv(vertices) + cone(rays) with Fraction coordinates.  One
+double-description kernel, `_extreme_rays`, finds facets (the rays of the
+dual of the homogenizing cone) and vertices (the rays (x, 1) of the
+homogenized inequalities).  Volumes come from a recursive boundary
+triangulation with a selectable apex.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -11,8 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 from . import linalg
 
@@ -29,38 +29,51 @@ def _frac_tuple(v):
 
 def _primitive(vec):
     """Scale a rational vector to a primitive integer vector (same sign)."""
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
+    denom = lcm(*(x.denominator for x in vec))
     ints = [int(x * denom) for x in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g == 0:
-        return tuple(ints)
+    g = gcd(*ints) or 1
     return tuple(v // g for v in ints)
 
 
-def _hyperplanes(generators, dim):
-    """Facet normals of the cone spanned by `generators` in R^dim: primitive
-    w with w.g >= 0 for all g and equality on a rank-(dim-1) subset.
-
-    A (dim-1) x dim matrix has a one-dimensional kernel exactly when its
-    rank is dim-1, so one elimination per subset decides both."""
-    normals = set()
-    gens = [list(g) for g in generators]
-    for sub in combinations(range(len(gens)), dim - 1):
-        mat = [gens[i] for i in sub]
-        kernel = linalg.nullspace(mat)
-        if len(kernel) != 1:
+def _extreme_rays(rows):
+    """Primitive integer extreme rays of the pointed cone {y : r.y >= 0 for
+    all rows r}, by double description (Motzkin et al. 1953; Fukuda-Prodon
+    1996): start from the simplicial cone of d independent rows, then cut
+    by each other row, keeping the rays on its side and joining each
+    adjacent pair across it.  Two rays are adjacent when no third ray is
+    tight on every row both are tight on."""
+    rows = [_primitive(r) for r in rows]
+    m, d = len(rows), len(rows[0])
+    # echelon form of [rows^T | I]: the pivots pick independent rows B and
+    # the right block becomes (B^-1)^T, whose rows are the starting rays
+    ech, pivots = linalg.row_echelon(
+        [list(c) + [int(i == j) for j in range(d)] for i, c in enumerate(zip(*rows))]
+    )
+    if pivots[-1] >= m:
+        raise ValueError("rows do not span: the cone is not pointed")
+    basis = sum(1 << k for k in pivots)
+    rays = [(_primitive(ech[i][m:]), basis ^ 1 << k) for i, k in enumerate(pivots)]
+    for k, row in enumerate(rows):
+        if basis >> k & 1:
             continue
-        w = kernel[0]
-        vals = [sum(a * b for a, b in zip(w, g)) for g in gens]
-        if all(v >= 0 for v in vals):
-            normals.add(_primitive(w))
-        elif all(v <= 0 for v in vals):
-            normals.add(_primitive([-x for x in w]))
-    return normals
+        cut, pos, neg = [], [], []
+        for ray, tight in rays:
+            v = _dot(row, ray)
+            if v < 0:
+                neg.append((ray, tight, v))
+                continue
+            if v > 0:
+                pos.append((ray, tight, v))
+            cut.append((ray, tight if v else tight | 1 << k))
+        for p, tp, vp in pos:
+            for q, tq, vq in neg:
+                both = tp & tq
+                if any(t & both == both for r, t in rays if r is not p and r is not q):
+                    continue
+                ray = _primitive([vp * y - vq * x for x, y in zip(p, q)])
+                cut.append((ray, both | 1 << k))
+        rays = cut
+    return sorted(ray for ray, _ in rays)
 
 
 @dataclass(frozen=True)
@@ -81,6 +94,8 @@ class RationalPolyhedron:
                 raise ValueError("coordinate length != dim")
         if not vs:
             raise ValueError("need at least one vertex")
+        if any(not any(r) for r in rs):
+            raise ValueError("zero ray")
         return cls(dim, vs, rs)
 
     def is_bounded(self):
@@ -106,25 +121,20 @@ class RationalPolyhedron:
             w = _primitive(w)
             normals |= {w, tuple(-x for x in w)}
         # on its pivot coordinates the span is all of R^k, so the cone is
-        # full-dimensional there; a facet normal extends by zeros
+        # full-dimensional there and a facet normal extends by zeros; at
+        # k = 1 (a lone point) the one dual ray is no facet, only 0 >= -1
         pivots = linalg.row_echelon(lifted)[1]
         projected = [[g[c] for c in pivots] for g in lifted]
-        for u in _hyperplanes(projected, len(pivots)):
-            w = [0] * (d + 1)
-            for c, x in zip(pivots, u):
-                w[c] = x
-            normals.add(tuple(w))
+        for u in _extreme_rays(projected) if len(pivots) > 1 else ():
+            w = dict(zip(pivots, u))
+            normals.add(tuple(w.get(c, 0) for c in range(d + 1)))
         ineqs = tuple(sorted(
             (tuple(Fraction(x) for x in w[:d]), -Fraction(w[d])) for w in normals
         ))
-        for v in self.vertices:
-            for a, b in ineqs:
-                if _dot(a, v) < b:
-                    raise RuntimeError("vertex violates computed facet")
-        for r in self.rays:
-            for a, _ in ineqs:
-                if _dot(a, r) < 0:
-                    raise RuntimeError("ray violates computed facet")
+        if any(_dot(a, v) < b for v in self.vertices for a, b in ineqs) or any(
+            _dot(a, r) < 0 for r in self.rays for a, _ in ineqs
+        ):
+            raise RuntimeError("generator violates computed facet")
         object.__setattr__(self, "facets", ineqs)
         return ineqs
 
@@ -132,19 +142,10 @@ class RationalPolyhedron:
         p = _frac_tuple(p)
         return all(_dot(a, p) >= b for a, b in self.facet_inequalities())
 
-    def minimal_vertices(self):
-        """Vertices that are tight on dim linearly independent facets."""
-        ineqs = self.facet_inequalities()
-        keep = []
-        for v in self.vertices:
-            tight = [a for a, b in ineqs if _dot(a, v) == b]
-            if linalg.rank([list(a) for a in tight]) == self.dim:
-                keep.append(v)
-        return tuple(sorted(keep))
-
     def canonical(self):
         """Same polyhedron with redundant generator points dropped."""
-        return RationalPolyhedron.of(self.dim, self.minimal_vertices(), self.rays)
+        verts = _vertex_enumerate(self.facet_inequalities(), self.dim)
+        return RationalPolyhedron.of(self.dim, verts, self.rays)
 
 
 def _dot(a, b):
@@ -195,18 +196,12 @@ def convex_union_approximant(polys) -> RationalPolyhedron:
 
 
 def _vertex_enumerate(ineqs, dim):
-    """Vertices of {x : a.x >= b for all (a, b)}; assumes boundedness."""
-    ineqs = sorted(set(ineqs))
-    verts = set()
-    for sub in combinations(range(len(ineqs)), dim):
-        mat = [list(ineqs[i][0]) for i in sub]
-        rhs = [ineqs[i][1] for i in sub]
-        x = linalg.solve(mat, rhs)
-        if x is None:
-            continue
-        if all(_dot(a, x) >= b for a, b in ineqs):
-            verts.add(tuple(x))
-    return sorted(verts)
+    """Vertices of {x : a.x >= b for all (a, b)}: the extreme rays (x, 1) of
+    the cone {(x, s) : a.x >= b s, s >= 0}.  Rays with s = 0 are directions
+    of recession, not vertices."""
+    rows = [tuple(a) + (-b,) for a, b in ineqs] + [(0,) * dim + (1,)]
+    return [tuple(Fraction(x, r[dim]) for x in r[:dim])
+            for r in _extreme_rays(rows) if r[dim]]
 
 
 def simplex_inequalities(dim, t):
@@ -252,7 +247,7 @@ def _triangulate(points, dim, apex_last=False):
     apex = points[-1] if apex_last else points[0]
     lifted = [p + (Fraction(1),) for p in points]
     simplices = []
-    for w in _hyperplanes(lifted, dim + 1):
+    for w in _extreme_rays(lifted):
         a, b = w[:dim], -Fraction(w[dim])
         if _dot(a, apex) == b:
             continue

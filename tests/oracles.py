@@ -5,17 +5,19 @@ membership and ideal equality by full division, Hilbert functions by
 exact linear algebra, symbolic-power membership by derivatives at the
 points, semigroup properties of staircases by direct membership, the
 monomial order by pairwise comparison, and asymptotic Hilbert polynomials
-by finite differences in m.  `parse_polynomial` reads the
-text form that `str(Polynomial)` writes.
+by finite differences in m, and facets, vertices and volumes of polyhedra
+by subset enumeration.  `parse_polynomial` reads the text form that
+`str(Polynomial)` writes.
 """
 
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb, factorial
 
 from limshape import linalg
 from limshape.configs import PointConfig
+from limshape.polyhedra import _dot, _primitive
 from limshape.groebner import (
     GroebnerBasis,
     Ideal,
@@ -276,3 +278,93 @@ def ahp_by_differences(hp, n, t):
     if values[0] != values[1]:
         raise ValueError("HP_m(m t) is not a polynomial of degree <= n in m")
     return values[0] / factorial(n)
+
+
+# -- polyhedra ---------------------------------------------------------------
+
+
+def hyperplanes_by_subsets(generators, dim):
+    """Facet normals of the cone spanned by `generators` in R^dim: primitive
+    w with w.g >= 0 for all g and equality on a rank-(dim-1) subset.
+
+    A (dim-1) x dim matrix has a one-dimensional kernel exactly when its
+    rank is dim-1, so one elimination per subset decides both."""
+    normals = set()
+    gens = [list(g) for g in generators]
+    for sub in combinations(range(len(gens)), dim - 1):
+        mat = [gens[i] for i in sub]
+        kernel = linalg.nullspace(mat)
+        if len(kernel) != 1:
+            continue
+        w = kernel[0]
+        vals = [sum(a * b for a, b in zip(w, g)) for g in gens]
+        if all(v >= 0 for v in vals):
+            normals.add(_primitive(w))
+        elif all(v <= 0 for v in vals):
+            normals.add(_primitive([-x for x in w]))
+    return normals
+
+
+def vertex_enumerate_by_subsets(ineqs, dim):
+    """Vertices of {x : a.x >= b for all (a, b)}; assumes boundedness."""
+    ineqs = sorted(set(ineqs))
+    verts = set()
+    for sub in combinations(range(len(ineqs)), dim):
+        mat = [list(ineqs[i][0]) for i in sub]
+        rhs = [ineqs[i][1] for i in sub]
+        x = linalg.solve(mat, rhs)
+        if x is None:
+            continue
+        if all(_dot(a, x) >= b for a, b in ineqs):
+            verts.add(tuple(x))
+    return sorted(verts)
+
+
+def facets_by_subsets(poly):
+    """`poly.facet_inequalities()` with the facets of the homogenizing cone
+    found by subset enumeration: the equations of its span in both signs,
+    and the facet normals within the span, extended by zeros."""
+    d = poly.dim
+    lifted = [v + (Fraction(1),) for v in poly.vertices]
+    lifted += [r + (Fraction(0),) for r in poly.rays]
+    normals = set()
+    for w in linalg.nullspace(lifted):
+        w = _primitive(w)
+        normals |= {w, tuple(-x for x in w)}
+    pivots = linalg.row_echelon(lifted)[1]
+    projected = [[g[c] for c in pivots] for g in lifted]
+    for u in hyperplanes_by_subsets(projected, len(pivots)):
+        w = [0] * (d + 1)
+        for c, x in zip(pivots, u):
+            w[c] = x
+        normals.add(tuple(w))
+    return tuple(sorted(
+        (tuple(Fraction(x) for x in w[:d]), -Fraction(w[d])) for w in normals
+    ))
+
+
+def volume_by_pyramids(points, dim):
+    """Volume of conv(points) in R^dim as a sum of pyramids from one point
+    over the facets found by subset enumeration; no triangulation and no
+    determinant.
+
+    A facet a.x >= b with a primitive, projected along a coordinate j with
+    a_j != 0, has its area scaled by |a_j| / |a|, and the apex lies at
+    height (a.apex - b) / |a|, so the pyramid has volume
+    (a.apex - b) vol(projection) / (dim |a_j|)."""
+    points = sorted(set(points))
+    base = points[0]
+    if linalg.rank([[x - y for x, y in zip(p, base)] for p in points]) < dim:
+        return Fraction(0)
+    if dim == 1:
+        return points[-1][0] - points[0][0]
+    total = Fraction(0)
+    for w in hyperplanes_by_subsets([p + (1,) for p in points], dim + 1):
+        a, b = w[:dim], -w[dim]
+        height = _dot(a, base) - b
+        if height == 0:
+            continue
+        j = next(i for i, c in enumerate(a) if c)
+        face = [p[:j] + p[j + 1:] for p in points if _dot(a, p) == b]
+        total += height * volume_by_pyramids(face, dim - 1) / abs(a[j])
+    return total / dim

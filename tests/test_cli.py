@@ -83,6 +83,28 @@ def test_usage_errors(capsys, tmp_path, config_path):
     bad_poly.write_text('{"dim": 2, "vertices": 5}')
     code, _, err = run(["volume", "--poly", str(bad_poly)], capsys)
     assert code == cli.EXIT_USAGE and "bad polyhedron file" in err
+    # a zero ray makes no polyhedron, not an unbounded one
+    zero_ray = tmp_path / "zero_ray.json"
+    zero_ray.write_text('{"dim": 2, "vertices": [[0, 0]], "rays": [[0, 0]]}')
+    code, _, err = run(["volume", "--poly", str(zero_ray)], capsys)
+    assert code == cli.EXIT_USAGE and "zero ray" in err
+    # a negative --t is refused while the flags are read: no command starts,
+    # so no row is computed and no wall time is printed
+    for argv in (
+        ["report", "--config", config_path, "--t=-1"],
+        ["limiting-shape", "--config", config_path, "--t", "-1"],
+        ["volume", "--poly", str(zero_ray), "--t=-1/2"],
+    ):
+        code, _, err = run(argv, capsys)
+        assert code == cli.EXIT_USAGE and "--t: must be >= 0" in err
+        assert "wall time" not in err
+    # --jobs counts worker processes, so it is at least 1
+    for jobs in ("0", "-2", "two"):
+        code, _, err = run(
+            ["limiting-shape", "--config", config_path, "--t", "2", "--jobs", jobs],
+            capsys,
+        )
+        assert code == cli.EXIT_USAGE and "--jobs" in err
 
 
 def test_gin_command(config_path, capsys):

@@ -2,12 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from limshape.polyhedra import (
     RationalPolyhedron,
     UnboundedError,
+    _extreme_rays,
     clip_to_simplex,
     clipped_volume,
     convex_union_approximant,
@@ -16,9 +17,15 @@ from limshape.polyhedra import (
     polyhedron_from_dict,
     polyhedron_to_dict,
     scale,
+    simplex_inequalities,
     volume,
 )
 from limshape.staircase import MonomialStaircase
+from oracles import (
+    facets_by_subsets,
+    vertex_enumerate_by_subsets,
+    volume_by_pyramids,
+)
 
 QUAD = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1)]
 
@@ -75,7 +82,7 @@ def test_lower_dimensional_polytope_keeps_to_its_affine_hull(
     poly = RationalPolyhedron.of(len(vertices[0]), vertices)
     assert all(poly.contains_point(v) for v in poly.vertices + tuple(inside))
     assert not any(poly.contains_point(p) for p in outside)
-    assert poly.minimal_vertices() == poly.vertices
+    assert poly.canonical().vertices == poly.vertices
     assert clipped_volume(poly, 2) == 0
 
 
@@ -135,11 +142,58 @@ def test_facets_unchanged_by_pairwise_midpoints(points):
     assert crowded.facet_inequalities() == plain.facet_inequalities()
 
 
+@st.composite
+def small_polyhedra(draw):
+    """Point sets in dimensions 2-4 with coordinates in 0..2, so that
+    coplanar, collinear and repeated points are common, with or without the
+    orthant rays; a single point included."""
+    dim = draw(st.integers(2, 4))
+    points = draw(
+        st.lists(st.tuples(*[st.integers(0, 2)] * dim), min_size=1, max_size=6)
+    )
+    rays = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    return RationalPolyhedron.of(dim, points, rays if draw(st.booleans()) else ())
+
+
+@given(small_polyhedra(), st.sampled_from([0, 1, Fraction(5, 2)]))
+@example(  # joining non-adjacent rays adds a false vertex to the clip
+    RationalPolyhedron.of(
+        3, [(0, 0, 1), (0, 1, 0)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    ),
+    Fraction(5, 2),
+)
+# a lone point lifts to a one-dimensional cone, which has no facet: only
+# its equations in both signs, never the trivial 0 >= -1
+@example(RationalPolyhedron.of(2, [(1, 2)]), 1)
+@settings(max_examples=60, deadline=None)
+def test_double_description_matches_subset_enumeration(poly, t):
+    dim = poly.dim
+    facets = facets_by_subsets(poly)
+    assert poly.facet_inequalities() == facets
+    assert poly.canonical().vertices == tuple(vertex_enumerate_by_subsets(facets, dim))
+    clipped = clip_to_simplex(poly, t)
+    expected = vertex_enumerate_by_subsets(
+        list(facets) + simplex_inequalities(dim, t), dim
+    )
+    assert (clipped.vertices if clipped else ()) == tuple(expected)
+    for bounded in (poly, clipped) if poly.is_bounded() else (clipped,):
+        if bounded is not None:
+            oracle = volume_by_pyramids(bounded.vertices, dim)
+            assert volume(bounded) == volume(bounded, apex_last=True) == oracle
+
+
+def test_extreme_rays_need_spanning_rows():
+    # {y1 >= 0, y2 = 0} in R^3 holds the whole y3-axis: not a pointed cone
+    with pytest.raises(ValueError, match="do not span"):
+        _extreme_rays([(1, 0, 0), (0, 1, 0), (0, -1, 0)])
+    assert _extreme_rays([(1, 0), (0, 1), (1, 1)]) == [(0, 1), (1, 0)]
+
+
 def test_minimal_vertices_drop_redundant_points():
     tri = RationalPolyhedron.of(
         2, [(0, 0), (2, 0), (0, 2), (1, 0), (Fraction(1, 2), Fraction(1, 2))]
     )
-    assert tri.minimal_vertices() == ((0, 0), (0, 2), (2, 0))
+    assert tri.canonical().vertices == ((0, 0), (0, 2), (2, 0))
 
 
 def test_newton_polyhedron_of_quadruple():
