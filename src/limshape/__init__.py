@@ -6,10 +6,7 @@ __version__ = "0.1.0"
 from .rings import Polynomial, MonomialOrder, DEGREVLEX
 from .groebner import (
     Ideal,
-    GroebnerBasis,
     GinResult,
-    groebner_basis,
-    initial_ideal,
     intersect_ideals,
     gin,
     regularity_surrogate,

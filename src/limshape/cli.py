@@ -114,15 +114,15 @@ def _parse_t(text):
     return t
 
 
-def _parse_jobs(text):
-    """The value of --jobs: a whole number >= 1."""
+def _parse_positive(text):
+    """The value of --m, --m-max or --jobs: a whole number >= 1."""
     try:
-        jobs = int(text)
+        k = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad integer {text!r}")
-    if jobs < 1:
+    if k < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return jobs
+    return k
 
 
 def _emit(payload, args, name):
@@ -436,12 +436,14 @@ def build_parser():
         command computes no gin."""
         p.add_argument("--config", help="configuration JSON path")
         if m:
-            p.add_argument("--m", type=int, default=1, help="symbolic power")
+            p.add_argument("--m", type=_parse_positive, default=1,
+                           help="symbolic power")
         if rows:
-            p.add_argument("--m-max", type=int, default=2, dest="m_max")
+            p.add_argument("--m-max", type=_parse_positive, default=2,
+                           dest="m_max")
             p.add_argument("--t", type=_parse_t, required=True,
                            help="rational truncation parameter, e.g. 7/2")
-            p.add_argument("--jobs", type=_parse_jobs, default=1)
+            p.add_argument("--jobs", type=_parse_positive, default=1)
             p.add_argument("--format", choices=["json", "csv"], default="json")
         if draws:
             p.add_argument("--seed", type=int, default=0)

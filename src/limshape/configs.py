@@ -317,11 +317,19 @@ def config_to_dict(config: Config):
     return {"n": config.n, "components": comps}
 
 
+def _integer(data, key):
+    """data[key], which must be a JSON integer: not a decimal, not a bool."""
+    value = data[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def config_from_dict(data) -> Config:
-    n = data["n"]
+    n = _integer(data, "n")
     if "generic" in data and not data.get("components"):
         g = data["generic"]
-        r, s, seed = g["r"], g["s"], g["seed"]
+        r, s, seed = (_integer(g, key) for key in ("r", "s", "seed"))
         if r == 0:
             return PointConfig.generic(n, s, seed)
         return FlatConfig.generic(n, r, s, seed)
@@ -347,4 +355,5 @@ def config_from_dict(data) -> Config:
 
 
 def config_from_json(text: str) -> Config:
-    return config_from_dict(json.loads(text))
+    """A configuration from JSON text; decimals are read as exact fractions."""
+    return config_from_dict(json.loads(text, parse_float=Fraction))

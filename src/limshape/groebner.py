@@ -1,10 +1,11 @@
-"""Buchberger engine: reduced Groebner bases, initial ideals, gin,
-ideal intersection by elimination, and the regularity surrogate.
+"""Buchberger engine: minimal Groebner bases, ideal intersection by
+elimination, gin, and the regularity surrogate.
 
 The engine keeps each basis element as a monic (leading monomial, term
-dict) pair, from the input generators to the reduced basis; that list is
-also its reducer list, and Polynomials are built only for the returned
-basis.
+dict) pair, from the input generators to a minimal basis; that list is
+also its reducer list.  Each caller reduces only what it returns: gin reads
+the leading monomials alone, and intersect_ideals tail-reduces the u-free
+pairs it keeps.
 
 Inputs are desk scale (n <= 4, small degrees); the S-pair loop carries a
 fixed cap (PAIR_CAP) so runaway computations fail predictably instead of
@@ -83,16 +84,6 @@ class Ideal:
         return Ideal.of(prods)
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
-    ideal: Ideal
-    order: MonomialOrder
-    basis: tuple  # reduced, monic, deterministically sorted
-
-    def leading_monomials(self):
-        return [g.leading_monomial(self.order) for g in self.basis]
-
-
 def _neg_key(k):
     return tuple(-x if isinstance(x, int) else _neg_key(x) for x in k)
 
@@ -137,7 +128,9 @@ def _reduce_terms(terms, reducers, order):
 
 
 def buchberger(gens, order: MonomialOrder = DEGREVLEX):
-    """Reduced Groebner basis of the given polynomials.
+    """Minimal Groebner basis of the given polynomials, as monic (leading
+    monomial, term dict) pairs whose leads divide no other lead, sorted by
+    lead.  Tails are left unreduced; reduce_tails finishes the reduced basis.
 
     Normal selection strategy (smallest lcm first, ties by pair index) with
     Buchberger's coprime and chain criteria; pending pairs wait in a heap,
@@ -153,8 +146,6 @@ def buchberger(gens, order: MonomialOrder = DEGREVLEX):
             lead = max(g.terms, key=key)
             lc = g.terms[lead]
             basis.append((lead, {a: c / lc for a, c in g.terms.items()}))
-    if not basis:
-        return ()
     pairs = set()  # pending pairs, for the chain criterion's lookups
     queue = []  # the same pairs as a heap on (order.key(lcm), pair)
 
@@ -210,14 +201,7 @@ def buchberger(gens, order: MonomialOrder = DEGREVLEX):
             lc = rem[lead]
             basis.append((lead, {a: c / lc for a, c in rem.items()}))
             add_pairs(len(basis) - 1)
-    nvars = len(basis[0][0])
-    return tuple(Polynomial(nvars, terms) for terms in _interreduce(basis, order))
-
-
-def _interreduce(basis, order):
-    """Term dicts of the unique reduced Groebner basis, sorted by leading
-    monomial, from monic (lead, terms) pairs of a Groebner basis: minimalize
-    the leading terms, then fully reduce each kept element by the others."""
+    # minimalize: of equal leads the first is kept
     keep = [
         (li, fi)
         for i, (li, fi) in enumerate(basis)
@@ -226,21 +210,18 @@ def _interreduce(basis, order):
             for j, (lj, _) in enumerate(basis)
         )
     ]
-    keep.sort(key=lambda p: order.key(p[0]))
-    # no kept lead divides another, so each remainder keeps its monic lead
+    keep.sort(key=lambda p: key(p[0]))
+    return keep
+
+
+def reduce_tails(pairs, order: MonomialOrder):
+    """Term dicts of the reduced Groebner basis, in the same order, from the
+    pairs of a minimal one: each element's remainder modulo the others keeps
+    its monic lead, since no lead divides another."""
     return [
-        _reduce_terms(fi, keep[:i] + keep[i + 1 :], order)
-        for i, (_, fi) in enumerate(keep)
+        _reduce_terms(f, pairs[:i] + pairs[i + 1 :], order)
+        for i, (_, f) in enumerate(pairs)
     ]
-
-
-def groebner_basis(ideal: Ideal, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
-    return GroebnerBasis(ideal, order, buchberger(ideal.generators, order))
-
-
-def initial_ideal(gb: GroebnerBasis):
-    """Minimal monomial generators of the leading-term ideal."""
-    return minimalize(gb.leading_monomials())
 
 
 def intersect_ideals(a: Ideal, b: Ideal) -> Ideal:
@@ -248,8 +229,10 @@ def intersect_ideals(a: Ideal, b: Ideal) -> Ideal:
 
     u is prepended as the most significant variable; the elimination-block
     order restricted to u-free monomials is degrevlex on the original ring,
-    so the u-free elements of the reduced elimination basis are the reduced
-    degrevlex basis of the intersection, already in degrevlex order.
+    so the u-free elements of a minimal elimination basis are a minimal
+    degrevlex basis of the intersection, already in degrevlex order.  A
+    u-free lead divides no monomial holding u, so reducing those elements
+    among themselves gives the reduced basis.
     """
     if a.nvars != b.nvars:
         raise DimensionError("intersection of ideals in different rings")
@@ -263,12 +246,11 @@ def intersect_ideals(a: Ideal, b: Ideal) -> Ideal:
     gens = [lift(f, 1) for f in a.generators]
     gens += [(one - u) * lift(g, 0) for g in b.generators]
     order = MonomialOrder("elim", split=1)
-    basis = buchberger(gens, order)
-    kept = []
-    for g in basis:
-        if all(al[0] == 0 for al in g.terms):
-            kept.append(Polynomial(n, {al[1:]: c for al, c in g.terms.items()}))
-    return Ideal.of(kept)
+    kept = [(lead, f) for lead, f in buchberger(gens, order) if lead[0] == 0]
+    return Ideal.of(
+        Polynomial(n, {al[1:]: c for al, c in terms.items()})
+        for terms in reduce_tails(kept, order)
+    )
 
 
 # -- generic initial ideals ------------------------------------------------
@@ -277,8 +259,6 @@ def intersect_ideals(a: Ideal, b: Ideal) -> Ideal:
 @dataclass(frozen=True)
 class GinResult:
     staircase: MonomialStaircase  # in nvars-1 variables (last one dropped)
-    seed: int
-    entry_bound: int
     coordinate_matrix: tuple
     raw_initial: tuple  # minimal generators, nvars variables
 
@@ -305,8 +285,7 @@ def _gin_once(ideal: Ideal, seed: int, entry_bound: int):
     rng = random.Random(seed)
     matrix = random_change_matrix(rng, ideal.nvars, entry_bound)
     moved = Ideal.of(linear_substitute(ideal.generators, matrix))
-    gb = groebner_basis(moved, DEGREVLEX)
-    return matrix, initial_ideal(gb)
+    return matrix, minimalize(lead for lead, _ in buchberger(moved.generators))
 
 
 def gin(ideal: Ideal, seed: int, entry_bound: int = 100) -> GinResult:
@@ -340,7 +319,7 @@ def gin(ideal: Ideal, seed: int, entry_bound: int = 100) -> GinResult:
     staircase = MonomialStaircase.from_generators(
         ideal.nvars - 1, [g[:-1] for g in raw]
     )
-    return GinResult(staircase, seed, entry_bound, matrix, tuple(raw))
+    return GinResult(staircase, matrix, tuple(raw))
 
 
 def regularity_surrogate(g: GinResult) -> int:

@@ -326,6 +326,8 @@ def polyhedron_to_dict(poly: RationalPolyhedron):
 
 
 def polyhedron_from_dict(data) -> RationalPolyhedron:
+    if type(data["dim"]) is not int:  # not a decimal, not a bool
+        raise ValueError(f"dim must be an integer, got {data['dim']!r}")
     return RationalPolyhedron.of(
         data["dim"],
         [[Fraction(x) for x in v] for v in data["vertices"]],
@@ -334,4 +336,5 @@ def polyhedron_from_dict(data) -> RationalPolyhedron:
 
 
 def polyhedron_from_json(text: str) -> RationalPolyhedron:
-    return polyhedron_from_dict(json.loads(text))
+    """A polyhedron from JSON text; decimals are read as exact fractions."""
+    return polyhedron_from_dict(json.loads(text, parse_float=Fraction))

@@ -201,12 +201,7 @@ class Polynomial:
             )
         return self._hash
 
-    # -- leading data ------------------------------------------------------
-
-    def leading_monomial(self, order: MonomialOrder = DEGREVLEX):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key)
+    # -- ordered terms -----------------------------------------------------
 
     def sorted_terms(self, order: MonomialOrder = DEGREVLEX):
         """(exponent, coefficient) pairs, biggest monomial first."""

@@ -6,11 +6,13 @@ exact linear algebra, symbolic-power membership by derivatives at the
 points, semigroup properties of staircases by direct membership, the
 monomial order by pairwise comparison, and asymptotic Hilbert polynomials
 by finite differences in m, and facets, vertices and volumes of polyhedra
-by subset enumeration.  `parse_polynomial` reads the text form that
-`str(Polynomial)` writes.
+by subset enumeration.  `groebner_basis` is the reduced basis that the
+division oracles take: the engine's minimal basis with its tails reduced.
+`parse_polynomial` reads the text form that `str(Polynomial)` writes.
 """
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial
@@ -18,13 +20,7 @@ from math import comb, factorial
 from limshape import linalg
 from limshape.configs import PointConfig
 from limshape.polyhedra import _dot, _primitive
-from limshape.groebner import (
-    GroebnerBasis,
-    Ideal,
-    _reduce_terms,
-    groebner_basis,
-    initial_ideal,
-)
+from limshape.groebner import Ideal, _reduce_terms, buchberger, reduce_tails
 from limshape.rings import (
     DEGREVLEX,
     DimensionError,
@@ -33,7 +29,7 @@ from limshape.rings import (
     degree,
     mul_exp,
 )
-from limshape.staircase import MonomialStaircase, k_polynomial
+from limshape.staircase import MonomialStaircase, k_polynomial, minimalize
 
 
 # -- polynomials -----------------------------------------------------------
@@ -49,6 +45,10 @@ def compare(a, b, order: MonomialOrder = DEGREVLEX) -> int:
 
 def monomial(alpha, c=1) -> Polynomial:
     return Polynomial(len(alpha), {tuple(alpha): Fraction(c)})
+
+
+def leading_monomial(p: Polynomial, order: MonomialOrder = DEGREVLEX):
+    return max(p.terms, key=order.key)
 
 
 def total_degree(p: Polynomial) -> int:
@@ -137,13 +137,36 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
     return Polynomial(nvars, terms)
 
 
-# -- membership and ideal equality -------------------------------------------
+# -- reduced Groebner bases, membership and ideal equality -------------------
+
+
+@dataclass(frozen=True)
+class GroebnerBasis:
+    ideal: Ideal
+    order: MonomialOrder
+    basis: tuple  # reduced, monic, sorted by leading monomial
+
+    def leading_monomials(self):
+        return [leading_monomial(g, self.order) for g in self.basis]
+
+
+def groebner_basis(ideal: Ideal, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
+    """The reduced basis: the engine's minimal basis, tails reduced."""
+    pairs = buchberger(ideal.generators, order)
+    return GroebnerBasis(ideal, order, tuple(
+        Polynomial(ideal.nvars, terms) for terms in reduce_tails(pairs, order)
+    ))
+
+
+def initial_ideal(gb: GroebnerBasis):
+    """Minimal monomial generators of the leading-term ideal."""
+    return minimalize(gb.leading_monomials())
 
 
 def normal_form(f, basis, order: MonomialOrder = DEGREVLEX) -> Polynomial:
     """Full multivariate division remainder of f by basis."""
     reducers = [
-        (g.leading_monomial(order), g.terms) for g in basis if not g.is_zero()
+        (leading_monomial(g, order), g.terms) for g in basis if not g.is_zero()
     ]
     return Polynomial(f.nvars, _reduce_terms(f.terms, reducers, order))
 

@@ -16,6 +16,7 @@ from oracles import (
     ahp_by_differences,
     contains_minkowski,
     contains_scaled,
+    groebner_basis,
     hf_via_initial,
 )
 
@@ -27,7 +28,7 @@ from limshape.asymptotics import (
     intersecting_lines_hp,
 )
 from limshape.configs import FlatConfig, PointConfig, symbolic_power
-from limshape.groebner import gin, groebner_basis, regularity_surrogate
+from limshape.groebner import gin, regularity_surrogate
 from limshape.polyhedra import RationalPolyhedron, gamma_region, volume
 from limshape.staircase import MonomialStaircase
 

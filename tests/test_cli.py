@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -98,13 +99,48 @@ def test_usage_errors(capsys, tmp_path, config_path):
         code, _, err = run(argv, capsys)
         assert code == cli.EXIT_USAGE and "--t: must be >= 0" in err
         assert "wall time" not in err
-    # --jobs counts worker processes, so it is at least 1
-    for jobs in ("0", "-2", "two"):
+    # --jobs counts worker processes and --m, --m-max symbolic powers, so
+    # each is at least 1
+    for flag, value in (("--jobs", "0"), ("--jobs", "-2"), ("--jobs", "two"),
+                        ("--m-max", "0"), ("--m-max", "1.5")):
         code, _, err = run(
-            ["limiting-shape", "--config", config_path, "--t", "2", "--jobs", jobs],
+            ["limiting-shape", "--config", config_path, "--t", "2", flag, value],
             capsys,
         )
-        assert code == cli.EXIT_USAGE and "--jobs" in err
+        assert code == cli.EXIT_USAGE and flag in err and "wall time" not in err
+    for command in ("gin", "symbolic-power", "staircase"):
+        code, _, err = run([command, "--config", config_path, "--m", "0"], capsys)
+        assert code == cli.EXIT_USAGE and "--m: must be >= 1" in err
+    # counts in a JSON file are integers, not decimals or bools
+    for name, data in (
+        ("n_decimal", {"n": 2.0, "generic": {"r": 0, "s": 2, "seed": 1}}),
+        ("n_bool", {"n": True, "generic": {"r": 0, "s": 2, "seed": 1}}),
+        ("s_decimal", {"n": 2, "generic": {"r": 0, "s": 2.5, "seed": 1}}),
+        ("r_bool", {"n": 3, "generic": {"r": False, "s": 2, "seed": 1}}),
+        ("seed_decimal", {"n": 2, "generic": {"r": 0, "s": 2, "seed": 1.5}}),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run(["symbolic-power", "--config", str(path)], capsys)
+        assert code == cli.EXIT_USAGE and "must be an integer" in err, name
+    for dim in ("2.0", "true"):
+        path = tmp_path / "dim.json"
+        path.write_text(f'{{"dim": {dim}, "vertices": [[0, 0]]}}')
+        code, _, err = run(["volume", "--poly", str(path)], capsys)
+        assert code == cli.EXIT_USAGE and "dim must be an integer" in err
+
+
+def test_decimals_are_read_exactly(tmp_path, capsys):
+    # a written decimal is the fraction it names, not its binary rounding
+    path = tmp_path / "points.json"
+    path.write_text('{"n": 2, "components": [{"type": "point", "coords": [0.1, 1, 1]},'
+                    ' {"type": "point", "coords": [1, 0, 2.5e-1]}]}')
+    config = config_from_json(path.read_text())
+    assert config.points == ((Fraction(1, 10), 1, 1), (1, 0, Fraction(1, 4)))
+    triangle = tmp_path / "triangle.json"
+    triangle.write_text('{"dim": 2, "vertices": [[0, 0], [0.1, 0], [0, 1]]}')
+    code, out, _ = run(["volume", "--poly", str(triangle)], capsys)
+    assert code == cli.EXIT_OK and json.loads(out)["volume"] == "1/20"
 
 
 def test_gin_command(config_path, capsys):

@@ -9,6 +9,7 @@ from oracles import (
     contains,
     differential_membership_check,
     evaluate,
+    groebner_basis,
     hf_via_rank,
     ideal_contains,
     ideals_equal,
@@ -34,7 +35,7 @@ from limshape.configs import (
     point_ideal,
     symbolic_power,
 )
-from limshape.groebner import Ideal, groebner_basis
+from limshape.groebner import Ideal
 from limshape.rings import Polynomial
 
 

@@ -4,11 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    GroebnerBasis,
     contains,
+    groebner_basis,
     hf_via_initial,
     hf_via_rank,
     ideal_contains,
     ideals_equal,
+    initial_ideal,
+    leading_monomial,
     monomial,
     normal_form,
     parse_polynomial,
@@ -21,13 +25,10 @@ from limshape.groebner import (
     DEGREVLEX,
     ComputationLimitError,
     GenericityError,
-    GroebnerBasis,
     Ideal,
     LastVariableError,
     derive_seed,
     gin,
-    groebner_basis,
-    initial_ideal,
     intersect_ideals,
     regularity_surrogate,
 )
@@ -39,7 +40,7 @@ def P(text, n):
 
 
 def s_polynomial(f, g, order):
-    lf, lg = f.leading_monomial(order), g.leading_monomial(order)
+    lf, lg = leading_monomial(f, order), leading_monomial(g, order)
     l = exp_lcm(lf, lg)
     mf = monomial(exp_div(l, lf), 1 / f.terms[lf])
     mg = monomial(exp_div(l, lg), 1 / g.terms[lg])
@@ -294,8 +295,8 @@ def textbook_groebner(gens, order):
         r = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
         if not r.is_zero():
             todo += [(k, len(basis)) for k in range(len(basis))]
-            basis.append(r * (1 / r.terms[r.leading_monomial(order)]))
-    leads = [g.leading_monomial(order) for g in basis]
+            basis.append(r * (1 / r.terms[leading_monomial(r, order)]))
+    leads = [leading_monomial(g, order) for g in basis]
     minimal = [
         g for i, g in enumerate(basis)
         if not any(j != i and divides(lj, leads[i]) and (lj != leads[i] or j < i)
@@ -304,8 +305,8 @@ def textbook_groebner(gens, order):
     reduced = []
     for i, g in enumerate(minimal):
         r = normal_form(g, minimal[:i] + minimal[i + 1:], order)
-        reduced.append(r * (1 / r.terms[r.leading_monomial(order)]))
-    return tuple(sorted(reduced, key=lambda g: order.key(g.leading_monomial(order))))
+        reduced.append(r * (1 / r.terms[leading_monomial(r, order)]))
+    return tuple(sorted(reduced, key=lambda g: order.key(leading_monomial(g, order))))
 
 
 @st.composite
@@ -327,9 +328,19 @@ ORDERS = [DEGREVLEX, MonomialOrder("elim", split=1)]
 @given(small_homogeneous_ideals(), st.sampled_from(ORDERS))
 def test_buchberger_matches_textbook_algorithm(ideal, order):
     expect = textbook_groebner(ideal.generators, order)
-    assert groebner_basis(ideal, order).basis == expect
+    pairs = groebner.buchberger(ideal.generators, order)
+    # a minimal basis: monic pairs whose leads divide no other lead, and
+    # those leads are the reduced basis's, in its order
+    leads = [lead for lead, _ in pairs]
+    assert leads == [leading_monomial(g, order) for g in expect]
+    for i, (lead, terms) in enumerate(pairs):
+        assert max(terms, key=order.key) == lead and terms[lead] == 1
+        assert not any(divides(lj, lead) for j, lj in enumerate(leads) if j != i)
+    # tail-reducing the pairs gives the reduced basis
+    reduced = groebner.reduce_tails(pairs, order)
+    assert tuple(Polynomial(ideal.nvars, t) for t in reduced) == expect
     # the engine reads a remainder's leading monomial off its first key
-    reducers = [(g.leading_monomial(order), g.terms) for g in ideal.generators]
+    reducers = [(leading_monomial(g, order), g.terms) for g in ideal.generators]
     for i, g in enumerate(ideal.generators):
         rem = groebner._reduce_terms(g.terms, reducers[:i] + reducers[i + 1:], order)
         assert list(rem) == sorted(rem, key=order.key, reverse=True)
