@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, floor
 
+from . import __version__
 from .configs import (
     Config,
     FlatConfig,
@@ -36,8 +37,6 @@ from .groebner import (
 )
 from .polyhedra import clipped_volume, newton_polyhedron, scale
 from .staircase import lattice_volume_error_bound
-
-TOOL_VERSION = "0.1.0"
 
 
 # -- exact polynomial carriers ---------------------------------------------
@@ -306,7 +305,7 @@ class ConvergenceReport:
                 "t": str(self.t),
                 "seed": self.seed,
                 "entry_bound": self.entry_bound,
-                "tool_version": TOOL_VERSION,
+                "tool_version": __version__,
                 "config": self.config,
                 "target": None if self.target is None else str(self.target),
                 "target_value": None if tv is None else str(tv),
@@ -356,7 +355,8 @@ def gin_of_symbolic_power(config: Config, m, seed, entry_bound=100) -> GinResult
     small coefficients, and is a monomial ideal when every component is a
     coordinate subspace.
     """
-    return gin(symbolic_power(coordinate_position(config), m).ideal, seed, entry_bound)
+    moved, _ = coordinate_position(config)
+    return gin(symbolic_power(moved, m).ideal, seed, entry_bound)
 
 
 def compute_report_row(config: Config, t, m, seed, entry_bound) -> ReportRow:

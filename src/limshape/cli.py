@@ -32,12 +32,16 @@ from .configs import (
     FlatConfig,
     PointConfig,
     config_from_json,
+    coordinate_position,
     symbolic_power,
 )
 from .groebner import (
     ComputationLimitError,
     GenericityError,
     LastVariableError,
+    MIN_ENTRY_BOUND,
+    buchberger,
+    reduce_tails,
     regularity_surrogate,
 )
 from .polyhedra import (
@@ -51,6 +55,7 @@ from .polyhedra import (
     polyhedron_to_dict,
     volume,
 )
+from .rings import DEGREVLEX, Polynomial, linear_substitute
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -114,15 +119,20 @@ def _parse_t(text):
     return t
 
 
-def _parse_positive(text):
-    """The value of --m, --m-max or --jobs: a whole number >= 1."""
-    try:
-        k = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad integer {text!r}")
-    if k < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return k
+def _whole_number(least):
+    """The argparse type of a whole number >= least: 1 for --m, --m-max and
+    --jobs, MIN_ENTRY_BOUND for --entry-bound."""
+
+    def parse(text):
+        try:
+            k = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad integer {text!r}")
+        if k < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {text}")
+        return k
+
+    return parse
 
 
 def _emit(payload, args, name):
@@ -163,11 +173,19 @@ def cmd_symbolic_power(args):
     manifest = RunManifest(
         "symbolic-power", __version__, args.config, digest, m=args.m
     )
-    sp = symbolic_power(config, args.m)
+    # I^(m) in coordinate position, moved back: its reduced degrevlex basis
+    # is unique, so it prints as the intersection in the input coordinates
+    moved, back = coordinate_position(config)
+    sp = symbolic_power(moved, args.m)
+    nvars = sp.ideal.nvars
+    basis = reduce_tails(
+        buchberger(linear_substitute(sp.ideal.generators, back), DEGREVLEX),
+        DEGREVLEX,
+    )
     payload = {
         "manifest": manifest.as_dict(),
-        "nvars": sp.ideal.nvars,
-        "generators": [str(g) for g in sp.ideal.generators],
+        "nvars": nvars,
+        "generators": [str(Polynomial(nvars, terms)) for terms in basis],
     }
     _emit(payload, args, f"symbolic_power_m{args.m}.json")
     return EXIT_OK
@@ -436,18 +454,19 @@ def build_parser():
         command computes no gin."""
         p.add_argument("--config", help="configuration JSON path")
         if m:
-            p.add_argument("--m", type=_parse_positive, default=1,
+            p.add_argument("--m", type=_whole_number(1), default=1,
                            help="symbolic power")
         if rows:
-            p.add_argument("--m-max", type=_parse_positive, default=2,
+            p.add_argument("--m-max", type=_whole_number(1), default=2,
                            dest="m_max")
             p.add_argument("--t", type=_parse_t, required=True,
                            help="rational truncation parameter, e.g. 7/2")
-            p.add_argument("--jobs", type=_parse_positive, default=1)
+            p.add_argument("--jobs", type=_whole_number(1), default=1)
             p.add_argument("--format", choices=["json", "csv"], default="json")
         if draws:
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--entry-bound", type=int, default=100, dest="entry_bound")
+            p.add_argument("--entry-bound", type=_whole_number(MIN_ENTRY_BOUND),
+                           default=100, dest="entry_bound")
         p.add_argument("--out", help="output directory (default: stdout)")
 
     p = sub.add_parser("gin", help="gin of a symbolic power")
@@ -483,7 +502,8 @@ def build_parser():
     p = sub.add_parser("verify", help="run a worked-example acceptance fixture")
     p.add_argument("example", help="two-lines | intersecting-lines | points-grid")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--entry-bound", type=int, default=100, dest="entry_bound")
+    p.add_argument("--entry-bound", type=_whole_number(MIN_ENTRY_BOUND),
+                   default=100, dest="entry_bound")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("report", help="convergence report CSV/JSON")

@@ -224,8 +224,9 @@ def symbolic_power(config: Config, m: int) -> SymbolicPower:
     return SymbolicPower(m, ideal)
 
 
-def coordinate_position(config: Config) -> Config:
-    """The same configuration in coordinates where it is simple.
+def coordinate_position(config: Config) -> tuple[Config, tuple]:
+    """The same configuration in coordinates where it is simple, and the
+    matrix that moves a polynomial back.
 
     The vectors spanning each component (the point itself, or the kernel
     of a flat's forms) in component order, then the unit vectors, are kept
@@ -235,6 +236,10 @@ def coordinate_position(config: Config) -> Config:
     B^-1 p, scaled to a leading 1, and forms to f B, in reduced row-echelon
     form, so a flat spanned by basis vectors is cut out by variables.  gin
     is invariant under this change of coordinates.
+
+    A polynomial G vanishes on the moved configuration iff G(B^-1 x)
+    vanishes on the given one; the second value is B^-1 as rows, the
+    matrix rings.linear_substitute takes for that substitution.
     """
     n = config.n
     spans = [
@@ -246,18 +251,20 @@ def coordinate_position(config: Config) -> Config:
     for v in spans:
         if linalg.rank(basis + [v]) > len(basis):
             basis.append(v)
+    inverse = linalg.inverse([list(r) for r in zip(*basis)])  # B^-1, by rows
     for kind, p in config.components:
         if kind == "point" and list(p) not in basis:
-            frame = _coordinates(basis, p)
+            frame = _coordinates(inverse, p)
             if all(frame):
                 basis = [[x * c for x in v] for v, c in zip(basis, frame)]
+                inverse = [[x / c for x in row] for row, c in zip(inverse, frame)]
                 break
 
     def move(part):
         if isinstance(part, PointConfig):
             points = []
             for p in part.points:
-                c = _coordinates(basis, p)
+                c = _coordinates(inverse, p)
                 lead = next(x for x in c if x)
                 points.append(tuple(x / lead for x in c))
             return replace(part, points=tuple(points))
@@ -268,13 +275,15 @@ def coordinate_position(config: Config) -> Config:
         return replace(part, flats=tuple(flats))
 
     if isinstance(config, UnionConfig):
-        return replace(config, parts=tuple(move(p) for p in config.parts))
-    return move(config)
+        moved = replace(config, parts=tuple(move(p) for p in config.parts))
+    else:
+        moved = move(config)
+    return moved, tuple(tuple(row) for row in inverse)
 
 
-def _coordinates(basis, p):
+def _coordinates(inverse, p):
     """The coordinates of p in the basis: B^-1 p."""
-    return linalg.solve([list(r) for r in zip(*basis)], p)
+    return [sum(a * b for a, b in zip(row, p)) for row in inverse]
 
 
 def configs_disjoint(a: Config, b: Config) -> bool:
@@ -317,19 +326,11 @@ def config_to_dict(config: Config):
     return {"n": config.n, "components": comps}
 
 
-def _integer(data, key):
-    """data[key], which must be a JSON integer: not a decimal, not a bool."""
-    value = data[key]
-    if type(value) is not int:
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
 def config_from_dict(data) -> Config:
-    n = _integer(data, "n")
+    n = linalg.json_integer(data, "n")
     if "generic" in data and not data.get("components"):
         g = data["generic"]
-        r, s, seed = (_integer(g, key) for key in ("r", "s", "seed"))
+        r, s, seed = (linalg.json_integer(g, key) for key in ("r", "s", "seed"))
         if r == 0:
             return PointConfig.generic(n, s, seed)
         return FlatConfig.generic(n, r, s, seed)
@@ -337,9 +338,9 @@ def config_from_dict(data) -> Config:
     flats = []
     for comp in data.get("components", []):
         if comp["type"] == "point":
-            points.append([Fraction(c) for c in comp["coords"]])
+            points.append([linalg.json_number(c) for c in comp["coords"]])
         elif comp["type"] == "flat":
-            flats.append([[Fraction(c) for c in f] for f in comp["forms"]])
+            flats.append([[linalg.json_number(c) for c in f] for f in comp["forms"]])
         else:
             raise DegenerateConfigError(f"unknown component type {comp['type']!r}")
     parts = []

@@ -35,6 +35,7 @@ from .rings import (
 from .staircase import MonomialStaircase, minimalize
 
 PAIR_CAP = 200_000  # S-pairs one Buchberger run may take; read at call time
+MIN_ENTRY_BOUND = 10  # least bound on the entries of a gin draw
 
 
 class ComputationLimitError(RuntimeError):
@@ -295,8 +296,8 @@ def gin(ideal: Ideal, seed: int, entry_bound: int = 100) -> GinResult:
     must be Borel-fixed (Galligo, Bayer-Stillman); minimal generators must
     avoid the last variable (saturated input).
     """
-    if entry_bound < 10:
-        raise ValueError("entry_bound must be >= 10")
+    if entry_bound < MIN_ENTRY_BOUND:
+        raise ValueError(f"entry_bound must be >= {MIN_ENTRY_BOUND}")
     matrix, raw = _gin_once(ideal, derive_seed(seed, "gin", 0), entry_bound)
     _, raw2 = _gin_once(ideal, derive_seed(seed, "gin", 1), entry_bound)
     if raw != raw2:

@@ -1,8 +1,25 @@
-"""Small exact linear algebra over Fraction matrices (dense, desk scale)."""
+"""Small exact linear algebra over Fraction matrices (dense, desk scale),
+and the readers of the JSON numbers those matrices are built from."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+def json_integer(data, key) -> int:
+    """data[key], which must be a JSON integer: not a decimal, not a bool."""
+    value = data[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def json_number(x) -> Fraction:
+    """The exact value of a JSON number, or of a rational string like "1/2";
+    a bool is not a number."""
+    if isinstance(x, bool):
+        raise ValueError(f"expected a number, got {x!r}")
+    return Fraction(x)
 
 
 def _copy(mat):
@@ -62,14 +79,15 @@ def det(mat) -> Fraction:
     return d
 
 
-def solve(mat, rhs):
-    """Solve square mat @ x = rhs exactly; None if singular."""
+def inverse(mat):
+    """The inverse of a square matrix, by Gauss-Jordan on [mat | I]."""
     n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(mat)]
-    ech, pivots = row_echelon(a)
-    if len(pivots) < n or pivots[-1] == n:  # rank deficient or inconsistent
-        return None
-    return [ech[i][n] for i in range(n)]
+    ech, pivots = row_echelon(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    )
+    if pivots[-1] >= n:  # a pivot in the identity block: mat is singular
+        raise ValueError("singular matrix has no inverse")
+    return [row[n:] for row in ech]
 
 
 def nullspace(mat):

@@ -326,12 +326,10 @@ def polyhedron_to_dict(poly: RationalPolyhedron):
 
 
 def polyhedron_from_dict(data) -> RationalPolyhedron:
-    if type(data["dim"]) is not int:  # not a decimal, not a bool
-        raise ValueError(f"dim must be an integer, got {data['dim']!r}")
     return RationalPolyhedron.of(
-        data["dim"],
-        [[Fraction(x) for x in v] for v in data["vertices"]],
-        [[Fraction(x) for x in r] for r in data.get("rays", [])],
+        linalg.json_integer(data, "dim"),
+        [[linalg.json_number(x) for x in v] for v in data["vertices"]],
+        [[linalg.json_number(x) for x in r] for r in data.get("rays", [])],
     )
 
 

@@ -328,6 +328,16 @@ def hyperplanes_by_subsets(generators, dim):
     return normals
 
 
+def solve(mat, rhs):
+    """Solve square mat @ x = rhs exactly; None if singular."""
+    n = len(mat)
+    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(mat)]
+    ech, pivots = linalg.row_echelon(a)
+    if len(pivots) < n or pivots[-1] == n:  # rank deficient or inconsistent
+        return None
+    return [ech[i][n] for i in range(n)]
+
+
 def vertex_enumerate_by_subsets(ineqs, dim):
     """Vertices of {x : a.x >= b for all (a, b)}; assumes boundedness."""
     ineqs = sorted(set(ineqs))
@@ -335,7 +345,7 @@ def vertex_enumerate_by_subsets(ineqs, dim):
     for sub in combinations(range(len(ineqs)), dim):
         mat = [list(ineqs[i][0]) for i in sub]
         rhs = [ineqs[i][1] for i in sub]
-        x = linalg.solve(mat, rhs)
+        x = solve(mat, rhs)
         if x is None:
             continue
         if all(_dot(a, x) >= b for a, b in ineqs):

@@ -4,8 +4,15 @@ from fractions import Fraction
 import pytest
 
 from limshape import asymptotics, cli, groebner
-from limshape.configs import config_from_json, coordinate_position, symbolic_power
+from limshape.configs import (
+    config_from_json,
+    config_to_dict,
+    coordinate_position,
+    symbolic_power,
+)
 from limshape.groebner import ComputationLimitError, GenericityError
+from oracles import groebner_basis
+from test_asymptotics import MOVE_ORACLE_CASES
 
 
 TWO_POINTS = '{"n": 2, "components": [{"type": "point", "coords": [1, 0, 0]}, {"type": "point", "coords": [0, 0, 1]}]}'
@@ -128,6 +135,37 @@ def test_usage_errors(capsys, tmp_path, config_path):
         path.write_text(f'{{"dim": {dim}, "vertices": [[0, 0]]}}')
         code, _, err = run(["volume", "--poly", str(path)], capsys)
         assert code == cli.EXIT_USAGE and "dim must be an integer" in err
+    # coordinates, coefficients, vertices and rays are numbers, not bools
+    for name, component in (
+        ("coords_bool", {"type": "point", "coords": [True, 0, 0]}),
+        ("forms_bool", {"type": "flat", "forms": [[0, False, 1]]}),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"n": 2, "components": [
+            component, {"type": "point", "coords": [0, 1, 0]},
+        ]}))
+        code, _, err = run(["symbolic-power", "--config", str(path)], capsys)
+        assert code == cli.EXIT_USAGE and "expected a number" in err, name
+    for name, poly in (
+        ("vertex_bool", '{"dim": 2, "vertices": [[0, 0], [true, 0], [0, 1]]}'),
+        ("ray_bool", '{"dim": 2, "vertices": [[0, 0]], "rays": [[1, false]]}'),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(poly)
+        code, _, err = run(["volume", "--poly", str(path), "--t", "1"], capsys)
+        assert code == cli.EXIT_USAGE and "expected a number" in err, name
+    # gin draws need entries up to at least 10, checked while the flags are
+    # read
+    for argv in (
+        ["gin", "--config", config_path],
+        ["staircase", "--config", config_path],
+        ["limiting-shape", "--config", config_path, "--t", "2"],
+        ["report", "--config", config_path, "--t", "2"],
+        ["verify", "two-lines"],
+    ):
+        code, _, err = run(argv + ["--entry-bound", "5"], capsys)
+        assert code == cli.EXIT_USAGE, argv
+        assert "--entry-bound: must be >= 10" in err and "wall time" not in err
 
 
 def test_decimals_are_read_exactly(tmp_path, capsys):
@@ -165,17 +203,43 @@ def test_symbolic_power_command(config_path, capsys):
     assert payload["generators"]
 
 
-def test_symbolic_power_command_keeps_input_coordinates(tmp_path, capsys):
-    # only the gin path moves the configuration into coordinate position
-    path = tmp_path / "lines.json"
-    path.write_text('{"n": 3, "generic": {"r": 1, "s": 2, "seed": 3}}')
-    code, out, _ = run(["symbolic-power", "--config", str(path), "--m", "1"], capsys)
-    assert code == cli.EXIT_OK
+@pytest.mark.parametrize("name", MOVE_ORACLE_CASES)
+def test_symbolic_power_command_keeps_input_coordinates(name, tmp_path, capsys):
+    # the command computes I^(m) in coordinate position and moves its basis
+    # back; the oracle intersects in the input coordinates, and the reduced
+    # basis both end in is unique
+    config, m_max = MOVE_ORACLE_CASES[name]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config_to_dict(config)))
+    moved, _ = coordinate_position(config)
+    for m in range(1, m_max + 1):
+        code, out, _ = run(
+            ["symbolic-power", "--config", str(path), "--m", str(m)], capsys
+        )
+        assert code == cli.EXIT_OK
+        given = [str(g) for g in symbolic_power(config, m).ideal.generators]
+        assert json.loads(out)["generators"] == given, (name, m)
+        # the basis in coordinate position prints otherwise
+        assert given != [str(g) for g in symbolic_power(moved, m).ideal.generators]
+
+
+@pytest.mark.parametrize("component", [
+    {"type": "point", "coords": [1, 2, -3, 5]},
+    {"type": "flat", "forms": [[2, -1, 4, 7], [3, 5, -2, 1]]},
+], ids=["point", "line"])
+def test_symbolic_power_command_prints_a_reduced_basis(component, tmp_path, capsys):
+    # one component's I^(m) is the m-th power of its ideal, which the
+    # command prints as its reduced basis, like an intersection's
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n": 3, "components": [component]}))
     config = config_from_json(path.read_text())
-    given = symbolic_power(config, 1).ideal.generators
-    moved = symbolic_power(coordinate_position(config), 1).ideal.generators
-    assert json.loads(out)["generators"] == [str(g) for g in given]
-    assert [str(g) for g in given] != [str(g) for g in moved]
+    for m in (1, 2, 3):
+        code, out, _ = run(
+            ["symbolic-power", "--config", str(path), "--m", str(m)], capsys
+        )
+        assert code == cli.EXIT_OK
+        reduced = groebner_basis(symbolic_power(config, m).ideal).basis
+        assert json.loads(out)["generators"] == [str(g) for g in reduced], m
 
 
 def test_staircase_command(config_path, capsys):

@@ -319,7 +319,7 @@ def _is_monomial(p):
     ]),
 ], ids=["two-skew-lines", "n+1-points-P3", "n+1-points-P2", "intersecting-lines"])
 def test_coordinate_position_gives_monomial_ideals(config):
-    moved = coordinate_position(config)
+    moved, _ = coordinate_position(config)
     for component in moved.components:
         gens = component_ideal(component, moved.n).generators
         assert all(_is_monomial(g) and total_degree(g) == 1 for g in gens)
@@ -329,22 +329,37 @@ def test_coordinate_position_gives_monomial_ideals(config):
     assert not all(_is_monomial(g) for g in symbolic_power(config, 1).ideal.generators)
 
 
+def test_inverse_is_the_inverse():
+    rng = random.Random(5)
+    for n in (1, 2, 4):
+        mat = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+               for _ in range(n)]
+        if linalg.rank(mat) < n:
+            continue
+        inv = linalg.inverse(mat)
+        product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*inv)]
+                   for row in mat]
+        assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+    with pytest.raises(ValueError, match="singular"):
+        linalg.inverse([[1, 2], [2, 4]])
+
+
 def test_coordinate_position_puts_next_point_on_the_frame():
     cfg = PointConfig.generic(3, 6, seed=3)
-    moved = coordinate_position(cfg)
+    moved, _ = coordinate_position(cfg)
     units = [tuple(Fraction(int(i == j)) for j in range(4)) for i in range(4)]
     assert list(moved.points[:4]) == units
     assert moved.points[4] == (1, 1, 1, 1)
     assert len(set(moved.points)) == 6
     # a point with a zero coordinate in the basis is passed over for the frame
     skew = PointConfig.of(2, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 2, 3)])
-    assert coordinate_position(skew).points[3:] == ((1, Fraction(1, 2), 0), (1, 1, 1))
+    assert coordinate_position(skew)[0].points[3:] == ((1, Fraction(1, 2), 0), (1, 1, 1))
     union = config_from_dict({"n": 3, "components": [
         {"type": "point", "coords": [1, 2, 3, 4]},
         {"type": "flat", "forms": [[1, 0, 0, 0], [0, 1, 0, 0]]},
     ]})
     # the point is a basis vector, so no point lies outside the basis
-    assert coordinate_position(union).components[0] == ("point", tuple(units[0]))
+    assert coordinate_position(union)[0].components[0] == ("point", tuple(units[0]))
 
 
 _coords = st.lists(st.integers(-3, 3), min_size=4, max_size=4)
@@ -362,13 +377,17 @@ def test_coordinate_position_keeps_incidences(points, flats):
         config = config_from_dict({"n": 3, "components": comps})
     except DegenerateConfigError:
         assume(False)
-    moved = coordinate_position(config)
+    moved, back = coordinate_position(config)
     assert type(moved) is type(config)
     assert len(moved.components) == len(config.components)
     before = [[list(f) for f in _forms_of(c, 3)] for c in config.components]
     after = [[list(f) for f in _forms_of(c, 3)] for c in moved.components]
     for a, b in zip(before, after):
         assert len(a) == len(b) and linalg.rank(b) == len(b)
+        # a form c on the moved component is the form c B^-1 on the given one
+        returned = [[sum(c[i] * back[i][j] for i in range(4)) for j in range(4)]
+                    for c in b]
+        assert linalg.rank(a + returned) == len(a)
     for i in range(len(before)):
         for j in range(i + 1, len(before)):
             rank = linalg.rank(before[i] + before[j])

@@ -21,6 +21,19 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_float_literals():
+    # arithmetic is exact: no float constant and no float(...) call
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Constant) and type(node.value) is float)
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "float")
+    ]
+    assert found == []
+
+
 def load_benchmark_module(monkeypatch, name):
     """A module of the benchmark, loaded without writing bytecode next to
     it."""
