@@ -356,7 +356,8 @@ def gin_of_symbolic_power(config: Config, m, seed, entry_bound=100) -> GinResult
     coordinate subspace.
     """
     moved, _ = coordinate_position(config)
-    return gin(symbolic_power(moved, m).ideal, seed, entry_bound)
+    sp = symbolic_power(moved, m)
+    return gin(sp.ideal, seed, entry_bound, sp.hilbert_numerator)
 
 
 def compute_report_row(config: Config, t, m, seed, entry_bound) -> ReportRow:

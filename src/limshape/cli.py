@@ -14,7 +14,7 @@ import sys
 import time
 from dataclasses import dataclass, asdict
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from pathlib import Path
 
 from . import __version__
@@ -174,14 +174,20 @@ def cmd_symbolic_power(args):
         "symbolic-power", __version__, args.config, digest, m=args.m
     )
     # I^(m) in coordinate position, moved back: its reduced degrevlex basis
-    # is unique, so it prints as the intersection in the input coordinates
+    # is unique, so it prints as the intersection in the input coordinates.
+    # The move keeps the Hilbert series, and substituting d * B^-1 with
+    # integer entries only scales each homogeneous generator.
     moved, back = coordinate_position(config)
     sp = symbolic_power(moved, args.m)
     nvars = sp.ideal.nvars
-    basis = reduce_tails(
-        buchberger(linear_substitute(sp.ideal.generators, back), DEGREVLEX),
+    d = lcm(*(x.denominator for row in back for x in row))
+    integral = [[int(x * d) for x in row] for row in back]
+    pairs = buchberger(
+        linear_substitute(sp.ideal.generators, integral),
         DEGREVLEX,
+        target=sp.hilbert_numerator,
     )
+    basis = reduce_tails(pairs, DEGREVLEX)
     payload = {
         "manifest": manifest.as_dict(),
         "nvars": nvars,

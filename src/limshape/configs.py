@@ -16,7 +16,8 @@ from itertools import combinations
 
 from . import linalg
 from .groebner import Ideal, intersect_ideals
-from .rings import Polynomial
+from .rings import DEGREVLEX, Polynomial
+from .staircase import k_polynomial, minimalize
 
 GENERIC_COORD_BOUND = 100
 
@@ -207,21 +208,35 @@ def component_ideal(component, n) -> Ideal:
 @dataclass(frozen=True)
 class SymbolicPower:
     m: int
-    ideal: Ideal
+    ideal: Ideal  # generated by a degrevlex Groebner basis of I^(m)
+    leads: tuple  # its leading monomials: the minimal generators of in(I^(m))
+
+    @property
+    def hilbert_numerator(self) -> dict:
+        """The K-polynomial of I^(m), read off its leads."""
+        return k_polynomial(self.leads)
 
 
 def symbolic_power(config: Config, m: int) -> SymbolicPower:
     """I^(m) as the intersection of m-th powers of the component ideals
-    (Zariski-Nagata for unions of points and linear flats)."""
+    (Zariski-Nagata for unions of points and linear flats), generated by a
+    degrevlex Groebner basis: the reduced basis of the intersection, or for
+    one component the m-fold products of its forms in reduced row-echelon
+    form, whose leads are distinct variables."""
     if m < 1:
         raise ValueError("m must be >= 1")
     comps = config.components
     if not comps:
         raise DegenerateConfigError("empty configuration")
-    ideal = component_ideal(comps[0], config.n).power(m)
-    for c in comps[1:]:
-        ideal = intersect_ideals(ideal, component_ideal(c, config.n).power(m))
-    return SymbolicPower(m, ideal)
+    if len(comps) == 1:
+        forms = linalg.row_echelon(_forms_of(comps[0], config.n))[0]
+        ideal = Ideal.of(Polynomial.linear_form(f) for f in forms).power(m)
+    else:
+        ideal = component_ideal(comps[0], config.n).power(m)
+        for c in comps[1:]:
+            ideal = intersect_ideals(ideal, component_ideal(c, config.n).power(m))
+    leads = minimalize(max(g.terms, key=DEGREVLEX.key) for g in ideal.generators)
+    return SymbolicPower(m, ideal, leads)
 
 
 def coordinate_position(config: Config) -> tuple[Config, tuple]:
@@ -247,10 +262,9 @@ def coordinate_position(config: Config) -> tuple[Config, tuple]:
         for v in ([list(data)] if kind == "point" else linalg.nullspace(list(data)))
     ]
     spans += [[Fraction(int(i == j)) for j in range(n + 1)] for i in range(n + 1)]
-    basis = []
-    for v in spans:
-        if linalg.rank(basis + [v]) > len(basis):
-            basis.append(v)
+    # a column is a pivot of the echelon form iff it is independent of the
+    # columns before it
+    basis = [spans[c] for c in linalg.row_echelon(list(zip(*spans)))[1]]
     inverse = linalg.inverse([list(r) for r in zip(*basis)])  # B^-1, by rows
     for kind, p in config.components:
         if kind == "point" and list(p) not in basis:

@@ -7,6 +7,13 @@ also its reducer list.  Each caller reduces only what it returns: gin reads
 the leading monomials alone, and intersect_ideals tail-reduces the u-free
 pairs it keeps.
 
+A caller that knows the Hilbert series of the ideal in advance passes its
+numerator, the K-polynomial, as a target, and the S-pair loop stops as soon
+as the leads found so far have it (Traverso 1996, "Hilbert functions and
+the Buchberger algorithm").  gin knows it because the series is invariant
+under a linear change of coordinates, and symbolic_power returns I^(m)
+with the leads of a Groebner basis of it.
+
 Inputs are desk scale (n <= 4, small degrees); the S-pair loop carries a
 fixed cap (PAIR_CAP) so runaway computations fail predictably instead of
 hanging.
@@ -32,7 +39,7 @@ from .rings import (
     linear_substitute,
     mul_exp,
 )
-from .staircase import MonomialStaircase, minimalize
+from .staircase import MonomialStaircase, k_polynomial, minimalize
 
 PAIR_CAP = 200_000  # S-pairs one Buchberger run may take; read at call time
 MIN_ENTRY_BOUND = 10  # least bound on the entries of a gin draw
@@ -40,6 +47,11 @@ MIN_ENTRY_BOUND = 10  # least bound on the entries of a gin draw
 
 class ComputationLimitError(RuntimeError):
     """The S-pair cap was exhausted before the basis stabilized."""
+
+
+class HilbertSeriesError(RuntimeError):
+    """The S-pair loop ended with leads whose Hilbert series is not the
+    target's: the target or the basis is wrong."""
 
 
 class GenericityError(RuntimeError):
@@ -128,7 +140,7 @@ def _reduce_terms(terms, reducers, order):
     return remainder
 
 
-def buchberger(gens, order: MonomialOrder = DEGREVLEX):
+def buchberger(gens, order: MonomialOrder = DEGREVLEX, target=None):
     """Minimal Groebner basis of the given polynomials, as monic (leading
     monomial, term dict) pairs whose leads divide no other lead, sorted by
     lead.  Tails are left unreduced; reduce_tails finishes the reduced basis.
@@ -137,6 +149,15 @@ def buchberger(gens, order: MonomialOrder = DEGREVLEX):
     Buchberger's coprime and chain criteria; pending pairs wait in a heap,
     the pair queue of Gebauer-Moeller.  Raises ComputationLimitError past
     PAIR_CAP.
+
+    target, when given, is the K-polynomial ({degree: coefficient}, as
+    staircase.k_polynomial returns it) of the homogeneous ideal the
+    generators span.  The loop then stops as soon as the leads have it: the
+    ideal J of the leads lies inside the initial ideal, which has the
+    Hilbert series of the ideal under every monomial order, so equal series
+    mean J is the initial ideal.  Every pending pair would reduce to zero,
+    and the basis returned is the one the full loop returns.  Raises
+    HilbertSeriesError if the pairs run out without a match.
     """
     key = order.key
     # (leading monomial, monic term dict) per element; also the reducer
@@ -159,8 +180,12 @@ def buchberger(gens, order: MonomialOrder = DEGREVLEX):
     for j in range(len(basis)):
         add_pairs(j)
 
+    def leads_series():
+        return k_polynomial(lead for lead, _ in basis)
+
+    done = target is not None and leads_series() == target
     processed = 0
-    while queue:
+    while queue and not done:
         processed += 1
         if processed > PAIR_CAP:
             raise ComputationLimitError(
@@ -202,6 +227,12 @@ def buchberger(gens, order: MonomialOrder = DEGREVLEX):
             lc = rem[lead]
             basis.append((lead, {a: c / lc for a, c in rem.items()}))
             add_pairs(len(basis) - 1)
+            done = target is not None and leads_series() == target
+    if target is not None and not done:
+        raise HilbertSeriesError(
+            f"the leads have K-polynomial {leads_series()}, the target is "
+            f"{target}"
+        )
     # minimalize: of equal leads the first is kept
     keep = [
         (li, fi)
@@ -282,24 +313,31 @@ def random_change_matrix(rng: random.Random, n: int, entry_bound: int):
             return m
 
 
-def _gin_once(ideal: Ideal, seed: int, entry_bound: int):
+def _gin_once(ideal: Ideal, seed: int, entry_bound: int, target):
     rng = random.Random(seed)
     matrix = random_change_matrix(rng, ideal.nvars, entry_bound)
     moved = Ideal.of(linear_substitute(ideal.generators, matrix))
-    return matrix, minimalize(lead for lead, _ in buchberger(moved.generators))
+    pairs = buchberger(moved.generators, target=target)
+    return matrix, minimalize(lead for lead, _ in pairs)
 
 
-def gin(ideal: Ideal, seed: int, entry_bound: int = 100) -> GinResult:
+def gin(
+    ideal: Ideal, seed: int, entry_bound: int = 100, target=None
+) -> GinResult:
     """Generic initial ideal via a seeded random coordinate change.
 
     A second independent draw must reproduce the same initial ideal, which
     must be Borel-fixed (Galligo, Bayer-Stillman); minimal generators must
-    avoid the last variable (saturated input).
+    avoid the last variable (saturated input).  target, the K-polynomial of
+    the ideal if known, is handed to both draws' buchberger: a linear change
+    of coordinates keeps the Hilbert series.
     """
     if entry_bound < MIN_ENTRY_BOUND:
         raise ValueError(f"entry_bound must be >= {MIN_ENTRY_BOUND}")
-    matrix, raw = _gin_once(ideal, derive_seed(seed, "gin", 0), entry_bound)
-    _, raw2 = _gin_once(ideal, derive_seed(seed, "gin", 1), entry_bound)
+    matrix, raw = _gin_once(
+        ideal, derive_seed(seed, "gin", 0), entry_bound, target
+    )
+    _, raw2 = _gin_once(ideal, derive_seed(seed, "gin", 1), entry_bound, target)
     if raw != raw2:
         raise GenericityError(
             "two coordinate draws disagree; raise entry_bound "

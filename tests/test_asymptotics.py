@@ -153,10 +153,10 @@ def test_ahf_estimate_report_formats():
 def test_ahf_estimate_keeps_rows_past_saturation_failure(monkeypatch):
     real_gin = asymptotics.gin
 
-    def gin_failing_at_m2(ideal, seed, entry_bound):
+    def gin_failing_at_m2(ideal, seed, entry_bound, target):
         if seed == derive_seed(0, "row", 2):
             raise LastVariableError("gin generator involves the last variable")
-        return real_gin(ideal, seed, entry_bound)
+        return real_gin(ideal, seed, entry_bound, target)
 
     monkeypatch.setattr(asymptotics, "gin", gin_failing_at_m2)
     cfg = PointConfig.of(2, [(0, 0, 1)])

@@ -11,6 +11,7 @@ from limshape.configs import (
     symbolic_power,
 )
 from limshape.groebner import ComputationLimitError, GenericityError
+from limshape.staircase import k_polynomial
 from oracles import groebner_basis
 from test_asymptotics import MOVE_ORACLE_CASES
 
@@ -221,6 +222,28 @@ def test_symbolic_power_command_keeps_input_coordinates(name, tmp_path, capsys):
         assert json.loads(out)["generators"] == given, (name, m)
         # the basis in coordinate position prints otherwise
         assert given != [str(g) for g in symbolic_power(moved, m).ideal.generators]
+
+
+def test_symbolic_power_command_passes_the_target(monkeypatch, tmp_path, capsys):
+    # the Buchberger run on the moved-back generators stops at the Hilbert
+    # series of I^(m), which the move keeps
+    runs = []
+    real_buchberger = cli.buchberger
+
+    def recording(gens, order, target=None):
+        pairs = real_buchberger(gens, order, target=target)
+        runs.append((target, k_polynomial(lead for lead, _ in pairs)))
+        return pairs
+
+    monkeypatch.setattr(cli, "buchberger", recording)
+    config, _ = MOVE_ORACLE_CASES["two-lines"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config_to_dict(config)))
+    code, _, _ = run(["symbolic-power", "--config", str(path), "--m", "2"], capsys)
+    assert code == cli.EXIT_OK
+    assert len(runs) == 1
+    target, series = runs[0]
+    assert target is not None and target == series
 
 
 @pytest.mark.parametrize("component", [

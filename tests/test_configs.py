@@ -13,6 +13,7 @@ from oracles import (
     hf_via_rank,
     ideal_contains,
     ideals_equal,
+    initial_ideal,
     monomial,
     parse_polynomial,
     partial,
@@ -182,6 +183,20 @@ def test_symbolic_power_single_point_is_ordinary_power():
     expected = point_ideal((0, 0, 1), 2).power(2)
     assert ideals_equal(sp.ideal, expected)
     assert ideal_contains(groebner_basis(symbolic_power(cfg, 1).ideal), sp.ideal)
+
+
+@pytest.mark.parametrize("config", [
+    PointConfig.of(3, [(1, 2, -3, 5)]),
+    FlatConfig.of(3, [[(2, -1, 4, 7), (3, 5, -2, 1)]]),
+    PointConfig.of(2, [(1, 0, 0), (0, 1, 0), (1, 1, 1)]),
+], ids=["point", "line", "points"])
+def test_symbolic_power_leads_generate_the_initial_ideal(config):
+    # the leads give the Hilbert series buchberger stops on, in any
+    # coordinates: the forms of (1, 2, -3, 5)'s kernel all lead with x1
+    # until they are put in echelon form
+    for m in (1, 2, 3):
+        sp = symbolic_power(config, m)
+        assert sp.leads == initial_ideal(groebner_basis(sp.ideal)), m
 
 
 def test_symbolic_power_two_points_hilbert_function():

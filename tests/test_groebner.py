@@ -1,3 +1,4 @@
+import random
 from itertools import combinations_with_replacement
 
 import pytest
@@ -19,12 +20,18 @@ from oracles import (
 )
 from test_rings import expand_substitute
 
-from limshape import groebner
-from limshape.configs import FlatConfig, PointConfig, symbolic_power
+from limshape import asymptotics, groebner
+from limshape.configs import (
+    FlatConfig,
+    PointConfig,
+    coordinate_position,
+    symbolic_power,
+)
 from limshape.groebner import (
     DEGREVLEX,
     ComputationLimitError,
     GenericityError,
+    HilbertSeriesError,
     Ideal,
     LastVariableError,
     derive_seed,
@@ -32,7 +39,15 @@ from limshape.groebner import (
     intersect_ideals,
     regularity_surrogate,
 )
-from limshape.rings import MonomialOrder, Polynomial, divides, exp_div, exp_lcm
+from limshape.rings import (
+    MonomialOrder,
+    Polynomial,
+    divides,
+    exp_div,
+    exp_lcm,
+    linear_substitute,
+)
+from limshape.staircase import k_polynomial
 
 
 def P(text, n):
@@ -339,6 +354,12 @@ def test_buchberger_matches_textbook_algorithm(ideal, order):
     # tail-reducing the pairs gives the reduced basis
     reduced = groebner.reduce_tails(pairs, order)
     assert tuple(Polynomial(ideal.nvars, t) for t in reduced) == expect
+    # the loop stopped at the Hilbert series of the ideal returns the same
+    # pairs, so the same reduced basis
+    target = k_polynomial(leads)
+    stopped = groebner.buchberger(ideal.generators, order, target=target)
+    assert stopped == pairs
+    assert groebner.reduce_tails(stopped, order) == reduced
     # the engine reads a remainder's leading monomial off its first key
     reducers = [(leading_monomial(g, order), g.terms) for g in ideal.generators]
     for i, g in enumerate(ideal.generators):
@@ -356,3 +377,62 @@ def test_intersection_is_already_the_reduced_basis(config, m):
     # basis as it is, which must be the reduced degrevlex basis in order
     ideal = symbolic_power(config, m).ideal
     assert groebner_basis(ideal).basis == ideal.generators
+
+
+# the configurations of the acceptance suite, each drawn from its seed
+LADDER = {
+    "two-lines": FlatConfig.generic(3, 1, 2, 3),
+    "intersecting": INTERSECTING_LINES,
+    "points": PointConfig.generic(2, 2, 3),
+    "point-p3": PointConfig.of(3, [(1, 2, 3, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_stopped_loop_matches_full_loop_on_the_ladder(name):
+    # the two runs given a target: a gin draw in coordinate position and the
+    # move back that symbolic-power prints; the full loop is the oracle for
+    # both
+    moved, back = coordinate_position(LADDER[name])
+    for m in (1, 2, 3):
+        sp = symbolic_power(moved, m)
+        rng = random.Random(derive_seed(3, "gin", 0))
+        draw = groebner.random_change_matrix(rng, sp.ideal.nvars, 100)
+        for matrix in (draw, back):
+            gens = linear_substitute(sp.ideal.generators, matrix)
+            full = groebner.buchberger(gens)
+            assert sp.hilbert_numerator == k_polynomial(lead for lead, _ in full)
+            stopped = groebner.buchberger(gens, target=sp.hilbert_numerator)
+            assert stopped == full, (name, m)
+            reduced = groebner.reduce_tails(full, DEGREVLEX)
+            assert groebner.reduce_tails(stopped, DEGREVLEX) == reduced
+
+
+def test_target_saves_reductions(monkeypatch):
+    # the stopped draws skip the zero reductions after the last new lead,
+    # through the production entry point; a target left unused reduces as
+    # often as the full loop
+    calls = [0]
+    reduce_terms = groebner._reduce_terms
+
+    def counting(*args):
+        calls[0] += 1
+        return reduce_terms(*args)
+
+    monkeypatch.setattr(groebner, "_reduce_terms", counting)
+    moved, _ = coordinate_position(TWO_LINES)
+    seed = derive_seed(3, "row", 2)
+    full = gin(symbolic_power(moved, 2).ideal, seed)
+    full_calls, calls[0] = calls[0], 0
+    stopped = asymptotics.gin_of_symbolic_power(TWO_LINES, 2, seed)
+    assert stopped == full
+    assert calls[0] < full_calls
+
+
+def test_wrong_target_raises_naming_both_numerators():
+    gens = [P("x1^2 - x2*x3", 3), P("x1*x2", 3)]
+    right = k_polynomial(lead for lead, _ in groebner.buchberger(gens))
+    wrong = {0: 1, 2: -1}  # the numerator of one quadric
+    with pytest.raises(HilbertSeriesError) as err:
+        groebner.buchberger(gens, target=wrong)
+    assert str(right) in str(err.value) and str(wrong) in str(err.value)
