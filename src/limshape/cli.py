@@ -183,7 +183,7 @@ def cmd_symbolic_power(args):
     d = lcm(*(x.denominator for row in back for x in row))
     integral = [[int(x * d) for x in row] for row in back]
     pairs = buchberger(
-        linear_substitute(sp.ideal.generators, integral),
+        [g.terms for g in linear_substitute(sp.ideal.generators, integral)],
         DEGREVLEX,
         target=sp.hilbert_numerator,
     )

@@ -1,11 +1,25 @@
-"""Buchberger engine: minimal Groebner bases, ideal intersection by
-elimination, gin, and the regularity surrogate.
+"""Buchberger engine: minimal Groebner bases over Q or a prime field, ideal
+intersection by elimination, gin, and the regularity surrogate.
 
 The engine keeps each basis element as a monic (leading monomial, term
 dict) pair, from the input generators to a minimal basis; that list is
 also its reducer list.  Each caller reduces only what it returns: gin reads
 the leading monomials alone, and intersect_ideals tail-reduces the u-free
 pairs it keeps.
+
+One S-pair loop (buchberger) and one reduction loop (_reduce_terms) serve
+both coefficient fields, chosen by an argument p: p = 0 is Q, with Fraction
+coefficients, and a prime p is F_p, with int residues.  intersect_ideals
+and symbolic-power's move back compute over Q, because the bases they
+return are printed.  gin's two draws compute over F_p, one prime of
+GIN_PRIMES each (2^31 - 1 and 2^31 - 19), because gin reads only leading
+monomials; the reasons this keeps gin's checks as strong as before are in
+gin's docstring (modular Groebner bases: Traverso 1988, "Groebner trace
+algorithms"; Arnold 2003, J. Symb. Comput. 35).  Both scans over the leads,
+for a reducer and for the chain criterion, first test a divisibility mask
+of MASK_BITS bits per variable, which rules out most leads without
+comparing exponents (Singular's short exponent vectors,
+Bachmann-Schoenemann 1998).
 
 A caller that knows the Hilbert series of the ideal in advance passes its
 numerator, the K-polynomial, as a target, and the S-pair loop stops as soon
@@ -32,17 +46,28 @@ from .rings import (
     DimensionError,
     MonomialOrder,
     Polynomial,
+    cleared_substitute,
     degree,
     divides,
     exp_div,
     exp_lcm,
-    linear_substitute,
     mul_exp,
 )
-from .staircase import MonomialStaircase, k_polynomial, minimalize
+from .staircase import (
+    MonomialStaircase,
+    k_polynomial,
+    k_polynomial_plus,
+    minimalize,
+)
 
 PAIR_CAP = 200_000  # S-pairs one Buchberger run may take; read at call time
+# bits per variable in a divisibility mask: the exponents of the gin draws
+# of two lines up to m = 6 fit, and larger ones only make it filter less
+MASK_BITS = 12
 MIN_ENTRY_BOUND = 10  # least bound on the entries of a gin draw
+# the prime of each gin draw, 2^31 - 1 and the largest prime below it;
+# read at call time
+GIN_PRIMES = (2_147_483_647, 2_147_483_629)
 
 
 class ComputationLimitError(RuntimeError):
@@ -101,15 +126,31 @@ def _neg_key(k):
     return tuple(-x if isinstance(x, int) else _neg_key(x) for x in k)
 
 
-def _reduce_terms(terms, reducers, order):
-    """Remainder dict of a term dict modulo (lm, terms) reducer pairs.
+def divisibility_mask(alpha) -> int:
+    """Short exponent vector of x^alpha: MASK_BITS bits per variable, the
+    lowest min(e, MASK_BITS) of them set for exponent e.  If x^a divides
+    x^b then mask(a) & ~mask(b) == 0, so a nonzero result rules the
+    division out without comparing exponents (Bachmann-Schoenemann 1998)."""
+    mask = 0
+    for e in alpha:
+        mask = mask << MASK_BITS | (1 << min(e, MASK_BITS)) - 1
+    return mask
+
+
+def _reduce_terms(terms, reducers, order, p=0, masks=None):
+    """Remainder dict of a term dict modulo (lm, terms) reducer pairs, over
+    Q (p = 0, Fraction coefficients) or over F_p (int residues mod p).
 
     Works top-down through the support with a lazy max-heap, mutating a
-    scratch dict; the workhorse behind buchberger.  The remainder's terms
-    are inserted in decreasing order, so its first key is its leading
-    monomial.
+    scratch dict; the workhorse behind buchberger.  The first reducer in
+    list order whose lead divides a term reduces it; masks, the reducers'
+    divisibility masks (computed when not given), skip most of the leads
+    that do not divide.  The remainder's terms are inserted in decreasing
+    order, so its first key is its leading monomial.
     """
     key = order.key
+    if masks is None:
+        masks = [divisibility_mask(lead) for lead, _ in reducers]
     work = dict(terms)
     heap = [(_neg_key(key(a)), a) for a in work]
     heapq.heapify(heap)
@@ -119,31 +160,50 @@ def _reduce_terms(terms, reducers, order):
         lc = work.get(lm)
         if lc is None or lm in remainder:
             continue
-        for glm, gterms in reducers:
-            if divides(glm, lm):
-                shift = exp_div(lm, glm)
-                factor = lc / gterms[glm]
-                for a, c in gterms.items():
-                    ab = mul_exp(a, shift)
-                    old = work.get(ab)
-                    s = (old or 0) - c * factor
-                    if s:
-                        work[ab] = s
-                        if old is None:
-                            heapq.heappush(heap, (_neg_key(key(ab)), ab))
-                    else:
-                        work.pop(ab, None)
-                break
+        outside = ~divisibility_mask(lm)
+        for (glm, gterms), gmask in zip(reducers, masks):
+            if gmask & outside or not divides(glm, lm):
+                continue
+            shift = exp_div(lm, glm)
+            glc = gterms[glm]
+            factor = lc * pow(glc, -1, p) % p if p else lc / glc
+            for a, c in gterms.items():
+                ab = mul_exp(a, shift)
+                old = work.get(ab)
+                s = (old or 0) - c * factor
+                if p:
+                    s %= p
+                if s:
+                    work[ab] = s
+                    if old is None:
+                        heapq.heappush(heap, (_neg_key(key(ab)), ab))
+                else:
+                    work.pop(ab, None)
+            break
         else:
             remainder[lm] = lc
             del work[lm]
     return remainder
 
 
-def buchberger(gens, order: MonomialOrder = DEGREVLEX, target=None):
-    """Minimal Groebner basis of the given polynomials, as monic (leading
-    monomial, term dict) pairs whose leads divide no other lead, sorted by
-    lead.  Tails are left unreduced; reduce_tails finishes the reduced basis.
+def _monic(terms, lead, p):
+    """The term dict divided by its coefficient at lead, over Q or F_p."""
+    lc = terms[lead]
+    if p:
+        inverse = pow(lc, -1, p)
+        return {a: c * inverse % p for a, c in terms.items()}
+    return {a: c / lc for a, c in terms.items()}
+
+
+def buchberger(gens, order: MonomialOrder = DEGREVLEX, target=None, p=0):
+    """Minimal Groebner basis of the ideal the term dicts gens span, as
+    monic (leading monomial, term dict) pairs whose leads divide no other
+    lead, sorted by lead.  Tails are left unreduced; reduce_tails finishes
+    the reduced basis.
+
+    p = 0 computes over Q, with Fraction coefficients; a prime p computes
+    over F_p, with coefficients the int residues 1..p-1.  Both run the same
+    loop.
 
     Normal selection strategy (smallest lcm first, ties by pair index) with
     Buchberger's coprime and chain criteria; pending pairs wait in a heap,
@@ -156,18 +216,20 @@ def buchberger(gens, order: MonomialOrder = DEGREVLEX, target=None):
     ideal J of the leads lies inside the initial ideal, which has the
     Hilbert series of the ideal under every monomial order, so equal series
     mean J is the initial ideal.  Every pending pair would reduce to zero,
-    and the basis returned is the one the full loop returns.  Raises
+    and the basis returned is the one the full loop returns.  The leads'
+    series is updated by one colon ideal per new lead.  Raises
     HilbertSeriesError if the pairs run out without a match.
     """
     key = order.key
     # (leading monomial, monic term dict) per element; also the reducer
-    # list that _reduce_terms takes
+    # list that _reduce_terms takes, with masks, the leads' divisibility
+    # masks, beside it
     basis = []
     for g in gens:
-        if g.terms:
-            lead = max(g.terms, key=key)
-            lc = g.terms[lead]
-            basis.append((lead, {a: c / lc for a, c in g.terms.items()}))
+        if g:
+            lead = max(g, key=key)
+            basis.append((lead, _monic(g, lead, p)))
+    masks = [divisibility_mask(lead) for lead, _ in basis]
     pairs = set()  # pending pairs, for the chain criterion's lookups
     queue = []  # the same pairs as a heap on (order.key(lcm), pair)
 
@@ -180,10 +242,8 @@ def buchberger(gens, order: MonomialOrder = DEGREVLEX, target=None):
     for j in range(len(basis)):
         add_pairs(j)
 
-    def leads_series():
-        return k_polynomial(lead for lead, _ in basis)
-
-    done = target is not None and leads_series() == target
+    series = None if target is None else k_polynomial(lead for lead, _ in basis)
+    done = target is not None and series == target
     processed = 0
     while queue and not done:
         processed += 1
@@ -200,15 +260,15 @@ def buchberger(gens, order: MonomialOrder = DEGREVLEX, target=None):
             continue
         # chain criterion
         skip = False
+        outside = ~divisibility_mask(l)
         for k, (lk, _) in enumerate(basis):
-            if k in (i, j):
+            if masks[k] & outside or k == i or k == j or not divides(lk, l):
                 continue
-            if divides(lk, l):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik not in pairs and pjk not in pairs:
-                    skip = True
-                    break
+            pik = (min(i, k), max(i, k))
+            pjk = (min(j, k), max(j, k))
+            if pik not in pairs and pjk not in pairs:
+                skip = True
+                break
         if skip:
             continue
         # S-polynomial of two monic elements: their leading terms cancel
@@ -217,21 +277,27 @@ def buchberger(gens, order: MonomialOrder = DEGREVLEX, target=None):
         for a, c in fj.items():
             b = mul_exp(a, sj)
             v = s.get(b, 0) - c
+            if p:
+                v %= p
             if v:
                 s[b] = v
             else:
                 del s[b]
-        rem = _reduce_terms(s, basis, order)
+        rem = _reduce_terms(s, basis, order, p, masks)
         if rem:
             lead = next(iter(rem))  # remainder terms come top-down
-            lc = rem[lead]
-            basis.append((lead, {a: c / lc for a, c in rem.items()}))
+            if target is not None:
+                series = k_polynomial_plus(
+                    series, (lk for lk, _ in basis), lead
+                )
+                done = series == target
+            basis.append((lead, _monic(rem, lead, p)))
+            masks.append(divisibility_mask(lead))
             add_pairs(len(basis) - 1)
-            done = target is not None and leads_series() == target
     if target is not None and not done:
+        leads = k_polynomial(lead for lead, _ in basis)  # in its usual order
         raise HilbertSeriesError(
-            f"the leads have K-polynomial {leads_series()}, the target is "
-            f"{target}"
+            f"the leads have K-polynomial {leads}, the target is {target}"
         )
     # minimalize: of equal leads the first is kept
     keep = [
@@ -242,7 +308,7 @@ def buchberger(gens, order: MonomialOrder = DEGREVLEX, target=None):
             for j, (lj, _) in enumerate(basis)
         )
     ]
-    keep.sort(key=lambda p: key(p[0]))
+    keep.sort(key=lambda pair: key(pair[0]))
     return keep
 
 
@@ -278,7 +344,8 @@ def intersect_ideals(a: Ideal, b: Ideal) -> Ideal:
     gens = [lift(f, 1) for f in a.generators]
     gens += [(one - u) * lift(g, 0) for g in b.generators]
     order = MonomialOrder("elim", split=1)
-    kept = [(lead, f) for lead, f in buchberger(gens, order) if lead[0] == 0]
+    pairs = buchberger([g.terms for g in gens], order)
+    kept = [(lead, f) for lead, f in pairs if lead[0] == 0]
     return Ideal.of(
         Polynomial(n, {al[1:]: c for al, c in terms.items()})
         for terms in reduce_tails(kept, order)
@@ -313,35 +380,77 @@ def random_change_matrix(rng: random.Random, n: int, entry_bound: int):
             return m
 
 
-def _gin_once(ideal: Ideal, seed: int, entry_bound: int, target):
+def _gin_once(ideal: Ideal, seed: int, entry_bound: int, target, p: int):
+    """One draw: the leads of the ideal under a seeded integer coordinate
+    change, computed over F_p."""
     rng = random.Random(seed)
     matrix = random_change_matrix(rng, ideal.nvars, entry_bound)
-    moved = Ideal.of(linear_substitute(ideal.generators, matrix))
-    pairs = buchberger(moved.generators, target=target)
+    if linalg.det(matrix) % p == 0:
+        raise GenericityError(
+            f"prime {p} divides the determinant of the coordinate draw"
+        )
+    gens = []
+    for scale, terms in cleared_substitute(ideal.generators, matrix):
+        if scale % p == 0:
+            raise GenericityError(
+                f"prime {p} divides the denominator {scale} of a generator"
+            )
+        gens.append({a: c % p for a, c in terms.items() if c % p})
+    try:
+        pairs = buchberger(gens, target=target, p=p)
+    except HilbertSeriesError as exc:
+        raise GenericityError(f"prime {p} is unlucky: over F_{p} {exc}") from exc
     return matrix, minimalize(lead for lead, _ in pairs)
 
 
 def gin(
     ideal: Ideal, seed: int, entry_bound: int = 100, target=None
 ) -> GinResult:
-    """Generic initial ideal via a seeded random coordinate change.
+    """Generic initial ideal via two seeded random coordinate changes, each
+    computed over a prime field F_p, one prime of GIN_PRIMES per draw.
 
-    A second independent draw must reproduce the same initial ideal, which
-    must be Borel-fixed (Galligo, Bayer-Stillman); minimal generators must
-    avoid the last variable (saturated input).  target, the K-polynomial of
-    the ideal if known, is handed to both draws' buchberger: a linear change
-    of coordinates keeps the Hilbert series.
+    Each draw substitutes its integer matrix into the generators with the
+    denominators cleared and reduces mod its prime; a prime dividing the
+    determinant or a cleared denominator is refused.  target, the
+    K-polynomial of the ideal over Q if known, is handed to both draws'
+    buchberger: a linear change of coordinates keeps the Hilbert series.
+
+    The two draws must agree on an initial ideal, which must be Borel-fixed
+    (Galligo, Bayer-Stillman); minimal generators must avoid the last
+    variable (saturated input).  A failed check raises GenericityError or
+    LastVariableError, naming the prime where one is at fault.
+
+    Why the draws over F_p meet the standard of draws over Q: a draw over Q
+    misses gin(I) only when its matrix lies on a proper Zariski-closed set,
+    which the second draw and the Borel gate guard against.  A draw over F_p
+    has the leads of the draw over Q under the same matrix unless p divides
+    one of finitely many nonzero integers that the ideal and the matrix fix,
+    such as the leading coefficients met over Q (Traverso 1988; Arnold
+    2003).  Reducing the generators mod p can only raise the Hilbert
+    function, and the leads' ideal has at least the Hilbert function of the
+    ideal they lie in; so with a target, a series match proves the prime
+    kept the series and the leads are the initial ideal over F_p, and a
+    prime that changed it ends the loop without a match and is refused.  A
+    prime that keeps the series but changes the leads must still agree with
+    an independent matrix under the other prime on a Borel-fixed ideal.  So
+    a wrong answer needs two independent unlikely events to agree, as with
+    two draws over Q.  Both primes lie above 2^30, far above every exponent,
+    where the Borel-fixed ideals of characteristic p are the strongly stable
+    ones the gate tests for (Pardue 1994).
     """
     if entry_bound < MIN_ENTRY_BOUND:
         raise ValueError(f"entry_bound must be >= {MIN_ENTRY_BOUND}")
+    p0, p1 = GIN_PRIMES
     matrix, raw = _gin_once(
-        ideal, derive_seed(seed, "gin", 0), entry_bound, target
+        ideal, derive_seed(seed, "gin", 0), entry_bound, target, p0
     )
-    _, raw2 = _gin_once(ideal, derive_seed(seed, "gin", 1), entry_bound, target)
+    _, raw2 = _gin_once(
+        ideal, derive_seed(seed, "gin", 1), entry_bound, target, p1
+    )
     if raw != raw2:
         raise GenericityError(
-            "two coordinate draws disagree; raise entry_bound "
-            f"(currently {entry_bound})"
+            f"two coordinate draws (over F_{p0} and F_{p1}) disagree; raise "
+            f"entry_bound (currently {entry_bound})"
         )
     if not MonomialStaircase.from_generators(ideal.nvars, raw).is_borel_fixed():
         raise GenericityError(

@@ -4,6 +4,7 @@ and the readers of the JSON numbers those matrices are built from."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 def json_integer(data, key) -> int:
@@ -57,26 +58,34 @@ def rank(mat) -> int:
     return len(row_echelon(mat)[1])
 
 
-def det(mat) -> Fraction:
-    a = _copy(mat)
-    n = len(a)
-    if any(len(row) != n for row in a):
+def det(mat):
+    """Determinant, by fraction-free (Bareiss) elimination on the rows with
+    their denominators cleared: an int for an integer matrix, which builds
+    no Fraction, and a Fraction otherwise."""
+    n = len(mat)
+    if any(len(row) != n for row in mat):
         raise ValueError("det of non-square matrix")
-    d = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if a[i][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            d = -d
-        d *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c]:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return d
+    scale = 1
+    a = []
+    for row in mat:
+        d = lcm(*(x.denominator for x in row))
+        scale *= d
+        a.append([x.numerator * (d // x.denominator) for x in row])
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        p = a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k]
+            a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], a[k])]
+        prev = p
+    value = sign * a[-1][-1] if n else 1
+    return value if scale == 1 else Fraction(value, scale)
 
 
 def inverse(mat):

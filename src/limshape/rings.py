@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add, le, sub
 
 
 class DimensionError(ValueError):
@@ -29,21 +30,21 @@ def degree(alpha) -> int:
 
 
 def mul_exp(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def divides(a, b) -> bool:
     """Componentwise a <= b, i.e. x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def exp_div(b, a):
     """Exponent of x^b / x^a; caller guarantees divisibility."""
-    return tuple(y - x for x, y in zip(a, b))
+    return tuple(map(sub, b, a))
 
 
 def exp_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 @dataclass(frozen=True)
@@ -253,12 +254,26 @@ class Polynomial:
 def linear_substitute(polys, matrix):
     """Each polynomial with x_i replaced by sum_j matrix[i][j] * x_j.
 
+    The rational result of cleared_substitute.  The matrix must be square
+    of size nvars and invertible.
+    """
+    n = len(matrix)
+    return [
+        Polynomial(n, {b: Fraction(v, scale) for b, v in acc.items()})
+        for scale, acc in cleared_substitute(polys, matrix)
+    ]
+
+
+def cleared_substitute(polys, matrix):
+    """(d, integer term dict) per polynomial p: the terms of d * p(matrix x),
+    where d is the lcm of the denominators of p's coefficients; the dict
+    may hold zero coefficients.
+
     The polynomials share one table of monomial images: the image of x^a is
     built once, as the image of x^a / x_i times row i, where x_i is the
     first variable of x^a.  Integer entries stay Python ints in the table,
-    and each polynomial is expanded with its denominators cleared, so the
-    inner products are integer products when the matrix is integral.  The
-    matrix must be square of size nvars and invertible.
+    so the inner products are integer products when the matrix is integral.
+    The matrix must be square of size nvars and invertible.
     """
     from .linalg import det
 
@@ -299,10 +314,7 @@ def linear_substitute(polys, matrix):
             for beta, v in image(alpha).items():
                 acc[beta] = acc.get(beta, 0) + c * v
         sums.append((scale, acc))
-    # the table is the largest thing alive here; free it before the
-    # Fraction coefficients are made, so the two do not add up to the peak
+    # image is a closure over itself, so the table would wait for the
+    # cycle collector; free the largest thing alive here now
     table.clear()
-    return [
-        Polynomial(n, {b: Fraction(v) / scale for b, v in acc.items()})
-        for scale, acc in sums
-    ]
+    return sums

@@ -70,6 +70,22 @@ def k_polynomial(gens) -> dict:
     return {e: c for e, c in poly.items() if c}
 
 
+def k_polynomial_plus(k, gens, a) -> dict:
+    """K-polynomial of I + (x^a), from k, the K-polynomial of the monomial
+    ideal I generated by gens.
+
+    The exact sequence 0 -> S/(I : x^a)(-|a|) -> S/I -> S/(I + x^a) -> 0
+    gives K(I + x^a) = K(I) - t^|a| K(I : x^a), and I : x^a is generated by
+    lcm(g, a) / a over the generators g of I.
+    """
+    d = degree(a)
+    out = dict(k)
+    colon = (tuple(max(x - y, 0) for x, y in zip(g, a)) for g in gens)
+    for e, c in k_polynomial(colon).items():
+        out[e + d] = out.get(e + d, 0) - c
+    return {e: c for e, c in out.items() if c}
+
+
 @dataclass(frozen=True)
 class MonomialStaircase:
     nvars: int

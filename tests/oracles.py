@@ -8,9 +8,12 @@ monomial order by pairwise comparison, and asymptotic Hilbert polynomials
 by finite differences in m, and facets, vertices and volumes of polyhedra
 by subset enumeration.  `groebner_basis` is the reduced basis that the
 division oracles take: the engine's minimal basis with its tails reduced.
+`gin_draws_over_q` is gin's pair of draws computed over Q, the exact path
+the F_p draws are checked against.
 `parse_polynomial` reads the text form that `str(Polynomial)` writes.
 """
 
+import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,13 +23,21 @@ from math import comb, factorial
 from limshape import linalg
 from limshape.configs import PointConfig
 from limshape.polyhedra import _dot, _primitive
-from limshape.groebner import Ideal, _reduce_terms, buchberger, reduce_tails
+from limshape.groebner import (
+    Ideal,
+    _reduce_terms,
+    buchberger,
+    derive_seed,
+    random_change_matrix,
+    reduce_tails,
+)
 from limshape.rings import (
     DEGREVLEX,
     DimensionError,
     MonomialOrder,
     Polynomial,
     degree,
+    linear_substitute,
     mul_exp,
 )
 from limshape.staircase import MonomialStaircase, k_polynomial, minimalize
@@ -152,10 +163,23 @@ class GroebnerBasis:
 
 def groebner_basis(ideal: Ideal, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
     """The reduced basis: the engine's minimal basis, tails reduced."""
-    pairs = buchberger(ideal.generators, order)
+    pairs = buchberger([g.terms for g in ideal.generators], order)
     return GroebnerBasis(ideal, order, tuple(
         Polynomial(ideal.nvars, terms) for terms in reduce_tails(pairs, order)
     ))
+
+
+def gin_draws_over_q(ideal: Ideal, seed, entry_bound=100, target=None):
+    """The minimal generators of the initial ideal of each of gin's two
+    draws, computed over Q under the seeded matrices gin draws."""
+    raws = []
+    for k in (0, 1):
+        rng = random.Random(derive_seed(seed, "gin", k))
+        matrix = random_change_matrix(rng, ideal.nvars, entry_bound)
+        gens = [g.terms for g in linear_substitute(ideal.generators, matrix)]
+        pairs = buchberger(gens, target=target)
+        raws.append(minimalize(lead for lead, _ in pairs))
+    return raws
 
 
 def initial_ideal(gb: GroebnerBasis):

@@ -462,6 +462,23 @@ def test_pair_cap_maps_to_exit_4(config_path, tmp_path, capsys, monkeypatch):
     assert code == cli.EXIT_RESOURCE
 
 
+def test_unlucky_prime_maps_to_exit_3(config_path, capsys, monkeypatch):
+    # the real checks, not a faked exception: 2 divides the determinant of
+    # a draw of every seed below, which the F_2 draws refuse
+    monkeypatch.setattr(groebner, "GIN_PRIMES", (2, 2))
+    code, _, err = run(["gin", "--config", config_path], capsys)
+    assert code == cli.EXIT_GENERICITY
+    assert "prime 2 divides the determinant" in err
+    report = ["report", "--config", config_path, "--m-max", "2", "--t", "2"]
+    rows = []
+    for jobs in ("1", "2"):
+        code, out, _ = run(report + ["--jobs", jobs], capsys)
+        assert code == cli.EXIT_OK
+        rows.append([r["error"] for r in json.loads(out)["rows"]])
+    assert rows[0] == rows[1]
+    assert all(e.startswith("GenericityError: prime 2 ") for e in rows[0])
+
+
 def test_limiting_shape_builds_one_hull_per_row(config_path, tmp_path, capsys,
                                                 monkeypatch):
     calls = []

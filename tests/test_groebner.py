@@ -1,5 +1,7 @@
 import random
+from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     GroebnerBasis,
     contains,
+    gin_draws_over_q,
     groebner_basis,
     hf_via_initial,
     hf_via_rank,
@@ -18,9 +21,10 @@ from oracles import (
     normal_form,
     parse_polynomial,
 )
+from test_asymptotics import MOVE_ORACLE_CASES
 from test_rings import expand_substitute
 
-from limshape import asymptotics, groebner
+from limshape import asymptotics, groebner, linalg
 from limshape.configs import (
     FlatConfig,
     PointConfig,
@@ -343,7 +347,8 @@ ORDERS = [DEGREVLEX, MonomialOrder("elim", split=1)]
 @given(small_homogeneous_ideals(), st.sampled_from(ORDERS))
 def test_buchberger_matches_textbook_algorithm(ideal, order):
     expect = textbook_groebner(ideal.generators, order)
-    pairs = groebner.buchberger(ideal.generators, order)
+    gens = [g.terms for g in ideal.generators]
+    pairs = groebner.buchberger(gens, order)
     # a minimal basis: monic pairs whose leads divide no other lead, and
     # those leads are the reduced basis's, in its order
     leads = [lead for lead, _ in pairs]
@@ -357,7 +362,7 @@ def test_buchberger_matches_textbook_algorithm(ideal, order):
     # the loop stopped at the Hilbert series of the ideal returns the same
     # pairs, so the same reduced basis
     target = k_polynomial(leads)
-    stopped = groebner.buchberger(ideal.generators, order, target=target)
+    stopped = groebner.buchberger(gens, order, target=target)
     assert stopped == pairs
     assert groebner.reduce_tails(stopped, order) == reduced
     # the engine reads a remainder's leading monomial off its first key
@@ -399,7 +404,7 @@ def test_stopped_loop_matches_full_loop_on_the_ladder(name):
         rng = random.Random(derive_seed(3, "gin", 0))
         draw = groebner.random_change_matrix(rng, sp.ideal.nvars, 100)
         for matrix in (draw, back):
-            gens = linear_substitute(sp.ideal.generators, matrix)
+            gens = [g.terms for g in linear_substitute(sp.ideal.generators, matrix)]
             full = groebner.buchberger(gens)
             assert sp.hilbert_numerator == k_polynomial(lead for lead, _ in full)
             stopped = groebner.buchberger(gens, target=sp.hilbert_numerator)
@@ -430,9 +435,132 @@ def test_target_saves_reductions(monkeypatch):
 
 
 def test_wrong_target_raises_naming_both_numerators():
-    gens = [P("x1^2 - x2*x3", 3), P("x1*x2", 3)]
+    gens = [P("x1^2 - x2*x3", 3).terms, P("x1*x2", 3).terms]
     right = k_polynomial(lead for lead, _ in groebner.buchberger(gens))
     wrong = {0: 1, 2: -1}  # the numerator of one quadric
     with pytest.raises(HilbertSeriesError) as err:
         groebner.buchberger(gens, target=wrong)
     assert str(right) in str(err.value) and str(wrong) in str(err.value)
+
+
+# the acceptance ladder at m <= 3 and the move oracle's cases
+ORACLE_CASES = {
+    **{f"ladder-{name}": (config, 3) for name, config in LADDER.items()},
+    **{f"move-{name}": case for name, case in MOVE_ORACLE_CASES.items()},
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_gin_over_f_p_matches_draws_over_q(name):
+    # both F_p draws of the production entry point against the exact
+    # Buchberger runs over Q under the same two matrices
+    config, m_max = ORACLE_CASES[name]
+    moved, _ = coordinate_position(config)
+    for m in range(1, m_max + 1):
+        seed = derive_seed(3, "row", m)
+        g = asymptotics.gin_of_symbolic_power(config, m, seed)
+        sp = symbolic_power(moved, m)
+        over_q = gin_draws_over_q(sp.ideal, seed, 100, sp.hilbert_numerator)
+        assert over_q == [g.raw_initial] * 2, (name, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 3 * groebner.MASK_BITS), min_size=n, max_size=n),
+    st.lists(st.integers(0, 3 * groebner.MASK_BITS), min_size=n, max_size=n),
+)))
+def test_divisibility_mask_never_rejects_a_divisor(pair):
+    # exponents run past the bits a mask keeps per variable
+    a, other = (tuple(v) for v in pair)
+    mask = groebner.divisibility_mask
+    multiple = tuple(x + y for x, y in zip(a, other))
+    assert mask(a) & ~mask(multiple) == 0
+    if mask(a) & ~mask(other):
+        assert not divides(a, other)
+
+
+def test_masks_change_no_reduction(monkeypatch):
+    # a mask only skips divides calls that would fail: with masks of no
+    # bits, which filter nothing, the loops reduce the same S-pairs by the
+    # same reducers and gin finds the same leads
+    runs = []
+    reduce_terms = groebner._reduce_terms
+
+    def recording(terms, reducers, *args):
+        rem = reduce_terms(terms, reducers, *args)
+        runs[-1].append((len(reducers), tuple(rem)))
+        return rem
+
+    ideal = symbolic_power(THREE_POINTS, 2).ideal
+    monkeypatch.setattr(groebner, "_reduce_terms", recording)
+    results = []
+    for bits in (groebner.MASK_BITS, 0):
+        monkeypatch.setattr(groebner, "MASK_BITS", bits)
+        runs.append([])
+        results.append(gin(ideal, seed=5).raw_initial)
+    assert results[0] == results[1]
+    assert runs[0] == runs[1] and runs[0]
+
+
+def _first_draw_det(seed, nvars):
+    rng = random.Random(derive_seed(seed, "gin", 0))
+    return linalg.det(groebner.random_change_matrix(rng, nvars, 100))
+
+
+def _smallest_prime_factor(d):
+    d = abs(d)
+    return next((q for q in range(2, isqrt(d) + 1) if d % q == 0), d)
+
+
+def _prime_not_dividing(d):
+    return next(q for q in (3, 5, 7, 11, 13, 17, 19, 23) if d % q)
+
+
+def test_prime_dividing_the_determinant_is_refused(monkeypatch):
+    ideal = Ideal.of([P("x2", 3), P("x3", 3)])
+    q = _smallest_prime_factor(_first_draw_det(11, 3))
+    assert q > 1
+    monkeypatch.setattr(groebner, "GIN_PRIMES", (q, q))
+    with pytest.raises(GenericityError, match=f"prime {q} divides the determinant"):
+        gin(ideal, seed=11)
+
+
+def test_prime_dividing_a_denominator_is_refused(monkeypatch):
+    q = _prime_not_dividing(_first_draw_det(11, 3))
+    fractional = Polynomial(3, {(0, 1, 0): 1, (1, 0, 0): Fraction(1, q)})
+    ideal = Ideal.of([fractional, P("x3", 3)])
+    monkeypatch.setattr(groebner, "GIN_PRIMES", (q, q))
+    with pytest.raises(GenericityError, match=f"prime {q} divides the denominator"):
+        gin(ideal, seed=11)
+
+
+def test_prime_that_changes_the_series_is_refused(monkeypatch):
+    # x1 + x2 and x1 + (1 + q) x2 span two linear forms over Q and one mod q,
+    # so the F_q loop runs out of pairs short of the target
+    q = _prime_not_dividing(_first_draw_det(11, 3))
+    other = Polynomial(3, {(1, 0, 0): 1, (0, 1, 0): 1 + q})
+    ideal = Ideal.of([P("x1 + x2", 3), other])
+    target = k_polynomial([(1, 0, 0), (0, 1, 0)])
+    assert gin(ideal, seed=11, target=target).raw_initial == ((0, 1, 0), (1, 0, 0))
+    monkeypatch.setattr(groebner, "GIN_PRIMES", (q, q))
+    with pytest.raises(GenericityError, match=f"prime {q} is unlucky") as err:
+        gin(ideal, seed=11, target=target)
+    assert isinstance(err.value.__cause__, HilbertSeriesError)
+
+
+def test_gin_draw_builds_no_fraction(monkeypatch):
+    # both draws run on ints: the determinant, the substitution with the
+    # denominators cleared and the F_p loop
+    moved, _ = coordinate_position(THREE_POINTS)
+    sp = symbolic_power(moved, 2)
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    gin(sp.ideal, seed=5, target=sp.hilbert_numerator)
+    monkeypatch.undo()
+    assert built == []

@@ -12,6 +12,7 @@ from limshape.rings import divides
 from limshape.staircase import (
     MonomialStaircase,
     k_polynomial,
+    k_polynomial_plus,
     lattice_volume_error_bound,
     minimalize,
     simplex_count,
@@ -140,6 +141,19 @@ def test_k_polynomial_known_values():
 def test_k_polynomial_matches_subset_sum(n_gens):
     _, gens = n_gens
     assert k_polynomial(gens) == subset_k_polynomial(gens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=12)
+))
+def test_running_k_polynomial_matches_recomputation(monomials):
+    # buchberger adds one lead at a time and keeps the leads' K-polynomial
+    # by one colon ideal per lead; a lead may divide or repeat earlier ones
+    series = {0: 1}
+    for i, a in enumerate(monomials):
+        series = k_polynomial_plus(series, monomials[:i], a)
+        assert series == k_polynomial(monomials[: i + 1])
 
 
 @given(staircase_strategy, st.integers(0, 9))
