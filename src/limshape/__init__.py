@@ -21,12 +21,7 @@ from .polyhedra import (
     volume,
     gamma_region,
 )
-from .configs import (
-    PointConfig,
-    FlatConfig,
-    UnionConfig,
-    symbolic_power,
-)
+from .configs import Config, symbolic_power
 from .asymptotics import (
     UniPoly,
     flats_hp,

@@ -18,9 +18,7 @@ from math import comb, factorial, floor
 from . import __version__
 from .configs import (
     Config,
-    FlatConfig,
-    PointConfig,
-    UnionConfig,
+    components_disjoint,
     config_to_dict,
     configs_disjoint,
     coordinate_position,
@@ -183,35 +181,22 @@ def intersecting_lines_hp(m) -> UniPoly:
 
 
 def ahp_of_config(config: Config) -> UniPoly:
-    """Closed-form aHP where one is known: point sets, pairwise-disjoint
-    flats, the intersecting-lines pair in P^3, and disjoint unions of
-    these."""
+    """Closed-form aHP where one is known: pairwise-disjoint points and
+    flats (a point is the 0-flat), and two lines of P^3 that meet, with
+    any points."""
     n = config.n
-    if isinstance(config, PointConfig):
-        return UniPoly.constant(Fraction(len(config.points), factorial(n)))
-    if isinstance(config, FlatConfig):
-        if config.pairwise_disjoint:
-            total = UniPoly.of([])
-            for r in config.flat_dimensions:
-                total = total + ahp_flats(n, r, 1)[0]
-            return total
-        # FlatConfig.of rejects a repeated line, so two lines of P^3 that
-        # are not disjoint meet in a point
-        if n == 3 and config.flat_dimensions == (1, 1):
-            # the m^3 coefficient of intersecting_lines_hp(m)(m*t)
-            return UniPoly.of([-1, 1])
-        raise ValueError("no closed-form aHP for this flat configuration")
-    if isinstance(config, UnionConfig):
-        parts = config.parts
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                if not configs_disjoint(parts[i], parts[j]):
-                    raise ValueError("union parts are not disjoint")
+    if components_disjoint(config):
         total = UniPoly.of([])
-        for p in parts:
-            total = total + ahp_of_config(p)
+        for forms in config.forms:
+            total = total + ahp_flats(n, n - len(forms), 1)[0]
         return total
-    raise TypeError(f"unsupported configuration {type(config).__name__}")
+    # Config.of puts no point on a flat and repeats no line, so two lines
+    # of P^3 that are not disjoint meet in a point, away from the points
+    if n == 3 and [len(forms) for forms in config.flats] == [2, 2]:
+        # the m^3 coefficient of intersecting_lines_hp(m)(m*t), plus 1/3!
+        # per point
+        return UniPoly.of([-1, 1]) + Fraction(len(config.points), factorial(n))
+    raise ValueError("no closed-form aHP for this configuration")
 
 
 @dataclass(frozen=True)
@@ -430,7 +415,7 @@ def ahf_estimate(
 
     try:
         target = ahp_of_config(config)
-    except (ValueError, TypeError):
+    except ValueError:
         target = None
 
     report = ConvergenceReport(

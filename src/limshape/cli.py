@@ -28,9 +28,8 @@ from .asymptotics import (
     UniPoly,
 )
 from .configs import (
+    Config,
     DegenerateConfigError,
-    FlatConfig,
-    PointConfig,
     config_from_json,
     coordinate_position,
     symbolic_power,
@@ -329,7 +328,7 @@ def _check(name, ok, detail=""):
 
 def _verify_two_lines(seed, entry_bound):
     ok = True
-    config = FlatConfig.generic(3, 1, 2, seed)
+    config = Config.generic(3, 1, 2, seed)
     g = gin_of_symbolic_power(config, 1, seed, entry_bound)
     expected = {(1, 0, 1), (0, 2, 0), (1, 1, 0), (2, 0, 0)}
     ok &= _check(
@@ -360,9 +359,9 @@ def _verify_two_lines(seed, entry_bound):
 
 def _verify_intersecting_lines(seed, entry_bound):
     ok = True
-    lines = FlatConfig.of(
+    lines = Config.of(
         3,
-        [
+        flats=[
             [(1, 0, 0, 0), (0, 1, 0, 0)],  # x1 = x2 = 0
             [(1, 0, 0, 0), (0, 0, 1, 0)],  # x1 = x3 = 0
         ],
@@ -379,7 +378,7 @@ def _verify_intersecting_lines(seed, entry_bound):
             match,
             f"reg surrogate {reg}, HP {hp}",
         )
-    point = PointConfig.of(3, [(1, 1, 1, 1)])
+    point = Config.of(3, [(1, 1, 1, 1)])
     rep = ahp_additivity_check(lines, point)
     ok &= _check(
         "aHP additivity: (t - 1) + 1/6 = t - 5/6",
@@ -399,7 +398,7 @@ def _verify_points_grid(seed, entry_bound):
                 ahp == UniPoly.constant(Fraction(r, factorial(n))),
                 str(ahp),
             )
-    config = PointConfig.generic(2, 2, seed)
+    config = Config.generic(2, 0, 2, seed)
     report = ahf_estimate(
         config, 2, [1, 2, 3, 4], seed=seed, entry_bound=entry_bound,
         family="points-grid",

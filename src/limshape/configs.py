@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, product
 
 from . import linalg
 from .groebner import Ideal, intersect_ideals
@@ -27,12 +28,19 @@ class DegenerateConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class PointConfig:
+class Config:
+    """Points and linear flats in P^n; a point is the flat its n forms cut
+    out, but is given and drawn by its coordinates."""
+
     n: int  # ambient projective dimension; coordinates have length n+1
-    points: tuple  # tuples of Fraction, projectively distinct
+    points: tuple = ()  # tuples of Fraction, projectively distinct
+    flats: tuple = ()  # each flat: tuple of linear-form coefficient tuples
 
     @classmethod
-    def of(cls, n, points):
+    def of(cls, n, points=(), flats=()):
+        """Raises DegenerateConfigError for a zero or repeated point,
+        dependent forms, or a component that equals or lies in another,
+        where it would be redundant."""
         _check_ambient(n)
         pts = tuple(tuple(Fraction(c) for c in p) for p in points)
         for p in pts:
@@ -40,45 +48,9 @@ class PointConfig:
                 raise DegenerateConfigError("point coordinate length != n+1")
             if not any(p):
                 raise DegenerateConfigError("zero coordinate tuple is not a point")
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if linalg.rank([list(pts[i]), list(pts[j])]) < 2:
-                    raise DegenerateConfigError(
-                        f"points {i} and {j} coincide projectively"
-                    )
-        return cls(n, pts)
-
-    @classmethod
-    def generic(cls, n, r, seed, bound=GENERIC_COORD_BOUND):
-        """r seeded random points with integer coordinates."""
-        _check_ambient(n)  # else the draws below never end
-        rng = random.Random(seed)
-        pts = []
-        while len(pts) < r:
-            p = tuple(rng.randint(-bound, bound) for _ in range(n + 1))
-            if not any(p):
-                continue
-            try:
-                cls.of(n, pts + [p])
-            except DegenerateConfigError:
-                continue
-            pts.append(p)
-        return cls.of(n, pts)
-
-    @property
-    def components(self):
-        return tuple(("point", p) for p in self.points)
-
-
-@dataclass(frozen=True)
-class FlatConfig:
-    n: int
-    flats: tuple  # each flat: tuple of linear-form coefficient tuples
-    pairwise_disjoint: bool
-
-    @classmethod
-    def of(cls, n, flats):
-        _check_ambient(n)
+        for (i, p), (j, q) in combinations(enumerate(pts), 2):
+            if linalg.rank([list(p), list(q)]) < 2:
+                raise DegenerateConfigError(f"points {i} and {j} coincide projectively")
         clean = []
         for forms in flats:
             forms = tuple(tuple(Fraction(c) for c in f) for f in forms)
@@ -98,75 +70,53 @@ class FlatConfig:
                 raise DegenerateConfigError(
                     f"flats {i} and {j} coincide or one contains the other"
                 )
-        disjoint = all(_flats_disjoint(a, b, n) for a, b in combinations(clean, 2))
-        return cls(n, tuple(clean), disjoint)
+        for (i, p), (j, forms) in product(enumerate(pts), enumerate(clean)):
+            if not any(_coordinates(forms, p)):
+                raise DegenerateConfigError(f"point {i} lies on flat {j}")
+        return cls(n, pts, tuple(clean))
 
     @classmethod
     def generic(cls, n, r, s, seed, bound=GENERIC_COORD_BOUND):
-        """s seeded random flats of dimension r in P^n (n-r forms each)."""
-        if not 0 <= r < n:
+        """s seeded random r-flats in P^n with integer coefficients: points
+        by their coordinates when r = 0, else flats by n-r forms each."""
+        if r and not 0 < r < n:
             raise ValueError("flat dimension must satisfy 0 <= r < n")
+        _check_ambient(n)  # else the draws below never end
         rng = random.Random(seed)
-        flats = []
-        while len(flats) < s:
-            forms = [
+
+        def config(drawn):
+            return cls.of(n, flats=drawn) if r else cls.of(n, points=drawn)
+
+        drawn = []
+        while len(drawn) < s:
+            rows = [
                 tuple(rng.randint(-bound, bound) for _ in range(n + 1))
-                for _ in range(n - r)
+                for _ in range(n - r if r else 1)
             ]
+            item = rows if r else rows[0]
             try:
-                cls.of(n, flats + [forms])
+                config(drawn + [item])
             except DegenerateConfigError:
                 continue
-            flats.append(forms)
-        return cls.of(n, flats)
-
-    @property
-    def flat_dimensions(self):
-        return tuple(self.n - len(forms) for forms in self.flats)
+            drawn.append(item)
+        return config(drawn)
 
     @property
     def components(self):
-        return tuple(("flat", f) for f in self.flats)
-
-
-@dataclass(frozen=True)
-class UnionConfig:
-    """Mixed configuration: points and flats together."""
-
-    n: int
-    parts: tuple  # PointConfig / FlatConfig instances
-
-    @classmethod
-    def of(cls, n, parts):
-        """Raises DegenerateConfigError if a component of one part equals or
-        lies in a component of another, where it would be redundant."""
-        parts = tuple(parts)
-        if any(part.n != n for part in parts):
-            raise DegenerateConfigError("parts lie in different dimensions")
-        count = {"point": 0, "flat": 0}
-        comps = []  # (part, kind, index among that kind, forms)
-        for k, part in enumerate(parts):
-            for kind, data in part.components:
-                comps.append((k, kind, count[kind], _forms_of((kind, data), n)))
-                count[kind] += 1
-        for (ka, kind_a, ia, a), (kb, kind_b, ib, b) in combinations(comps, 2):
-            if ka == kb or not _nested(a, b):
-                continue
-            if kind_a != kind_b:
-                point, flat = (ia, ib) if kind_a == "point" else (ib, ia)
-                raise DegenerateConfigError(f"point {point} lies on flat {flat}")
-            raise DegenerateConfigError(
-                f"points {ia} and {ib} coincide projectively" if kind_a == "point"
-                else f"flats {ia} and {ib} coincide or one contains the other"
-            )
-        return cls(n, parts)
+        """("point", coordinates) for each point, then ("flat", forms)."""
+        return tuple(("point", p) for p in self.points) + tuple(
+            ("flat", f) for f in self.flats
+        )
 
     @property
-    def components(self):
-        return tuple(c for part in self.parts for c in part.components)
-
-
-Config = PointConfig | FlatConfig | UnionConfig
+    def forms(self):
+        """The forms cutting out each component, in component order and in
+        reduced row-echelon form: n of them for a point."""
+        kernels = [linalg.nullspace([list(p)]) for p in self.points]
+        return tuple(
+            tuple(tuple(f) for f in linalg.row_echelon(forms)[0])
+            for forms in kernels + list(self.flats)
+        )
 
 
 def _check_ambient(n):
@@ -174,35 +124,31 @@ def _check_ambient(n):
         raise DegenerateConfigError(f"need projective dimension n >= 1, got {n}")
 
 
-def _flats_disjoint(forms_a, forms_b, n) -> bool:
-    """Two flats are disjoint iff their combined forms have only the zero
-    solution, i.e. full rank n+1."""
-    mat = [list(f) for f in forms_a] + [list(f) for f in forms_b]
-    return linalg.rank(mat) == n + 1
+def _disjoint(forms_a, forms_b, n) -> bool:
+    """Two components are disjoint iff their combined forms have only the
+    zero solution, i.e. full rank n+1."""
+    return linalg.rank([list(f) for f in forms_a + forms_b]) == n + 1
 
 
 def _nested(forms_a, forms_b) -> bool:
-    """Two components coincide or one contains the other iff the forms of
-    the larger one lie in the span of the other's."""
+    """Two flats coincide or one contains the other iff the forms of the
+    larger one lie in the span of the other's."""
     rank = linalg.rank([list(f) for f in forms_a + forms_b])
     return rank == max(len(forms_a), len(forms_b))
 
 
-def point_ideal(point, n) -> Ideal:
-    """The n independent linear forms vanishing at the point."""
-    kernel = linalg.nullspace([list(point)])
-    if len(kernel) != n:
-        raise RuntimeError(
-            f"point has a {len(kernel)}-dimensional kernel, not {n}"
-        )
-    return Ideal.of(Polynomial.linear_form(v) for v in kernel)
+def components_disjoint(config: Config) -> bool:
+    """Exact check that no two components of the configuration meet."""
+    return all(
+        _disjoint(a, b, config.n) for a, b in combinations(config.forms, 2)
+    )
 
 
-def component_ideal(component, n) -> Ideal:
-    kind, data = component
-    if kind == "point":
-        return point_ideal(data, n)
-    return Ideal.of(Polynomial.linear_form(f) for f in data)
+def configs_disjoint(a: Config, b: Config) -> bool:
+    """Exact check that the zero sets share no projective point."""
+    return a.n == b.n and all(
+        _disjoint(fa, fb, a.n) for fa in a.forms for fb in b.forms
+    )
 
 
 @dataclass(frozen=True)
@@ -220,21 +166,18 @@ class SymbolicPower:
 def symbolic_power(config: Config, m: int) -> SymbolicPower:
     """I^(m) as the intersection of m-th powers of the component ideals
     (Zariski-Nagata for unions of points and linear flats), generated by a
-    degrevlex Groebner basis: the reduced basis of the intersection, or for
-    one component the m-fold products of its forms in reduced row-echelon
-    form, whose leads are distinct variables."""
+    degrevlex Groebner basis.  Each component ideal is generated by its
+    forms in reduced row-echelon form, whose leads are distinct variables,
+    so its m-th power is one already; intersect_ideals returns the reduced
+    basis of each intersection."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    comps = config.components
-    if not comps:
+    if not config.components:
         raise DegenerateConfigError("empty configuration")
-    if len(comps) == 1:
-        forms = linalg.row_echelon(_forms_of(comps[0], config.n))[0]
-        ideal = Ideal.of(Polynomial.linear_form(f) for f in forms).power(m)
-    else:
-        ideal = component_ideal(comps[0], config.n).power(m)
-        for c in comps[1:]:
-            ideal = intersect_ideals(ideal, component_ideal(c, config.n).power(m))
+    ideal = reduce(intersect_ideals, (
+        Ideal.of(Polynomial.linear_form(f) for f in forms).power(m)
+        for forms in config.forms
+    ))
     leads = minimalize(max(g.terms, key=DEGREVLEX.key) for g in ideal.generators)
     return SymbolicPower(m, ideal, leads)
 
@@ -257,68 +200,37 @@ def coordinate_position(config: Config) -> tuple[Config, tuple]:
     matrix rings.linear_substitute takes for that substitution.
     """
     n = config.n
-    spans = [
-        v for kind, data in config.components
-        for v in ([list(data)] if kind == "point" else linalg.nullspace(list(data)))
-    ]
+    spans = [list(p) for p in config.points]
+    spans += [v for forms in config.flats for v in linalg.nullspace(list(forms))]
     spans += [[Fraction(int(i == j)) for j in range(n + 1)] for i in range(n + 1)]
     # a column is a pivot of the echelon form iff it is independent of the
     # columns before it
     basis = [spans[c] for c in linalg.row_echelon(list(zip(*spans)))[1]]
     inverse = linalg.inverse([list(r) for r in zip(*basis)])  # B^-1, by rows
-    for kind, p in config.components:
-        if kind == "point" and list(p) not in basis:
+    for p in config.points:
+        if list(p) not in basis:
             frame = _coordinates(inverse, p)
             if all(frame):
                 basis = [[x * c for x in v] for v, c in zip(basis, frame)]
                 inverse = [[x / c for x in row] for row, c in zip(inverse, frame)]
                 break
-
-    def move(part):
-        if isinstance(part, PointConfig):
-            points = []
-            for p in part.points:
-                c = _coordinates(inverse, p)
-                lead = next(x for x in c if x)
-                points.append(tuple(x / lead for x in c))
-            return replace(part, points=tuple(points))
-        flats = []
-        for forms in part.flats:
-            moved = [[sum(a * b for a, b in zip(f, v)) for v in basis] for f in forms]
-            flats.append(tuple(tuple(r) for r in linalg.row_echelon(moved)[0]))
-        return replace(part, flats=tuple(flats))
-
-    if isinstance(config, UnionConfig):
-        moved = replace(config, parts=tuple(move(p) for p in config.parts))
-    else:
-        moved = move(config)
+    points = []
+    for p in config.points:
+        c = _coordinates(inverse, p)
+        lead = next(x for x in c if x)
+        points.append(tuple(x / lead for x in c))
+    flats = []
+    for forms in config.flats:
+        images = [_coordinates(basis, f) for f in forms]  # f B
+        flats.append(tuple(tuple(r) for r in linalg.row_echelon(images)[0]))
+    moved = Config(n, tuple(points), tuple(flats))
     return moved, tuple(tuple(row) for row in inverse)
 
 
-def _coordinates(inverse, p):
-    """The coordinates of p in the basis: B^-1 p."""
-    return [sum(a * b for a, b in zip(row, p)) for row in inverse]
-
-
-def configs_disjoint(a: Config, b: Config) -> bool:
-    """Exact check that the zero sets share no projective point."""
-    if a.n != b.n:
-        return False
-    n = a.n
-    for ca in a.components:
-        for cb in b.components:
-            forms_a = _forms_of(ca, n)
-            forms_b = _forms_of(cb, n)
-            if not _flats_disjoint(forms_a, forms_b, n):
-                return False
-    return True
-
-
-def _forms_of(component, n):
-    kind, data = component
-    if kind == "point":
-        return tuple(tuple(v) for v in linalg.nullspace([list(data)]))
-    return data
+def _coordinates(rows, p):
+    """Each row dotted with p: B^-1 p for the rows of B^-1, f B for the
+    columns of B, or a flat's forms at a point."""
+    return [sum(a * b for a, b in zip(row, p)) for row in rows]
 
 
 # -- JSON config format ----------------------------------------------------
@@ -345,9 +257,7 @@ def config_from_dict(data) -> Config:
     if "generic" in data and not data.get("components"):
         g = data["generic"]
         r, s, seed = (linalg.json_integer(g, key) for key in ("r", "s", "seed"))
-        if r == 0:
-            return PointConfig.generic(n, s, seed)
-        return FlatConfig.generic(n, r, s, seed)
+        return Config.generic(n, r, s, seed)
     points = []
     flats = []
     for comp in data.get("components", []):
@@ -357,16 +267,9 @@ def config_from_dict(data) -> Config:
             flats.append([[linalg.json_number(c) for c in f] for f in comp["forms"]])
         else:
             raise DegenerateConfigError(f"unknown component type {comp['type']!r}")
-    parts = []
-    if points:
-        parts.append(PointConfig.of(n, points))
-    if flats:
-        parts.append(FlatConfig.of(n, flats))
-    if not parts:
+    if not points and not flats:
         raise DegenerateConfigError("configuration has no components")
-    if len(parts) == 1:
-        return parts[0]
-    return UnionConfig.of(n, parts)
+    return Config.of(n, points, flats)
 
 
 def config_from_json(text: str) -> Config:

@@ -122,10 +122,6 @@ class Ideal:
         return Ideal.of(prods)
 
 
-def _neg_key(k):
-    return tuple(-x if isinstance(x, int) else _neg_key(x) for x in k)
-
-
 def divisibility_mask(alpha) -> int:
     """Short exponent vector of x^alpha: MASK_BITS bits per variable, the
     lowest min(e, MASK_BITS) of them set for exponent e.  If x^a divides
@@ -152,7 +148,7 @@ def _reduce_terms(terms, reducers, order, p=0, masks=None):
     if masks is None:
         masks = [divisibility_mask(lead) for lead, _ in reducers]
     work = dict(terms)
-    heap = [(_neg_key(key(a)), a) for a in work]
+    heap = [(tuple([-x for x in key(a)]), a) for a in work]
     heapq.heapify(heap)
     remainder = {}
     while heap:
@@ -176,7 +172,7 @@ def _reduce_terms(terms, reducers, order, p=0, masks=None):
                 if s:
                     work[ab] = s
                     if old is None:
-                        heapq.heappush(heap, (_neg_key(key(ab)), ab))
+                        heapq.heappush(heap, (tuple([-x for x in key(ab)]), ab))
                 else:
                     work.pop(ab, None)
             break

@@ -60,16 +60,19 @@ class MonomialOrder:
     split: int = 0
 
     def key(self, alpha):
+        """A flat tuple of ints, larger for the larger monomial.  The
+        elimination key is the two block keys concatenated, which compares
+        block by block because the head block's key always has split + 1
+        entries."""
         if self.kind == "degrevlex":
             return _grevlex_key(alpha)
         if self.kind == "elim":
-            head, tail = alpha[: self.split], alpha[self.split :]
-            return (_grevlex_key(head), _grevlex_key(tail))
+            return _grevlex_key(alpha[: self.split]) + _grevlex_key(alpha[self.split :])
         raise ValueError(f"unknown order kind {self.kind!r}")
 
 
 def _grevlex_key(alpha):
-    return (sum(alpha), tuple(-e for e in reversed(alpha)))
+    return (sum(alpha), *(-e for e in reversed(alpha)))
 
 
 DEGREVLEX = MonomialOrder("degrevlex")

@@ -21,7 +21,7 @@ from itertools import combinations, product
 from math import comb, factorial
 
 from limshape import linalg
-from limshape.configs import PointConfig
+from limshape.configs import Config
 from limshape.polyhedra import _dot, _primitive
 from limshape.groebner import (
     Ideal,
@@ -252,12 +252,12 @@ def _degree_monomials(n, d):
 # -- symbolic powers of points -----------------------------------------------
 
 
-def differential_membership_check(f: Polynomial, config: PointConfig, m: int) -> bool:
+def differential_membership_check(f: Polynomial, config: Config, m: int) -> bool:
     """True iff every partial of order <= m-1 vanishes at every point.
 
     Cross-check oracle for symbolic-power membership on point sets.
     """
-    if not isinstance(config, PointConfig):
+    if config.flats:
         raise TypeError("differential check is only decidable for point sets")
     if not f.is_homogeneous():
         raise ValueError("f must be homogeneous")

@@ -27,7 +27,7 @@ from limshape.asymptotics import (
     flats_hp,
     intersecting_lines_hp,
 )
-from limshape.configs import FlatConfig, PointConfig, symbolic_power
+from limshape.configs import Config, symbolic_power
 from limshape.groebner import gin, regularity_surrogate
 from limshape.polyhedra import RationalPolyhedron, gamma_region, volume
 from limshape.staircase import MonomialStaircase
@@ -53,12 +53,12 @@ def report_line(num, description, ok, budget=None, elapsed=None):
 
 @lru_cache(maxsize=None)
 def two_lines_config():
-    return FlatConfig.generic(3, 1, 2, SEED)
+    return Config.generic(3, 1, 2, SEED)
 
 
 @lru_cache(maxsize=None)
 def intersecting_config():
-    return FlatConfig.of(3, [
+    return Config.of(3, flats=[
         [(1, 0, 0, 0), (0, 1, 0, 0)],
         [(1, 0, 0, 0), (0, 0, 1, 0)],
     ])
@@ -66,12 +66,12 @@ def intersecting_config():
 
 @lru_cache(maxsize=None)
 def points_config():
-    return PointConfig.generic(2, 2, SEED)
+    return Config.generic(2, 0, 2, SEED)
 
 
 @lru_cache(maxsize=None)
 def single_point_p3():
-    return PointConfig.of(3, [(1, 2, 3, 1)])
+    return Config.of(3, [(1, 2, 3, 1)])
 
 
 @lru_cache(maxsize=None)
@@ -176,7 +176,7 @@ def test_criterion_5_intersecting_lines_hilbert_function():
 def test_criterion_6_additivity():
     start = time.monotonic()
     rep = ahp_additivity_check(
-        intersecting_config(), PointConfig.of(3, [(1, 1, 1, 1)])
+        intersecting_config(), Config.of(3, [(1, 1, 1, 1)])
     )
     ok = rep.ahp_a.coeffs == (Fraction(-1), Fraction(1))
     ok &= all(

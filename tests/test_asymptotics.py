@@ -16,16 +16,10 @@ from limshape.asymptotics import (
     flats_hp,
     intersecting_lines_hp,
 )
-from limshape.configs import (
-    FlatConfig,
-    PointConfig,
-    UnionConfig,
-    config_from_dict,
-    symbolic_power,
-)
+from limshape.configs import Config, config_from_dict, symbolic_power
 from limshape.groebner import LastVariableError, derive_seed, gin
 
-INTERSECTING_LINES = FlatConfig.of(3, [
+INTERSECTING_LINES = Config.of(3, flats=[
     [(1, 0, 0, 0), (0, 1, 0, 0)],
     [(1, 0, 0, 0), (0, 0, 1, 0)],
 ])
@@ -104,29 +98,29 @@ def test_intersecting_lines_hp():
 
 
 def test_ahp_of_config():
-    pts = PointConfig.of(2, [(1, 0, 0), (0, 1, 0)])
+    pts = Config.of(2, [(1, 0, 0), (0, 1, 0)])
     assert ahp_of_config(pts).coeffs == (1,)  # 2/2!
-    disjoint = FlatConfig.generic(3, 1, 2, seed=2)
+    disjoint = Config.generic(3, 1, 2, seed=2)
     assert str(ahp_of_config(disjoint)) == "t - 2/3"
     assert str(ahp_of_config(INTERSECTING_LINES)) == "t - 1"
-    skew_far = FlatConfig.generic(3, 1, 3, seed=2)
+    skew_far = Config.generic(3, 1, 3, seed=2)
     assert str(ahp_of_config(skew_far)) == "3/2*t - 1"
 
 
 def test_ahp_additivity():
     line_pair = INTERSECTING_LINES
-    pt = PointConfig.of(3, [(1, 1, 1, 1)])
+    pt = Config.of(3, [(1, 1, 1, 1)])
     report = ahp_additivity_check(line_pair, pt)
     assert isinstance(report, AdditivityReport)
     assert str(report.ahp_a) == "t - 1"
     assert report.ahp_b.coeffs == (Fraction(1, 6),)
     assert str(report.total) == "t - 5/6"
     with pytest.raises(ValueError):
-        ahp_additivity_check(line_pair, PointConfig.of(3, [(0, 0, 0, 1)]))
+        ahp_additivity_check(line_pair, Config.of(3, [(0, 0, 0, 1)]))
 
 
 def test_ahf_estimate_single_point():
-    cfg = PointConfig.of(2, [(0, 0, 1)])
+    cfg = Config.of(2, [(0, 0, 1)])
     report = ahf_estimate(cfg, t=1, m_list=[1, 2, 3, 4], seed=0)
     counts = [r.count for r in report.rows]
     assert counts == [comb(m + 1, 2) for m in (1, 2, 3, 4)]
@@ -138,7 +132,7 @@ def test_ahf_estimate_single_point():
 
 
 def test_ahf_estimate_report_formats():
-    cfg = PointConfig.of(2, [(0, 0, 1)])
+    cfg = Config.of(2, [(0, 0, 1)])
     report = ahf_estimate(cfg, t=1, m_list=[1, 2], seed=0)
     csv_text = report.to_csv()
     lines = csv_text.strip().splitlines()
@@ -159,7 +153,7 @@ def test_ahf_estimate_keeps_rows_past_saturation_failure(monkeypatch):
         return real_gin(ideal, seed, entry_bound, target)
 
     monkeypatch.setattr(asymptotics, "gin", gin_failing_at_m2)
-    cfg = PointConfig.of(2, [(0, 0, 1)])
+    cfg = Config.of(2, [(0, 0, 1)])
     report = ahf_estimate(cfg, t=1, m_list=[1, 2, 3], seed=0)
     failed, = (r for r in report.rows if r.error is not None)
     assert failed.m == 2
@@ -168,7 +162,7 @@ def test_ahf_estimate_keeps_rows_past_saturation_failure(monkeypatch):
 
 
 def test_report_row_volumes_partition_the_simplex():
-    cfg = PointConfig.generic(2, 3, seed=5)
+    cfg = Config.generic(2, 0, 3, seed=5)
     t = Fraction(7, 2)
     report = ahf_estimate(cfg, t=t, m_list=[1, 2, 3], seed=5)
     for r in report.rows:
@@ -178,7 +172,7 @@ def test_report_row_volumes_partition_the_simplex():
 
 
 def test_ahf_estimate_validation():
-    cfg = PointConfig.of(2, [(0, 0, 1)])
+    cfg = Config.of(2, [(0, 0, 1)])
     with pytest.raises(ValueError):
         ahf_estimate(cfg, t=1, m_list=[])
     with pytest.raises(ValueError):
@@ -186,14 +180,14 @@ def test_ahf_estimate_validation():
 
 
 def test_ahf_estimate_parallel_matches_serial():
-    cfg = PointConfig.of(2, [(0, 0, 1), (0, 1, 0)])
+    cfg = Config.of(2, [(0, 0, 1), (0, 1, 0)])
     serial = ahf_estimate(cfg, t=2, m_list=[1, 2], seed=3, jobs=1)
     parallel = ahf_estimate(cfg, t=2, m_list=[1, 2], seed=3, jobs=2)
     assert serial.to_json() == parallel.to_json()
 
 
 def test_ahf_estimate_convergence_toward_target():
-    cfg = PointConfig.generic(2, 2, seed=7)
+    cfg = Config.generic(2, 0, 2, seed=7)
     report = ahf_estimate(cfg, t=2, m_list=[1, 2, 3, 4], seed=7)
     target = report.target_value()
     gaps = [abs(r.count_over_mn - target) for r in report.rows]
@@ -206,10 +200,10 @@ def test_ahf_estimate_convergence_toward_target():
 # coordinate position first, and must find the staircase that the same
 # gin draws find on the configuration as given
 MOVE_ORACLE_CASES = {
-    "two-lines": (FlatConfig.generic(3, 1, 2, seed=3), 3),
-    "three-points": (PointConfig.generic(3, 3, seed=3), 3),
+    "two-lines": (Config.generic(3, 1, 2, seed=3), 3),
+    "three-points": (Config.generic(3, 0, 3, seed=3), 3),
     "intersecting-lines": (
-        FlatConfig.of(3, [
+        Config.of(3, flats=[
             [(2, -1, 3, 1), (1, 4, -2, 5)],
             [(2, -1, 3, 1), (-3, 1, 1, 2)],
         ]),
@@ -224,7 +218,7 @@ MOVE_ORACLE_CASES = {
     ),
     # n + 3 points: the fourth goes to the frame (1,1,1), the fifth
     # anywhere; in P^3 the unmoved m = 2 alone takes about 4 s
-    "five-points-P2": (PointConfig.generic(2, 5, seed=3), 3),
+    "five-points-P2": (Config.generic(2, 0, 5, seed=3), 3),
 }
 
 

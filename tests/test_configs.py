@@ -22,18 +22,14 @@ from oracles import (
 
 from limshape import linalg
 from limshape.configs import (
+    Config,
     DegenerateConfigError,
-    _forms_of,
-    FlatConfig,
-    PointConfig,
-    UnionConfig,
+    components_disjoint,
     config_from_dict,
     config_from_json,
     config_to_dict,
     configs_disjoint,
-    component_ideal,
     coordinate_position,
-    point_ideal,
     symbolic_power,
 )
 from limshape.groebner import Ideal
@@ -55,7 +51,7 @@ def all_monomials(nvars, d):
 
 
 def test_point_ideal_coordinate_point():
-    ideal = point_ideal((1, 0, 0, 0), 3)
+    ideal = symbolic_power(Config.of(3, [(1, 0, 0, 0)]), 1).ideal
     gb = groebner_basis(ideal)
     assert sorted(gb.leading_monomials()) == [
         (0, 0, 0, 1),
@@ -69,7 +65,7 @@ def test_point_ideal_coordinate_point():
 
 def test_point_ideal_general_point():
     pt = (1, 2, 3)
-    ideal = point_ideal(pt, 2)
+    ideal = symbolic_power(Config.of(2, [pt]), 1).ideal
     for g in ideal.generators:
         assert evaluate(g, pt) == 0
         assert total_degree(g) == 1
@@ -78,23 +74,23 @@ def test_point_ideal_general_point():
 
 def test_point_config_validation():
     with pytest.raises(DegenerateConfigError):
-        PointConfig.of(2, [(1, 0, 0), (2, 0, 0)])  # same projective point
+        Config.of(2, [(1, 0, 0), (2, 0, 0)])  # same projective point
     with pytest.raises(DegenerateConfigError):
-        PointConfig.of(2, [(0, 0, 0)])
+        Config.of(2, [(0, 0, 0)])
     with pytest.raises(DegenerateConfigError):
-        PointConfig.of(2, [(1, 0)])
+        Config.of(2, [(1, 0)])
 
 
 def test_flat_config_validation():
     with pytest.raises(DegenerateConfigError):
-        FlatConfig.of(3, [[(1, 0, 0, 0), (2, 0, 0, 0)]])  # dependent forms
-    cfg = FlatConfig.of(3, [[(1, 0, 0, 0), (0, 1, 0, 0)]])
-    assert cfg.flat_dimensions == (1,)
+        Config.of(3, flats=[[(1, 0, 0, 0), (2, 0, 0, 0)]])  # dependent forms
+    cfg = Config.of(3, flats=[[(1, 0, 0, 0), (0, 1, 0, 0)]])
+    assert [cfg.n - len(forms) for forms in cfg.forms] == [1]
     # no forms cut out all of P^3, and the 4 unit forms the empty set
     units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
     for forms in ([], units):
         with pytest.raises(DegenerateConfigError, match="needs 1 to 3 forms"):
-            FlatConfig.of(3, [forms])
+            Config.of(3, flats=[forms])
 
 
 def test_config_needs_positive_dimension():
@@ -115,7 +111,7 @@ def test_flat_config_rejects_repeated_and_nested_flats():
     point_on_line = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
     for flats in ([line, same_line], [line, point_on_line], [point_on_line, line]):
         with pytest.raises(DegenerateConfigError):
-            FlatConfig.of(3, flats)
+            Config.of(3, flats=flats)
 
 
 def test_config_rejects_point_on_flat():
@@ -129,66 +125,71 @@ def test_config_rejects_point_on_flat():
         {"type": "flat", "forms": [[0, 1, 0, 0], [0, 0, 1, 0]]},
     ]})
     assert len(off_line.components) == 2
-    # the same check holds for a union built directly
-    line = FlatConfig.of(3, [[(0, 1, 0, 0), (0, 0, 1, 0)]])
+    # the same check holds for a configuration built directly
+    line = [(0, 1, 0, 0), (0, 0, 1, 0)]
     with pytest.raises(DegenerateConfigError, match="point 0 lies on flat 0"):
-        UnionConfig.of(3, [PointConfig.of(3, [(1, 0, 0, 0)]), line])
-    assert UnionConfig.of(3, [PointConfig.of(3, [(1, 1, 1, 1)]), line]) == off_line
+        Config.of(3, [(1, 0, 0, 0)], [line])
+    assert Config.of(3, [(1, 1, 1, 1)], [line]) == off_line
     # the flat may come first; indices count points and flats apart
     with pytest.raises(DegenerateConfigError, match="point 1 lies on flat 0"):
-        UnionConfig.of(3, [line, PointConfig.of(3, [(1, 1, 1, 1), (1, 0, 0, 0)])])
+        config_from_dict({"n": 3, "components": [
+            {"type": "flat", "forms": line},
+            {"type": "point", "coords": [1, 1, 1, 1]},
+            {"type": "point", "coords": [1, 0, 0, 0]},
+        ]})
 
 
 def test_union_rejects_repeated_and_nested_components():
-    pt = PointConfig.of(3, [(1, 2, 3, 4)])
+    pt = (1, 2, 3, 4)
     with pytest.raises(DegenerateConfigError, match="points 0 and 1 coincide"):
-        UnionConfig.of(3, [pt, PointConfig.of(3, [(2, 4, 6, 8)])])
-    line = FlatConfig.of(3, [[(1, 0, 0, 0), (0, 1, 0, 0)]])
-    same_line = FlatConfig.of(3, [[(1, 1, 0, 0), (1, -1, 0, 0)]])
-    plane = FlatConfig.of(3, [[(1, 0, 0, 0)]])
-    for parts in ([line, same_line], [line, plane], [plane, line]):
+        Config.of(3, [pt, (2, 4, 6, 8)])
+    line = [(1, 0, 0, 0), (0, 1, 0, 0)]
+    same_line = [(1, 1, 0, 0), (1, -1, 0, 0)]
+    plane = [(1, 0, 0, 0)]
+    for flats in ([line, same_line], [line, plane], [plane, line]):
         with pytest.raises(DegenerateConfigError, match="flats 0 and 1 coincide"):
-            UnionConfig.of(3, parts)
+            Config.of(3, flats=flats)
     # distinct points, and two lines meeting in a point, are kept
-    other = PointConfig.of(3, [(1, 2, 3, 5)])
-    assert len(UnionConfig.of(3, [pt, other]).components) == 2
-    crossing = FlatConfig.of(3, [[(1, 0, 0, 0), (0, 0, 1, 0)]])
-    assert len(UnionConfig.of(3, [line, crossing]).components) == 2
-    with pytest.raises(DegenerateConfigError, match="different dimensions"):
-        UnionConfig.of(3, [pt, PointConfig.of(2, [(1, 0, 0)])])
+    other = (1, 2, 3, 5)
+    assert len(Config.of(3, [pt, other]).components) == 2
+    crossing = [(1, 0, 0, 0), (0, 0, 1, 0)]
+    assert len(Config.of(3, flats=[line, crossing]).components) == 2
+    # a point of P^2 is not a point of P^3
+    with pytest.raises(DegenerateConfigError, match="length != n\\+1"):
+        Config.of(3, [pt, (1, 0, 0)])
 
 
 def test_two_intersecting_lines_radical():
     # V(x1,x2) union V(x1,x3): ideal is (x1, x2*x3)
-    cfg = FlatConfig.of(3, [
+    cfg = Config.of(3, flats=[
         [(1, 0, 0, 0), (0, 1, 0, 0)],
         [(1, 0, 0, 0), (0, 0, 1, 0)],
     ])
-    assert not cfg.pairwise_disjoint
+    assert not components_disjoint(cfg)
     ideal = symbolic_power(cfg, 1).ideal
     expected = Ideal.of([P("x1", 4), P("x2*x3", 4)])
     assert ideals_equal(ideal, expected)
 
 
 def test_disjoint_lines_detection():
-    cfg = FlatConfig.generic(3, 1, 2, seed=2)
-    assert cfg.pairwise_disjoint
+    cfg = Config.generic(3, 1, 2, seed=2)
+    assert components_disjoint(cfg)
     for forms in cfg.flats:
         assert len(forms) == 2
 
 
 def test_symbolic_power_single_point_is_ordinary_power():
-    cfg = PointConfig.of(2, [(0, 0, 1)])
+    cfg = Config.of(2, [(0, 0, 1)])
     sp = symbolic_power(cfg, 2)
-    expected = point_ideal((0, 0, 1), 2).power(2)
+    expected = Ideal.of([P("x1", 3), P("x2", 3)]).power(2)
     assert ideals_equal(sp.ideal, expected)
     assert ideal_contains(groebner_basis(symbolic_power(cfg, 1).ideal), sp.ideal)
 
 
 @pytest.mark.parametrize("config", [
-    PointConfig.of(3, [(1, 2, -3, 5)]),
-    FlatConfig.of(3, [[(2, -1, 4, 7), (3, 5, -2, 1)]]),
-    PointConfig.of(2, [(1, 0, 0), (0, 1, 0), (1, 1, 1)]),
+    Config.of(3, [(1, 2, -3, 5)]),
+    Config.of(3, flats=[[(2, -1, 4, 7), (3, 5, -2, 1)]]),
+    Config.of(2, [(1, 0, 0), (0, 1, 0), (1, 1, 1)]),
 ], ids=["point", "line", "points"])
 def test_symbolic_power_leads_generate_the_initial_ideal(config):
     # the leads give the Hilbert series buchberger stops on, in any
@@ -200,7 +201,7 @@ def test_symbolic_power_leads_generate_the_initial_ideal(config):
 
 
 def test_symbolic_power_two_points_hilbert_function():
-    cfg = PointConfig.of(2, [(1, 0, 0), (0, 1, 0)])
+    cfg = Config.of(2, [(1, 0, 0), (0, 1, 0)])
     sp = symbolic_power(cfg, 1)
     # two points in P^2: HF is 1, 2, 2, 2, ...
     assert [hf_via_rank(sp.ideal, d) for d in range(4)] == [1, 2, 2, 2]
@@ -212,7 +213,7 @@ def test_symbolic_power_two_points_hilbert_function():
 
 
 def test_symbolic_power_semigroup_containment():
-    cfg = PointConfig.of(2, [(1, 0, 0), (0, 1, 0), (1, 1, 1)])
+    cfg = Config.of(2, [(1, 0, 0), (0, 1, 0), (1, 1, 1)])
     powers = {m: symbolic_power(cfg, m).ideal for m in (1, 2, 3)}
     gbs = {m: groebner_basis(i) for m, i in powers.items()}
     for p, q in [(1, 1), (1, 2)]:
@@ -246,7 +247,7 @@ def _random_member_of_symbolic_square(cfg, degree, rng):
 
 
 def test_differential_oracle_agrees_with_groebner():
-    cfg = PointConfig.generic(2, 3, seed=4)
+    cfg = Config.generic(2, 0, 3, seed=4)
     sp = symbolic_power(cfg, 2)
     gb = groebner_basis(sp.ideal)
     rng = random.Random(9)
@@ -266,47 +267,56 @@ def test_differential_oracle_agrees_with_groebner():
 
 
 def test_differential_check_basics():
-    cfg = PointConfig.of(2, [(1, 0, 0)])
+    cfg = Config.of(2, [(1, 0, 0)])
     # x2 vanishes at the point but its derivative does not: in I^(1), not I^(2)
     assert differential_membership_check(P("x2", 3), cfg, 1)
     assert not differential_membership_check(P("x2", 3), cfg, 2)
     assert differential_membership_check(P("x2^2", 3), cfg, 2)
     with pytest.raises(TypeError):
         differential_membership_check(
-            P("x1", 4), FlatConfig.of(3, [[(1, 0, 0, 0), (0, 1, 0, 0)]]), 1
+            P("x1", 4), Config.of(3, flats=[[(1, 0, 0, 0), (0, 1, 0, 0)]]), 1
         )
 
 
 def test_configs_disjoint():
-    a = PointConfig.of(2, [(1, 0, 0)])
-    b = PointConfig.of(2, [(0, 1, 0)])
+    a = Config.of(2, [(1, 0, 0)])
+    b = Config.of(2, [(0, 1, 0)])
     assert configs_disjoint(a, b)
-    assert not configs_disjoint(a, PointConfig.of(2, [(1, 0, 0), (0, 0, 1)]))
-    lines = FlatConfig.of(3, [
+    assert not configs_disjoint(a, Config.of(2, [(1, 0, 0), (0, 0, 1)]))
+    lines = Config.of(3, flats=[
         [(1, 0, 0, 0), (0, 1, 0, 0)],
         [(1, 0, 0, 0), (0, 0, 1, 0)],
     ])
-    pt = PointConfig.of(3, [(1, 1, 1, 1)])
+    pt = Config.of(3, [(1, 1, 1, 1)])
     assert configs_disjoint(lines, pt)
-    assert not configs_disjoint(lines, PointConfig.of(3, [(0, 0, 0, 1)]))
+    assert not configs_disjoint(lines, Config.of(3, [(0, 0, 0, 1)]))
 
 
 def test_config_json_round_trip():
-    cfg = PointConfig.of(2, [(1, 0, 0), (0, 1, Fraction(1, 2))])
+    cfg = Config.of(2, [(1, 0, 0), (0, 1, Fraction(1, 2))])
     again = config_from_dict(config_to_dict(cfg))
     assert again == cfg
-    flats = FlatConfig.of(3, [[(1, 0, 0, 0), (0, 1, 0, 0)]])
+    flats = Config.of(3, flats=[[(1, 0, 0, 0), (0, 1, 0, 0)]])
     assert config_from_dict(config_to_dict(flats)) == flats
-    mixed = UnionConfig(3, (PointConfig.of(3, [(1, 1, 1, 1)]), flats))
+    mixed = Config.of(3, [(1, 1, 1, 1)], flats.flats)
     round_tripped = config_from_dict(config_to_dict(mixed))
     assert round_tripped.components == mixed.components
 
 
 def test_config_generic_form():
     cfg = config_from_json('{"n": 3, "generic": {"r": 1, "s": 2, "seed": 2}}')
-    assert isinstance(cfg, FlatConfig) and len(cfg.flats) == 2
+    assert not cfg.points and len(cfg.flats) == 2
     pts = config_from_json('{"n": 2, "generic": {"r": 0, "s": 3, "seed": 1}}')
-    assert isinstance(pts, PointConfig) and len(pts.points) == 3
+    assert not pts.flats and len(pts.points) == 3
+
+
+def test_generic_draws_are_pinned():
+    # the first draws of seed 3 in P^3: one point each for r = 0, else the
+    # n - r forms of one flat
+    first = ((-40, 51, 39, -67), (-6, 54, 21, 60),
+             (48, -84, 55, -97), (20, -34, 41, -41))
+    assert Config.generic(3, 0, 4, seed=3).points == first
+    assert Config.generic(3, 1, 2, seed=3).flats == (first[:2], first[2:])
 
 
 def test_config_json_rejects_garbage():
@@ -324,19 +334,19 @@ def _is_monomial(p):
 
 
 @pytest.mark.parametrize("config", [
-    FlatConfig.generic(3, 1, 2, seed=3),
-    PointConfig.generic(3, 4, seed=3),
-    PointConfig.generic(2, 3, seed=8),
+    Config.generic(3, 1, 2, seed=3),
+    Config.generic(3, 0, 4, seed=3),
+    Config.generic(2, 0, 3, seed=8),
     # two lines through (1,0,0,0), cut out by forms that are not variables
-    FlatConfig.of(3, [
+    Config.of(3, flats=[
         [(0, 2, -1, 3), (0, 1, 4, -2)],
         [(0, 2, -1, 3), (0, -3, 1, 1)],
     ]),
 ], ids=["two-skew-lines", "n+1-points-P3", "n+1-points-P2", "intersecting-lines"])
 def test_coordinate_position_gives_monomial_ideals(config):
     moved, _ = coordinate_position(config)
-    for component in moved.components:
-        gens = component_ideal(component, moved.n).generators
+    for forms in moved.forms:
+        gens = [Polynomial.linear_form(f) for f in forms]
         assert all(_is_monomial(g) and total_degree(g) == 1 for g in gens)
     sp = symbolic_power(moved, 1)
     assert all(_is_monomial(g) for g in sp.ideal.generators)
@@ -360,14 +370,14 @@ def test_inverse_is_the_inverse():
 
 
 def test_coordinate_position_puts_next_point_on_the_frame():
-    cfg = PointConfig.generic(3, 6, seed=3)
+    cfg = Config.generic(3, 0, 6, seed=3)
     moved, _ = coordinate_position(cfg)
     units = [tuple(Fraction(int(i == j)) for j in range(4)) for i in range(4)]
     assert list(moved.points[:4]) == units
     assert moved.points[4] == (1, 1, 1, 1)
     assert len(set(moved.points)) == 6
     # a point with a zero coordinate in the basis is passed over for the frame
-    skew = PointConfig.of(2, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 2, 3)])
+    skew = Config.of(2, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 2, 3)])
     assert coordinate_position(skew)[0].points[3:] == ((1, Fraction(1, 2), 0), (1, 1, 1))
     union = config_from_dict({"n": 3, "components": [
         {"type": "point", "coords": [1, 2, 3, 4]},
@@ -395,8 +405,8 @@ def test_coordinate_position_keeps_incidences(points, flats):
     moved, back = coordinate_position(config)
     assert type(moved) is type(config)
     assert len(moved.components) == len(config.components)
-    before = [[list(f) for f in _forms_of(c, 3)] for c in config.components]
-    after = [[list(f) for f in _forms_of(c, 3)] for c in moved.components]
+    before = [[list(f) for f in forms] for forms in config.forms]
+    after = [[list(f) for f in forms] for forms in moved.forms]
     for a, b in zip(before, after):
         assert len(a) == len(b) and linalg.rank(b) == len(b)
         # a form c on the moved component is the form c B^-1 on the given one
@@ -407,9 +417,4 @@ def test_coordinate_position_keeps_incidences(points, flats):
         for j in range(i + 1, len(before)):
             rank = linalg.rank(before[i] + before[j])
             assert rank == linalg.rank(after[i] + after[j])
-    parts = moved.parts if isinstance(moved, UnionConfig) else (moved,)
-    for part in parts:
-        if isinstance(part, FlatConfig):
-            assert FlatConfig.of(3, part.flats) == part
-        else:
-            assert PointConfig.of(3, part.points) == part
+    assert Config.of(3, moved.points, moved.flats) == moved

@@ -25,12 +25,7 @@ from test_asymptotics import MOVE_ORACLE_CASES
 from test_rings import expand_substitute
 
 from limshape import asymptotics, groebner, linalg
-from limshape.configs import (
-    FlatConfig,
-    PointConfig,
-    coordinate_position,
-    symbolic_power,
-)
+from limshape.configs import Config, coordinate_position, symbolic_power
 from limshape.groebner import (
     DEGREVLEX,
     ComputationLimitError,
@@ -256,11 +251,11 @@ def test_basis_is_reduced_and_monic():
 
 
 # two fixed disjoint lines in P^3 and three fixed points of P^3
-TWO_LINES = FlatConfig.of(3, [[(1, 2, -1, 3), (2, -1, 1, -1)],
-                              [(3, 1, 2, -2), (-1, 4, 1, 2)]])
-THREE_POINTS = PointConfig.of(3, [(1, 2, -1, 3), (2, -1, 1, -1), (3, 1, 2, -2)])
-INTERSECTING_LINES = FlatConfig.of(3, [[(1, 0, 0, 0), (0, 1, 0, 0)],
-                                       [(1, 0, 0, 0), (0, 0, 1, 0)]])
+TWO_LINES = Config.of(3, flats=[[(1, 2, -1, 3), (2, -1, 1, -1)],
+                                [(3, 1, 2, -2), (-1, 4, 1, 2)]])
+THREE_POINTS = Config.of(3, [(1, 2, -1, 3), (2, -1, 1, -1), (3, 1, 2, -2)])
+INTERSECTING_LINES = Config.of(3, flats=[[(1, 0, 0, 0), (0, 1, 0, 0)],
+                                         [(1, 0, 0, 0), (0, 0, 1, 0)]])
 
 
 @pytest.mark.parametrize("config", [TWO_LINES, THREE_POINTS], ids=["lines", "points"])
@@ -276,17 +271,20 @@ def test_gin_matches_term_by_term_substitution(config, m):
 
 
 # S-pairs one Buchberger run takes for I^(2) of TWO_LINES (the elimination
-# inside the intersection), counted with the linear scan the pair heap
-# replaced; the heap must hand out the pairs in the same order
+# inside the intersection of the squares of the lines' ideals, each
+# generated by its forms as given), counted with the linear scan the pair
+# heap replaced; the heap must hand out the pairs in the same order
 TWO_LINES_SQUARE_PAIRS = 561
 
 
 def test_pair_order_is_pinned(monkeypatch):
+    squares = [Ideal.of(Polynomial.linear_form(f) for f in forms).power(2)
+               for forms in TWO_LINES.flats]
     monkeypatch.setattr(groebner, "PAIR_CAP", TWO_LINES_SQUARE_PAIRS)
-    symbolic_power(TWO_LINES, 2)
+    intersect_ideals(*squares)
     monkeypatch.setattr(groebner, "PAIR_CAP", TWO_LINES_SQUARE_PAIRS - 1)
     with pytest.raises(ComputationLimitError):
-        symbolic_power(TWO_LINES, 2)
+        intersect_ideals(*squares)
 
 
 def test_gin_rejects_initial_ideal_that_is_not_borel_fixed(monkeypatch):
@@ -386,10 +384,10 @@ def test_intersection_is_already_the_reduced_basis(config, m):
 
 # the configurations of the acceptance suite, each drawn from its seed
 LADDER = {
-    "two-lines": FlatConfig.generic(3, 1, 2, 3),
+    "two-lines": Config.generic(3, 1, 2, 3),
     "intersecting": INTERSECTING_LINES,
-    "points": PointConfig.generic(2, 2, 3),
-    "point-p3": PointConfig.of(3, [(1, 2, 3, 1)]),
+    "points": Config.generic(2, 0, 2, 3),
+    "point-p3": Config.of(3, [(1, 2, 3, 1)]),
 }
 
 
