@@ -14,6 +14,7 @@ import sys
 import time
 from dataclasses import dataclass, asdict
 from fractions import Fraction
+from functools import reduce
 from math import factorial, lcm
 from pathlib import Path
 
@@ -179,7 +180,7 @@ def cmd_symbolic_power(args):
     moved, back = coordinate_position(config)
     sp = symbolic_power(moved, args.m)
     nvars = sp.ideal.nvars
-    d = lcm(*(x.denominator for row in back for x in row))
+    d = reduce(lcm, [x.denominator for row in back for x in row], 1)
     integral = [[int(x * d) for x in row] for row in back]
     pairs = buchberger(
         [g.terms for g in linear_substitute(sp.ideal.generators, integral)],

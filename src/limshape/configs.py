@@ -36,24 +36,21 @@ class Config:
     points: tuple = ()  # tuples of Fraction, projectively distinct
     flats: tuple = ()  # each flat: tuple of linear-form coefficient tuples
 
-    @classmethod
-    def of(cls, n, points=(), flats=()):
+    def __post_init__(self):
         """Raises DegenerateConfigError for a zero or repeated point,
         dependent forms, or a component that equals or lies in another,
         where it would be redundant."""
+        n, points, flats = self.n, self.points, self.flats
         _check_ambient(n)
-        pts = tuple(tuple(Fraction(c) for c in p) for p in points)
-        for p in pts:
+        for p in points:
             if len(p) != n + 1:
                 raise DegenerateConfigError("point coordinate length != n+1")
             if not any(p):
                 raise DegenerateConfigError("zero coordinate tuple is not a point")
-        for (i, p), (j, q) in combinations(enumerate(pts), 2):
+        for (i, p), (j, q) in combinations(enumerate(points), 2):
             if linalg.rank([list(p), list(q)]) < 2:
                 raise DegenerateConfigError(f"points {i} and {j} coincide projectively")
-        clean = []
         for forms in flats:
-            forms = tuple(tuple(Fraction(c) for c in f) for f in forms)
             if not 1 <= len(forms) <= n:
                 # no form cuts out all of P^n, n+1 independent ones nothing
                 raise DegenerateConfigError(
@@ -64,16 +61,24 @@ class Config:
                     raise DegenerateConfigError("form length != n+1")
             if linalg.rank([list(f) for f in forms]) != len(forms):
                 raise DegenerateConfigError("dependent defining forms for a flat")
-            clean.append(forms)
-        for (i, a), (j, b) in combinations(enumerate(clean), 2):
+        for (i, a), (j, b) in combinations(enumerate(flats), 2):
             if _nested(a, b):
                 raise DegenerateConfigError(
                     f"flats {i} and {j} coincide or one contains the other"
                 )
-        for (i, p), (j, forms) in product(enumerate(pts), enumerate(clean)):
+        for (i, p), (j, forms) in product(enumerate(points), enumerate(flats)):
             if not any(_coordinates(forms, p)):
                 raise DegenerateConfigError(f"point {i} lies on flat {j}")
-        return cls(n, pts, tuple(clean))
+
+    @classmethod
+    def of(cls, n, points=(), flats=()):
+        """The configuration with Fraction coordinates and tuples
+        throughout; constructing it runs the checks."""
+        def coords(v):
+            return tuple(Fraction(c) for c in v)
+
+        points = tuple(coords(p) for p in points)
+        return cls(n, points, tuple(tuple(map(coords, forms)) for forms in flats))
 
     @classmethod
     def generic(cls, n, r, s, seed, bound=GENERIC_COORD_BOUND):

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from . import linalg
+from .linalg import ComputationLimitError
 from .rings import (
     DEGREVLEX,
     DimensionError,
@@ -68,10 +69,6 @@ MIN_ENTRY_BOUND = 10  # least bound on the entries of a gin draw
 # the prime of each gin draw, 2^31 - 1 and the largest prime below it;
 # read at call time
 GIN_PRIMES = (2_147_483_647, 2_147_483_629)
-
-
-class ComputationLimitError(RuntimeError):
-    """The S-pair cap was exhausted before the basis stabilized."""
 
 
 class HilbertSeriesError(RuntimeError):

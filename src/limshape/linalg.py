@@ -1,10 +1,21 @@
-"""Small exact linear algebra over Fraction matrices (dense, desk scale),
-and the readers of the JSON numbers those matrices are built from."""
+"""Small exact linear algebra on integer and rational matrices (dense, desk
+scale), and the readers of the JSON numbers those matrices are built from.
+
+One fraction-free kernel, `echelon`, computes the reduced row-echelon form
+on integers; `row_echelon`, `rank`, `nullspace` and `inverse` are views of
+it, and `det` eliminates fraction-free too, so neither builds a Fraction
+before its answer."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from functools import reduce
+from math import gcd, lcm
+
+
+class ComputationLimitError(RuntimeError):
+    """A resource cap was exhausted: the S-pairs of a Buchberger run or the
+    rays of a double description."""
 
 
 def json_integer(data, key) -> int:
@@ -23,39 +34,67 @@ def json_number(x) -> Fraction:
     return Fraction(x)
 
 
-def _copy(mat):
-    return [[Fraction(x) for x in row] for row in mat]
+def cleared(row):
+    """(d, [x d for x in row]) for the least d > 0 that makes every entry of
+    the rational row an integer; builds no Fraction."""
+    d = reduce(lcm, [x.denominator for x in row], 1)
+    return d, [x.numerator * (d // x.denominator) for x in row]
 
 
-def row_echelon(mat):
-    """Return (echelon form, pivot column list). Destroys nothing."""
-    a = _copy(mat)
+def echelon(mat):
+    """The reduced row-echelon form of mat on integers: (rows, pivots), the
+    nonzero rows and their pivot columns.  Each row is the primitive integer
+    multiple of its reduced row that is positive at its pivot.
+
+    Each input row is cleared of its denominators, then eliminated
+    fraction-free (Bareiss 1968) in Gauss-Jordan form: step k replaces
+    every other row a by (p a - a[c] r) / q, for the pivot p of row r in
+    column c and q the pivot of step k - 1.  The division is exact, since
+    every entry stays a minor of the cleared matrix, and each pivot row
+    ends on the same pivot, the largest pivot minor."""
+    a = [cleared(row)[1] for row in mat]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivots = []
-    r = 0
+    r, prev = 0, 1
     for c in range(cols):
         pivot = next((i for i in range(r, rows) if a[i][c]), None)
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+        top = a[r]
+        p = top[c]
         for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            if i == r:
+                continue
+            f = a[i][c]
+            if f:
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+            elif p != prev:
+                a[i] = [p * x // prev for x in a[i]]
         pivots.append(c)
+        prev = p
         r += 1
         if r == rows:
             break
-    return a, pivots
+    out = []
+    for row, c in zip(a, pivots):
+        g = reduce(gcd, row, 0)
+        if row[c] < 0:
+            g = -g
+        out.append([x // g for x in row])
+    return out, pivots
+
+
+def row_echelon(mat):
+    """(the nonzero rows of the reduced row-echelon form, their pivot
+    columns), in Fractions."""
+    rows, pivots = echelon(mat)
+    return [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)], pivots
 
 
 def rank(mat) -> int:
-    if not mat:
-        return 0
-    return len(row_echelon(mat)[1])
+    return len(echelon(mat)[1])
 
 
 def det(mat):
@@ -68,9 +107,9 @@ def det(mat):
     scale = 1
     a = []
     for row in mat:
-        d = lcm(*(x.denominator for x in row))
+        d, ints = cleared(row)
         scale *= d
-        a.append([x.numerator * (d // x.denominator) for x in row])
+        a.append(ints)
     sign, prev = 1, 1
     for k in range(n - 1):
         if not a[k][k]:
@@ -89,28 +128,40 @@ def det(mat):
 
 
 def inverse(mat):
-    """The inverse of a square matrix, by Gauss-Jordan on [mat | I]."""
+    """The inverse of a square matrix, read off the echelon form of
+    [mat | I]."""
     n = len(mat)
-    ech, pivots = row_echelon(
+    rows, pivots = echelon(
         [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
     )
     if pivots[-1] >= n:  # a pivot in the identity block: mat is singular
         raise ValueError("singular matrix has no inverse")
-    return [row[n:] for row in ech]
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(rows)]
+
+
+def kernel(rows, pivots, cols):
+    """Integer basis of the right kernel of echelon rows with cols columns:
+    one vector per free column f, positive at f and 0 at the other free
+    columns."""
+    scale = reduce(lcm, [row[c] for row, c in zip(rows, pivots)], 1)
+    basis = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        v = [0] * cols
+        v[f] = scale
+        for row, c in zip(rows, pivots):
+            v[c] = -row[f] * (scale // row[c])
+        basis.append(v)
+    return basis
 
 
 def nullspace(mat):
-    """Basis (list of Fraction vectors) of the right kernel of mat."""
+    """Basis (list of Fraction vectors) of the right kernel of mat: one
+    vector per free column, 1 there and 0 at the other free columns."""
     if not mat:
         return []
     cols = len(mat[0])
-    ech, pivots = row_echelon(mat)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -ech[r][f]
-        basis.append(v)
-    return basis
+    rows, pivots = echelon(mat)
+    scale = reduce(lcm, [row[c] for row, c in zip(rows, pivots)], 1)
+    return [[Fraction(x, scale) for x in v] for v in kernel(rows, pivots, cols)]

@@ -1,10 +1,14 @@
 """Exact rational polyhedral geometry at desk scale (dim <= 6).
 
-Polyhedra are conv(vertices) + cone(rays) with Fraction coordinates.  One
-double-description kernel, `_extreme_rays`, finds facets (the rays of the
-dual of the homogenizing cone) and vertices (the rays (x, 1) of the
-homogenized inequalities).  Volumes come from a recursive boundary
-triangulation with a selectable apex.  No floating point anywhere.
+Polyhedra are conv(vertices) + cone(rays).  They hold Fraction
+coordinates, but every computation runs on integer homogeneous rows: a
+point v is (v d, d) and a direction r is (r d, 0), for the least d > 0 that
+clears their denominators.  One double-description kernel, `_extreme_rays`,
+finds facets (the rays of the dual of the homogenizing cone) and vertices
+(the rays (x, 1) of the homogenized inequalities), starting from linalg's
+fraction-free echelon form.  Volumes come from a recursive boundary
+triangulation with a selectable apex, one integer determinant per simplex.
+No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -12,11 +16,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from functools import reduce
+from math import factorial, gcd, prod
 
 from . import linalg
+from .linalg import ComputationLimitError
 
 MAX_DIM = 6
+# rays one double description may hold, read at call time: the benchmark
+# workloads and 5 generic points in P^3 up to m = 4 never hold more than 12
+RAY_CAP = 1_000
 
 
 class UnboundedError(ValueError):
@@ -29,30 +38,43 @@ def _frac_tuple(v):
 
 def _primitive(vec):
     """Scale a rational vector to a primitive integer vector (same sign)."""
-    denom = lcm(*(x.denominator for x in vec))
-    ints = [int(x * denom) for x in vec]
-    g = gcd(*ints) or 1
-    return tuple(v // g for v in ints)
+    return _reduced(linalg.cleared(vec)[1])
+
+
+def _reduced(ints):
+    """An integer vector divided by the gcd of its entries."""
+    g = reduce(gcd, ints, 0)
+    return tuple(ints) if g < 2 else tuple(x // g for x in ints)
+
+
+def _lift(v, s=1):
+    """The point (s = 1) or direction (s = 0) v in integer homogeneous
+    coordinates: (v d, s d) for the least d > 0 that makes v d integral."""
+    d, ints = linalg.cleared(v)
+    ints.append(s * d)
+    return ints
 
 
 def _extreme_rays(rows):
     """Primitive integer extreme rays of the pointed cone {y : r.y >= 0 for
-    all rows r}, by double description (Motzkin et al. 1953; Fukuda-Prodon
-    1996): start from the simplicial cone of d independent rows, then cut
-    by each other row, keeping the rays on its side and joining each
-    adjacent pair across it.  Two rays are adjacent when no third ray is
-    tight on every row both are tight on."""
-    rows = [_primitive(r) for r in rows]
+    all rows r}, for integer rows, by double description (Motzkin et al.
+    1953; Fukuda-Prodon 1996): start from the simplicial cone of d
+    independent rows, then cut by each other row, keeping the rays on its
+    side and joining each adjacent pair across it.  Two rays are adjacent
+    when no third ray is tight on every row both are tight on.  Raises
+    ComputationLimitError once the ray list passes RAY_CAP."""
+    rows = [_reduced(r) for r in rows]
     m, d = len(rows), len(rows[0])
     # echelon form of [rows^T | I]: the pivots pick independent rows B and
-    # the right block becomes (B^-1)^T, whose rows are the starting rays
-    ech, pivots = linalg.row_echelon(
+    # the right block becomes a positive multiple of (B^-1)^T, whose rows
+    # are the starting rays
+    ech, pivots = linalg.echelon(
         [list(c) + [int(i == j) for j in range(d)] for i, c in enumerate(zip(*rows))]
     )
     if pivots[-1] >= m:
         raise ValueError("rows do not span: the cone is not pointed")
     basis = sum(1 << k for k in pivots)
-    rays = [(_primitive(ech[i][m:]), basis ^ 1 << k) for i, k in enumerate(pivots)]
+    rays = [(_reduced(row[m:]), basis ^ 1 << k) for row, k in zip(ech, pivots)]
     for k, row in enumerate(rows):
         if basis >> k & 1:
             continue
@@ -70,8 +92,12 @@ def _extreme_rays(rows):
                 both = tp & tq
                 if any(t & both == both for r, t in rays if r is not p and r is not q):
                     continue
-                ray = _primitive([vp * y - vq * x for x, y in zip(p, q)])
+                ray = _reduced([vp * y - vq * x for x, y in zip(p, q)])
                 cut.append((ray, both | 1 << k))
+                if len(cut) > RAY_CAP:
+                    raise ComputationLimitError(
+                        f"ray cap {RAY_CAP} exhausted ({m} rows in dimension {d})"
+                    )
         rays = cut
     return sorted(ray for ray, _ in rays)
 
@@ -106,41 +132,45 @@ class RationalPolyhedron:
     def facet_inequalities(self):
         """Inequalities a.x >= b describing the polyhedron; cached.
 
-        Computed from the homogenizing cone spanned by (v, 1) and (r, 0):
-        the equations of its linear span, in both signs, and its facets
-        within that span.  A full-dimensional polyhedron has no equations.
-        Each vertex and ray is re-checked against every inequality.
+        Computed from the homogenizing cone spanned by the integer rows
+        (v d, d) and (r d, 0): the equations of its linear span, in both
+        signs, and its facets within that span, both read off one echelon
+        form of those rows.  A full-dimensional polyhedron has no
+        equations.  Each generator g is re-checked as w.g >= 0 against
+        every normal w = (a, -b).
         """
         if self.facets is not None:
             return self.facets
         d = self.dim
-        lifted = [v + (Fraction(1),) for v in self.vertices]
-        lifted += [r + (Fraction(0),) for r in self.rays]
+        lifted = [_lift(v) for v in self.vertices] + [_lift(r, 0) for r in self.rays]
+        ech, pivots = linalg.echelon(lifted)
         normals = set()
-        for w in linalg.nullspace(lifted):
-            w = _primitive(w)
+        for w in linalg.kernel(ech, pivots, d + 1):
+            w = _reduced(w)
             normals |= {w, tuple(-x for x in w)}
         # on its pivot coordinates the span is all of R^k, so the cone is
         # full-dimensional there and a facet normal extends by zeros; at
         # k = 1 (a lone point) the one dual ray is no facet, only 0 >= -1
-        pivots = linalg.row_echelon(lifted)[1]
         projected = [[g[c] for c in pivots] for g in lifted]
         for u in _extreme_rays(projected) if len(pivots) > 1 else ():
             w = dict(zip(pivots, u))
             normals.add(tuple(w.get(c, 0) for c in range(d + 1)))
-        ineqs = tuple(sorted(
-            (tuple(Fraction(x) for x in w[:d]), -Fraction(w[d])) for w in normals
-        ))
-        if any(_dot(a, v) < b for v in self.vertices for a, b in ineqs) or any(
-            _dot(a, r) < 0 for r in self.rays for a, _ in ineqs
-        ):
+        if any(_dot(w, g) < 0 for w in normals for g in lifted):
             raise RuntimeError("generator violates computed facet")
+        ineqs = tuple(
+            (tuple(Fraction(x) for x in a), Fraction(b))
+            for a, b in sorted((w[:d], -w[d]) for w in normals)
+        )
         object.__setattr__(self, "facets", ineqs)
         return ineqs
 
     def contains_point(self, p) -> bool:
-        p = _frac_tuple(p)
-        return all(_dot(a, p) >= b for a, b in self.facet_inequalities())
+        # each facet has an integer normal, so the test is on integers
+        q = _lift(_frac_tuple(p))
+        return all(
+            _dot([x.numerator for x in a], q) >= b.numerator * q[-1]
+            for a, b in self.facet_inequalities()
+        )
 
     def canonical(self):
         """Same polyhedron with redundant generator points dropped."""
@@ -199,7 +229,7 @@ def _vertex_enumerate(ineqs, dim):
     """Vertices of {x : a.x >= b for all (a, b)}: the extreme rays (x, 1) of
     the cone {(x, s) : a.x >= b s, s >= 0}.  Rays with s = 0 are directions
     of recession, not vertices."""
-    rows = [tuple(a) + (-b,) for a, b in ineqs] + [(0,) * dim + (1,)]
+    rows = [_primitive(tuple(a) + (-b,)) for a, b in ineqs] + [(0,) * dim + (1,)]
     return [tuple(Fraction(x, r[dim]) for x in r[:dim])
             for r in _extreme_rays(rows) if r[dim]]
 
@@ -226,36 +256,25 @@ def clip_to_simplex(poly: RationalPolyhedron, t):
     return RationalPolyhedron.of(poly.dim, verts) if verts else None
 
 
-def affine_rank(points):
-    pts = [list(p) for p in points]
-    if len(pts) <= 1:
-        return 0
-    base = pts[0]
-    return linalg.rank([[x - y for x, y in zip(p, base)] for p in pts[1:]])
-
-
-def _triangulate(points, dim, apex_last=False):
-    """Simplices (vertex tuples) covering the full-dimensional polytope
-    conv(points) in R^dim; apex taken from the canonical vertex order."""
-    points = sorted(set(points))
-    if dim == 0:
-        return [tuple(points)]
-    if dim == 1:
-        return [(points[0], points[-1])]
-    if len(points) == dim + 1:
-        return [tuple(points)]
-    apex = points[-1] if apex_last else points[0]
-    lifted = [p + (Fraction(1),) for p in points]
+def _triangulate(rows, dim, apex_last=False):
+    """Simplices covering the full-dimensional polytope in R^dim whose
+    points have the integer homogeneous rows `rows`, each simplex as a tuple
+    of positions in rows.  The apex is the first row (the last with
+    apex_last) and is joined to each facet it misses; a facet is
+    triangulated in the coordinates left after dropping one its normal
+    uses, which maps it one-to-one onto its projection."""
+    if len(rows) == dim + 1:
+        return [tuple(range(dim + 1))]
+    apex = len(rows) - 1 if apex_last else 0
     simplices = []
-    for w in _extreme_rays(lifted):
-        a, b = w[:dim], -Fraction(w[dim])
-        if _dot(a, apex) == b:
+    for w in _extreme_rays(rows):
+        if not _dot(w, rows[apex]):
             continue
-        on_facet = [p for p in points if _dot(a, p) == b]
-        j = next(i for i, c in enumerate(a) if c)
-        proj = {p[:j] + p[j + 1 :]: p for p in on_facet}
-        for sub in _triangulate(list(proj), dim - 1, apex_last):
-            simplices.append((apex,) + tuple(proj[q] for q in sub))
+        face = [i for i, q in enumerate(rows) if not _dot(w, q)]
+        j = next(i for i, c in enumerate(w) if c)
+        projected = [rows[i][:j] + rows[i][j + 1 :] for i in face]
+        for sub in _triangulate(projected, dim - 1, apex_last):
+            simplices.append((apex,) + tuple(face[i] for i in sub))
     return simplices
 
 
@@ -264,19 +283,19 @@ def volume(poly: RationalPolyhedron, apex_last=False) -> Fraction:
 
     Lower-dimensional polytopes have volume 0.  apex_last switches the
     triangulation apex, giving an independent decomposition of the same
-    region for cross-checks.
+    region for cross-checks.  A simplex with vertex rows (v d, d) has
+    volume |det| / (dim! prod d).
     """
     if not poly.is_bounded():
         raise UnboundedError("volume of an unbounded polyhedron")
     dim = poly.dim
-    points = poly.vertices
-    if affine_rank(points) < dim:
+    rows = [_lift(v) for v in poly.vertices]
+    if linalg.rank(rows) <= dim:
         return Fraction(0)
     total = Fraction(0)
-    for simplex in _triangulate(points, dim, apex_last):
-        apex = simplex[0]
-        mat = [[x - y for x, y in zip(v, apex)] for v in simplex[1:]]
-        total += abs(linalg.det(mat))
+    for simplex in _triangulate(rows, dim, apex_last):
+        mat = [rows[i] for i in simplex]
+        total += Fraction(abs(linalg.det(mat)), prod(q[dim] for q in mat))
     return total / factorial(dim)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 from operator import add, le, sub
 
@@ -310,7 +311,7 @@ def cleared_substitute(polys, matrix):
 
     sums = []
     for p in polys:
-        scale = lcm(*(c.denominator for c in p.terms.values()))
+        scale = reduce(lcm, [c.denominator for c in p.terms.values()], 1)
         acc = {}
         for alpha, c in p.terms.items():
             c = c.numerator * (scale // c.denominator)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from limshape import asymptotics, cli, groebner
+from limshape import asymptotics, cli, groebner, polyhedra
 from limshape.configs import (
     config_from_json,
     config_to_dict,
@@ -460,6 +460,31 @@ def test_pair_cap_maps_to_exit_4(config_path, tmp_path, capsys, monkeypatch):
         capsys,
     )
     assert code == cli.EXIT_RESOURCE
+
+
+def test_ray_cap_maps_to_exit_4(config_path, tmp_path, capsys, monkeypatch):
+    # the real cap, not a faked exception: the double description of every
+    # Newton polyhedron and of a square's volume holds more than one ray
+    monkeypatch.setattr(polyhedra, "RAY_CAP", 1)
+    report = ["report", "--config", config_path, "--m-max", "2", "--t", "2"]
+    rows = []
+    for jobs in ("1", "2"):
+        code, out, _ = run(report + ["--jobs", jobs], capsys)
+        assert code == cli.EXIT_OK
+        rows.append([r["error"] for r in json.loads(out)["rows"]])
+    assert rows[0] == rows[1]
+    assert all(e.startswith("ComputationLimitError: ray cap 1 ") for e in rows[0])
+    code, _, _ = run(
+        ["limiting-shape", "--config", config_path, "--m-max", "2", "--t", "2",
+         "--out", str(tmp_path / "out")],
+        capsys,
+    )
+    assert code == cli.EXIT_RESOURCE
+    square = tmp_path / "square.json"
+    square.write_text('{"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]]}')
+    code, _, err = run(["volume", "--poly", str(square)], capsys)
+    assert code == cli.EXIT_RESOURCE
+    assert "resource failure: ray cap 1 " in err
 
 
 def test_unlucky_prime_maps_to_exit_3(config_path, capsys, monkeypatch):

@@ -139,6 +139,36 @@ def test_config_rejects_point_on_flat():
         ]})
 
 
+DEGENERATE_CONFIGS = [
+    (3, [(1, 0, 0, 0)], [[(0, 1, 0, 0), (0, 0, 1, 0)]], "point 0 lies on flat 0"),
+    (2, [(1, 0, 0), (2, 0, 0)], [], "points 0 and 1 coincide"),
+    (2, [(0, 0, 0)], [], "zero coordinate tuple"),
+    (2, [(1, 0)], [], "point coordinate length"),
+    (3, [], [[(1, 0, 0, 0), (2, 0, 0, 0)]], "dependent defining forms"),
+    (3, [], [[(1, 0, 0, 0)], [(1, 0, 0, 0), (0, 1, 0, 0)]], "flats 0 and 1"),
+    (3, [], [[]], "needs 1 to 3 forms"),
+    (3, [], [[(1, 0, 0)]], "form length"),
+    (0, [(1,)], [], "n >= 1"),
+    # a zero point comes before a point on a flat, and a repeat before both
+    (3, [(1, 0, 0, 0), (0, 0, 0, 0)], [[(0, 1, 0, 0)]], "zero coordinate"),
+    (3, [(1, 0, 0, 0), (2, 0, 0, 0)], [[(0, 1, 0, 0)]], "points 0 and 1"),
+]
+
+
+@pytest.mark.parametrize("n, points, flats, message", DEGENERATE_CONFIGS)
+def test_config_built_directly_runs_the_checks(n, points, flats, message):
+    # a Config made without Config.of is refused with Config.of's message,
+    # not passed on to fail later as a configuration with no closed form
+    with pytest.raises(DegenerateConfigError) as normalized:
+        Config.of(n, points, flats)
+    points = tuple(map(tuple, points))
+    flats = tuple(tuple(map(tuple, forms)) for forms in flats)
+    with pytest.raises(DegenerateConfigError) as direct:
+        Config(n, points, flats)
+    assert str(direct.value) == str(normalized.value)
+    assert message in str(direct.value)
+
+
 def test_union_rejects_repeated_and_nested_components():
     pt = (1, 2, 3, 4)
     with pytest.raises(DegenerateConfigError, match="points 0 and 1 coincide"):

@@ -2,7 +2,9 @@
 nonzero minor for rank, on integer and rational matrices up to 5x5."""
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,27 @@ def test_row_echelon_is_reduced_and_spans_the_rows(a):
         combo = [sum(row[c] * ech[k][j] for k, c in enumerate(pivots))
                  for j in range(len(row))]
         assert combo == row
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_echelon_rows_are_primitive_multiples_of_the_reduced_rows(a):
+    rows, pivots = linalg.echelon(a)
+    assert len(rows) == len(pivots) == minor_rank(a)
+    for k, (row, c) in enumerate(zip(rows, pivots)):
+        assert all(type(x) is int for x in row)
+        assert row[c] > 0
+        assert reduce(gcd, row, 0) == 1
+        assert all(not other[c] for i, other in enumerate(rows) if i != k)
+    # each input row is the combination of the rows whose weights are its
+    # entries in the pivot columns over the rows' pivots
+    for row in a:
+        combo = [sum(Fraction(row[c], r[c]) * r[j] for r, c in zip(rows, pivots))
+                 for j in range(len(row))]
+        assert combo == row
+    ech, same = linalg.row_echelon(a)
+    assert same == pivots
+    assert ech == [[Fraction(x, r[c]) for x in r] for r, c in zip(rows, pivots)]
 
 
 @settings(max_examples=200, deadline=None)

@@ -9,6 +9,7 @@ from limshape.polyhedra import (
     RationalPolyhedron,
     UnboundedError,
     _extreme_rays,
+    _primitive,
     clip_to_simplex,
     clipped_volume,
     convex_union_approximant,
@@ -187,6 +188,27 @@ def test_extreme_rays_need_spanning_rows():
     with pytest.raises(ValueError, match="do not span"):
         _extreme_rays([(1, 0, 0), (0, 1, 0), (0, -1, 0)])
     assert _extreme_rays([(1, 0), (0, 1), (1, 1)]) == [(0, 1), (1, 0)]
+
+
+def test_extreme_rays_builds_no_fraction(monkeypatch):
+    # the echelon form that starts the double description and every cut
+    # run on ints, here on the clip of a Newton polyhedron at a fractional t
+    delta = newton_polyhedron(MonomialStaircase.from_generators(3, QUAD))
+    t = Fraction(5, 2)
+    ineqs = list(delta.facet_inequalities()) + simplex_inequalities(3, t)
+    rows = [_primitive(a + (-b,)) for a, b in ineqs] + [(0, 0, 0, 1)]
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    rays = _extreme_rays(rows)
+    monkeypatch.undo()
+    assert built == []
+    assert len([r for r in rays if r[3]]) == len(clip_to_simplex(delta, t).vertices)
 
 
 def test_minimal_vertices_drop_redundant_points():
