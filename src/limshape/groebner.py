@@ -292,17 +292,11 @@ def buchberger(gens, order: MonomialOrder = DEGREVLEX, target=None, p=0):
         raise HilbertSeriesError(
             f"the leads have K-polynomial {leads}, the target is {target}"
         )
-    # minimalize: of equal leads the first is kept
-    keep = [
-        (li, fi)
-        for i, (li, fi) in enumerate(basis)
-        if not any(
-            j != i and divides(lj, li) and (lj != li or j < i)
-            for j, (lj, _) in enumerate(basis)
-        )
-    ]
-    keep.sort(key=lambda pair: key(pair[0]))
-    return keep
+    # of equal leads the first is kept
+    first = {}
+    for lead, f in basis:
+        first.setdefault(lead, f)
+    return [(lead, first[lead]) for lead in sorted(minimalize(first), key=key)]
 
 
 def reduce_tails(pairs, order: MonomialOrder):

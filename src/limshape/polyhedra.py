@@ -6,7 +6,10 @@ point v is (v d, d) and a direction r is (r d, 0), for the least d > 0 that
 clears their denominators.  One double-description kernel, `_extreme_rays`,
 finds facets (the rays of the dual of the homogenizing cone) and vertices
 (the rays (x, 1) of the homogenized inequalities), starting from linalg's
-fraction-free echelon form.  Volumes come from a recursive boundary
+fraction-free echelon form.  Its primitive integer facet normals w, each
+the inequality w.(x, 1) >= 0, are the only H-representation: containment,
+clipping and vertex enumeration use them as they are, and the text
+a.x >= b is written only for JSON.  Volumes come from a recursive boundary
 triangulation with a selectable apex, one integer determinant per simplex.
 No floating point anywhere.
 """
@@ -30,15 +33,6 @@ RAY_CAP = 1_000
 
 class UnboundedError(ValueError):
     """Volume of an unbounded polyhedron was requested."""
-
-
-def _frac_tuple(v):
-    return tuple(Fraction(x) for x in v)
-
-
-def _primitive(vec):
-    """Scale a rational vector to a primitive integer vector (same sign)."""
-    return _reduced(linalg.cleared(vec)[1])
 
 
 def _reduced(ints):
@@ -107,14 +101,14 @@ class RationalPolyhedron:
     dim: int
     vertices: tuple  # tuples of Fraction
     rays: tuple = ()
-    facets: tuple = field(default=None, compare=False)  # ((normal, rhs), ...) a.x >= b
+    facets: tuple = field(default=None, compare=False)  # normals w: w.(x, 1) >= 0
 
     @classmethod
     def of(cls, dim, vertices, rays=()):
         if dim > MAX_DIM:
             raise ValueError(f"dimension {dim} beyond supported {MAX_DIM}")
-        vs = tuple(sorted({_frac_tuple(v) for v in vertices}))
-        rs = tuple(sorted({_frac_tuple(r) for r in rays}))
+        vs = tuple(sorted({tuple(map(Fraction, v)) for v in vertices}))
+        rs = tuple(sorted({tuple(map(Fraction, r)) for r in rays}))
         for p in vs + rs:
             if len(p) != dim:
                 raise ValueError("coordinate length != dim")
@@ -130,14 +124,16 @@ class RationalPolyhedron:
     # -- H-representation --------------------------------------------------
 
     def facet_inequalities(self):
-        """Inequalities a.x >= b describing the polyhedron; cached.
+        """Primitive integer normals w = (a, -b) describing the polyhedron,
+        each the inequality w.(x, 1) >= 0, that is a.x >= b, sorted by
+        (a, b); cached.
 
         Computed from the homogenizing cone spanned by the integer rows
         (v d, d) and (r d, 0): the equations of its linear span, in both
         signs, and its facets within that span, both read off one echelon
         form of those rows.  A full-dimensional polyhedron has no
         equations.  Each generator g is re-checked as w.g >= 0 against
-        every normal w = (a, -b).
+        every normal w.
         """
         if self.facets is not None:
             return self.facets
@@ -157,20 +153,13 @@ class RationalPolyhedron:
             normals.add(tuple(w.get(c, 0) for c in range(d + 1)))
         if any(_dot(w, g) < 0 for w in normals for g in lifted):
             raise RuntimeError("generator violates computed facet")
-        ineqs = tuple(
-            (tuple(Fraction(x) for x in a), Fraction(b))
-            for a, b in sorted((w[:d], -w[d]) for w in normals)
-        )
-        object.__setattr__(self, "facets", ineqs)
-        return ineqs
+        facets = tuple(sorted(normals, key=lambda w: (w[:d], -w[d])))
+        object.__setattr__(self, "facets", facets)
+        return facets
 
     def contains_point(self, p) -> bool:
-        # each facet has an integer normal, so the test is on integers
-        q = _lift(_frac_tuple(p))
-        return all(
-            _dot([x.numerator for x in a], q) >= b.numerator * q[-1]
-            for a, b in self.facet_inequalities()
-        )
+        q = _lift(p)
+        return all(_dot(w, q) >= 0 for w in self.facet_inequalities())
 
     def canonical(self):
         """Same polyhedron with redundant generator points dropped."""
@@ -225,24 +214,22 @@ def convex_union_approximant(polys) -> RationalPolyhedron:
 # -- clipping and volume ---------------------------------------------------
 
 
-def _vertex_enumerate(ineqs, dim):
-    """Vertices of {x : a.x >= b for all (a, b)}: the extreme rays (x, 1) of
-    the cone {(x, s) : a.x >= b s, s >= 0}.  Rays with s = 0 are directions
-    of recession, not vertices."""
-    rows = [_primitive(tuple(a) + (-b,)) for a, b in ineqs] + [(0,) * dim + (1,)]
+def _vertex_enumerate(normals, dim):
+    """Vertices of {x : w.(x, 1) >= 0 for all normals w}: the extreme rays
+    (x, 1) of the cone {(x, s) : w.(x, s) >= 0, s >= 0}.  Rays with s = 0
+    are directions of recession, not vertices."""
+    rows = list(normals) + [(0,) * dim + (1,)]
     return [tuple(Fraction(x, r[dim]) for x in r[:dim])
             for r in _extreme_rays(rows) if r[dim]]
 
 
 def simplex_inequalities(dim, t):
-    """x_i >= 0 and sum x_i <= t."""
+    """The normals of x_i >= 0 and sum x_i <= t: (e_i, 0) and, for
+    t = p/q, (-q, ..., -q, p)."""
     t = Fraction(t)
-    ineqs = [
-        (tuple(Fraction(i == j) for j in range(dim)), Fraction(0))
-        for i in range(dim)
-    ]
-    ineqs.append((tuple(Fraction(-1) for _ in range(dim)), -t))
-    return ineqs
+    normals = [tuple(int(i == j) for j in range(dim + 1)) for i in range(dim)]
+    normals.append((-t.denominator,) * dim + (t.numerator,))
+    return normals
 
 
 def clip_to_simplex(poly: RationalPolyhedron, t):
@@ -251,8 +238,8 @@ def clip_to_simplex(poly: RationalPolyhedron, t):
     t = Fraction(t)
     if t < 0:
         raise ValueError("t must be >= 0")
-    ineqs = list(poly.facet_inequalities()) + simplex_inequalities(poly.dim, t)
-    verts = _vertex_enumerate(ineqs, poly.dim)
+    normals = list(poly.facet_inequalities()) + simplex_inequalities(poly.dim, t)
+    verts = _vertex_enumerate(normals, poly.dim)
     return RationalPolyhedron.of(poly.dim, verts) if verts else None
 
 
@@ -320,9 +307,9 @@ def gamma_region(delta: RationalPolyhedron, t):
         "dim": n,
         "t": str(t),
         "simplex": [
-            {"coeffs": [str(c) for c in a], "rhs": str(b)}
-            for a, b in simplex_inequalities(n, t)
-        ],
+            {"coeffs": [str(int(i == j)) for j in range(n)], "rhs": "0"}
+            for i in range(n)
+        ] + [{"coeffs": ["-1"] * n, "rhs": str(-t)}],
         "excluded": None if clipped is None else polyhedron_to_dict(clipped),
     }
     return vol, description
@@ -338,8 +325,9 @@ def polyhedron_to_dict(poly: RationalPolyhedron):
         "rays": [[str(x) for x in r] for r in poly.rays],
     }
     if poly.facets is not None:
+        d = poly.dim
         data["facets"] = [
-            {"coeffs": [str(c) for c in a], "rhs": str(b)} for a, b in poly.facets
+            {"coeffs": [str(c) for c in w[:d]], "rhs": str(-w[d])} for w in poly.facets
         ]
     return data
 

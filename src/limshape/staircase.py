@@ -19,15 +19,15 @@ from .rings import divides, degree
 
 
 def minimalize(gens):
-    """Antichain of componentwise-minimal elements, canonically sorted."""
-    gens = sorted(set(tuple(g) for g in gens))
+    """Antichain of componentwise-minimal elements, canonically sorted.
+
+    In the sorted distinct list a proper divisor comes before each of its
+    multiples, so one pass keeps exactly the elements no kept one divides."""
     keep = []
-    for g in gens:
-        if any(divides(h, g) for h in keep if h != g):
-            continue
-        keep = [h for h in keep if not (divides(g, h) and g != h)]
-        keep.append(g)
-    return tuple(sorted(keep))
+    for g in sorted(set(map(tuple, gens))):
+        if not any(divides(h, g) for h in keep):
+            keep.append(g)
+    return tuple(keep)
 
 
 def simplex_count(bound: int, n: int) -> int:
@@ -48,7 +48,14 @@ def k_polynomial(gens) -> dict:
     occurs in the most generators, down to pairwise-coprime generators,
     where N = prod (1 - t^deg g).
     """
-    gens = minimalize(gens)
+    return _k_minimal(minimalize(gens))
+
+
+def _k_minimal(gens) -> dict:
+    """k_polynomial of a sorted antichain gens.  Then the generators of
+    I + x_i, those without x_i and x_i itself, are one too; only those of
+    I : x_i are minimalized.  Each list stays sorted, which fixes the order
+    of the keys."""
     n = len(gens[0]) if gens else 0
     occurs = [sum(1 for g in gens if g[i]) for i in range(n)]
     if max(occurs, default=0) < 2:
@@ -62,10 +69,10 @@ def k_polynomial(gens) -> dict:
         return poly
     i = occurs.index(max(occurs))
     x_i = tuple(int(j == i) for j in range(n))
-    poly = k_polynomial([g for g in gens if not g[i]] + [x_i])
-    for e, c in k_polynomial(
-        [g[:i] + (max(g[i] - 1, 0),) + g[i + 1:] for g in gens]
-    ).items():
+    poly = _k_minimal(sorted([g for g in gens if not g[i]] + [x_i]))
+    for e, c in _k_minimal(minimalize(
+        g[:i] + (max(g[i] - 1, 0),) + g[i + 1:] for g in gens
+    )).items():
         poly[e + 1] = poly.get(e + 1, 0) + c
     return {e: c for e, c in poly.items() if c}
 

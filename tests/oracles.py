@@ -22,7 +22,7 @@ from math import comb, factorial
 
 from limshape import linalg
 from limshape.configs import Config
-from limshape.polyhedra import _dot, _primitive
+from limshape.polyhedra import _dot, _reduced
 from limshape.groebner import (
     Ideal,
     _reduce_terms,
@@ -330,6 +330,11 @@ def ahp_by_differences(hp, n, t):
 # -- polyhedra ---------------------------------------------------------------
 
 
+def _primitive(vec):
+    """Scale a rational vector to a primitive integer vector (same sign)."""
+    return _reduced(linalg.cleared(vec)[1])
+
+
 def hyperplanes_by_subsets(generators, dim):
     """Facet normals of the cone spanned by `generators` in R^dim: primitive
     w with w.g >= 0 for all g and equality on a rank-(dim-1) subset.
@@ -362,9 +367,10 @@ def solve(mat, rhs):
     return [ech[i][n] for i in range(n)]
 
 
-def vertex_enumerate_by_subsets(ineqs, dim):
-    """Vertices of {x : a.x >= b for all (a, b)}; assumes boundedness."""
-    ineqs = sorted(set(ineqs))
+def vertex_enumerate_by_subsets(normals, dim):
+    """Vertices of {x : w.(x, 1) >= 0 for all normals w}; assumes
+    boundedness."""
+    ineqs = sorted({(w[:dim], -w[dim]) for w in normals})
     verts = set()
     for sub in combinations(range(len(ineqs)), dim):
         mat = [list(ineqs[i][0]) for i in sub]
@@ -395,9 +401,7 @@ def facets_by_subsets(poly):
         for c, x in zip(pivots, u):
             w[c] = x
         normals.add(tuple(w))
-    return tuple(sorted(
-        (tuple(Fraction(x) for x in w[:d]), -Fraction(w[d])) for w in normals
-    ))
+    return tuple(sorted(normals, key=lambda w: (w[:d], -w[d])))
 
 
 def volume_by_pyramids(points, dim):

@@ -432,6 +432,16 @@ def test_target_saves_reductions(monkeypatch):
     assert calls[0] < full_calls
 
 
+def test_buchberger_keeps_the_first_of_equal_leads():
+    # two inputs share the lead x1^2: the pair of the one given first stays
+    # in the minimal basis, whichever order they come in
+    f, g = P("x1^2 + x2^2", 2).terms, P("x1^2 + x1*x2", 2).terms
+    for first, second in ((f, g), (g, f)):
+        pairs = groebner.buchberger([first, second])
+        assert [lead for lead, _ in pairs] == [(1, 1), (2, 0), (0, 3)]
+        assert pairs[1] == ((2, 0), first)
+
+
 def test_wrong_target_raises_naming_both_numerators():
     gens = [P("x1^2 - x2*x3", 3).terms, P("x1*x2", 3).terms]
     right = k_polynomial(lead for lead, _ in groebner.buchberger(gens))

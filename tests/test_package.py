@@ -34,6 +34,23 @@ def test_no_float_literals():
     assert found == []
 
 
+def test_no_memo_caches():
+    # speed comes from the algorithms, not from memos: the benchmark reuses
+    # its staircases across passes, so a cache kept on them would time the
+    # cache instead of the kernel, e.g. the four K-polynomials of each
+    # ideal in the staircase sweep
+    banned = {"cache", "lru_cache", "cached_property"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Attribute) and node.attr in banned)
+        or (isinstance(node, ast.Name) and node.id in banned)
+        or (isinstance(node, ast.alias) and node.name in banned)
+    ]
+    assert found == []
+
+
 def test_no_starred_generator_arguments():
     # f(*(x for x in row)) builds its argument tuple at a guessed size and
     # shrinks it, so CPython 3.11 parks one tuple per call on a per-size

@@ -9,7 +9,6 @@ from limshape.polyhedra import (
     RationalPolyhedron,
     UnboundedError,
     _extreme_rays,
-    _primitive,
     clip_to_simplex,
     clipped_volume,
     convex_union_approximant,
@@ -95,13 +94,9 @@ def test_volume_unbounded_raises():
 
 def test_facets_of_square():
     sq = cube(2)
+    # x >= 0, y >= 0, -x >= -1 and -y >= -1 as normals w: w.(x, y, 1) >= 0
     facets = set(sq.facet_inequalities())
-    assert facets == {
-        ((Fraction(1), Fraction(0)), Fraction(0)),
-        ((Fraction(0), Fraction(1)), Fraction(0)),
-        ((Fraction(-1), Fraction(0)), Fraction(-1)),
-        ((Fraction(0), Fraction(-1)), Fraction(-1)),
-    }
+    assert facets == {(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)}
     assert sq.contains_point((Fraction(1, 2), Fraction(1, 2)))
     assert not sq.contains_point((2, 0))
 
@@ -190,13 +185,9 @@ def test_extreme_rays_need_spanning_rows():
     assert _extreme_rays([(1, 0), (0, 1), (1, 1)]) == [(0, 1), (1, 0)]
 
 
-def test_extreme_rays_builds_no_fraction(monkeypatch):
-    # the echelon form that starts the double description and every cut
-    # run on ints, here on the clip of a Newton polyhedron at a fractional t
-    delta = newton_polyhedron(MonomialStaircase.from_generators(3, QUAD))
-    t = Fraction(5, 2)
-    ineqs = list(delta.facet_inequalities()) + simplex_inequalities(3, t)
-    rows = [_primitive(a + (-b,)) for a, b in ineqs] + [(0, 0, 0, 1)]
+def count_fractions(monkeypatch):
+    """A list that collects the arguments of every Fraction built until
+    monkeypatch.undo()."""
     built = []
     new = Fraction.__new__
 
@@ -205,10 +196,37 @@ def test_extreme_rays_builds_no_fraction(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    return built
+
+
+def test_extreme_rays_builds_no_fraction(monkeypatch):
+    # the echelon form that starts the double description and every cut
+    # run on ints, here on the clip of a Newton polyhedron at a fractional t
+    delta = newton_polyhedron(MonomialStaircase.from_generators(3, QUAD))
+    t = Fraction(5, 2)
+    rows = [*delta.facet_inequalities(), *simplex_inequalities(3, t), (0, 0, 0, 1)]
+    built = count_fractions(monkeypatch)
     rays = _extreme_rays(rows)
     monkeypatch.undo()
     assert built == []
     assert len([r for r in rays if r[3]]) == len(clip_to_simplex(delta, t).vertices)
+
+
+def test_facets_and_containment_build_no_fraction(monkeypatch):
+    # the normals come out of the double description as ints, and a point
+    # is tested on its cleared integer row
+    hull = RationalPolyhedron.of(
+        3, [(0, 0, 0), (2, 0, 0), (0, Fraction(3, 2), 0), (0, 0, Fraction(1, 3))]
+    )
+    inside = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 12))
+    outside = (1, 1, 0)
+    built = count_fractions(monkeypatch)
+    facets = hull.facet_inequalities()
+    verdicts = (hull.contains_point(inside), hull.contains_point(outside))
+    monkeypatch.undo()
+    assert built == []
+    assert all(type(x) is int for w in facets for x in w)
+    assert verdicts == (True, False)
 
 
 def test_minimal_vertices_drop_redundant_points():

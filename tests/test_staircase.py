@@ -62,6 +62,24 @@ def test_minimalize():
     assert minimalize([]) == ()
 
 
+def minimal_by_definition(gens):
+    """The distinct gens that no other of them divides, sorted."""
+    gens = set(map(tuple, gens))
+    return tuple(sorted(
+        g for g in gens if not any(divides(h, g) for h in gens if h != g)
+    ))
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(0, 3)] * n) | st.just((0,) * n), max_size=12
+)))
+@example([(1, 2), (1, 2), (0, 0), (2, 1), (0, 0)])
+@settings(max_examples=200, deadline=None)
+def test_minimalize_matches_definition(gens):
+    # repeats and the zero vector, which divides everything, included
+    assert minimalize(gens) == minimal_by_definition(gens)
+
+
 def test_simplex_count():
     assert simplex_count(3, 2) == 10
     assert simplex_count(0, 3) == 1
