@@ -3,7 +3,7 @@ symbolic powers of point/flat configurations in projective space."""
 
 __version__ = "0.1.0"
 
-from .rings import Polynomial, MonomialOrder, DEGREVLEX
+from .rings import Polynomial, DEGREVLEX
 from .groebner import (
     Ideal,
     GinResult,

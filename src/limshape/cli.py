@@ -152,12 +152,38 @@ def _emit_text(text, args, name):
 # -- subcommands -----------------------------------------------------------
 
 
-def cmd_gin(args):
+def _gin_run(args):
+    """The manifest and the gin of I^(m) for `gin` and `staircase`."""
     config, digest = _load_config(args.config)
     manifest = RunManifest(
-        "gin", __version__, args.config, digest, args.seed, args.entry_bound, args.m
+        args.command, __version__, args.config, digest, args.seed,
+        args.entry_bound, args.m,
     )
-    result = gin_of_symbolic_power(config, args.m, args.seed, args.entry_bound)
+    return manifest, gin_of_symbolic_power(config, args.m, args.seed, args.entry_bound)
+
+
+def _estimate_run(args):
+    """The manifest and the ahf_estimate rows m = 1..m_max for `report` and
+    `limiting-shape`."""
+    config, digest = _load_config(args.config)
+    manifest = RunManifest(
+        args.command, __version__, args.config, digest, args.seed,
+        args.entry_bound, m_max=args.m_max, t=str(args.t),
+    )
+    report = ahf_estimate(
+        config,
+        args.t,
+        list(range(1, args.m_max + 1)),
+        seed=args.seed,
+        entry_bound=args.entry_bound,
+        family=args.command,
+        jobs=args.jobs,
+    )
+    return manifest, report
+
+
+def cmd_gin(args):
+    manifest, result = _gin_run(args)
     payload = {
         "manifest": manifest.as_dict(),
         "staircase": json.loads(result.staircase.to_json()),
@@ -198,12 +224,7 @@ def cmd_symbolic_power(args):
 
 
 def cmd_staircase(args):
-    config, digest = _load_config(args.config)
-    manifest = RunManifest(
-        "staircase", __version__, args.config, digest, args.seed,
-        args.entry_bound, args.m,
-    )
-    result = gin_of_symbolic_power(config, args.m, args.seed, args.entry_bound)
+    manifest, result = _gin_run(args)
     payload = {
         "manifest": manifest.as_dict(),
         **json.loads(result.staircase.to_json()),
@@ -213,20 +234,7 @@ def cmd_staircase(args):
 
 
 def cmd_limiting_shape(args):
-    config, digest = _load_config(args.config)
-    manifest = RunManifest(
-        "limiting-shape", __version__, args.config, digest, args.seed,
-        args.entry_bound, m_max=args.m_max, t=str(args.t),
-    )
-    report = ahf_estimate(
-        config,
-        args.t,
-        list(range(1, args.m_max + 1)),
-        seed=args.seed,
-        entry_bound=args.entry_bound,
-        family="limiting-shape",
-        jobs=args.jobs,
-    )
+    manifest, report = _estimate_run(args)
     if all(r.error for r in report.rows):
         first = report.rows[0].error
         raise CliError(
@@ -293,20 +301,7 @@ def cmd_volume(args):
 
 
 def cmd_report(args):
-    config, digest = _load_config(args.config)
-    manifest = RunManifest(
-        "report", __version__, args.config, digest, args.seed, args.entry_bound,
-        m_max=args.m_max, t=str(args.t),
-    )
-    report = ahf_estimate(
-        config,
-        args.t,
-        list(range(1, args.m_max + 1)),
-        seed=args.seed,
-        entry_bound=args.entry_bound,
-        family="report",
-        jobs=args.jobs,
-    )
+    manifest, report = _estimate_run(args)
     if args.format == "csv":
         _emit_text(report.to_csv(), args, "report.csv")
     else:

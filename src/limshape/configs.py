@@ -183,7 +183,7 @@ def symbolic_power(config: Config, m: int) -> SymbolicPower:
         Ideal.of(Polynomial.linear_form(f) for f in forms).power(m)
         for forms in config.forms
     ))
-    leads = minimalize(max(g.terms, key=DEGREVLEX.key) for g in ideal.generators)
+    leads = minimalize(max(g.terms, key=DEGREVLEX) for g in ideal.generators)
     return SymbolicPower(m, ideal, leads)
 
 

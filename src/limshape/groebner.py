@@ -45,11 +45,11 @@ from .linalg import ComputationLimitError
 from .rings import (
     DEGREVLEX,
     DimensionError,
-    MonomialOrder,
     Polynomial,
     cleared_substitute,
     degree,
     divides,
+    elimination_order,
     exp_div,
     exp_lcm,
     mul_exp,
@@ -141,11 +141,10 @@ def _reduce_terms(terms, reducers, order, p=0, masks=None):
     that do not divide.  The remainder's terms are inserted in decreasing
     order, so its first key is its leading monomial.
     """
-    key = order.key
     if masks is None:
         masks = [divisibility_mask(lead) for lead, _ in reducers]
     work = dict(terms)
-    heap = [(tuple([-x for x in key(a)]), a) for a in work]
+    heap = [(tuple([-x for x in order(a)]), a) for a in work]
     heapq.heapify(heap)
     remainder = {}
     while heap:
@@ -169,7 +168,7 @@ def _reduce_terms(terms, reducers, order, p=0, masks=None):
                 if s:
                     work[ab] = s
                     if old is None:
-                        heapq.heappush(heap, (tuple([-x for x in key(ab)]), ab))
+                        heapq.heappush(heap, (tuple([-x for x in order(ab)]), ab))
                 else:
                     work.pop(ab, None)
             break
@@ -188,7 +187,7 @@ def _monic(terms, lead, p):
     return {a: c / lc for a, c in terms.items()}
 
 
-def buchberger(gens, order: MonomialOrder = DEGREVLEX, target=None, p=0):
+def buchberger(gens, order=DEGREVLEX, target=None, p=0):
     """Minimal Groebner basis of the ideal the term dicts gens span, as
     monic (leading monomial, term dict) pairs whose leads divide no other
     lead, sorted by lead.  Tails are left unreduced; reduce_tails finishes
@@ -213,24 +212,23 @@ def buchberger(gens, order: MonomialOrder = DEGREVLEX, target=None, p=0):
     series is updated by one colon ideal per new lead.  Raises
     HilbertSeriesError if the pairs run out without a match.
     """
-    key = order.key
     # (leading monomial, monic term dict) per element; also the reducer
     # list that _reduce_terms takes, with masks, the leads' divisibility
     # masks, beside it
     basis = []
     for g in gens:
         if g:
-            lead = max(g, key=key)
+            lead = max(g, key=order)
             basis.append((lead, _monic(g, lead, p)))
     masks = [divisibility_mask(lead) for lead, _ in basis]
     pairs = set()  # pending pairs, for the chain criterion's lookups
-    queue = []  # the same pairs as a heap on (order.key(lcm), pair)
+    queue = []  # the same pairs as a heap on (order(lcm), pair)
 
     def add_pairs(j):
         lj = basis[j][0]
         for i in range(j):
             pairs.add((i, j))
-            heapq.heappush(queue, (key(exp_lcm(basis[i][0], lj)), (i, j)))
+            heapq.heappush(queue, (order(exp_lcm(basis[i][0], lj)), (i, j)))
 
     for j in range(len(basis)):
         add_pairs(j)
@@ -296,10 +294,10 @@ def buchberger(gens, order: MonomialOrder = DEGREVLEX, target=None, p=0):
     first = {}
     for lead, f in basis:
         first.setdefault(lead, f)
-    return [(lead, first[lead]) for lead in sorted(minimalize(first), key=key)]
+    return [(lead, first[lead]) for lead in sorted(minimalize(first), key=order)]
 
 
-def reduce_tails(pairs, order: MonomialOrder):
+def reduce_tails(pairs, order):
     """Term dicts of the reduced Groebner basis, in the same order, from the
     pairs of a minimal one: each element's remainder modulo the others keeps
     its monic lead, since no lead divides another."""
@@ -330,7 +328,7 @@ def intersect_ideals(a: Ideal, b: Ideal) -> Ideal:
     one = Polynomial.constant(n + 1, 1)
     gens = [lift(f, 1) for f in a.generators]
     gens += [(one - u) * lift(g, 0) for g in b.generators]
-    order = MonomialOrder("elim", split=1)
+    order = elimination_order(1)
     pairs = buchberger([g.terms for g in gens], order)
     kept = [(lead, f) for lead, f in pairs if lead[0] == 0]
     return Ideal.of(

@@ -1,16 +1,17 @@
 """Exact rational polyhedral geometry at desk scale (dim <= 6).
 
-Polyhedra are conv(vertices) + cone(rays).  They hold Fraction
-coordinates, but every computation runs on integer homogeneous rows: a
-point v is (v d, d) and a direction r is (r d, 0), for the least d > 0 that
-clears their denominators.  One double-description kernel, `_extreme_rays`,
-finds facets (the rays of the dual of the homogenizing cone) and vertices
-(the rays (x, 1) of the homogenized inequalities), starting from linalg's
-fraction-free echelon form.  Its primitive integer facet normals w, each
-the inequality w.(x, 1) >= 0, are the only H-representation: containment,
-clipping and vertex enumeration use them as they are, and the text
-a.x >= b is written only for JSON.  Volumes come from a recursive boundary
-triangulation with a selectable apex, one integer determinant per simplex.
+Polyhedra are conv(vertices) + cone(rays), held as integer homogeneous
+rows from construction to volume: a vertex v is the primitive row (v d, d)
+with d > 0, a ray r the primitive row (r, 0).  Rationals are read only by
+`RationalPolyhedron.of` and written only by its `vertices` view.  One
+double-description kernel, `_extreme_rays`, finds facets (the rays of the
+dual of the homogenizing cone) and vertices (the rays (x d, d) of the
+homogenized inequalities), starting from linalg's fraction-free echelon
+form.  Its primitive integer facet normals w, each the inequality
+w.(x, 1) >= 0, are the only H-representation: hull checks, clipping and
+vertex enumeration use them as they are, and the text a.x >= b is written
+only for JSON.  Volumes come from a recursive boundary triangulation with a
+selectable apex, one integer determinant per simplex.
 No floating point anywhere.
 """
 
@@ -45,8 +46,7 @@ def _lift(v, s=1):
     """The point (s = 1) or direction (s = 0) v in integer homogeneous
     coordinates: (v d, s d) for the least d > 0 that makes v d integral."""
     d, ints = linalg.cleared(v)
-    ints.append(s * d)
-    return ints
+    return (*ints, s * d)
 
 
 def _extreme_rays(rows):
@@ -98,17 +98,22 @@ def _extreme_rays(rows):
 
 @dataclass(frozen=True)
 class RationalPolyhedron:
+    """conv(vertices) + cone(rays), as integer homogeneous rows: each vertex
+    v is the primitive row (v d, d) with d > 0 and each ray r the primitive
+    row (r, 0), both sorted and distinct."""
+
     dim: int
-    vertices: tuple  # tuples of Fraction
-    rays: tuple = ()
+    points: tuple
+    directions: tuple = ()
     facets: tuple = field(default=None, compare=False)  # normals w: w.(x, 1) >= 0
 
     @classmethod
     def of(cls, dim, vertices, rays=()):
+        """The polyhedron of rational vertices and rays, validated."""
         if dim > MAX_DIM:
             raise ValueError(f"dimension {dim} beyond supported {MAX_DIM}")
-        vs = tuple(sorted({tuple(map(Fraction, v)) for v in vertices}))
-        rs = tuple(sorted({tuple(map(Fraction, r)) for r in rays}))
+        vs = [tuple(map(Fraction, v)) for v in vertices]
+        rs = [tuple(map(Fraction, r)) for r in rays]
         for p in vs + rs:
             if len(p) != dim:
                 raise ValueError("coordinate length != dim")
@@ -116,10 +121,17 @@ class RationalPolyhedron:
             raise ValueError("need at least one vertex")
         if any(not any(r) for r in rs):
             raise ValueError("zero ray")
-        return cls(dim, vs, rs)
+        return _polyhedron(dim, map(_lift, vs), [_reduced(_lift(r, 0)) for r in rs])
+
+    @property
+    def vertices(self):
+        """The vertex tuples of Fractions, sorted."""
+        return tuple(
+            sorted(tuple(Fraction(x, q[-1]) for x in q[:-1]) for q in self.points)
+        )
 
     def is_bounded(self):
-        return not self.rays
+        return not self.directions
 
     # -- H-representation --------------------------------------------------
 
@@ -128,18 +140,17 @@ class RationalPolyhedron:
         each the inequality w.(x, 1) >= 0, that is a.x >= b, sorted by
         (a, b); cached.
 
-        Computed from the homogenizing cone spanned by the integer rows
-        (v d, d) and (r d, 0): the equations of its linear span, in both
-        signs, and its facets within that span, both read off one echelon
-        form of those rows.  A full-dimensional polyhedron has no
-        equations.  Each generator g is re-checked as w.g >= 0 against
-        every normal w.
+        Computed from the homogenizing cone spanned by the points and
+        directions: the equations of its linear span, in both signs, and
+        its facets within that span, both read off one echelon form of
+        those rows.  A full-dimensional polyhedron has no equations.  Each
+        row g is re-checked as w.g >= 0 against every normal w.
         """
         if self.facets is not None:
             return self.facets
         d = self.dim
-        lifted = [_lift(v) for v in self.vertices] + [_lift(r, 0) for r in self.rays]
-        ech, pivots = linalg.echelon(lifted)
+        rows = self.points + self.directions
+        ech, pivots = linalg.echelon(rows)
         normals = set()
         for w in linalg.kernel(ech, pivots, d + 1):
             w = _reduced(w)
@@ -147,24 +158,27 @@ class RationalPolyhedron:
         # on its pivot coordinates the span is all of R^k, so the cone is
         # full-dimensional there and a facet normal extends by zeros; at
         # k = 1 (a lone point) the one dual ray is no facet, only 0 >= -1
-        projected = [[g[c] for c in pivots] for g in lifted]
+        projected = [[g[c] for c in pivots] for g in rows]
         for u in _extreme_rays(projected) if len(pivots) > 1 else ():
             w = dict(zip(pivots, u))
             normals.add(tuple(w.get(c, 0) for c in range(d + 1)))
-        if any(_dot(w, g) < 0 for w in normals for g in lifted):
+        if any(_dot(w, g) < 0 for w in normals for g in rows):
             raise RuntimeError("generator violates computed facet")
         facets = tuple(sorted(normals, key=lambda w: (w[:d], -w[d])))
         object.__setattr__(self, "facets", facets)
         return facets
 
-    def contains_point(self, p) -> bool:
-        q = _lift(p)
-        return all(_dot(w, q) >= 0 for w in self.facet_inequalities())
-
     def canonical(self):
         """Same polyhedron with redundant generator points dropped."""
-        verts = _vertex_enumerate(self.facet_inequalities(), self.dim)
-        return RationalPolyhedron.of(self.dim, verts, self.rays)
+        points = _vertex_enumerate(self.facet_inequalities(), self.dim)
+        return _polyhedron(self.dim, points, self.directions)
+
+
+def _polyhedron(dim, points, directions=()):
+    """The polyhedron of integer rows, sorted and made distinct."""
+    return RationalPolyhedron(
+        dim, tuple(sorted(set(points))), tuple(sorted(set(directions)))
+    )
 
 
 def _dot(a, b):
@@ -179,18 +193,18 @@ def newton_polyhedron(staircase) -> RationalPolyhedron:
     if staircase.is_empty():
         raise ValueError("staircase of the zero ideal has no Newton polyhedron")
     n = staircase.nvars
-    rays = [tuple(Fraction(i == j) for j in range(n)) for i in range(n)]
-    poly = RationalPolyhedron.of(n, staircase.min_gens, rays)
-    return poly.canonical()
+    units = [tuple(int(i == j) for j in range(n + 1)) for i in range(n)]
+    return _polyhedron(n, [g + (1,) for g in staircase.min_gens], units).canonical()
 
 
 def scale(poly: RationalPolyhedron, factor) -> RationalPolyhedron:
-    factor = Fraction(factor)
+    """factor * poly: the point (v d, d) goes to (v d p, d q) for the int or
+    Fraction factor p/q."""
     if factor <= 0:
         raise ValueError("scale factor must be positive")
-    return RationalPolyhedron.of(
-        poly.dim, [tuple(factor * x for x in v) for v in poly.vertices], poly.rays
-    )
+    p, q = factor.numerator, factor.denominator
+    points = [_reduced([x * p for x in v[:-1]] + [v[-1] * q]) for v in poly.points]
+    return _polyhedron(poly.dim, points, poly.directions)
 
 
 def convex_union_approximant(polys) -> RationalPolyhedron:
@@ -198,16 +212,14 @@ def convex_union_approximant(polys) -> RationalPolyhedron:
     polys = list(polys)
     if not polys:
         raise ValueError("empty family")
-    dim, rays = polys[0].dim, polys[0].rays
+    dim, directions = polys[0].dim, polys[0].directions
     for p in polys:
-        if p.dim != dim or p.rays != rays:
+        if p.dim != dim or p.directions != directions:
             raise ValueError("family members must share dimension and rays")
-    points = [v for p in polys for v in p.vertices]
-    hull = RationalPolyhedron.of(dim, points, rays).canonical()
-    for p in polys:
-        for v in p.vertices:
-            if not hull.contains_point(v):
-                raise RuntimeError("hull fails to contain an input vertex")
+    points = [v for p in polys for v in p.points]
+    hull = _polyhedron(dim, points, directions).canonical()
+    if any(_dot(w, v) < 0 for w in hull.facet_inequalities() for v in points):
+        raise RuntimeError("hull fails to contain an input vertex")
     return hull
 
 
@@ -215,18 +227,17 @@ def convex_union_approximant(polys) -> RationalPolyhedron:
 
 
 def _vertex_enumerate(normals, dim):
-    """Vertices of {x : w.(x, 1) >= 0 for all normals w}: the extreme rays
-    (x, 1) of the cone {(x, s) : w.(x, s) >= 0, s >= 0}.  Rays with s = 0
-    are directions of recession, not vertices."""
+    """Vertices of {x : w.(x, 1) >= 0 for all normals w}, as their rows
+    (x d, d): the extreme rays of the cone {(x, s) : w.(x, s) >= 0,
+    s >= 0} with s > 0.  Rays with s = 0 are directions of recession, not
+    vertices."""
     rows = list(normals) + [(0,) * dim + (1,)]
-    return [tuple(Fraction(x, r[dim]) for x in r[:dim])
-            for r in _extreme_rays(rows) if r[dim]]
+    return [r for r in _extreme_rays(rows) if r[dim]]
 
 
 def simplex_inequalities(dim, t):
-    """The normals of x_i >= 0 and sum x_i <= t: (e_i, 0) and, for
-    t = p/q, (-q, ..., -q, p)."""
-    t = Fraction(t)
+    """The normals of x_i >= 0 and sum x_i <= t: (e_i, 0) and, for the int
+    or Fraction t = p/q, (-q, ..., -q, p)."""
     normals = [tuple(int(i == j) for j in range(dim + 1)) for i in range(dim)]
     normals.append((-t.denominator,) * dim + (t.numerator,))
     return normals
@@ -235,12 +246,11 @@ def simplex_inequalities(dim, t):
 def clip_to_simplex(poly: RationalPolyhedron, t):
     """Intersection with the corner simplex {x >= 0, sum x_i <= t}: a
     bounded polyhedron, or None when it is empty."""
-    t = Fraction(t)
     if t < 0:
         raise ValueError("t must be >= 0")
     normals = list(poly.facet_inequalities()) + simplex_inequalities(poly.dim, t)
-    verts = _vertex_enumerate(normals, poly.dim)
-    return RationalPolyhedron.of(poly.dim, verts) if verts else None
+    points = _vertex_enumerate(normals, poly.dim)
+    return _polyhedron(poly.dim, points) if points else None
 
 
 def _triangulate(rows, dim, apex_last=False):
@@ -276,7 +286,7 @@ def volume(poly: RationalPolyhedron, apex_last=False) -> Fraction:
     if not poly.is_bounded():
         raise UnboundedError("volume of an unbounded polyhedron")
     dim = poly.dim
-    rows = [_lift(v) for v in poly.vertices]
+    rows = poly.points
     if linalg.rank(rows) <= dim:
         return Fraction(0)
     total = Fraction(0)
@@ -322,7 +332,7 @@ def polyhedron_to_dict(poly: RationalPolyhedron):
     data = {
         "dim": poly.dim,
         "vertices": [[str(x) for x in v] for v in poly.vertices],
-        "rays": [[str(x) for x in r] for r in poly.rays],
+        "rays": [[str(x) for x in r[:-1]] for r in poly.directions],
     }
     if poly.facets is not None:
         d = poly.dim

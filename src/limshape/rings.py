@@ -8,7 +8,6 @@ construction and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm
@@ -48,35 +47,26 @@ def exp_lcm(a, b):
     return tuple(map(max, a, b))
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
-    """degrevlex, or an elimination-block order (block = first `split` vars,
-    degrevlex inside each block).
-
-    degrevlex: higher total degree wins; on ties the last differing variable
-    decides, smaller exponent there winning.
-    """
-
-    kind: str = "degrevlex"  # "degrevlex" | "elim"
-    split: int = 0
-
-    def key(self, alpha):
-        """A flat tuple of ints, larger for the larger monomial.  The
-        elimination key is the two block keys concatenated, which compares
-        block by block because the head block's key always has split + 1
-        entries."""
-        if self.kind == "degrevlex":
-            return _grevlex_key(alpha)
-        if self.kind == "elim":
-            return _grevlex_key(alpha[: self.split]) + _grevlex_key(alpha[self.split :])
-        raise ValueError(f"unknown order kind {self.kind!r}")
+# A monomial order is its key function: a flat tuple of ints, larger for the
+# larger monomial.
 
 
-def _grevlex_key(alpha):
+def DEGREVLEX(alpha):
+    """degrevlex: higher total degree wins; on ties the last differing
+    variable decides, smaller exponent there winning."""
     return (sum(alpha), *(-e for e in reversed(alpha)))
 
 
-DEGREVLEX = MonomialOrder("degrevlex")
+def elimination_order(split):
+    """The block order eliminating the first `split` variables, degrevlex
+    inside each block: the two block keys concatenated, which compares
+    block by block because the head block's key always has split + 1
+    entries."""
+
+    def key(alpha):
+        return DEGREVLEX(alpha[:split]) + DEGREVLEX(alpha[split:])
+
+    return key
 
 
 class Polynomial:
@@ -208,12 +198,9 @@ class Polynomial:
 
     # -- ordered terms -----------------------------------------------------
 
-    def sorted_terms(self, order: MonomialOrder = DEGREVLEX):
+    def sorted_terms(self, order=DEGREVLEX):
         """(exponent, coefficient) pairs, biggest monomial first."""
-        return [
-            (a, self.terms[a])
-            for a in sorted(self.terms, key=order.key, reverse=True)
-        ]
+        return [(a, self.terms[a]) for a in sorted(self.terms, key=order, reverse=True)]
 
     # -- substitution ------------------------------------------------------
 

@@ -15,6 +15,7 @@ the F_p draws are checked against.
 
 import random
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -22,7 +23,7 @@ from math import comb, factorial
 
 from limshape import linalg
 from limshape.configs import Config
-from limshape.polyhedra import _dot, _reduced
+from limshape.polyhedra import _dot, _lift, _reduced
 from limshape.groebner import (
     Ideal,
     _reduce_terms,
@@ -34,7 +35,6 @@ from limshape.groebner import (
 from limshape.rings import (
     DEGREVLEX,
     DimensionError,
-    MonomialOrder,
     Polynomial,
     degree,
     linear_substitute,
@@ -46,11 +46,11 @@ from limshape.staircase import MonomialStaircase, k_polynomial, minimalize
 # -- polynomials -----------------------------------------------------------
 
 
-def compare(a, b, order: MonomialOrder = DEGREVLEX) -> int:
+def compare(a, b, order=DEGREVLEX) -> int:
     """-1 / 0 / +1 as x^a is smaller / equal / bigger than x^b."""
     if len(a) != len(b):
         raise DimensionError(f"monomials in {len(a)} vs {len(b)} variables")
-    ka, kb = order.key(a), order.key(b)
+    ka, kb = order(a), order(b)
     return (ka > kb) - (ka < kb)
 
 
@@ -58,8 +58,8 @@ def monomial(alpha, c=1) -> Polynomial:
     return Polynomial(len(alpha), {tuple(alpha): Fraction(c)})
 
 
-def leading_monomial(p: Polynomial, order: MonomialOrder = DEGREVLEX):
-    return max(p.terms, key=order.key)
+def leading_monomial(p: Polynomial, order=DEGREVLEX):
+    return max(p.terms, key=order)
 
 
 def total_degree(p: Polynomial) -> int:
@@ -154,14 +154,14 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
 @dataclass(frozen=True)
 class GroebnerBasis:
     ideal: Ideal
-    order: MonomialOrder
+    order: Callable  # the monomial order's key function
     basis: tuple  # reduced, monic, sorted by leading monomial
 
     def leading_monomials(self):
         return [leading_monomial(g, self.order) for g in self.basis]
 
 
-def groebner_basis(ideal: Ideal, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
+def groebner_basis(ideal: Ideal, order=DEGREVLEX) -> GroebnerBasis:
     """The reduced basis: the engine's minimal basis, tails reduced."""
     pairs = buchberger([g.terms for g in ideal.generators], order)
     return GroebnerBasis(ideal, order, tuple(
@@ -187,7 +187,7 @@ def initial_ideal(gb: GroebnerBasis):
     return minimalize(gb.leading_monomials())
 
 
-def normal_form(f, basis, order: MonomialOrder = DEGREVLEX) -> Polynomial:
+def normal_form(f, basis, order=DEGREVLEX) -> Polynomial:
     """Full multivariate division remainder of f by basis."""
     reducers = [
         (leading_monomial(g, order), g.terms) for g in basis if not g.is_zero()
@@ -389,7 +389,7 @@ def facets_by_subsets(poly):
     and the facet normals within the span, extended by zeros."""
     d = poly.dim
     lifted = [v + (Fraction(1),) for v in poly.vertices]
-    lifted += [r + (Fraction(0),) for r in poly.rays]
+    lifted += poly.directions
     normals = set()
     for w in linalg.nullspace(lifted):
         w = _primitive(w)
@@ -402,6 +402,13 @@ def facets_by_subsets(poly):
             w[c] = x
         normals.add(tuple(w))
     return tuple(sorted(normals, key=lambda w: (w[:d], -w[d])))
+
+
+def polyhedron_contains(poly, p) -> bool:
+    """Whether the rational point p lies in the polyhedron: its cleared
+    integer row (p d, d) meets w.(p d, d) >= 0 for every facet normal w."""
+    q = _lift(p)
+    return all(_dot(w, q) >= 0 for w in poly.facet_inequalities())
 
 
 def volume_by_pyramids(points, dim):

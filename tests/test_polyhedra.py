@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +24,7 @@ from limshape.polyhedra import (
 from limshape.staircase import MonomialStaircase
 from oracles import (
     facets_by_subsets,
+    polyhedron_contains,
     vertex_enumerate_by_subsets,
     volume_by_pyramids,
 )
@@ -80,8 +82,8 @@ def test_lower_dimensional_polytope_keeps_to_its_affine_hull(
     # the hull's equations hold in both signs, and its facets within the
     # hull cut off the points of the hull beyond the polytope
     poly = RationalPolyhedron.of(len(vertices[0]), vertices)
-    assert all(poly.contains_point(v) for v in poly.vertices + tuple(inside))
-    assert not any(poly.contains_point(p) for p in outside)
+    assert all(polyhedron_contains(poly, v) for v in poly.vertices + tuple(inside))
+    assert not any(polyhedron_contains(poly, p) for p in outside)
     assert poly.canonical().vertices == poly.vertices
     assert clipped_volume(poly, 2) == 0
 
@@ -97,8 +99,8 @@ def test_facets_of_square():
     # x >= 0, y >= 0, -x >= -1 and -y >= -1 as normals w: w.(x, y, 1) >= 0
     facets = set(sq.facet_inequalities())
     assert facets == {(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)}
-    assert sq.contains_point((Fraction(1, 2), Fraction(1, 2)))
-    assert not sq.contains_point((2, 0))
+    assert polyhedron_contains(sq, (Fraction(1, 2), Fraction(1, 2)))
+    assert not polyhedron_contains(sq, (2, 0))
 
 
 def with_midpoints(points):
@@ -139,16 +141,56 @@ def test_facets_unchanged_by_pairwise_midpoints(points):
 
 
 @st.composite
-def small_polyhedra(draw):
-    """Point sets in dimensions 2-4 with coordinates in 0..2, so that
-    coplanar, collinear and repeated points are common, with or without the
-    orthant rays; a single point included."""
+def small_generators(draw):
+    """(dim, points, rays): point sets in dimensions 2-4 with coordinates in
+    0..2, so that coplanar, collinear and repeated points are common, with
+    or without the orthant rays; a single point included."""
     dim = draw(st.integers(2, 4))
     points = draw(
         st.lists(st.tuples(*[st.integers(0, 2)] * dim), min_size=1, max_size=6)
     )
     rays = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-    return RationalPolyhedron.of(dim, points, rays if draw(st.booleans()) else ())
+    return dim, points, rays if draw(st.booleans()) else ()
+
+
+def small_polyhedra():
+    return small_generators().map(lambda g: RationalPolyhedron.of(*g))
+
+
+FACTORS = st.sampled_from([1, 3, Fraction(1, 2), Fraction(2, 3)])
+
+
+@given(small_generators(), FACTORS, FACTORS)
+@settings(max_examples=60, deadline=None)
+def test_rows_are_primitive_ints_and_vertices_their_fractions(generators, f, g):
+    # the points are primitive rows (v d, d), d > 0, and the directions
+    # primitive rows (r, 0), sorted and distinct; vertices reads them back
+    dim, points, rays = generators
+    inputs = [tuple(f * x for x in v) for v in points]
+    poly = RationalPolyhedron.of(dim, inputs, rays)
+    scaled = scale(poly, g)
+    for p in (poly, scaled):
+        rows = p.points + p.directions
+        assert all(type(x) is int for row in rows for x in row)
+        assert all(gcd(*row) == 1 for row in rows)
+        assert all(q[-1] > 0 for q in p.points)
+        assert all(r[-1] == 0 for r in p.directions)
+        assert p.points == tuple(sorted(set(p.points)))
+        assert p.directions == tuple(sorted(set(p.directions)))
+    assert poly.vertices == tuple(sorted({tuple(map(Fraction, v)) for v in inputs}))
+    assert scaled.vertices == tuple(
+        sorted(tuple(g * x for x in v) for v in poly.vertices)
+    )
+    assert scaled.directions == poly.directions
+
+
+def test_rays_are_stored_primitive():
+    polys = [
+        RationalPolyhedron.of(2, [(0, 0)], rays=[ray])
+        for ray in [(2, 0), (Fraction(1, 2), 0), (1, 0)]
+    ]
+    assert all(p.directions == ((1, 0, 0),) for p in polys)
+    assert polys[0] == polys[1] == polys[2]
 
 
 @given(small_polyhedra(), st.sampled_from([0, 1, Fraction(5, 2)]))
@@ -213,20 +255,27 @@ def test_extreme_rays_builds_no_fraction(monkeypatch):
 
 
 def test_facets_and_containment_build_no_fraction(monkeypatch):
-    # the normals come out of the double description as ints, and a point
-    # is tested on its cleared integer row
+    # the normals come out of the double description as ints, a point is
+    # tested on its cleared integer row, and the constructions map integer
+    # rows to integer rows
     hull = RationalPolyhedron.of(
         3, [(0, 0, 0), (2, 0, 0), (0, Fraction(3, 2), 0), (0, 0, Fraction(1, 3))]
     )
     inside = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 12))
     outside = (1, 1, 0)
+    staircase = MonomialStaircase.from_generators(3, QUAD)
+    half, t = Fraction(1, 2), Fraction(5, 2)
     built = count_fractions(monkeypatch)
     facets = hull.facet_inequalities()
-    verdicts = (hull.contains_point(inside), hull.contains_point(outside))
+    verdicts = (polyhedron_contains(hull, inside), polyhedron_contains(hull, outside))
+    made = [hull.canonical(), newton_polyhedron(staircase)]
+    made.append(scale(made[-1], half))
+    made.append(clip_to_simplex(made[-1], t))
     monkeypatch.undo()
     assert built == []
     assert all(type(x) is int for w in facets for x in w)
     assert verdicts == (True, False)
+    assert all(type(x) is int for p in made for row in p.points for x in row)
 
 
 def test_minimal_vertices_drop_redundant_points():
@@ -245,9 +294,9 @@ def test_newton_polyhedron_of_quadruple():
         (Fraction(0), Fraction(2), Fraction(0)),
         (Fraction(1), Fraction(0), Fraction(1)),
     }
-    assert len(delta.rays) == 3
-    assert delta.contains_point((5, 5, 5))
-    assert not delta.contains_point((0, 0, 0))
+    assert len(delta.directions) == 3
+    assert polyhedron_contains(delta, (5, 5, 5))
+    assert not polyhedron_contains(delta, (0, 0, 0))
 
 
 def test_newton_polyhedron_rejects_zero_ideal():
@@ -260,7 +309,7 @@ def test_scale():
     delta = newton_polyhedron(st_)
     half = scale(delta, Fraction(1, 2))
     assert set(half.vertices) == {(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))}
-    assert half.rays == delta.rays
+    assert half.directions == delta.directions
     with pytest.raises(ValueError):
         scale(delta, 0)
 
@@ -271,7 +320,7 @@ def test_convex_union_approximant():
     hull = convex_union_approximant([a, b])
     for p in (a, b):
         for v in p.vertices:
-            assert hull.contains_point(v)
+            assert polyhedron_contains(hull, v)
     with pytest.raises(ValueError):
         convex_union_approximant([])
 
@@ -359,7 +408,7 @@ def test_json_round_trip():
     st_ = MonomialStaircase.from_generators(3, QUAD)
     delta = newton_polyhedron(st_)
     again = polyhedron_from_dict(polyhedron_to_dict(delta))
-    assert again.vertices == delta.vertices and again.rays == delta.rays
+    assert again.vertices == delta.vertices and again.directions == delta.directions
 
 
 def test_dimension_cap():
