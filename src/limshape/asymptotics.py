@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, floor
@@ -199,20 +198,13 @@ def ahp_of_config(config: Config) -> UniPoly:
     raise ValueError("no closed-form aHP for this configuration")
 
 
-@dataclass(frozen=True)
-class AdditivityReport:
-    ahp_a: UniPoly
-    ahp_b: UniPoly
-    total: UniPoly
-
-
-def ahp_additivity_check(config_a: Config, config_b: Config) -> AdditivityReport:
-    """aHP additivity over disjoint configurations; disjointness is checked
-    exactly and non-disjoint inputs are rejected."""
+def ahp_additivity_check(config_a: Config, config_b: Config) -> UniPoly:
+    """The aHP of the union of two disjoint configurations, as the sum of
+    theirs; disjointness is checked exactly and non-disjoint inputs are
+    rejected."""
     if not configs_disjoint(config_a, config_b):
         raise ValueError("configurations are not disjoint")
-    pa, pb = ahp_of_config(config_a), ahp_of_config(config_b)
-    return AdditivityReport(pa, pb, pa + pb)
+    return ahp_of_config(config_a) + ahp_of_config(config_b)
 
 
 # -- convergence reports ---------------------------------------------------
@@ -281,42 +273,39 @@ class ConvergenceReport:
         writer.writerows(self.to_rows())
         return buf.getvalue()
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         tv = self.target_value()
-        return json.dumps(
-            {
-                "family": self.family,
-                "n": self.n,
-                "t": str(self.t),
-                "seed": self.seed,
-                "entry_bound": self.entry_bound,
-                "tool_version": __version__,
-                "config": self.config,
-                "target": None if self.target is None else str(self.target),
-                "target_value": None if tv is None else str(tv),
-                "factorial_chain_monotone": self.factorial_chain_monotone,
-                "sandwich_checks": [
-                    {"m_factorial": a, "p": b, "ok": ok}
-                    for a, b, ok in self.sandwich_checks
-                ],
-                "rows": [
-                    {
-                        "m": r.m,
-                        "error": r.error,
-                        "count": r.count,
-                        "count_over_mn": _s(r.count_over_mn),
-                        "vol_lm_scaled": _s(r.vol_lm_scaled),
-                        "vol_gamma_scaled": _s(r.vol_gamma_scaled),
-                        "vol_gamma_convex": _s(r.vol_gamma_convex),
-                        "regularity": r.regularity,
-                        "below_regularity": r.below_regularity,
-                        "lattice_bound_ok": r.lattice_bound_ok,
-                    }
-                    for r in self.rows
-                ],
-            },
-            indent=2,
-        )
+        return {
+            "family": self.family,
+            "n": self.n,
+            "t": str(self.t),
+            "seed": self.seed,
+            "entry_bound": self.entry_bound,
+            "tool_version": __version__,
+            "config": self.config,
+            "target": None if self.target is None else str(self.target),
+            "target_value": None if tv is None else str(tv),
+            "factorial_chain_monotone": self.factorial_chain_monotone,
+            "sandwich_checks": [
+                {"m_factorial": a, "p": b, "ok": ok}
+                for a, b, ok in self.sandwich_checks
+            ],
+            "rows": [
+                {
+                    "m": r.m,
+                    "error": r.error,
+                    "count": r.count,
+                    "count_over_mn": _s(r.count_over_mn),
+                    "vol_lm_scaled": _s(r.vol_lm_scaled),
+                    "vol_gamma_scaled": _s(r.vol_gamma_scaled),
+                    "vol_gamma_convex": _s(r.vol_gamma_convex),
+                    "regularity": r.regularity,
+                    "below_regularity": r.below_regularity,
+                    "lattice_bound_ok": r.lattice_bound_ok,
+                }
+                for r in self.rows
+            ],
+        }
 
 
 def _s(x):

@@ -14,8 +14,7 @@ import sys
 import time
 from dataclasses import dataclass, asdict
 from fractions import Fraction
-from functools import reduce
-from math import factorial, lcm
+from math import factorial
 from pathlib import Path
 
 from . import __version__
@@ -186,7 +185,7 @@ def cmd_gin(args):
     manifest, result = _gin_run(args)
     payload = {
         "manifest": manifest.as_dict(),
-        "staircase": json.loads(result.staircase.to_json()),
+        "staircase": result.staircase.to_dict(),
         "raw_initial": [list(g) for g in result.raw_initial],
         "regularity_surrogate": regularity_surrogate(result),
     }
@@ -201,15 +200,13 @@ def cmd_symbolic_power(args):
     )
     # I^(m) in coordinate position, moved back: its reduced degrevlex basis
     # is unique, so it prints as the intersection in the input coordinates.
-    # The move keeps the Hilbert series, and substituting d * B^-1 with
-    # integer entries only scales each homogeneous generator.
+    # The move keeps the Hilbert series, and substituting the integer
+    # multiple d * B^-1 only scales each homogeneous generator.
     moved, back = coordinate_position(config)
     sp = symbolic_power(moved, args.m)
     nvars = sp.ideal.nvars
-    d = reduce(lcm, [x.denominator for row in back for x in row], 1)
-    integral = [[int(x * d) for x in row] for row in back]
     pairs = buchberger(
-        [g.terms for g in linear_substitute(sp.ideal.generators, integral)],
+        [g.terms for g in linear_substitute(sp.ideal.generators, back)],
         DEGREVLEX,
         target=sp.hilbert_numerator,
     )
@@ -227,7 +224,7 @@ def cmd_staircase(args):
     manifest, result = _gin_run(args)
     payload = {
         "manifest": manifest.as_dict(),
-        **json.loads(result.staircase.to_json()),
+        **result.staircase.to_dict(),
     }
     _emit(payload, args, f"staircase_m{args.m}.json")
     return EXIT_OK
@@ -254,7 +251,7 @@ def cmd_limiting_shape(args):
     if args.format == "csv":
         _emit_text(report.to_csv(), args, "report.csv")
     else:
-        _emit_text(report.to_json() + "\n", args, "report.json")
+        _emit(report.to_dict(), args, "report.json")
     return EXIT_OK
 
 
@@ -305,7 +302,7 @@ def cmd_report(args):
     if args.format == "csv":
         _emit_text(report.to_csv(), args, "report.csv")
     else:
-        payload = {"manifest": manifest.as_dict(), **json.loads(report.to_json())}
+        payload = {"manifest": manifest.as_dict(), **report.to_dict()}
         _emit(payload, args, "report.json")
     return EXIT_OK
 
@@ -375,11 +372,11 @@ def _verify_intersecting_lines(seed, entry_bound):
             f"reg surrogate {reg}, HP {hp}",
         )
     point = Config.of(3, [(1, 1, 1, 1)])
-    rep = ahp_additivity_check(lines, point)
+    total = ahp_additivity_check(lines, point)
     ok &= _check(
         "aHP additivity: (t - 1) + 1/6 = t - 5/6",
-        rep.total == UniPoly.of([Fraction(-5, 6), 1]),
-        str(rep.total),
+        total == UniPoly.of([Fraction(-5, 6), 1]),
+        str(total),
     )
     return ok
 

@@ -4,6 +4,11 @@ flats in P^n, their radical ideals, and symbolic powers.
 Symbolic powers are intersections of ordinary powers of the component
 ideals; every component here is a complete intersection of linear forms,
 for which ordinary and symbolic powers agree.
+
+A configuration keeps the rational coordinates it was given.  Its forms
+and its coordinate position are computed on integer rows: each rational
+row is cleared of its denominators once, and the echelon forms, kernels
+and inverses of `linalg` return ints.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
+from math import lcm
 
 from . import linalg
 from .groebner import Ideal, intersect_ideals
@@ -33,7 +39,7 @@ class Config:
     out, but is given and drawn by its coordinates."""
 
     n: int  # ambient projective dimension; coordinates have length n+1
-    points: tuple = ()  # tuples of Fraction, projectively distinct
+    points: tuple = ()  # rational tuples, projectively distinct
     flats: tuple = ()  # each flat: tuple of linear-form coefficient tuples
 
     def __post_init__(self):
@@ -116,10 +122,11 @@ class Config:
     @property
     def forms(self):
         """The forms cutting out each component, in component order and in
-        reduced row-echelon form: n of them for a point."""
-        kernels = [linalg.nullspace([list(p)]) for p in self.points]
+        reduced row-echelon form, as primitive integer rows positive at
+        their pivots: n of them for a point."""
+        kernels = [linalg.nullspace([p]) for p in self.points]
         return tuple(
-            tuple(tuple(f) for f in linalg.row_echelon(forms)[0])
+            tuple(map(tuple, linalg.echelon(forms)[0]))
             for forms in kernels + list(self.flats)
         )
 
@@ -151,9 +158,10 @@ def components_disjoint(config: Config) -> bool:
 
 def configs_disjoint(a: Config, b: Config) -> bool:
     """Exact check that the zero sets share no projective point."""
-    return a.n == b.n and all(
-        _disjoint(fa, fb, a.n) for fa in a.forms for fb in b.forms
-    )
+    if a.n != b.n:
+        return False
+    forms_a, forms_b = a.forms, b.forms
+    return all(_disjoint(fa, fb, a.n) for fa in forms_a for fb in forms_b)
 
 
 @dataclass(frozen=True)
@@ -188,53 +196,62 @@ def symbolic_power(config: Config, m: int) -> SymbolicPower:
 
 
 def coordinate_position(config: Config) -> tuple[Config, tuple]:
-    """The same configuration in coordinates where it is simple, and the
+    """The same configuration in coordinates where it is simple, and a
     matrix that moves a polynomial back.
 
-    The vectors spanning each component (the point itself, or the kernel
-    of a flat's forms) in component order, then the unit vectors, are kept
-    greedily while they are independent: a basis B of k^(n+1).  If a point
-    outside the basis has no zero coordinate in it, the basis is scaled so
-    that the point becomes (1,...,1), the projective frame.  Points map to
-    B^-1 p, scaled to a leading 1, and forms to f B, in reduced row-echelon
-    form, so a flat spanned by basis vectors is cut out by variables.  gin
-    is invariant under this change of coordinates.
+    The points and forms are cleared of their denominators; every step
+    after that computes on integer rows.  The vectors spanning each
+    component (the point itself, or the kernel of a flat's forms) in
+    component order, then the unit vectors, are kept greedily while they
+    are independent: a basis B of k^(n+1).  If a point outside the basis
+    has no zero coordinate in it, the basis is scaled so that the point
+    becomes (1,...,1), the projective frame.  Points map to B^-1 p and
+    forms to f B, in reduced row-echelon form, each as a primitive integer
+    row positive at its first nonzero entry, so a flat spanned by basis
+    vectors is cut out by variables.  gin is invariant under this change
+    of coordinates.
 
     A polynomial G vanishes on the moved configuration iff G(B^-1 x)
-    vanishes on the given one; the second value is B^-1 as rows, the
-    matrix rings.linear_substitute takes for that substitution.
+    vanishes on the given one; the second value is d B^-1 as integer rows
+    for some d > 0, the matrix rings.linear_substitute takes for that
+    substitution, which for homogeneous G only scales G(B^-1 x).
     """
     n = config.n
-    spans = [list(p) for p in config.points]
-    spans += [v for forms in config.flats for v in linalg.nullspace(list(forms))]
-    spans += [[Fraction(int(i == j)) for j in range(n + 1)] for i in range(n + 1)]
+    points = [linalg.cleared(p)[1] for p in config.points]
+    flats = [[linalg.cleared(f)[1] for f in forms] for forms in config.flats]
+    spans = points + [v for forms in flats for v in linalg.nullspace(forms)]
+    spans += [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
     # a column is a pivot of the echelon form iff it is independent of the
     # columns before it
-    basis = [spans[c] for c in linalg.row_echelon(list(zip(*spans)))[1]]
-    inverse = linalg.inverse([list(r) for r in zip(*basis)])  # B^-1, by rows
-    for p in config.points:
-        if list(p) not in basis:
+    basis = [spans[c] for c in linalg.echelon(list(zip(*spans)))[1]]
+    inverse = linalg.inverse(list(zip(*basis)))  # d B^-1, by rows
+    for p in points:
+        if p not in basis:
             frame = _coordinates(inverse, p)
             if all(frame):
+                # B diag(frame) has the inverse diag(1/frame) B^-1: row i
+                # of d B^-1 times lcm(frame) / frame[i] keeps it integral
+                scale = lcm(*frame)
                 basis = [[x * c for x in v] for v, c in zip(basis, frame)]
-                inverse = [[x / c for x in row] for row, c in zip(inverse, frame)]
+                inverse = [[x * (scale // c) for x in row]
+                           for row, c in zip(inverse, frame)]
                 break
-    points = []
-    for p in config.points:
-        c = _coordinates(inverse, p)
-        lead = next(x for x in c if x)
-        points.append(tuple(x / lead for x in c))
-    flats = []
-    for forms in config.flats:
-        images = [_coordinates(basis, f) for f in forms]  # f B
-        flats.append(tuple(tuple(r) for r in linalg.row_echelon(images)[0]))
-    moved = Config(n, tuple(points), tuple(flats))
-    return moved, tuple(tuple(row) for row in inverse)
+    points = [linalg.echelon([_coordinates(inverse, p)])[0][0] for p in points]
+    flats = [
+        linalg.echelon([_coordinates(basis, f) for f in forms])[0]  # f B
+        for forms in flats
+    ]
+    moved = Config(
+        n,
+        tuple(map(tuple, points)),
+        tuple(tuple(map(tuple, forms)) for forms in flats),
+    )
+    return moved, tuple(map(tuple, inverse))
 
 
 def _coordinates(rows, p):
-    """Each row dotted with p: B^-1 p for the rows of B^-1, f B for the
-    columns of B, or a flat's forms at a point."""
+    """Each row dotted with p: d B^-1 p for the rows of d B^-1, f B for
+    the columns of B, or a flat's forms at a point."""
     return [sum(a * b for a, b in zip(row, p)) for row in rows]
 
 

@@ -2,9 +2,9 @@
 scale), and the readers of the JSON numbers those matrices are built from.
 
 One fraction-free kernel, `echelon`, computes the reduced row-echelon form
-on integers; `row_echelon`, `rank`, `nullspace` and `inverse` are views of
-it, and `det` eliminates fraction-free too, so neither builds a Fraction
-before its answer."""
+on integers; `rank`, `nullspace` and `inverse` are views of it that return
+ints, and `det` eliminates fraction-free too, so none of them builds a
+Fraction before its answer."""
 
 from __future__ import annotations
 
@@ -86,13 +86,6 @@ def echelon(mat):
     return out, pivots
 
 
-def row_echelon(mat):
-    """(the nonzero rows of the reduced row-echelon form, their pivot
-    columns), in Fractions."""
-    rows, pivots = echelon(mat)
-    return [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)], pivots
-
-
 def rank(mat) -> int:
     return len(echelon(mat)[1])
 
@@ -128,15 +121,17 @@ def det(mat):
 
 
 def inverse(mat):
-    """The inverse of a square matrix, read off the echelon form of
-    [mat | I]."""
+    """d mat^-1 as integer rows, for the least d > 0, read off the echelon
+    form of [mat | I]: its row i is the least integer multiple row[i] of
+    (e_i | row i of mat^-1), so d is the lcm of those multiples."""
     n = len(mat)
     rows, pivots = echelon(
         [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
     )
     if pivots[-1] >= n:  # a pivot in the identity block: mat is singular
         raise ValueError("singular matrix has no inverse")
-    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(rows)]
+    d = reduce(lcm, [row[i] for i, row in enumerate(rows)], 1)
+    return [[x * (d // row[i]) for x in row[n:]] for i, row in enumerate(rows)]
 
 
 def kernel(rows, pivots, cols):
@@ -157,11 +152,8 @@ def kernel(rows, pivots, cols):
 
 
 def nullspace(mat):
-    """Basis (list of Fraction vectors) of the right kernel of mat: one
-    vector per free column, 1 there and 0 at the other free columns."""
+    """The integer kernel basis of mat's echelon form: one vector per free
+    column, positive there and 0 at the other free columns."""
     if not mat:
         return []
-    cols = len(mat[0])
-    rows, pivots = echelon(mat)
-    scale = reduce(lcm, [row[c] for row, c in zip(rows, pivots)], 1)
-    return [[Fraction(x, scale) for x in v] for v in kernel(rows, pivots, cols)]
+    return kernel(*echelon(mat), len(mat[0]))

@@ -10,7 +10,6 @@ brute-force enumerator is kept as the independent oracle.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, floor
@@ -193,10 +192,8 @@ class MonomialStaircase:
 
     # -- serialization -----------------------------------------------------
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"nvars": self.nvars, "generators": [list(g) for g in self.min_gens]}
-        )
+    def to_dict(self) -> dict:
+        return {"nvars": self.nvars, "generators": [list(g) for g in self.min_gens]}
 
 
 

@@ -11,6 +11,7 @@ division oracles take: the engine's minimal basis with its tails reduced.
 `gin_draws_over_q` is gin's pair of draws computed over Q, the exact path
 the F_p draws are checked against.
 `parse_polynomial` reads the text form that `str(Polynomial)` writes.
+`count_fractions` records every Fraction built while it is patched in.
 """
 
 import random
@@ -360,11 +361,11 @@ def hyperplanes_by_subsets(generators, dim):
 def solve(mat, rhs):
     """Solve square mat @ x = rhs exactly; None if singular."""
     n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(mat)]
-    ech, pivots = linalg.row_echelon(a)
+    rows, pivots = linalg.echelon([list(row) + [rhs[i]] for i, row in enumerate(mat)])
     if len(pivots) < n or pivots[-1] == n:  # rank deficient or inconsistent
         return None
-    return [ech[i][n] for i in range(n)]
+    # row i is a multiple of (e_i | x_i)
+    return [Fraction(row[n], row[i]) for i, row in enumerate(rows)]
 
 
 def vertex_enumerate_by_subsets(normals, dim):
@@ -394,7 +395,7 @@ def facets_by_subsets(poly):
     for w in linalg.nullspace(lifted):
         w = _primitive(w)
         normals |= {w, tuple(-x for x in w)}
-    pivots = linalg.row_echelon(lifted)[1]
+    pivots = linalg.echelon(lifted)[1]
     projected = [[g[c] for c in pivots] for g in lifted]
     for u in hyperplanes_by_subsets(projected, len(pivots)):
         w = [0] * (d + 1)
@@ -436,3 +437,20 @@ def volume_by_pyramids(points, dim):
         face = [p[:j] + p[j + 1:] for p in points if _dot(a, p) == b]
         total += height * volume_by_pyramids(face, dim - 1) / abs(a[j])
     return total / dim
+
+
+# -- arithmetic ------------------------------------------------------------
+
+
+def count_fractions(monkeypatch):
+    """A list that collects the arguments of every Fraction built until
+    monkeypatch.undo()."""
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    return built

@@ -24,6 +24,7 @@ from limshape.asymptotics import (
     ahf_estimate,
     ahp_additivity_check,
     ahp_flats,
+    ahp_of_config,
     flats_hp,
     intersecting_lines_hp,
 )
@@ -175,16 +176,16 @@ def test_criterion_5_intersecting_lines_hilbert_function():
 
 def test_criterion_6_additivity():
     start = time.monotonic()
-    rep = ahp_additivity_check(
-        intersecting_config(), Config.of(3, [(1, 1, 1, 1)])
-    )
-    ok = rep.ahp_a.coeffs == (Fraction(-1), Fraction(1))
+    lines, point = intersecting_config(), Config.of(3, [(1, 1, 1, 1)])
+    ahp_lines = ahp_of_config(lines)
+    ok = ahp_lines.coeffs == (Fraction(-1), Fraction(1))
     ok &= all(
-        rep.ahp_a(t) == ahp_by_differences(intersecting_lines_hp, 3, t)
+        ahp_lines(t) == ahp_by_differences(intersecting_lines_hp, 3, t)
         for t in (0, 1, Fraction(5, 2))
     )
-    ok &= rep.ahp_b.coeffs == (Fraction(1, 6),)
-    ok &= rep.total.coeffs == (Fraction(-5, 6), Fraction(1))
+    ok &= ahp_of_config(point).coeffs == (Fraction(1, 6),)
+    total = ahp_additivity_check(lines, point)
+    ok &= total.coeffs == (Fraction(-5, 6), Fraction(1))
     report_line(
         6, "aHP additivity: (t - 1) + 1/6 = t - 5/6 with t - 1 as the "
         "m^3 coefficient of HP(mt)",

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
     contains,
+    count_fractions,
     differential_membership_check,
     evaluate,
     groebner_basis,
@@ -384,21 +385,6 @@ def test_coordinate_position_gives_monomial_ideals(config):
     assert not all(_is_monomial(g) for g in symbolic_power(config, 1).ideal.generators)
 
 
-def test_inverse_is_the_inverse():
-    rng = random.Random(5)
-    for n in (1, 2, 4):
-        mat = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
-               for _ in range(n)]
-        if linalg.rank(mat) < n:
-            continue
-        inv = linalg.inverse(mat)
-        product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*inv)]
-                   for row in mat]
-        assert product == [[int(i == j) for j in range(n)] for i in range(n)]
-    with pytest.raises(ValueError, match="singular"):
-        linalg.inverse([[1, 2], [2, 4]])
-
-
 def test_coordinate_position_puts_next_point_on_the_frame():
     cfg = Config.generic(3, 0, 6, seed=3)
     moved, _ = coordinate_position(cfg)
@@ -408,13 +394,36 @@ def test_coordinate_position_puts_next_point_on_the_frame():
     assert len(set(moved.points)) == 6
     # a point with a zero coordinate in the basis is passed over for the frame
     skew = Config.of(2, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 2, 3)])
-    assert coordinate_position(skew)[0].points[3:] == ((1, Fraction(1, 2), 0), (1, 1, 1))
+    assert coordinate_position(skew)[0].points[3:] == ((2, 1, 0), (1, 1, 1))
     union = config_from_dict({"n": 3, "components": [
         {"type": "point", "coords": [1, 2, 3, 4]},
         {"type": "flat", "forms": [[1, 0, 0, 0], [0, 1, 0, 0]]},
     ]})
     # the point is a basis vector, so no point lies outside the basis
     assert coordinate_position(union)[0].components[0] == ("point", tuple(units[0]))
+
+
+def test_configuration_stage_builds_no_fraction(monkeypatch):
+    # the rational rows are cleared once, and every echelon form, kernel
+    # and inverse after that is computed and returned on ints
+    configs = [
+        Config.generic(3, 1, 2, seed=3),
+        Config.generic(3, 0, 5, seed=3),
+        Config.of(3, [(1, 1, 1, 1)], [
+            [(1, Fraction(1, 2), 0, 0), (0, 1, 0, 0)],
+            [(1, 0, 0, 0), (0, 0, 1, 0)],
+        ]),
+    ]
+    built = count_fractions(monkeypatch)
+    results = []
+    for config in configs:
+        moved, back = coordinate_position(config)
+        results.append((config.forms, moved.forms, moved.points, back))
+    monkeypatch.undo()
+    assert built == []
+    for forms, moved_forms, points, back in results:
+        rows = [f for fs in forms + moved_forms for f in fs] + list(points) + list(back)
+        assert all(type(x) is int for row in rows for x in row)
 
 
 _coords = st.lists(st.integers(-3, 3), min_size=4, max_size=4)

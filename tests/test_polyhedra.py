@@ -23,6 +23,7 @@ from limshape.polyhedra import (
 )
 from limshape.staircase import MonomialStaircase
 from oracles import (
+    count_fractions,
     facets_by_subsets,
     polyhedron_contains,
     vertex_enumerate_by_subsets,
@@ -225,20 +226,6 @@ def test_extreme_rays_need_spanning_rows():
     with pytest.raises(ValueError, match="do not span"):
         _extreme_rays([(1, 0, 0), (0, 1, 0), (0, -1, 0)])
     assert _extreme_rays([(1, 0), (0, 1), (1, 1)]) == [(0, 1), (1, 0)]
-
-
-def count_fractions(monkeypatch):
-    """A list that collects the arguments of every Fraction built until
-    monkeypatch.undo()."""
-    built = []
-    new = Fraction.__new__
-
-    def counting(cls, *args, **kwargs):
-        built.append(args)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
-    return built
 
 
 def test_extreme_rays_builds_no_fraction(monkeypatch):
