@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -383,6 +384,26 @@ def test_coordinate_position_gives_monomial_ideals(config):
     assert all(_is_monomial(g) for g in sp.ideal.generators)
     # the unmoved configuration has no such generators
     assert not all(_is_monomial(g) for g in symbolic_power(config, 1).ideal.generators)
+
+
+def test_inverse_is_the_inverse():
+    # inverse(mat) is d mat^-1 in ints for the least d > 0
+    rng = random.Random(5)
+    for n in (1, 2, 4):
+        mat = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+               for _ in range(n)]
+        if linalg.rank(mat) < n:
+            continue
+        inv = linalg.inverse(mat)
+        assert all(type(x) is int for row in inv for x in row)
+        product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*mat)]
+                   for row in inv]
+        d = product[0][0]
+        assert d > 0 and d == int(d)
+        assert product == [[d * int(i == j) for j in range(n)] for i in range(n)]
+        assert gcd(int(d), *(x for row in inv for x in row)) == 1
+    with pytest.raises(ValueError, match="singular"):
+        linalg.inverse([[1, 2], [2, 4]])
 
 
 def test_coordinate_position_puts_next_point_on_the_frame():

@@ -76,6 +76,26 @@ def test_det_is_the_leibniz_expansion(a):
 
 @settings(max_examples=200, deadline=None)
 @given(matrices())
+def test_row_echelon_is_reduced_and_spans_the_rows(a):
+    # echelon's rows over their pivots are the reduced row-echelon form
+    rows, pivots = linalg.echelon(a)
+    ech = [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
+    rank = minor_rank(a)
+    assert len(pivots) == rank == sum(1 for row in ech if any(row))
+    assert pivots == sorted(set(pivots))
+    for k, c in enumerate(pivots):
+        assert ech[k][c] == 1
+        assert all(not ech[i][c] for i in range(len(ech)) if i != k)
+    # each input row is the combination of the echelon rows whose weights
+    # are its entries in the pivot columns
+    for row in a:
+        combo = [sum(row[c] * ech[k][j] for k, c in enumerate(pivots))
+                 for j in range(len(row))]
+        assert combo == row
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
 def test_echelon_rows_are_primitive_multiples_of_the_reduced_rows(a):
     rows, pivots = linalg.echelon(a)
     assert len(rows) == len(pivots) == minor_rank(a)
