@@ -185,9 +185,12 @@ def ahp_of_config(config: Config) -> UniPoly:
     any points."""
     n = config.n
     if components_disjoint(config):
+        # a point is the 0-flat, and a flat's forms are independent, so
+        # the dimensions need no echelon form
         total = UniPoly.of([])
-        for forms in config.forms:
-            total = total + ahp_flats(n, n - len(forms), 1)[0]
+        for kind, data in config.components:
+            r = 0 if kind == "point" else n - len(data)
+            total = total + ahp_flats(n, r, 1)[0]
         return total
     # Config.of puts no point on a flat and repeats no line, so two lines
     # of P^3 that are not disjoint meet in a point, away from the points

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
-from math import lcm
+from math import gcd, lcm
 
 from . import linalg
 from .groebner import Ideal, intersect_ideals
@@ -213,8 +213,9 @@ def coordinate_position(config: Config) -> tuple[Config, tuple]:
 
     A polynomial G vanishes on the moved configuration iff G(B^-1 x)
     vanishes on the given one; the second value is d B^-1 as integer rows
-    for some d > 0, the matrix rings.linear_substitute takes for that
-    substitution, which for homogeneous G only scales G(B^-1 x).
+    whose entries have gcd 1, for some d > 0, the matrix
+    rings.linear_substitute takes for that substitution, which for
+    homogeneous G only scales G(B^-1 x).
     """
     n = config.n
     points = [linalg.cleared(p)[1] for p in config.points]
@@ -236,6 +237,10 @@ def coordinate_position(config: Config) -> tuple[Config, tuple]:
                 inverse = [[x * (scale // c) for x in row]
                            for row, c in zip(inverse, frame)]
                 break
+    # the scaling may leave a common factor; the least multiple substitutes
+    # with the smallest integers
+    content = reduce(gcd, [x for row in inverse for x in row])
+    inverse = [[x // content for x in row] for row in inverse]
     points = [linalg.echelon([_coordinates(inverse, p)])[0][0] for p in points]
     flats = [
         linalg.echelon([_coordinates(basis, f) for f in forms])[0]  # f B

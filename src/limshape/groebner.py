@@ -7,19 +7,25 @@ also its reducer list.  Each caller reduces only what it returns: gin reads
 the leading monomials alone, and intersect_ideals tail-reduces the u-free
 pairs it keeps.
 
-One S-pair loop (buchberger) and one reduction loop (_reduce_terms) serve
-both coefficient fields, chosen by an argument p: p = 0 is Q, with Fraction
-coefficients, and a prime p is F_p, with int residues.  intersect_ideals
-and symbolic-power's move back compute over Q, because the bases they
-return are printed.  gin's two draws compute over F_p, one prime of
-GIN_PRIMES each (2^31 - 1 and 2^31 - 19), because gin reads only leading
-monomials; the reasons this keeps gin's checks as strong as before are in
-gin's docstring (modular Groebner bases: Traverso 1988, "Groebner trace
-algorithms"; Arnold 2003, J. Symb. Comput. 35).  Both scans over the leads,
-for a reducer and for the chain criterion, first test a divisibility mask
-of MASK_BITS bits per variable, which rules out most leads without
-comparing exponents (Singular's short exponent vectors,
-Bachmann-Schoenemann 1998).
+One S-pair loop (_minimal_basis, behind buchberger) and one reduction
+loop (_reduce_terms) serve both coefficient fields, chosen by an argument
+p: p = 0 is Q, with Fraction coefficients, and a prime p is F_p, with int
+residues.  intersect_ideals and symbolic-power's move back compute over
+Q, because the bases they return are printed.  gin's two draws compute
+over F_p, one prime of GIN_PRIMES each (2^31 - 1 and 2^31 - 19), because
+gin reads only leading monomials; the reasons this keeps gin's checks as
+strong as before are in gin's docstring (modular Groebner bases:
+Traverso 1988, "Groebner trace algorithms"; Arnold 2003, J. Symb.
+Comput. 35).
+
+The engine computes on packed monomials, one int per monomial (see
+rings): term dicts are keyed by the order's packed keys, a product is +,
+the order is <, and both scans over the leads, for a reducer and for the
+chain criterion, test divisibility with one guard-bit test.  buchberger
+and reduce_tails pack their tuple-keyed input once and unpack what they
+return; gin's draws take packed generators from cleared_substitute and
+unpack only the leads.  A monomial whose exponent passes the field width
+raises ComputationLimitError before its key is used, so no key wraps.
 
 A caller that knows the Hilbert series of the ideal in advance passes its
 numerator, the K-polynomial, as a target, and the S-pair loop stops as soon
@@ -28,9 +34,9 @@ the Buchberger algorithm").  gin knows it because the series is invariant
 under a linear change of coordinates, and symbolic_power returns I^(m)
 with the leads of a Groebner basis of it.
 
-Inputs are desk scale (n <= 4, small degrees); the S-pair loop carries a
-fixed cap (PAIR_CAP) so runaway computations fail predictably instead of
-hanging.
+Inputs are desk scale (n <= 4, small degrees); the S-pair loop carries
+fixed caps on the S-pairs it takes (PAIR_CAP) and on the size of its basis
+(BASIS_CAP), so runaway computations fail predictably instead of hanging.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import heapq
 import random
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from operator import mul
 
 from . import linalg
 from .linalg import ComputationLimitError
@@ -48,11 +55,11 @@ from .rings import (
     Polynomial,
     cleared_substitute,
     degree,
-    divides,
     elimination_order,
-    exp_div,
-    exp_lcm,
-    mul_exp,
+    guard_bits,
+    packed_terms,
+    unit_keys,
+    unpack,
 )
 from .staircase import (
     MonomialStaircase,
@@ -62,9 +69,10 @@ from .staircase import (
 )
 
 PAIR_CAP = 200_000  # S-pairs one Buchberger run may take; read at call time
-# bits per variable in a divisibility mask: the exponents of the gin draws
-# of two lines up to m = 6 fit, and larger ones only make it filter less
-MASK_BITS = 12
+# elements one Buchberger basis may hold; read at call time.  The largest
+# basis of the reach runs has 345 (5 points in P^3 up to m = 6), and the
+# B^2 / 2 pending pairs of a basis at the cap take about 110 MB
+BASIS_CAP = 1_000
 MIN_ENTRY_BOUND = 10  # least bound on the entries of a gin draw
 # the prime of each gin draw, 2^31 - 1 and the largest prime below it;
 # read at call time
@@ -119,48 +127,41 @@ class Ideal:
         return Ideal.of(prods)
 
 
-def divisibility_mask(alpha) -> int:
-    """Short exponent vector of x^alpha: MASK_BITS bits per variable, the
-    lowest min(e, MASK_BITS) of them set for exponent e.  If x^a divides
-    x^b then mask(a) & ~mask(b) == 0, so a nonzero result rules the
-    division out without comparing exponents (Bachmann-Schoenemann 1998)."""
-    mask = 0
-    for e in alpha:
-        mask = mask << MASK_BITS | (1 << min(e, MASK_BITS)) - 1
-    return mask
+def _reduce_terms(terms, reducers, guard, p=0):
+    """Remainder dict of a packed term dict modulo (lead, terms) reducer
+    pairs, over Q (p = 0, Fraction coefficients) or over F_p (int residues
+    mod p); guard is the guard bits of the packed monomials.
 
-
-def _reduce_terms(terms, reducers, order, p=0, masks=None):
-    """Remainder dict of a term dict modulo (lm, terms) reducer pairs, over
-    Q (p = 0, Fraction coefficients) or over F_p (int residues mod p).
-
-    Works top-down through the support with a lazy max-heap, mutating a
-    scratch dict; the workhorse behind buchberger.  The first reducer in
-    list order whose lead divides a term reduces it; masks, the reducers'
-    divisibility masks (computed when not given), skip most of the leads
-    that do not divide.  The remainder's terms are inserted in decreasing
-    order, so its first key is its leading monomial.
+    Works top-down through the support with a lazy max-heap of negated
+    keys, mutating a scratch dict; the workhorse behind buchberger.  The
+    first reducer in list order whose lead divides a term reduces it.  A
+    product of two packed monomials at most sets a guard bit, so each term
+    is checked once, as it leaves the heap, before its key is used.  The
+    remainder's terms are inserted in decreasing order, so its first key is
+    its leading monomial.
     """
-    if masks is None:
-        masks = [divisibility_mask(lead) for lead, _ in reducers]
     work = dict(terms)
-    heap = [(tuple([-x for x in order(a)]), a) for a in work]
+    heap = [-z for z in work]
     heapq.heapify(heap)
     remainder = {}
     while heap:
-        _, lm = heapq.heappop(heap)
-        lc = work.get(lm)
-        if lc is None or lm in remainder:
+        z = -heapq.heappop(heap)
+        lc = work.get(z)
+        if lc is None or z in remainder:
             continue
-        outside = ~divisibility_mask(lm)
-        for (glm, gterms), gmask in zip(reducers, masks):
-            if gmask & outside or not divides(glm, lm):
+        if z & guard:
+            raise ComputationLimitError(
+                "an exponent passed the field width of a packed monomial"
+            )
+        covered = z | guard
+        for glm, gterms in reducers:
+            if (covered - glm) & guard != guard:
                 continue
-            shift = exp_div(lm, glm)
+            shift = z - glm
             glc = gterms[glm]
             factor = lc * pow(glc, -1, p) % p if p else lc / glc
             for a, c in gterms.items():
-                ab = mul_exp(a, shift)
+                ab = a + shift
                 old = work.get(ab)
                 s = (old or 0) - c * factor
                 if p:
@@ -168,13 +169,13 @@ def _reduce_terms(terms, reducers, order, p=0, masks=None):
                 if s:
                     work[ab] = s
                     if old is None:
-                        heapq.heappush(heap, (tuple([-x for x in order(ab)]), ab))
+                        heapq.heappush(heap, -ab)
                 else:
                     work.pop(ab, None)
             break
         else:
-            remainder[lm] = lc
-            del work[lm]
+            remainder[z] = lc
+            del work[z]
     return remainder
 
 
@@ -195,45 +196,64 @@ def buchberger(gens, order=DEGREVLEX, target=None, p=0):
 
     p = 0 computes over Q, with Fraction coefficients; a prime p computes
     over F_p, with coefficients the int residues 1..p-1.  Both run the same
-    loop.
+    loop, on packed monomials: the generators are packed once here and the
+    pairs returned are unpacked.
+
+    target, when given, is the K-polynomial ({degree: coefficient}, as
+    staircase.k_polynomial returns it) of the homogeneous ideal the
+    generators span; see _minimal_basis.
+    """
+    gens = [g for g in gens if g]
+    n = len(next(iter(gens[0]))) if gens else 0
+    weights = unit_keys(order, n)
+    pairs = _minimal_basis(
+        [packed_terms(g, weights) for g in gens], n, weights, target, p
+    )
+    return [
+        (lead, {unpack(a, n): c for a, c in f.items()}) for lead, f in pairs
+    ]
+
+
+def _minimal_basis(gens, n, weights, target, p):
+    """The S-pair loop on nonzero packed term dicts in n variables, whose
+    order has the unit keys weights: monic (leading monomial, packed term
+    dict) pairs as buchberger returns them, each lead unpacked.
 
     Normal selection strategy (smallest lcm first, ties by pair index) with
     Buchberger's coprime and chain criteria; pending pairs wait in a heap,
     the pair queue of Gebauer-Moeller.  Raises ComputationLimitError past
-    PAIR_CAP.
+    PAIR_CAP S-pairs or BASIS_CAP basis elements.
 
-    target, when given, is the K-polynomial ({degree: coefficient}, as
-    staircase.k_polynomial returns it) of the homogeneous ideal the
-    generators span.  The loop then stops as soon as the leads have it: the
-    ideal J of the leads lies inside the initial ideal, which has the
-    Hilbert series of the ideal under every monomial order, so equal series
-    mean J is the initial ideal.  Every pending pair would reduce to zero,
-    and the basis returned is the one the full loop returns.  The leads'
-    series is updated by one colon ideal per new lead.  Raises
-    HilbertSeriesError if the pairs run out without a match.
+    With a target, the K-polynomial of the homogeneous ideal the generators
+    span, the loop stops as soon as the leads have it: the ideal J of the
+    leads lies inside the initial ideal, which has the Hilbert series of
+    the ideal under every monomial order, so equal series mean J is the
+    initial ideal.  Every pending pair would reduce to zero, and the basis
+    returned is the one the full loop returns.  The leads' series is
+    updated by one colon ideal per new lead.  Raises HilbertSeriesError if
+    the pairs run out without a match.
     """
-    # (leading monomial, monic term dict) per element; also the reducer
-    # list that _reduce_terms takes, with masks, the leads' divisibility
-    # masks, beside it
-    basis = []
-    for g in gens:
-        if g:
-            lead = max(g, key=order)
-            basis.append((lead, _monic(g, lead, p)))
-    masks = [divisibility_mask(lead) for lead, _ in basis]
+    guard = guard_bits(n)
+    basis = []  # (lead, monic term dict) per element; the reducer list
+    leads = []  # each lead unpacked once: the lcms, the series, the result
     pairs = set()  # pending pairs, for the chain criterion's lookups
-    queue = []  # the same pairs as a heap on (order(lcm), pair)
+    queue = []  # the same pairs as a heap of (lcm, i, j)
 
-    def add_pairs(j):
-        lj = basis[j][0]
-        for i in range(j):
+    def add(lead, exponents, terms):
+        if len(basis) == BASIS_CAP:
+            raise ComputationLimitError(f"basis cap {BASIS_CAP} exhausted")
+        j = len(basis)
+        for i, other in enumerate(leads):
             pairs.add((i, j))
-            heapq.heappush(queue, (order(exp_lcm(basis[i][0], lj)), (i, j)))
+            lcm = sum(map(mul, map(max, other, exponents), weights))
+            heapq.heappush(queue, (lcm, i, j))
+        basis.append((lead, _monic(terms, lead, p)))
+        leads.append(exponents)
 
-    for j in range(len(basis)):
-        add_pairs(j)
-
-    series = None if target is None else k_polynomial(lead for lead, _ in basis)
+    for g in gens:
+        lead = max(g)
+        add(lead, unpack(lead, n), g)
+    series = None if target is None else k_polynomial(leads)
     done = target is not None and series == target
     processed = 0
     while queue and not done:
@@ -242,18 +262,17 @@ def buchberger(gens, order=DEGREVLEX, target=None, p=0):
             raise ComputationLimitError(
                 f"S-pair cap {PAIR_CAP} exhausted ({len(basis)} basis elements)"
             )
-        _, (i, j) = heapq.heappop(queue)
+        l, i, j = heapq.heappop(queue)
         pairs.discard((i, j))
         (li, fi), (lj, fj) = basis[i], basis[j]
-        l = exp_lcm(li, lj)
         # coprime criterion
-        if l == mul_exp(li, lj):
+        if l == li + lj:
             continue
         # chain criterion
         skip = False
-        outside = ~divisibility_mask(l)
+        covered = l | guard
         for k, (lk, _) in enumerate(basis):
-            if masks[k] & outside or k == i or k == j or not divides(lk, l):
+            if (covered - lk) & guard != guard or k == i or k == j:
                 continue
             pik = (min(i, k), max(i, k))
             pjk = (min(j, k), max(j, k))
@@ -263,10 +282,10 @@ def buchberger(gens, order=DEGREVLEX, target=None, p=0):
         if skip:
             continue
         # S-polynomial of two monic elements: their leading terms cancel
-        si, sj = exp_div(l, li), exp_div(l, lj)
-        s = {mul_exp(a, si): c for a, c in fi.items()}
+        si, sj = l - li, l - lj
+        s = {a + si: c for a, c in fi.items()}
         for a, c in fj.items():
-            b = mul_exp(a, sj)
+            b = a + sj
             v = s.get(b, 0) - c
             if p:
                 v %= p
@@ -274,36 +293,44 @@ def buchberger(gens, order=DEGREVLEX, target=None, p=0):
                 s[b] = v
             else:
                 del s[b]
-        rem = _reduce_terms(s, basis, order, p, masks)
+        rem = _reduce_terms(s, basis, guard, p)
         if rem:
             lead = next(iter(rem))  # remainder terms come top-down
+            exponents = unpack(lead, n)
             if target is not None:
-                series = k_polynomial_plus(
-                    series, (lk for lk, _ in basis), lead
-                )
+                series = k_polynomial_plus(series, leads, exponents)
                 done = series == target
-            basis.append((lead, _monic(rem, lead, p)))
-            masks.append(divisibility_mask(lead))
-            add_pairs(len(basis) - 1)
+            add(lead, exponents, rem)
     if target is not None and not done:
-        leads = k_polynomial(lead for lead, _ in basis)  # in its usual order
         raise HilbertSeriesError(
-            f"the leads have K-polynomial {leads}, the target is {target}"
+            f"the leads have K-polynomial {k_polynomial(leads)}, "
+            f"the target is {target}"
         )
     # of equal leads the first is kept
     first = {}
-    for lead, f in basis:
-        first.setdefault(lead, f)
-    return [(lead, first[lead]) for lead in sorted(minimalize(first), key=order)]
+    for (lead, f), exponents in zip(basis, leads):
+        first.setdefault(lead, (exponents, f))
+    minimal = set(minimalize(exponents for exponents, _ in first.values()))
+    return [first[lead] for lead in sorted(first) if first[lead][0] in minimal]
 
 
 def reduce_tails(pairs, order):
     """Term dicts of the reduced Groebner basis, in the same order, from the
     pairs of a minimal one: each element's remainder modulo the others keeps
     its monic lead, since no lead divides another."""
+    n = len(pairs[0][0]) if pairs else 0
+    weights = unit_keys(order, n)
+    guard = guard_bits(n)
+    packed = [
+        (sum(map(mul, lead, weights)), packed_terms(f, weights))
+        for lead, f in pairs
+    ]
     return [
-        _reduce_terms(f, pairs[:i] + pairs[i + 1 :], order)
-        for i, (_, f) in enumerate(pairs)
+        {
+            unpack(a, n): c
+            for a, c in _reduce_terms(f, packed[:i] + packed[i + 1 :], guard).items()
+        }
+        for i, (_, f) in enumerate(packed)
     ]
 
 
@@ -375,14 +402,16 @@ def _gin_once(ideal: Ideal, seed: int, entry_bound: int, target, p: int):
             f"prime {p} divides the determinant of the coordinate draw"
         )
     gens = []
-    for scale, terms in cleared_substitute(ideal.generators, matrix):
+    for scale, terms in cleared_substitute(ideal.generators, matrix, p):
         if scale % p == 0:
             raise GenericityError(
                 f"prime {p} divides the denominator {scale} of a generator"
             )
-        gens.append({a: c % p for a, c in terms.items() if c % p})
+        if terms:
+            gens.append(terms)
+    n = ideal.nvars
     try:
-        pairs = buchberger(gens, target=target, p=p)
+        pairs = _minimal_basis(gens, n, unit_keys(DEGREVLEX, n), target, p)
     except HilbertSeriesError as exc:
         raise GenericityError(f"prime {p} is unlucky: over F_{p} {exc}") from exc
     return matrix, minimalize(lead for lead, _ in pairs)
@@ -394,9 +423,10 @@ def gin(
     """Generic initial ideal via two seeded random coordinate changes, each
     computed over a prime field F_p, one prime of GIN_PRIMES per draw.
 
-    Each draw substitutes its integer matrix into the generators with the
-    denominators cleared and reduces mod its prime; a prime dividing the
-    determinant or a cleared denominator is refused.  target, the
+    Each draw substitutes its integer matrix into the generators mod its
+    prime, with the denominators cleared, through one table of monomial
+    images in residues; a prime dividing the determinant or a cleared
+    denominator is refused.  target, the
     K-polynomial of the ideal over Q if known, is handed to both draws'
     buchberger: a linear change of coordinates keeps the Hilbert series.
 

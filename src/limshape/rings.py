@@ -1,17 +1,38 @@
-"""Exact multivariate polynomial arithmetic over the rationals.
+"""Exact multivariate polynomial arithmetic over the rationals, and packed
+monomials.
 
 Monomials are exponent tuples; polynomials map exponent tuples to nonzero
 Fraction coefficients.  Variable precedence is x1 > x2 > ... > x_nvars
 (variable i lives at tuple index i-1).  All values are immutable after
 construction and safe to share.
+
+A monomial order is its key function, and the key of an exponent tuple is
+one int, its packed monomial.  The low fields of the int hold the
+exponents, EXPONENT_BITS bits each with a guard bit above them; the high
+fields hold the order's partial sums of the exponents, most significant
+first.  Every field is nonnegative and linear in the exponents, so
+key(a) + key(b) == key(a + b) while no exponent passes the field width,
+key(a) < key(b) is the order, and x^a divides x^b iff
+((key(b) | G) - key(a)) & G == G for the guard bits G (guard_bits).  The
+Buchberger engine computes on these ints: a product is +, a comparison <,
+a divisibility test one guard-bit test (the packed monomials of sparse
+polynomial engines: Monagan-Pearce 2011, "Sparse polynomial division
+using a heap").
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 from math import lcm
-from operator import add, le, sub
+from operator import add, le, mul
+
+from .linalg import ComputationLimitError, det
+
+# bits of an exponent in a packed monomial, below its guard bit; read at
+# call time, so that all keys of one computation share it
+EXPONENT_BITS = 15
 
 
 class DimensionError(ValueError):
@@ -38,35 +59,86 @@ def divides(a, b) -> bool:
     return all(map(le, a, b))
 
 
-def exp_div(b, a):
-    """Exponent of x^b / x^a; caller guarantees divisibility."""
-    return tuple(map(sub, b, a))
+def _exponent_overflow(e):
+    return ComputationLimitError(
+        f"exponent {e} does not fit in the {EXPONENT_BITS}-bit exponent field "
+        "of a packed monomial"
+    )
 
 
-def exp_lcm(a, b):
-    return tuple(map(max, a, b))
+def _pack(alpha, sums):
+    """The packed key of alpha under the order whose high fields are sums,
+    most significant first.  A high field is EXPONENT_BITS + 1 +
+    bitlength(n) bits wide, so it holds the partial sums of a product of
+    two packed monomials exactly even when an exponent of the product
+    passes the field width: the guard bit shows that before the key is
+    used."""
+    bits = EXPONENT_BITS
+    top = max(alpha, default=0)
+    if top >> bits:
+        raise _exponent_overflow(top)
+    width = bits + 1 + len(alpha).bit_length()
+    key = 0
+    for s in sums:
+        key = key << width | s
+    for e in alpha:
+        key = key << bits + 1 | e
+    return key
 
 
-# A monomial order is its key function: a flat tuple of ints, larger for the
-# larger monomial.
+def _descending_sums(block):
+    """e1 + ... + eb, e1 + ... + e(b-1), ..., e1 for the block's exponents."""
+    return reversed(list(accumulate(block)))
 
 
 def DEGREVLEX(alpha):
     """degrevlex: higher total degree wins; on ties the last differing
-    variable decides, smaller exponent there winning."""
-    return (sum(alpha), *(-e for e in reversed(alpha)))
+    variable decides, smaller exponent there winning.  The high fields are
+    deg, e1 + ... + e(n-1), ..., e1: with the degree fixed, a smaller last
+    exponent is a larger sum of the others."""
+    return _pack(alpha, _descending_sums(alpha))
 
 
 def elimination_order(split):
     """The block order eliminating the first `split` variables, degrevlex
-    inside each block: the two block keys concatenated, which compares
-    block by block because the head block's key always has split + 1
-    entries."""
+    inside each block: the high fields of the head block's degrevlex key,
+    then those of the tail block's."""
 
     def key(alpha):
-        return DEGREVLEX(alpha[:split]) + DEGREVLEX(alpha[split:])
+        return _pack(
+            alpha,
+            [*_descending_sums(alpha[:split]), *_descending_sums(alpha[split:])],
+        )
 
     return key
+
+
+def unit_keys(order, n):
+    """order(e_j) for the unit vectors e_1, ..., e_n: a packed key is
+    linear, so order(a) == sum(map(mul, a, unit_keys(order, n)))."""
+    return [order(tuple(int(i == j) for j in range(n))) for i in range(n)]
+
+
+def packed_terms(terms, weights):
+    """The term dict keyed by packed monomials, each the dot product of its
+    exponent tuple with weights, the unit keys of an order."""
+    top = max(map(max, terms), default=0)
+    if top >> EXPONENT_BITS:
+        raise _exponent_overflow(top)
+    return {sum(map(mul, a, weights)): c for a, c in terms.items()}
+
+
+def guard_bits(n) -> int:
+    """The guard bit of each of the n exponent fields of a packed monomial."""
+    bits = EXPONENT_BITS
+    return sum(1 << bits << (bits + 1) * j for j in range(n))
+
+
+def unpack(key, n):
+    """The exponent tuple of a packed monomial in n variables."""
+    bits = EXPONENT_BITS
+    mask = (1 << bits) - 1
+    return tuple(key >> (bits + 1) * j & mask for j in range(n - 1, -1, -1))
 
 
 class Polynomial:
@@ -250,34 +322,46 @@ def linear_substitute(polys, matrix):
     """
     n = len(matrix)
     return [
-        Polynomial(n, {b: Fraction(v, scale) for b, v in acc.items()})
+        Polynomial(n, {unpack(b, n): Fraction(v, scale) for b, v in acc.items()})
         for scale, acc in cleared_substitute(polys, matrix)
     ]
 
 
-def cleared_substitute(polys, matrix):
-    """(d, integer term dict) per polynomial p: the terms of d * p(matrix x),
-    where d is the lcm of the denominators of p's coefficients; the dict
-    may hold zero coefficients.
+def cleared_substitute(polys, matrix, p=0):
+    """(d, term dict) per polynomial f: the nonzero terms of d * f(matrix x),
+    keyed by DEGREVLEX packed monomials, where d is the lcm of the
+    denominators of f's coefficients.  The coefficients are ints, or their
+    residues mod p when a prime p is given with an integer matrix.
 
     The polynomials share one table of monomial images: the image of x^a is
     built once, as the image of x^a / x_i times row i, where x_i is the
-    first variable of x^a.  Integer entries stay Python ints in the table,
-    so the inner products are integer products when the matrix is integral.
-    The matrix must be square of size nvars and invertible.
+    first variable of x^a; times x_j is + the key of x_j.  Integer entries
+    stay Python ints in the table, so the inner products are integer
+    products when the matrix is integral, and mod p every entry of the
+    table is a residue.  The matrix must be square of size nvars and
+    invertible.
     """
-    from .linalg import det
-
     polys = list(polys)
     n = polys[0].nvars if polys else len(matrix)
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise DimensionError("matrix size != nvars")
-    if any(p.nvars != n for p in polys):
+    if any(f.nvars != n for f in polys):
         raise DimensionError("mixed variable counts in substituted polynomials")
     if det(matrix) == 0:
         raise SingularMatrixError("coordinate change matrix is singular")
-    rows = [[(j, c) for j, c in enumerate(row) if c] for row in matrix]
-    table = {(0,) * n: {(0,) * n: 1}}
+    # an image of x^a has the degree of a, which bounds its exponents
+    top = max((degree(a) for f in polys for a in f.terms), default=0)
+    if top >> EXPONENT_BITS:
+        raise _exponent_overflow(top)
+    weights = unit_keys(DEGREVLEX, n)
+    rows = [[(w, c) for w, c in zip(weights, row) if c] for row in matrix]
+
+    def nonzero(acc):
+        if p:
+            return {b: r for b, v in acc.items() if (r := v % p)}
+        return {b: v for b, v in acc.items() if v}
+
+    table = {(0,) * n: {0: 1}}
 
     def image(alpha):
         img = table.get(alpha)
@@ -286,25 +370,23 @@ def cleared_substitute(polys, matrix):
             lower = image(alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :])
             img = {}
             for beta, v in lower.items():
-                for j, c in rows[i]:
-                    gamma = beta[:j] + (beta[j] + 1,) + beta[j + 1 :]
-                    s = img.get(gamma, 0) + v * c
-                    if s:
-                        img[gamma] = s
-                    else:
-                        del img[gamma]
-            table[alpha] = img
+                for w, c in rows[i]:
+                    gamma = beta + w
+                    img[gamma] = img.get(gamma, 0) + v * c
+            img = table[alpha] = nonzero(img)
         return img
 
     sums = []
-    for p in polys:
-        scale = reduce(lcm, [c.denominator for c in p.terms.values()], 1)
+    for f in polys:
+        scale = reduce(lcm, [c.denominator for c in f.terms.values()], 1)
         acc = {}
-        for alpha, c in p.terms.items():
+        for alpha, c in f.terms.items():
             c = c.numerator * (scale // c.denominator)
+            if p:
+                c %= p
             for beta, v in image(alpha).items():
                 acc[beta] = acc.get(beta, 0) + c * v
-        sums.append((scale, acc))
+        sums.append((scale, nonzero(acc)))
     # image is a closure over itself, so the table would wait for the
     # cycle collector; free the largest thing alive here now
     table.clear()

@@ -1,7 +1,8 @@
 """Independent oracles and helpers that only the tests use.
 
 Each one recomputes by another route something the pipeline computes:
-membership and ideal equality by full division, Hilbert functions by
+membership and ideal equality by full division on exponent tuples, the
+packed monomial orders by their tuple keys, Hilbert functions by
 exact linear algebra, symbolic-power membership by derivatives at the
 points, semigroup properties of staircases by direct membership, the
 monomial order by pairwise comparison, and asymptotic Hilbert polynomials
@@ -27,7 +28,6 @@ from limshape.configs import Config
 from limshape.polyhedra import _dot, _lift, _reduced
 from limshape.groebner import (
     Ideal,
-    _reduce_terms,
     buchberger,
     derive_seed,
     random_change_matrix,
@@ -38,13 +38,41 @@ from limshape.rings import (
     DimensionError,
     Polynomial,
     degree,
+    divides,
     linear_substitute,
     mul_exp,
 )
 from limshape.staircase import MonomialStaircase, k_polynomial, minimalize
 
 
-# -- polynomials -----------------------------------------------------------
+# -- monomials and polynomials -----------------------------------------------
+
+
+def exp_div(b, a):
+    """Exponent of x^b / x^a; caller guarantees divisibility."""
+    return tuple(x - y for x, y in zip(b, a))
+
+
+def exp_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def tuple_degrevlex(alpha):
+    """The degrevlex key as a tuple, the oracle of the packed rings.DEGREVLEX:
+    higher total degree wins; on ties the last differing variable decides,
+    smaller exponent there winning."""
+    return (sum(alpha), *(-e for e in reversed(alpha)))
+
+
+def tuple_elimination_order(split):
+    """The oracle of the packed rings.elimination_order(split): the two
+    block keys concatenated, which compares block by block because the head
+    block's key always has split + 1 entries."""
+
+    def key(alpha):
+        return tuple_degrevlex(alpha[:split]) + tuple_degrevlex(alpha[split:])
+
+    return key
 
 
 def compare(a, b, order=DEGREVLEX) -> int:
@@ -189,11 +217,32 @@ def initial_ideal(gb: GroebnerBasis):
 
 
 def normal_form(f, basis, order=DEGREVLEX) -> Polynomial:
-    """Full multivariate division remainder of f by basis."""
+    """Full multivariate division remainder of f by basis: the textbook
+    division on exponent tuples, taking the largest remaining term under
+    order and the first element whose lead divides it, so it shares no code
+    with the engine's packed reduction."""
     reducers = [
         (leading_monomial(g, order), g.terms) for g in basis if not g.is_zero()
     ]
-    return Polynomial(f.nvars, _reduce_terms(f.terms, reducers, order))
+    work = dict(f.terms)
+    remainder = {}
+    while work:
+        lm = max(work, key=order)
+        for lead, terms in reducers:
+            if divides(lead, lm):
+                shift = exp_div(lm, lead)
+                factor = work[lm] / terms[lead]
+                for a, c in terms.items():
+                    b = mul_exp(a, shift)
+                    v = work.get(b, 0) - c * factor
+                    if v:
+                        work[b] = v
+                    else:
+                        work.pop(b, None)
+                break
+        else:
+            remainder[lm] = work.pop(lm)
+    return Polynomial(f.nvars, remainder)
 
 
 def contains(gb: GroebnerBasis, f: Polynomial) -> bool:

@@ -105,6 +105,24 @@ def test_ahp_of_config():
     assert str(ahp_of_config(skew_far)) == "3/2*t - 1"
 
 
+def test_ahp_of_config_reads_the_forms_once(monkeypatch):
+    # each read of Config.forms re-runs the echelon form of every component
+    reads = []
+    forms = Config.forms
+    monkeypatch.setattr(
+        Config, "forms", property(lambda c: reads.append(c) or forms.fget(c))
+    )
+    point = Config.of(3, [(1, 1, 1, 1)])
+    line = Config.of(3, flats=[[(1, 0, 0, 0), (0, 1, 0, 0)]])
+    both = Config.of(3, point.points, line.flats)
+    ahps = []
+    for config in (point, line, both, INTERSECTING_LINES):
+        reads.clear()
+        ahps.append(ahp_of_config(config))
+        assert len(reads) == 1
+    assert [str(a) for a in ahps] == ["1/6", "1/2*t - 1/3", "1/2*t - 1/6", "t - 1"]
+
+
 def test_ahp_additivity():
     line_pair = INTERSECTING_LINES
     pt = Config.of(3, [(1, 1, 1, 1)])

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from limshape import asymptotics, cli, groebner, polyhedra
+from limshape import asymptotics, cli, groebner, polyhedra, rings
 from limshape.configs import (
     config_from_json,
     config_to_dict,
@@ -485,6 +485,35 @@ def test_ray_cap_maps_to_exit_4(config_path, tmp_path, capsys, monkeypatch):
     code, _, err = run(["volume", "--poly", str(square)], capsys)
     assert code == cli.EXIT_RESOURCE
     assert "resource failure: ray cap 1 " in err
+
+
+@pytest.mark.parametrize("module, cap, message", [
+    (groebner, "BASIS_CAP", "basis cap 1 exhausted"),
+    (rings, "EXPONENT_BITS", "exponent 2 does not fit in the 1-bit"),
+], ids=["basis", "exponent"])
+def test_engine_caps_map_to_exit_4(module, cap, message, config_path, tmp_path,
+                                   capsys, monkeypatch):
+    # the real caps, not a faked exception: every symbolic power of two
+    # points needs a basis of more than one element, and a gin draw of it
+    # exponents of 2 and more
+    monkeypatch.setattr(module, cap, 1)
+    code, _, err = run(["gin", "--config", config_path], capsys)
+    assert code == cli.EXIT_RESOURCE
+    assert f"resource failure: {message}" in err
+    report = ["report", "--config", config_path, "--m-max", "2", "--t", "2"]
+    rows = []
+    for jobs in ("1", "2"):
+        code, out, _ = run(report + ["--jobs", jobs], capsys)
+        assert code == cli.EXIT_OK
+        rows.append([r["error"] for r in json.loads(out)["rows"]])
+    assert rows[0] == rows[1]
+    assert all(e.startswith(f"ComputationLimitError: {message}") for e in rows[0])
+    code, _, _ = run(
+        ["limiting-shape", "--config", config_path, "--m-max", "2", "--t", "2",
+         "--out", str(tmp_path / "out")],
+        capsys,
+    )
+    assert code == cli.EXIT_RESOURCE
 
 
 def test_unlucky_prime_maps_to_exit_3(config_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement
 from math import gcd
 
@@ -422,6 +423,20 @@ def test_coordinate_position_puts_next_point_on_the_frame():
     ]})
     # the point is a basis vector, so no point lies outside the basis
     assert coordinate_position(union)[0].components[0] == ("point", tuple(units[0]))
+
+
+@pytest.mark.parametrize("config", [Config.generic(3, 0, 5, seed=3),
+                                    Config.generic(2, 0, 6, seed=3)])
+def test_coordinate_position_returns_the_least_multiple(config):
+    # the frame step scales the rows of d B^-1; the returned multiple is
+    # the least, so its entries have no common factor
+    moved, back = coordinate_position(config)
+    assert reduce(gcd, [x for row in back for x in row]) == 1
+    # still a multiple of B^-1: it maps each given point to a multiple of
+    # the moved one
+    for p, q in zip(config.points, moved.points):
+        image = [sum(a * b for a, b in zip(row, p)) for row in back]
+        assert linalg.rank([list(q), image]) == 1
 
 
 def test_configuration_stage_builds_no_fraction(monkeypatch):

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from oracles import (
     GroebnerBasis,
     contains,
+    exp_div,
+    exp_lcm,
     gin_draws_over_q,
     groebner_basis,
     hf_via_initial,
@@ -20,11 +22,13 @@ from oracles import (
     monomial,
     normal_form,
     parse_polynomial,
+    tuple_degrevlex,
+    tuple_elimination_order,
 )
 from test_asymptotics import MOVE_ORACLE_CASES
 from test_rings import expand_substitute
 
-from limshape import asymptotics, groebner, linalg
+from limshape import asymptotics, groebner, linalg, rings
 from limshape.configs import Config, coordinate_position, symbolic_power
 from limshape.groebner import (
     DEGREVLEX,
@@ -42,9 +46,11 @@ from limshape.rings import (
     Polynomial,
     divides,
     elimination_order,
-    exp_div,
-    exp_lcm,
+    guard_bits,
     linear_substitute,
+    packed_terms,
+    unit_keys,
+    unpack,
 )
 from limshape.staircase import k_polynomial
 
@@ -287,6 +293,28 @@ def test_pair_order_is_pinned(monkeypatch):
         intersect_ideals(*squares)
 
 
+# the remainders the same run computes: the S-pairs left by the coprime
+# and chain criteria, then the tail reductions of the kept elements, as
+# counted with exponent tuples and divisibility masks; a weaker criterion
+# reduces more pairs
+TWO_LINES_SQUARE_REDUCTIONS = 80
+
+
+def test_criteria_keep_the_pinned_reductions(monkeypatch):
+    squares = [Ideal.of(Polynomial.linear_form(f) for f in forms).power(2)
+               for forms in TWO_LINES.flats]
+    calls = []
+    reduce_terms = groebner._reduce_terms
+
+    def counting(*args):
+        calls.append(args)
+        return reduce_terms(*args)
+
+    monkeypatch.setattr(groebner, "_reduce_terms", counting)
+    intersect_ideals(*squares)
+    assert len(calls) == TWO_LINES_SQUARE_REDUCTIONS
+
+
 def test_gin_rejects_initial_ideal_that_is_not_borel_fixed(monkeypatch):
     # in the coordinates it is given in, I^(2) of the lines x1 = x2 = 0 and
     # x1 = x3 = 0 is the monomial ideal (x1^2, x1*x2*x3, x2^2*x3^2), which
@@ -304,7 +332,8 @@ def test_gin_rejects_initial_ideal_that_is_not_borel_fixed(monkeypatch):
 
 def textbook_groebner(gens, order):
     """Reduced Groebner basis by the textbook algorithm: every S-pair, no
-    criteria, then minimalize and reduce each element by the others."""
+    criteria, then minimalize and reduce each element by the others; order
+    may be a tuple key."""
     basis = list(gens)
     todo = [(i, j) for j in range(len(basis)) for i in range(j)]
     while todo:
@@ -338,21 +367,28 @@ def small_homogeneous_ideals(draw):
     return Ideal.of(gens)
 
 
-ORDERS = [DEGREVLEX, elimination_order(1)]
+# each packed order with its tuple-key oracle
+ORDERS = [
+    (DEGREVLEX, tuple_degrevlex),
+    (elimination_order(1), tuple_elimination_order(1)),
+]
 
 
 @settings(max_examples=100, deadline=None)
 @given(small_homogeneous_ideals(), st.sampled_from(ORDERS))
-def test_buchberger_matches_textbook_algorithm(ideal, order):
-    expect = textbook_groebner(ideal.generators, order)
+def test_buchberger_matches_textbook_algorithm(ideal, orders):
+    # the engine on packed monomials against the textbook algorithm on
+    # exponent tuples under the tuple key of the same order
+    order, oracle = orders
+    expect = textbook_groebner(ideal.generators, oracle)
     gens = [g.terms for g in ideal.generators]
     pairs = groebner.buchberger(gens, order)
     # a minimal basis: monic pairs whose leads divide no other lead, and
     # those leads are the reduced basis's, in its order
     leads = [lead for lead, _ in pairs]
-    assert leads == [leading_monomial(g, order) for g in expect]
+    assert leads == [leading_monomial(g, oracle) for g in expect]
     for i, (lead, terms) in enumerate(pairs):
-        assert max(terms, key=order) == lead and terms[lead] == 1
+        assert max(terms, key=oracle) == lead and terms[lead] == 1
         assert not any(divides(lj, lead) for j, lj in enumerate(leads) if j != i)
     # tail-reducing the pairs gives the reduced basis
     reduced = groebner.reduce_tails(pairs, order)
@@ -364,10 +400,16 @@ def test_buchberger_matches_textbook_algorithm(ideal, order):
     assert stopped == pairs
     assert groebner.reduce_tails(stopped, order) == reduced
     # the engine reads a remainder's leading monomial off its first key
-    reducers = [(leading_monomial(g, order), g.terms) for g in ideal.generators]
-    for i, g in enumerate(ideal.generators):
-        rem = groebner._reduce_terms(g.terms, reducers[:i] + reducers[i + 1:], order)
-        assert list(rem) == sorted(rem, key=order, reverse=True)
+    n = ideal.nvars
+    weights = unit_keys(order, n)
+    reducers = [
+        (order(leading_monomial(g, order)), packed_terms(g.terms, weights))
+        for g in ideal.generators
+    ]
+    for i, (_, terms) in enumerate(reducers):
+        others = reducers[:i] + reducers[i + 1:]
+        rem = groebner._reduce_terms(terms, others, guard_bits(n))
+        assert list(rem) == sorted(rem, reverse=True)
 
 
 @pytest.mark.parametrize(
@@ -472,42 +514,86 @@ def test_gin_over_f_p_matches_draws_over_q(name):
         assert over_q == [g.raw_initial] * 2, (name, m)
 
 
+@st.composite
+def packed_cases(draw):
+    # exponents small, up to half the field width, so that sums fit, or up
+    # to its top; b is a multiple of a half the time, so that divisibility
+    # is tried both ways
+    n = draw(st.integers(1, 5))
+    top = (1 << rings.EXPONENT_BITS) - 1
+    exponents = st.lists(
+        st.one_of(st.integers(0, 4), st.integers(0, top // 2), st.integers(0, top)),
+        min_size=n, max_size=n,
+    )
+    a, other = tuple(draw(exponents)), tuple(draw(exponents))
+    if draw(st.booleans()):
+        other = tuple(min(x + y, top) for x, y in zip(a, other))
+    return a, other, draw(st.integers(0, n))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
-    st.lists(st.integers(0, 3 * groebner.MASK_BITS), min_size=n, max_size=n),
-    st.lists(st.integers(0, 3 * groebner.MASK_BITS), min_size=n, max_size=n),
-)))
-def test_divisibility_mask_never_rejects_a_divisor(pair):
-    # exponents run past the bits a mask keeps per variable
-    a, other = (tuple(v) for v in pair)
-    mask = groebner.divisibility_mask
-    multiple = tuple(x + y for x, y in zip(a, other))
-    assert mask(a) & ~mask(multiple) == 0
-    if mask(a) & ~mask(other):
-        assert not divides(a, other)
+@given(packed_cases())
+def test_packed_keys_match_the_tuple_orders(case):
+    a, b, split = case
+    n = len(a)
+    for order, oracle in ((DEGREVLEX, tuple_degrevlex),
+                          (elimination_order(split), tuple_elimination_order(split))):
+        ka, kb = order(a), order(b)
+        # the sign of key(a) - key(b) is the order
+        assert (ka > kb) - (ka < kb) == (oracle(a) > oracle(b)) - (oracle(a) < oracle(b))
+        # a product is +, every key is the dot product with the unit keys,
+        # and a key unpacks to its exponents
+        product = tuple(x + y for x, y in zip(a, b))
+        if max(product, default=0) < 1 << rings.EXPONENT_BITS:
+            assert ka + kb == order(product)
+        assert ka == sum(x * w for x, w in zip(a, unit_keys(order, n)))
+        assert unpack(ka, n) == a
+        # the guard test is componentwise <=
+        guard = guard_bits(n)
+        assert (((kb | guard) - ka) & guard == guard) == divides(a, b)
+        assert (((ka | guard) - kb) & guard == guard) == divides(b, a)
 
 
-def test_masks_change_no_reduction(monkeypatch):
-    # a mask only skips divides calls that would fail: with masks of no
-    # bits, which filter nothing, the loops reduce the same S-pairs by the
-    # same reducers and gin finds the same leads
-    runs = []
-    reduce_terms = groebner._reduce_terms
+def test_exponent_past_the_field_width_raises():
+    top = (1 << rings.EXPONENT_BITS) - 1
+    assert unpack(DEGREVLEX((top, 0, top)), 3) == (top, 0, top)
+    weights = unit_keys(DEGREVLEX, 2)
+    for pack in (DEGREVLEX, elimination_order(1),
+                 lambda a: packed_terms({a: 1}, weights)):
+        with pytest.raises(ComputationLimitError, match=f"exponent {top + 1} "):
+            pack((1, top + 1))
 
-    def recording(terms, reducers, *args):
-        rem = reduce_terms(terms, reducers, *args)
-        runs[-1].append((len(reducers), tuple(rem)))
-        return rem
 
-    ideal = symbolic_power(THREE_POINTS, 2).ideal
-    monkeypatch.setattr(groebner, "_reduce_terms", recording)
-    results = []
-    for bits in (groebner.MASK_BITS, 0):
-        monkeypatch.setattr(groebner, "MASK_BITS", bits)
-        runs.append([])
-        results.append(gin(ideal, seed=5).raw_initial)
-    assert results[0] == results[1]
-    assert runs[0] == runs[1] and runs[0]
+# x1^3 - x2^3 and x1 x2 + x2^2 fit in 2-bit exponents, but their basis
+# holds x2^4, which does not
+OVERFLOWING_PRODUCT = [P("x1^3 - x2^3", 2).terms, P("x1*x2 + x2^2", 2).terms]
+
+
+def test_a_product_past_the_field_width_raises(monkeypatch):
+    wide = groebner.buchberger(OVERFLOWING_PRODUCT)
+    assert max(max(lead) for lead, _ in wide) > 3
+    monkeypatch.setattr(rings, "EXPONENT_BITS", 2)
+    with pytest.raises(ComputationLimitError, match="passed the field width"):
+        groebner.buchberger(OVERFLOWING_PRODUCT)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_homogeneous_ideals(), st.sampled_from([order for order, _ in ORDERS]))
+def test_a_narrow_field_width_raises_or_agrees(ideal, order):
+    # 2-bit exponents hold every generator of degree <= 3; a run either
+    # stops with ComputationLimitError or returns the wide run's basis, so
+    # no key wraps
+    gens = [g.terms for g in ideal.generators]
+    wide = groebner.buchberger(gens, order)
+    saved = rings.EXPONENT_BITS
+    rings.EXPONENT_BITS = 2
+    try:
+        narrow = groebner.buchberger(gens, order)
+    except ComputationLimitError:
+        return
+    finally:
+        rings.EXPONENT_BITS = saved
+    assert narrow == wide
 
 
 def _first_draw_det(seed, nvars):

@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
     compare,
@@ -18,6 +18,7 @@ from limshape.rings import (
     DimensionError,
     Polynomial,
     SingularMatrixError,
+    cleared_substitute,
     linear_substitute,
 )
 
@@ -230,6 +231,20 @@ def test_shared_table_matches_expansion_and_evaluation(case):
         assert q == p.linear_substitute(matrix)
         for pt in pts:
             assert evaluate(q, pt) == _evaluate_substituted(p, matrix, pt)
+
+
+@given(shared_substitution_cases(), st.sampled_from([2, 7, 2_147_483_647]))
+@settings(max_examples=60, deadline=None)
+def test_table_mod_p_is_the_exact_table_reduced(case, p):
+    # a gin draw keeps the image table in residues mod its prime, which
+    # must give the exact substitution's terms reduced mod p
+    polys, matrix = case
+    assume(all(type(x) is int for row in matrix for x in row))
+    exact = cleared_substitute(polys, matrix)
+    residues = cleared_substitute(polys, matrix, p)
+    assert [scale for scale, _ in residues] == [scale for scale, _ in exact]
+    for (_, terms), (_, reduced) in zip(exact, residues):
+        assert reduced == {b: v % p for b, v in terms.items() if v % p}
 
 
 def test_linear_substitute_checks_its_inputs():
