@@ -54,7 +54,7 @@ from .polyhedra import (
     polyhedron_to_dict,
     volume,
 )
-from .rings import DEGREVLEX, Polynomial, linear_substitute
+from .rings import Polynomial, cleared_substitute
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -201,16 +201,13 @@ def cmd_symbolic_power(args):
     # I^(m) in coordinate position, moved back: its reduced degrevlex basis
     # is unique, so it prints as the intersection in the input coordinates.
     # The move keeps the Hilbert series, and substituting the integer
-    # multiple d * B^-1 only scales each homogeneous generator.
+    # multiple d * B^-1 and clearing denominators only scale each
+    # homogeneous generator, which the engine makes monic.
     moved, back = coordinate_position(config)
     sp = symbolic_power(moved, args.m)
     nvars = sp.ideal.nvars
-    pairs = buchberger(
-        [g.terms for g in linear_substitute(sp.ideal.generators, back)],
-        DEGREVLEX,
-        target=sp.hilbert_numerator,
-    )
-    basis = reduce_tails(pairs, DEGREVLEX)
+    gens = [terms for _, terms in cleared_substitute(sp.ideal.generators, back)]
+    basis = reduce_tails(buchberger(gens, nvars, target=sp.hilbert_numerator))
     payload = {
         "manifest": manifest.as_dict(),
         "nvars": nvars,

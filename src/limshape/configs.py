@@ -214,7 +214,7 @@ def coordinate_position(config: Config) -> tuple[Config, tuple]:
     A polynomial G vanishes on the moved configuration iff G(B^-1 x)
     vanishes on the given one; the second value is d B^-1 as integer rows
     whose entries have gcd 1, for some d > 0, the matrix
-    rings.linear_substitute takes for that substitution, which for
+    rings.cleared_substitute takes for that substitution, which for
     homogeneous G only scales G(B^-1 x).
     """
     n = config.n

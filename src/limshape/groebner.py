@@ -7,25 +7,26 @@ also its reducer list.  Each caller reduces only what it returns: gin reads
 the leading monomials alone, and intersect_ideals tail-reduces the u-free
 pairs it keeps.
 
-One S-pair loop (_minimal_basis, behind buchberger) and one reduction
-loop (_reduce_terms) serve both coefficient fields, chosen by an argument
-p: p = 0 is Q, with Fraction coefficients, and a prime p is F_p, with int
-residues.  intersect_ideals and symbolic-power's move back compute over
-Q, because the bases they return are printed.  gin's two draws compute
-over F_p, one prime of GIN_PRIMES each (2^31 - 1 and 2^31 - 19), because
-gin reads only leading monomials; the reasons this keeps gin's checks as
-strong as before are in gin's docstring (modular Groebner bases:
-Traverso 1988, "Groebner trace algorithms"; Arnold 2003, J. Symb.
-Comput. 35).
+One S-pair loop (buchberger) and one reduction loop (_reduce_terms)
+serve both coefficient fields, chosen by an argument p: p = 0 is Q, with
+Fraction coefficients, and a prime p is F_p, with int residues.
+intersect_ideals and symbolic-power's move back compute over Q, because
+the bases they return are printed.  gin's two draws compute over F_p, one
+prime of GIN_PRIMES each (2^31 - 1 and 2^31 - 19), because gin reads only
+leading monomials; the reasons this keeps gin's checks as strong as before
+are in gin's docstring (modular Groebner bases: Traverso 1988, "Groebner
+trace algorithms"; Arnold 2003, J. Symb. Comput. 35).
 
 The engine computes on packed monomials, one int per monomial (see
 rings): term dicts are keyed by the order's packed keys, a product is +,
 the order is <, and both scans over the leads, for a reducer and for the
-chain criterion, test divisibility with one guard-bit test.  buchberger
-and reduce_tails pack their tuple-keyed input once and unpack what they
-return; gin's draws take packed generators from cleared_substitute and
-unpack only the leads.  A monomial whose exponent passes the field width
-raises ComputationLimitError before its key is used, so no key wraps.
+chain criterion, test divisibility with one guard-bit test.  The
+engine's boundary is packed: buchberger takes packed generators, which
+gin's draws and symbolic-power's move back get from cleared_substitute
+and intersect_ideals builds from packed_terms, and it unpacks only the
+leads it returns.  reduce_tails is the one place the Q path unpacks whole
+term dicts.  A monomial whose exponent passes the field width raises
+ComputationLimitError before its key is used, so no key wraps.
 
 A caller that knows the Hilbert series of the ideal in advance passes its
 numerator, the K-polynomial, as a target, and the S-pair loop stops as soon
@@ -44,6 +45,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import mul
 
@@ -130,7 +132,8 @@ class Ideal:
 def _reduce_terms(terms, reducers, guard, p=0):
     """Remainder dict of a packed term dict modulo (lead, terms) reducer
     pairs, over Q (p = 0, Fraction coefficients) or over F_p (int residues
-    mod p); guard is the guard bits of the packed monomials.
+    mod p); guard is the guard bits of the packed monomials.  Every reducer
+    must be monic, so a term's coefficient is the factor of its reducer.
 
     Works top-down through the support with a lazy max-heap of negated
     keys, mutating a scratch dict; the workhorse behind buchberger.  The
@@ -158,12 +161,10 @@ def _reduce_terms(terms, reducers, guard, p=0):
             if (covered - glm) & guard != guard:
                 continue
             shift = z - glm
-            glc = gterms[glm]
-            factor = lc * pow(glc, -1, p) % p if p else lc / glc
             for a, c in gterms.items():
                 ab = a + shift
                 old = work.get(ab)
-                s = (old or 0) - c * factor
+                s = (old or 0) - c * lc
                 if p:
                     s %= p
                 if s:
@@ -180,59 +181,42 @@ def _reduce_terms(terms, reducers, guard, p=0):
 
 
 def _monic(terms, lead, p):
-    """The term dict divided by its coefficient at lead, over Q or F_p."""
+    """The term dict divided by its coefficient at lead, over Q or F_p;
+    over Q the quotients are Fractions, also of int coefficients."""
     lc = terms[lead]
     if p:
         inverse = pow(lc, -1, p)
         return {a: c * inverse % p for a, c in terms.items()}
-    return {a: c / lc for a, c in terms.items()}
+    return {a: Fraction(c, lc) for a, c in terms.items()}
 
 
-def buchberger(gens, order=DEGREVLEX, target=None, p=0):
-    """Minimal Groebner basis of the ideal the term dicts gens span, as
-    monic (leading monomial, term dict) pairs whose leads divide no other
+def buchberger(gens, n, order=DEGREVLEX, target=None, p=0):
+    """Minimal Groebner basis of the ideal that gens, nonzero term dicts in
+    n variables keyed by order's packed monomials, span: monic (leading
+    exponent tuple, packed term dict) pairs whose leads divide no other
     lead, sorted by lead.  Tails are left unreduced; reduce_tails finishes
     the reduced basis.
 
-    p = 0 computes over Q, with Fraction coefficients; a prime p computes
-    over F_p, with coefficients the int residues 1..p-1.  Both run the same
-    loop, on packed monomials: the generators are packed once here and the
-    pairs returned are unpacked.
-
-    target, when given, is the K-polynomial ({degree: coefficient}, as
-    staircase.k_polynomial returns it) of the homogeneous ideal the
-    generators span; see _minimal_basis.
-    """
-    gens = [g for g in gens if g]
-    n = len(next(iter(gens[0]))) if gens else 0
-    weights = unit_keys(order, n)
-    pairs = _minimal_basis(
-        [packed_terms(g, weights) for g in gens], n, weights, target, p
-    )
-    return [
-        (lead, {unpack(a, n): c for a, c in f.items()}) for lead, f in pairs
-    ]
-
-
-def _minimal_basis(gens, n, weights, target, p):
-    """The S-pair loop on nonzero packed term dicts in n variables, whose
-    order has the unit keys weights: monic (leading monomial, packed term
-    dict) pairs as buchberger returns them, each lead unpacked.
+    p = 0 computes over Q, with Fraction coefficients (int input is made
+    exact Fractions); a prime p computes over F_p, with coefficients the
+    int residues 1..p-1.  Both run the same loop.
 
     Normal selection strategy (smallest lcm first, ties by pair index) with
     Buchberger's coprime and chain criteria; pending pairs wait in a heap,
     the pair queue of Gebauer-Moeller.  Raises ComputationLimitError past
     PAIR_CAP S-pairs or BASIS_CAP basis elements.
 
-    With a target, the K-polynomial of the homogeneous ideal the generators
-    span, the loop stops as soon as the leads have it: the ideal J of the
-    leads lies inside the initial ideal, which has the Hilbert series of
-    the ideal under every monomial order, so equal series mean J is the
-    initial ideal.  Every pending pair would reduce to zero, and the basis
-    returned is the one the full loop returns.  The leads' series is
-    updated by one colon ideal per new lead.  Raises HilbertSeriesError if
-    the pairs run out without a match.
+    target, when given, is the K-polynomial ({degree: coefficient}, as
+    staircase.k_polynomial returns it) of the homogeneous ideal the
+    generators span, and the loop stops as soon as the leads have it: the
+    ideal J of the leads lies inside the initial ideal, which has the
+    Hilbert series of the ideal under every monomial order, so equal series
+    mean J is the initial ideal.  Every pending pair would reduce to zero,
+    and the basis returned is the one the full loop returns.  The leads'
+    series is updated by one colon ideal per new lead.  Raises
+    HilbertSeriesError if the pairs run out without a match.
     """
+    weights = unit_keys(order, n)
     guard = guard_bits(n)
     basis = []  # (lead, monic term dict) per element; the reducer list
     leads = []  # each lead unpacked once: the lcms, the series, the result
@@ -314,17 +298,14 @@ def _minimal_basis(gens, n, weights, target, p):
     return [first[lead] for lead in sorted(first) if first[lead][0] in minimal]
 
 
-def reduce_tails(pairs, order):
-    """Term dicts of the reduced Groebner basis, in the same order, from the
-    pairs of a minimal one: each element's remainder modulo the others keeps
-    its monic lead, since no lead divides another."""
+def reduce_tails(pairs):
+    """Term dicts of the reduced Groebner basis, keyed by exponent tuples, in
+    the same order, from the pairs of a minimal one as buchberger returns
+    them: each element's remainder modulo the others keeps its monic lead,
+    since no lead divides another."""
     n = len(pairs[0][0]) if pairs else 0
-    weights = unit_keys(order, n)
     guard = guard_bits(n)
-    packed = [
-        (sum(map(mul, lead, weights)), packed_terms(f, weights))
-        for lead, f in pairs
-    ]
+    packed = [(max(f), f) for _, f in pairs]
     return [
         {
             unpack(a, n): c
@@ -347,20 +328,21 @@ def intersect_ideals(a: Ideal, b: Ideal) -> Ideal:
     if a.nvars != b.nvars:
         raise DimensionError("intersection of ideals in different rings")
     n = a.nvars
-
-    def lift(p: Polynomial, u_exp: int) -> Polynomial:
-        return Polynomial(n + 1, {(u_exp,) + al: c for al, c in p.terms.items()})
-
-    u = Polynomial.variable(1, n + 1)
-    one = Polynomial.constant(n + 1, 1)
-    gens = [lift(f, 1) for f in a.generators]
-    gens += [(one - u) * lift(g, 0) for g in b.generators]
     order = elimination_order(1)
-    pairs = buchberger([g.terms for g in gens], order)
+    # the packed key of u, and those of x_1..x_n in the ring with u
+    u, *weights = unit_keys(order, n + 1)
+    gens = [
+        {k + u: c for k, c in packed_terms(f.terms, weights).items()}
+        for f in a.generators
+    ]
+    for g in b.generators:
+        terms = packed_terms(g.terms, weights)
+        gens.append({**terms, **{k + u: -c for k, c in terms.items()}})
+    pairs = buchberger(gens, n + 1, order)
     kept = [(lead, f) for lead, f in pairs if lead[0] == 0]
     return Ideal.of(
         Polynomial(n, {al[1:]: c for al, c in terms.items()})
-        for terms in reduce_tails(kept, order)
+        for terms in reduce_tails(kept)
     )
 
 
@@ -409,9 +391,8 @@ def _gin_once(ideal: Ideal, seed: int, entry_bound: int, target, p: int):
             )
         if terms:
             gens.append(terms)
-    n = ideal.nvars
     try:
-        pairs = _minimal_basis(gens, n, unit_keys(DEGREVLEX, n), target, p)
+        pairs = buchberger(gens, ideal.nvars, target=target, p=p)
     except HilbertSeriesError as exc:
         raise GenericityError(f"prime {p} is unlucky: over F_{p} {exc}") from exc
     return matrix, minimalize(lead for lead, _ in pairs)

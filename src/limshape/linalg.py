@@ -28,10 +28,13 @@ def json_integer(data, key) -> int:
 
 def json_number(x) -> Fraction:
     """The exact value of a JSON number, or of a rational string like "1/2";
-    a bool is not a number."""
+    a bool is not a number, and a zero denominator raises ValueError."""
     if isinstance(x, bool):
         raise ValueError(f"expected a number, got {x!r}")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
 
 
 def cleared(row):

@@ -175,13 +175,6 @@ class Polynomial:
         return cls(nvars, {(0,) * nvars: Fraction(c)})
 
     @classmethod
-    def variable(cls, i, nvars):
-        """x_i, 1-based."""
-        e = [0] * nvars
-        e[i - 1] = 1
-        return cls(nvars, {tuple(e): Fraction(1)})
-
-    @classmethod
     def linear_form(cls, coeffs):
         """sum_i coeffs[i] * x_{i+1}."""
         n = len(coeffs)
@@ -317,8 +310,10 @@ class Polynomial:
 def linear_substitute(polys, matrix):
     """Each polynomial with x_i replaced by sum_j matrix[i][j] * x_j.
 
-    The rational result of cleared_substitute.  The matrix must be square
-    of size nvars and invertible.
+    The rational result of cleared_substitute, whose packed integer dicts
+    the engine takes as they are; only Polynomial.linear_substitute, which
+    the benchmark wraps, calls it.  The matrix must be square of size nvars
+    and invertible.
     """
     n = len(matrix)
     return [

@@ -11,6 +11,8 @@ by subset enumeration.  `groebner_basis` is the reduced basis that the
 division oracles take: the engine's minimal basis with its tails reduced.
 `gin_draws_over_q` is gin's pair of draws computed over Q, the exact path
 the F_p draws are checked against.
+`pack_generators` and `unpack_pairs` carry tuple-keyed term dicts across
+the engine's packed boundary for the tests that drive it directly.
 `parse_polynomial` reads the text form that `str(Polynomial)` writes.
 `count_fractions` records every Fraction built while it is patched in.
 """
@@ -41,6 +43,9 @@ from limshape.rings import (
     divides,
     linear_substitute,
     mul_exp,
+    packed_terms,
+    unit_keys,
+    unpack,
 )
 from limshape.staircase import MonomialStaircase, k_polynomial, minimalize
 
@@ -190,11 +195,25 @@ class GroebnerBasis:
         return [leading_monomial(g, self.order) for g in self.basis]
 
 
+def pack_generators(gens, order=DEGREVLEX):
+    """Nonzero tuple-keyed term dicts as the packed generators buchberger
+    takes under order."""
+    weights = unit_keys(order, len(next(iter(gens[0]))))
+    return [packed_terms(g, weights) for g in gens]
+
+
+def unpack_pairs(pairs, n):
+    """buchberger's (lead, packed term dict) pairs in n variables, each term
+    dict keyed by exponent tuples."""
+    return [(lead, {unpack(a, n): c for a, c in f.items()}) for lead, f in pairs]
+
+
 def groebner_basis(ideal: Ideal, order=DEGREVLEX) -> GroebnerBasis:
     """The reduced basis: the engine's minimal basis, tails reduced."""
-    pairs = buchberger([g.terms for g in ideal.generators], order)
+    gens = pack_generators([g.terms for g in ideal.generators], order)
+    pairs = buchberger(gens, ideal.nvars, order)
     return GroebnerBasis(ideal, order, tuple(
-        Polynomial(ideal.nvars, terms) for terms in reduce_tails(pairs, order)
+        Polynomial(ideal.nvars, terms) for terms in reduce_tails(pairs)
     ))
 
 
@@ -205,8 +224,10 @@ def gin_draws_over_q(ideal: Ideal, seed, entry_bound=100, target=None):
     for k in (0, 1):
         rng = random.Random(derive_seed(seed, "gin", k))
         matrix = random_change_matrix(rng, ideal.nvars, entry_bound)
-        gens = [g.terms for g in linear_substitute(ideal.generators, matrix)]
-        pairs = buchberger(gens, target=target)
+        moved = linear_substitute(ideal.generators, matrix)
+        pairs = buchberger(
+            pack_generators([g.terms for g in moved]), ideal.nvars, target=target
+        )
         raws.append(minimalize(lead for lead, _ in pairs))
     return raws
 

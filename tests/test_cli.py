@@ -224,14 +224,32 @@ def test_symbolic_power_command_keeps_input_coordinates(name, tmp_path, capsys):
         assert given != [str(g) for g in symbolic_power(moved, m).ideal.generators]
 
 
+def test_zero_denominator_in_a_config_exits_2(tmp_path, capsys):
+    # "1/0" is no number: a usage error, not a traceback with exit 1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n": 2, "components": [
+        {"type": "point", "coords": ["1/0", 0, 1]},
+        {"type": "point", "coords": [0, 1, 0]},
+    ]}))
+    code, _, err = run(["gin", "--config", str(path)], capsys)
+    assert code == cli.EXIT_USAGE and "bad config" in err and "1/0" in err
+
+
+def test_zero_denominator_in_a_polyhedron_exits_2(tmp_path, capsys):
+    path = tmp_path / "poly.json"
+    path.write_text('{"dim": 2, "vertices": [[0, 0], ["1/0", 0], [0, 1]]}')
+    code, _, err = run(["volume", "--poly", str(path)], capsys)
+    assert code == cli.EXIT_USAGE and "bad polyhedron file" in err and "1/0" in err
+
+
 def test_symbolic_power_command_passes_the_target(monkeypatch, tmp_path, capsys):
     # the Buchberger run on the moved-back generators stops at the Hilbert
     # series of I^(m), which the move keeps
     runs = []
     real_buchberger = cli.buchberger
 
-    def recording(gens, order, target=None):
-        pairs = real_buchberger(gens, order, target=target)
+    def recording(gens, n, target=None):
+        pairs = real_buchberger(gens, n, target=target)
         runs.append((target, k_polynomial(lead for lead, _ in pairs)))
         return pairs
 

@@ -21,9 +21,11 @@ from oracles import (
     leading_monomial,
     monomial,
     normal_form,
+    pack_generators,
     parse_polynomial,
     tuple_degrevlex,
     tuple_elimination_order,
+    unpack_pairs,
 )
 from test_asymptotics import MOVE_ORACLE_CASES
 from test_rings import expand_substitute
@@ -380,31 +382,33 @@ def test_buchberger_matches_textbook_algorithm(ideal, orders):
     # the engine on packed monomials against the textbook algorithm on
     # exponent tuples under the tuple key of the same order
     order, oracle = orders
+    n = ideal.nvars
     expect = textbook_groebner(ideal.generators, oracle)
-    gens = [g.terms for g in ideal.generators]
-    pairs = groebner.buchberger(gens, order)
+    gens = pack_generators([g.terms for g in ideal.generators], order)
+    pairs = groebner.buchberger(gens, n, order)
     # a minimal basis: monic pairs whose leads divide no other lead, and
     # those leads are the reduced basis's, in its order
     leads = [lead for lead, _ in pairs]
     assert leads == [leading_monomial(g, oracle) for g in expect]
-    for i, (lead, terms) in enumerate(pairs):
+    for i, (lead, terms) in enumerate(unpack_pairs(pairs, n)):
         assert max(terms, key=oracle) == lead and terms[lead] == 1
         assert not any(divides(lj, lead) for j, lj in enumerate(leads) if j != i)
     # tail-reducing the pairs gives the reduced basis
-    reduced = groebner.reduce_tails(pairs, order)
-    assert tuple(Polynomial(ideal.nvars, t) for t in reduced) == expect
+    reduced = groebner.reduce_tails(pairs)
+    assert tuple(Polynomial(n, t) for t in reduced) == expect
     # the loop stopped at the Hilbert series of the ideal returns the same
     # pairs, so the same reduced basis
     target = k_polynomial(leads)
-    stopped = groebner.buchberger(gens, order, target=target)
+    stopped = groebner.buchberger(gens, n, order, target=target)
     assert stopped == pairs
-    assert groebner.reduce_tails(stopped, order) == reduced
-    # the engine reads a remainder's leading monomial off its first key
-    n = ideal.nvars
+    assert groebner.reduce_tails(stopped) == reduced
+    # the engine reads a remainder's leading monomial off its first key;
+    # its reducers are monic
     weights = unit_keys(order, n)
+    monic = [g * (1 / g.terms[leading_monomial(g, order)]) for g in ideal.generators]
     reducers = [
         (order(leading_monomial(g, order)), packed_terms(g.terms, weights))
-        for g in ideal.generators
+        for g in monic
     ]
     for i, (_, terms) in enumerate(reducers):
         others = reducers[:i] + reducers[i + 1:]
@@ -443,14 +447,16 @@ def test_stopped_loop_matches_full_loop_on_the_ladder(name):
         sp = symbolic_power(moved, m)
         rng = random.Random(derive_seed(3, "gin", 0))
         draw = groebner.random_change_matrix(rng, sp.ideal.nvars, 100)
+        n = sp.ideal.nvars
         for matrix in (draw, back):
-            gens = [g.terms for g in linear_substitute(sp.ideal.generators, matrix)]
-            full = groebner.buchberger(gens)
+            moved_back = linear_substitute(sp.ideal.generators, matrix)
+            gens = pack_generators([g.terms for g in moved_back])
+            full = groebner.buchberger(gens, n)
             assert sp.hilbert_numerator == k_polynomial(lead for lead, _ in full)
-            stopped = groebner.buchberger(gens, target=sp.hilbert_numerator)
+            stopped = groebner.buchberger(gens, n, target=sp.hilbert_numerator)
             assert stopped == full, (name, m)
-            reduced = groebner.reduce_tails(full, DEGREVLEX)
-            assert groebner.reduce_tails(stopped, DEGREVLEX) == reduced
+            reduced = groebner.reduce_tails(full)
+            assert groebner.reduce_tails(stopped) == reduced
 
 
 def test_target_saves_reductions(monkeypatch):
@@ -479,17 +485,30 @@ def test_buchberger_keeps_the_first_of_equal_leads():
     # in the minimal basis, whichever order they come in
     f, g = P("x1^2 + x2^2", 2).terms, P("x1^2 + x1*x2", 2).terms
     for first, second in ((f, g), (g, f)):
-        pairs = groebner.buchberger([first, second])
+        pairs = groebner.buchberger(pack_generators([first, second]), 2)
         assert [lead for lead, _ in pairs] == [(1, 1), (2, 0), (0, 3)]
-        assert pairs[1] == ((2, 0), first)
+        assert unpack_pairs(pairs, 2)[1] == ((2, 0), first)
+
+
+def test_integer_input_is_computed_in_exact_fractions():
+    # over Q the engine divides by leading coefficients; on int input the
+    # quotients must be Fractions, not floats
+    gens = [{(1, 0): 2, (0, 1): 3}, {(2, 0): 1, (0, 2): 5}]
+    exact = [{a: Fraction(c) for a, c in g.items()} for g in gens]
+    pairs = groebner.buchberger(pack_generators(gens), 2)
+    assert all(type(c) is Fraction for _, f in pairs for c in f.values())
+    assert pairs == groebner.buchberger(pack_generators(exact), 2)
+    assert unpack_pairs(pairs, 2) == [
+        ((1, 0), {(1, 0): 1, (0, 1): Fraction(3, 2)}), ((0, 2), {(0, 2): 1})
+    ]
 
 
 def test_wrong_target_raises_naming_both_numerators():
-    gens = [P("x1^2 - x2*x3", 3).terms, P("x1*x2", 3).terms]
-    right = k_polynomial(lead for lead, _ in groebner.buchberger(gens))
+    gens = pack_generators([P("x1^2 - x2*x3", 3).terms, P("x1*x2", 3).terms])
+    right = k_polynomial(lead for lead, _ in groebner.buchberger(gens, 3))
     wrong = {0: 1, 2: -1}  # the numerator of one quadric
     with pytest.raises(HilbertSeriesError) as err:
-        groebner.buchberger(gens, target=wrong)
+        groebner.buchberger(gens, 3, target=wrong)
     assert str(right) in str(err.value) and str(wrong) in str(err.value)
 
 
@@ -570,11 +589,11 @@ OVERFLOWING_PRODUCT = [P("x1^3 - x2^3", 2).terms, P("x1*x2 + x2^2", 2).terms]
 
 
 def test_a_product_past_the_field_width_raises(monkeypatch):
-    wide = groebner.buchberger(OVERFLOWING_PRODUCT)
+    wide = groebner.buchberger(pack_generators(OVERFLOWING_PRODUCT), 2)
     assert max(max(lead) for lead, _ in wide) > 3
     monkeypatch.setattr(rings, "EXPONENT_BITS", 2)
     with pytest.raises(ComputationLimitError, match="passed the field width"):
-        groebner.buchberger(OVERFLOWING_PRODUCT)
+        groebner.buchberger(pack_generators(OVERFLOWING_PRODUCT), 2)
 
 
 @settings(max_examples=100, deadline=None)
@@ -582,13 +601,15 @@ def test_a_product_past_the_field_width_raises(monkeypatch):
 def test_a_narrow_field_width_raises_or_agrees(ideal, order):
     # 2-bit exponents hold every generator of degree <= 3; a run either
     # stops with ComputationLimitError or returns the wide run's basis, so
-    # no key wraps
+    # no key wraps; the narrow run is packed and unpacked at its own width
+    n = ideal.nvars
     gens = [g.terms for g in ideal.generators]
-    wide = groebner.buchberger(gens, order)
+    wide = unpack_pairs(groebner.buchberger(pack_generators(gens, order), n, order), n)
     saved = rings.EXPONENT_BITS
     rings.EXPONENT_BITS = 2
     try:
-        narrow = groebner.buchberger(gens, order)
+        narrow = groebner.buchberger(pack_generators(gens, order), n, order)
+        narrow = unpack_pairs(narrow, n)
     except ComputationLimitError:
         return
     finally:

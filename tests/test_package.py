@@ -178,3 +178,45 @@ def test_every_definition_has_a_caller():
             ):
                 uncalled.append(f"{path.name}:{qualname}")
     assert uncalled == []
+
+
+# the definitions only the benchmark reaches: hooks it wraps or times,
+# kept until ROADMAP's item 1 moves them out of the package
+BENCHMARK_ONLY = {
+    "rings.py:Polynomial.linear_substitute",
+    "staircase.py:MonomialStaircase.count_gamma_bruteforce",
+    "staircase.py:MonomialStaircase.lm_volume",
+}
+
+
+def test_benchmark_only_definitions_are_pinned():
+    # test_every_definition_has_a_caller counts a reference from the
+    # benchmark as a caller; a new hook, or one left behind when the hooks
+    # go, changes this set
+    package = {
+        path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))
+    }
+    package_nodes = [node for tree in package.values() for node in ast.walk(tree)]
+    bench_nodes = [
+        node
+        for path in sorted(PERFBENCH.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+    ]
+    only_bench = set()
+    for path, tree in package.items():
+        for qualname, node in _definitions(tree):
+            name = qualname.rsplit(".", 1)[-1]
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            method = "." in qualname
+
+            def reached(nodes):
+                return any(
+                    _referenced_name(n, method) == name and id(n) not in own
+                    for n in nodes
+                )
+
+            if reached(bench_nodes) and not reached(package_nodes):
+                only_bench.add(f"{path.name}:{qualname}")
+    assert only_bench == BENCHMARK_ONLY

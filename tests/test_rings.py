@@ -159,8 +159,8 @@ def test_leading_term_multiplicative(p, q):
 
 
 def test_poly_arith_examples():
-    x1 = Polynomial.variable(1, 2)
-    x2 = Polynomial.variable(2, 2)
+    x1 = Polynomial.linear_form([1, 0])
+    x2 = Polynomial.linear_form([0, 1])
     assert (x1 + x2) * (x1 - x2) == x1 * x1 - x2 * x2
     p = parse_polynomial("x1*x3 + x2^2", 3)
     # x2^2 > x1*x3 per the degree-2 fixture (restricted to 3 vars)
@@ -168,8 +168,8 @@ def test_poly_arith_examples():
 
 
 def test_linear_substitute_examples():
-    x1 = Polynomial.variable(1, 2)
-    x2 = Polynomial.variable(2, 2)
+    x1 = Polynomial.linear_form([1, 0])
+    x2 = Polynomial.linear_form([0, 1])
     p = x1 * x1 + 3 * x2
     assert p.linear_substitute([[1, 0], [0, 1]]) == p
     assert x1.linear_substitute([[0, 1], [1, 0]]) == x2
@@ -248,9 +248,9 @@ def test_table_mod_p_is_the_exact_table_reduced(case, p):
 
 
 def test_linear_substitute_checks_its_inputs():
-    x1 = Polynomial.variable(1, 2)
+    x1 = Polynomial.linear_form([1, 0])
     with pytest.raises(DimensionError):
-        linear_substitute([x1, Polynomial.variable(1, 3)], [[1, 0], [0, 1]])
+        linear_substitute([x1, Polynomial.linear_form([1, 0, 0])], [[1, 0], [0, 1]])
     with pytest.raises(DimensionError):
         linear_substitute([x1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
@@ -267,7 +267,7 @@ def test_linear_substitute_composition_convention():
 
 
 def test_linear_substitute_singular():
-    p = Polynomial.variable(1, 2)
+    p = Polynomial.linear_form([1, 0])
     with pytest.raises(SingularMatrixError):
         p.linear_substitute([[1, 1], [1, 1]])
 
