@@ -27,7 +27,6 @@ from .groebner import (
     ComputationLimitError,
     GenericityError,
     GinResult,
-    LastVariableError,
     derive_seed,
     gin,
     regularity_surrogate,
@@ -361,7 +360,7 @@ def compute_report_row(config: Config, t, m, seed, entry_bound) -> ReportRow:
         bound = lattice_volume_error_bound(n, m, t)
         row.lattice_bound_ok = abs(row.count - gvol) <= bound
         row.staircase = st
-    except (ComputationLimitError, GenericityError, LastVariableError) as exc:
+    except (ComputationLimitError, GenericityError) as exc:
         row.error = f"{type(exc).__name__}: {exc}"
     return row
 

@@ -37,7 +37,6 @@ from .configs import (
 from .groebner import (
     ComputationLimitError,
     GenericityError,
-    LastVariableError,
     MIN_ENTRY_BOUND,
     buchberger,
     reduce_tails,
@@ -65,7 +64,6 @@ EXIT_RESOURCE = 4
 # exit code of each computation failure, by class name (report rows carry it)
 FAILURE_EXIT = {
     "GenericityError": EXIT_GENERICITY,
-    "LastVariableError": EXIT_GENERICITY,
     "ComputationLimitError": EXIT_RESOURCE,
 }
 
@@ -523,7 +521,7 @@ def main(argv=None):
     except (DegenerateConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_USAGE
-    except (GenericityError, LastVariableError, ComputationLimitError) as exc:
+    except (GenericityError, ComputationLimitError) as exc:
         code = FAILURE_EXIT[type(exc).__name__]
         kind = "resource" if code == EXIT_RESOURCE else "genericity/saturation"
         print(f"{kind} failure: {exc}", file=sys.stderr)

@@ -13,9 +13,10 @@ Fraction coefficients, and a prime p is F_p, with int residues.
 intersect_ideals and symbolic-power's move back compute over Q, because
 the bases they return are printed.  gin's two draws compute over F_p, one
 prime of GIN_PRIMES each (2^31 - 1 and 2^31 - 19), because gin reads only
-leading monomials; the reasons this keeps gin's checks as strong as before
-are in gin's docstring (modular Groebner bases: Traverso 1988, "Groebner
-trace algorithms"; Arnold 2003, J. Symb. Comput. 35).
+leading monomials, and on its section x_last = 0, in one variable fewer;
+the reasons this keeps gin's checks as strong as draws over Q in all
+variables are in gin's docstring (modular Groebner bases: Traverso 1988,
+"Groebner trace algorithms"; Arnold 2003, J. Symb. Comput. 35).
 
 The engine computes on packed monomials, one int per monomial (see
 rings): term dicts are keyed by the order's packed keys, a product is +,
@@ -31,9 +32,10 @@ ComputationLimitError before its key is used, so no key wraps.
 A caller that knows the Hilbert series of the ideal in advance passes its
 numerator, the K-polynomial, as a target, and the S-pair loop stops as soon
 as the leads found so far have it (Traverso 1996, "Hilbert functions and
-the Buchberger algorithm").  gin knows it because the series is invariant
-under a linear change of coordinates, and symbolic_power returns I^(m)
-with the leads of a Groebner basis of it.
+the Buchberger algorithm").  gin knows it because a linear change of
+coordinates keeps the K-polynomial, and so does a generic hyperplane
+section of a saturated ideal; symbolic_power returns I^(m) with the
+leads of a Groebner basis of it.
 
 Inputs are desk scale (n <= 4, small degrees); the S-pair loop carries
 fixed caps on the S-pairs it takes (PAIR_CAP) and on the size of its basis
@@ -87,13 +89,13 @@ class HilbertSeriesError(RuntimeError):
 
 
 class GenericityError(RuntimeError):
-    """Two independent coordinate draws produced different initial ideals,
-    or the initial ideal they agree on is not Borel-fixed."""
+    """A gin draw was refused (an unlucky prime or a non-saturated ideal),
+    the two draws disagree, or their initial ideal is not Borel-fixed."""
 
 
-class LastVariableError(RuntimeError):
-    """A gin minimal generator involves the last variable; the input is not
-    saturated or the coordinate change was not generic."""
+# the benchmark's tests import this name; ROADMAP item 1's benchmark change
+# deletes it
+LastVariableError = GenericityError
 
 
 @dataclass(frozen=True)
@@ -353,7 +355,11 @@ def intersect_ideals(a: Ideal, b: Ideal) -> Ideal:
 class GinResult:
     staircase: MonomialStaircase  # in nvars-1 variables (last one dropped)
     coordinate_matrix: tuple
-    raw_initial: tuple  # minimal generators, nvars variables
+
+    @property
+    def raw_initial(self):
+        """The minimal generators in nvars variables, none involving the last."""
+        return tuple(g + (0,) for g in self.staircase.min_gens)
 
 
 def derive_seed(seed: int, *labels) -> int:
@@ -375,8 +381,8 @@ def random_change_matrix(rng: random.Random, n: int, entry_bound: int):
 
 
 def _gin_once(ideal: Ideal, seed: int, entry_bound: int, target, p: int):
-    """One draw: the leads of the ideal under a seeded integer coordinate
-    change, computed over F_p."""
+    """One draw: its seeded integer matrix and the leads of its section
+    x_last = 0, computed over F_p in the first nvars - 1 variables."""
     rng = random.Random(seed)
     matrix = random_change_matrix(rng, ideal.nvars, entry_bound)
     if linalg.det(matrix) % p == 0:
@@ -384,7 +390,8 @@ def _gin_once(ideal: Ideal, seed: int, entry_bound: int, target, p: int):
             f"prime {p} divides the determinant of the coordinate draw"
         )
     gens = []
-    for scale, terms in cleared_substitute(ideal.generators, matrix, p):
+    section = [row[:-1] for row in matrix]
+    for scale, terms in cleared_substitute(ideal.generators, section, p):
         if scale % p == 0:
             raise GenericityError(
                 f"prime {p} divides the denominator {scale} of a generator"
@@ -392,29 +399,32 @@ def _gin_once(ideal: Ideal, seed: int, entry_bound: int, target, p: int):
         if terms:
             gens.append(terms)
     try:
-        pairs = buchberger(gens, ideal.nvars, target=target, p=p)
+        pairs = buchberger(gens, ideal.nvars - 1, target=target, p=p)
     except HilbertSeriesError as exc:
-        raise GenericityError(f"prime {p} is unlucky: over F_{p} {exc}") from exc
+        raise GenericityError(
+            f"prime {p} is unlucky, the ideal is not saturated, or the last "
+            f"variable of the draw is a zero divisor on it: over F_{p} {exc}"
+        ) from exc
     return matrix, minimalize(lead for lead, _ in pairs)
 
 
-def gin(
-    ideal: Ideal, seed: int, entry_bound: int = 100, target=None
-) -> GinResult:
-    """Generic initial ideal via two seeded random coordinate changes, each
-    computed over a prime field F_p, one prime of GIN_PRIMES per draw.
+def gin(ideal: Ideal, seed: int, entry_bound: int, target) -> GinResult:
+    """Generic initial ideal of a saturated ideal via two seeded random
+    coordinate changes, each computed over a prime field F_p, one prime of
+    GIN_PRIMES per draw, on its hyperplane section x_last = 0.
 
-    Each draw substitutes its integer matrix into the generators mod its
-    prime, with the denominators cleared, through one table of monomial
-    images in residues; a prime dividing the determinant or a cleared
-    denominator is refused.  target, the
-    K-polynomial of the ideal over Q if known, is handed to both draws'
-    buchberger: a linear change of coordinates keeps the Hilbert series.
-
-    The two draws must agree on an initial ideal, which must be Borel-fixed
-    (Galligo, Bayer-Stillman); minimal generators must avoid the last
-    variable (saturated input).  A failed check raises GenericityError or
-    LastVariableError, naming the prime where one is at fault.
+    Each draw substitutes the first nvars - 1 columns of its integer matrix
+    into the generators mod its prime, with the denominators cleared; a
+    prime dividing the determinant or a cleared denominator is refused.
+    Both draws' buchberger take target, the K-polynomial of the ideal over
+    Q.  For degrevlex, in(J + (x_last)) = in(J) + (x_last) (Bayer-Stillman
+    1987); if x_last is a nonzerodivisor on S/gI, no minimal generator of
+    in(gI) involves it and the section has gI's K-polynomial.  If it is a
+    zero divisor, as in every draw of a non-saturated ideal, the section's
+    Hilbert function exceeds the target's and the loop ends without a
+    match; so a match also certifies saturation.  The two draws must agree
+    on a Borel-fixed initial ideal (Galligo, Bayer-Stillman); a failed
+    check raises GenericityError, naming the prime where one is at fault.
 
     Why the draws over F_p meet the standard of draws over Q: a draw over Q
     misses gin(I) only when its matrix lies on a proper Zariski-closed set,
@@ -424,46 +434,36 @@ def gin(
     such as the leading coefficients met over Q (Traverso 1988; Arnold
     2003).  Reducing the generators mod p can only raise the Hilbert
     function, and the leads' ideal has at least the Hilbert function of the
-    ideal they lie in; so with a target, a series match proves the prime
-    kept the series and the leads are the initial ideal over F_p, and a
-    prime that changed it ends the loop without a match and is refused.  A
-    prime that keeps the series but changes the leads must still agree with
-    an independent matrix under the other prime on a Borel-fixed ideal.  So
-    a wrong answer needs two independent unlikely events to agree, as with
-    two draws over Q.  Both primes lie above 2^30, far above every exponent,
-    where the Borel-fixed ideals of characteristic p are the strongly stable
-    ones the gate tests for (Pardue 1994).
+    ideal they lie in; so a series match proves the prime kept the series
+    and the leads are the initial ideal over F_p, and a prime that changed
+    it ends the loop without a match and is refused.  A prime that keeps
+    the series but changes the leads must still agree with an independent
+    matrix under the other prime on a Borel-fixed ideal.  So a wrong answer
+    needs two independent unlikely events to agree, as with two draws over
+    Q.  Both primes lie above 2^30, far above every exponent, where the
+    Borel-fixed ideals of characteristic p are the strongly stable ones the
+    gate tests for (Pardue 1994).
     """
     if entry_bound < MIN_ENTRY_BOUND:
         raise ValueError(f"entry_bound must be >= {MIN_ENTRY_BOUND}")
     p0, p1 = GIN_PRIMES
-    matrix, raw = _gin_once(
-        ideal, derive_seed(seed, "gin", 0), entry_bound, target, p0
-    )
-    _, raw2 = _gin_once(
-        ideal, derive_seed(seed, "gin", 1), entry_bound, target, p1
+    (matrix, raw), (_, raw2) = (
+        _gin_once(ideal, derive_seed(seed, "gin", k), entry_bound, target, p)
+        for k, p in enumerate((p0, p1))
     )
     if raw != raw2:
         raise GenericityError(
             f"two coordinate draws (over F_{p0} and F_{p1}) disagree; raise "
             f"entry_bound (currently {entry_bound})"
         )
-    if not MonomialStaircase.from_generators(ideal.nvars, raw).is_borel_fixed():
+    staircase = MonomialStaircase.from_generators(ideal.nvars - 1, raw)
+    result = GinResult(staircase, matrix)
+    if not result.staircase.is_borel_fixed():
         raise GenericityError(
-            f"initial ideal {raw} is not Borel-fixed; the coordinate draws "
-            "were not generic"
+            f"initial ideal {result.raw_initial} is not Borel-fixed; the "
+            "coordinate draws were not generic"
         )
-    last = ideal.nvars - 1
-    for g in raw:
-        if g[last] != 0:
-            raise LastVariableError(
-                f"gin generator {g} involves the last variable; "
-                "input is not saturated or draw was not generic"
-            )
-    staircase = MonomialStaircase.from_generators(
-        ideal.nvars - 1, [g[:-1] for g in raw]
-    )
-    return GinResult(staircase, matrix, tuple(raw))
+    return result
 
 
 def regularity_surrogate(g: GinResult) -> int:

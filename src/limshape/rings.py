@@ -43,9 +43,6 @@ class SingularMatrixError(ValueError):
     """A coordinate-change matrix is not invertible."""
 
 
-ExponentVector = tuple  # tuple[int, ...], all entries >= 0
-
-
 def degree(alpha) -> int:
     return sum(alpha)
 
@@ -313,9 +310,13 @@ def linear_substitute(polys, matrix):
     The rational result of cleared_substitute, whose packed integer dicts
     the engine takes as they are; only Polynomial.linear_substitute, which
     the benchmark wraps, calls it.  The matrix must be square of size nvars
-    and invertible.
+    and invertible, which only this path checks.
     """
     n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise DimensionError("matrix is not square")
+    if det(matrix) == 0:
+        raise SingularMatrixError("coordinate change matrix is singular")
     return [
         Polynomial(n, {unpack(b, n): Fraction(v, scale) for b, v in acc.items()})
         for scale, acc in cleared_substitute(polys, matrix)
@@ -324,31 +325,30 @@ def linear_substitute(polys, matrix):
 
 def cleared_substitute(polys, matrix, p=0):
     """(d, term dict) per polynomial f: the nonzero terms of d * f(matrix x),
-    keyed by DEGREVLEX packed monomials, where d is the lcm of the
-    denominators of f's coefficients.  The coefficients are ints, or their
-    residues mod p when a prime p is given with an integer matrix.
+    keyed by DEGREVLEX packed monomials in k variables for an nvars x k
+    matrix, where d is the lcm of the denominators of f's coefficients.
+    The coefficients are ints, or their residues mod p when a prime p is
+    given with an integer matrix.  gin's draws pass the first nvars - 1
+    columns of their matrices: the substitution, then x_last = 0.
 
     The polynomials share one table of monomial images: the image of x^a is
     built once, as the image of x^a / x_i times row i, where x_i is the
     first variable of x^a; times x_j is + the key of x_j.  Integer entries
     stay Python ints in the table, so the inner products are integer
     products when the matrix is integral, and mod p every entry of the
-    table is a residue.  The matrix must be square of size nvars and
-    invertible.
+    table is a residue.
     """
     polys = list(polys)
     n = polys[0].nvars if polys else len(matrix)
-    if len(matrix) != n or any(len(row) != n for row in matrix):
-        raise DimensionError("matrix size != nvars")
+    if len(matrix) != n:
+        raise DimensionError("matrix rows != nvars")
     if any(f.nvars != n for f in polys):
         raise DimensionError("mixed variable counts in substituted polynomials")
-    if det(matrix) == 0:
-        raise SingularMatrixError("coordinate change matrix is singular")
     # an image of x^a has the degree of a, which bounds its exponents
     top = max((degree(a) for f in polys for a in f.terms), default=0)
     if top >> EXPONENT_BITS:
         raise _exponent_overflow(top)
-    weights = unit_keys(DEGREVLEX, n)
+    weights = unit_keys(DEGREVLEX, len(matrix[0]))
     rows = [[(w, c) for w, c in zip(weights, row) if c] for row in matrix]
 
     def nonzero(acc):
@@ -361,7 +361,7 @@ def cleared_substitute(polys, matrix, p=0):
     def image(alpha):
         img = table.get(alpha)
         if img is None:
-            i = next(k for k, e in enumerate(alpha) if e)
+            i = next(j for j, e in enumerate(alpha) if e)
             lower = image(alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :])
             img = {}
             for beta, v in lower.items():

@@ -232,6 +232,13 @@ def gin_draws_over_q(ideal: Ideal, seed, entry_bound=100, target=None):
     return raws
 
 
+def oracle_target(ideal: Ideal):
+    """The K-polynomial of the ideal, from the leads of its Groebner basis
+    over Q in the coordinates given: the target gin takes, since a change
+    of coordinates keeps it."""
+    return k_polynomial(initial_ideal(groebner_basis(ideal)))
+
+
 def initial_ideal(gb: GroebnerBasis):
     """Minimal monomial generators of the leading-term ideal."""
     return minimalize(gb.leading_monomials())

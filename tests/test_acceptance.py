@@ -93,7 +93,8 @@ def sym_power_gb(which, m):
 
 @lru_cache(maxsize=None)
 def gin_of(which, m):
-    return gin(sym_power(which, m).ideal, SEED)
+    sp = sym_power(which, m)
+    return gin(sp.ideal, SEED, 100, sp.hilbert_numerator)
 
 
 @lru_cache(maxsize=None)

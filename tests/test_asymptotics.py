@@ -15,7 +15,7 @@ from limshape.asymptotics import (
     intersecting_lines_hp,
 )
 from limshape.configs import Config, config_from_dict, symbolic_power
-from limshape.groebner import LastVariableError, derive_seed, gin
+from limshape.groebner import GenericityError, derive_seed, gin
 
 INTERSECTING_LINES = Config.of(3, flats=[
     [(1, 0, 0, 0), (0, 1, 0, 0)],
@@ -163,7 +163,7 @@ def test_ahf_estimate_keeps_rows_past_saturation_failure(monkeypatch):
 
     def gin_failing_at_m2(ideal, seed, entry_bound, target):
         if seed == derive_seed(0, "row", 2):
-            raise LastVariableError("gin generator involves the last variable")
+            raise GenericityError("the ideal is not saturated")
         return real_gin(ideal, seed, entry_bound, target)
 
     monkeypatch.setattr(asymptotics, "gin", gin_failing_at_m2)
@@ -171,7 +171,7 @@ def test_ahf_estimate_keeps_rows_past_saturation_failure(monkeypatch):
     report = ahf_estimate(cfg, t=1, m_list=[1, 2, 3], seed=0)
     failed, = (r for r in report.rows if r.error is not None)
     assert failed.m == 2
-    assert failed.error.startswith("LastVariableError:")
+    assert failed.error.startswith("GenericityError:")
     assert [r.count for r in report.rows if r.m != 2] == [comb(2, 2), comb(4, 2)]
 
 
@@ -242,5 +242,6 @@ def test_gin_of_symbolic_power_matches_unmoved_gin(name):
     for m in range(1, m_max + 1):
         seed = derive_seed(3, "row", m)
         moved = asymptotics.gin_of_symbolic_power(config, m, seed)
-        given_coords = gin(symbolic_power(config, m).ideal, seed)
+        sp = symbolic_power(config, m)
+        given_coords = gin(sp.ideal, seed, 100, sp.hilbert_numerator)
         assert moved.staircase == given_coords.staircase, (name, m)

@@ -443,22 +443,28 @@ INTERSECTING_LINES = json.dumps({"n": 3, "components": [
 
 
 def test_non_borel_initial_ideal_maps_to_exit_3(tmp_path, capsys, monkeypatch):
-    # the real gate, not a faked exception: without a change of coordinates
-    # the initial ideal of I^(2) of two intersecting lines is not Borel-fixed
+    # the real checks, not a faked exception, on I^(2) of two intersecting
+    # lines, which lie in the hyperplane x4 = 0 in coordinate position: the
+    # identity leaves x4 a zero divisor, so the section misses the series;
+    # the permutation x2 -> x4, x3 -> x2, x4 -> x3 takes the ideal off x4,
+    # and its initial ideal is not Borel-fixed
     identity = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
-    monkeypatch.setattr(groebner, "random_change_matrix",
-                        lambda rng, n, bound: identity)
+    permutation = ((1, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0))
     path = tmp_path / "config.json"
     path.write_text(INTERSECTING_LINES)
-    code, _, err = run(["gin", "--config", str(path), "--m", "2"], capsys)
-    assert code == cli.EXIT_GENERICITY
-    assert "Borel-fixed" in err
-    code, out, _ = run(
-        ["report", "--config", str(path), "--m-max", "2", "--t", "2"], capsys
-    )
-    assert code == cli.EXIT_OK
-    rows = {r["m"]: r["error"] for r in json.loads(out)["rows"]}
-    assert rows[2].startswith("GenericityError:")
+    for matrix, reason in ((identity, "not saturated"), (permutation, "Borel-fixed")):
+        monkeypatch.setattr(groebner, "random_change_matrix",
+                            lambda rng, n, bound: matrix)
+        code, _, err = run(["gin", "--config", str(path), "--m", "2"], capsys)
+        assert code == cli.EXIT_GENERICITY
+        assert reason in err
+        code, out, _ = run(
+            ["report", "--config", str(path), "--m-max", "2", "--t", "2"], capsys
+        )
+        assert code == cli.EXIT_OK
+        rows = {r["m"]: r["error"] for r in json.loads(out)["rows"]}
+        assert rows[2].startswith("GenericityError:")
+        assert reason in rows[2]
 
 
 def test_pair_cap_maps_to_exit_4(config_path, tmp_path, capsys, monkeypatch):

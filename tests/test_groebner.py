@@ -21,6 +21,7 @@ from oracles import (
     leading_monomial,
     monomial,
     normal_form,
+    oracle_target,
     pack_generators,
     parse_polynomial,
     tuple_degrevlex,
@@ -38,7 +39,6 @@ from limshape.groebner import (
     GenericityError,
     HilbertSeriesError,
     Ideal,
-    LastVariableError,
     derive_seed,
     gin,
     intersect_ideals,
@@ -161,7 +161,7 @@ def test_initial_ideal_minimal_generators():
 def test_gin_of_coordinate_point():
     # saturated ideal of a point in P^2: gin is (x1, x2)
     ideal = Ideal.of([P("x2", 3), P("x3", 3)])
-    g = gin(ideal, seed=11)
+    g = gin(ideal, 11, 100, oracle_target(ideal))
     assert g.staircase.min_gens == ((0, 1), (1, 0))
     assert g.raw_initial == ((0, 1, 0), (1, 0, 0))
 
@@ -169,33 +169,50 @@ def test_gin_of_coordinate_point():
 def test_gin_fixes_borel_ideal():
     # strongly stable monomial ideal in 3 variables: gin reproduces it
     ideal = Ideal.of([P("x1^2", 3), P("x1*x2", 3), P("x2^3", 3)])
-    g = gin(ideal, seed=5)
+    g = gin(ideal, 5, 100, oracle_target(ideal))
     assert set(g.raw_initial) == {(2, 0, 0), (1, 1, 0), (0, 3, 0)}
     assert regularity_surrogate(g) == 3
 
 
 def test_gin_deterministic_and_seed_independent():
     ideal = Ideal.of([P("x2", 3), P("x3", 3)]).power(2)
-    g1 = gin(ideal, seed=1)
-    g2 = gin(ideal, seed=1)
-    g3 = gin(ideal, seed=99)
+    target = oracle_target(ideal)
+    g1 = gin(ideal, 1, 100, target)
+    g2 = gin(ideal, 1, 100, target)
+    g3 = gin(ideal, 99, 100, target)
     assert g1.staircase == g2.staircase == g3.staircase
     assert g1.coordinate_matrix == g2.coordinate_matrix
     assert g1.coordinate_matrix != g3.coordinate_matrix
 
 
 def test_gin_rejects_unsaturated_input():
-    # (x1, x2)^2 in 2 variables is not saturated; a minimal gin generator
-    # must involve the last variable
-    ideal = Ideal.of([P("x1", 2), P("x2", 2)]).power(2)
-    with pytest.raises(LastVariableError):
-        gin(ideal, seed=3)
+    # each ideal is not saturated: the full draws over Q have a lead in the
+    # last variable, and in the section draws it is a zero divisor, so the
+    # section's series exceeds the target
+    unsaturated = [
+        Ideal.of([P("x1", 2), P("x2", 2)]).power(2),
+        Ideal.of([P("x1^2", 3), P("x1*x2", 3), P("x1*x3", 3)]),
+        Ideal.of([P("x1^2", 3), P("x1*x2", 3), P("x2^2", 3), P("x1*x3^2", 3)]),
+    ]
+    for ideal in unsaturated:
+        target = oracle_target(ideal)
+        full = gin_draws_over_q(ideal, 3, 100, target)
+        assert any(lead[-1] for raw in full for lead in raw)
+        with pytest.raises(GenericityError, match="not saturated"):
+            gin(ideal, 3, 100, target)
+
+
+def test_section_draw_agrees_with_the_full_draw_on_a_saturated_ideal():
+    ideal = Ideal.of([P("x1", 3), P("x2", 3)])
+    target = oracle_target(ideal)
+    full = gin_draws_over_q(ideal, 3, 100, target)
+    assert full == [gin(ideal, 3, 100, target).raw_initial] * 2
 
 
 def test_gin_entry_bound_validation():
     ideal = Ideal.of([P("x2", 3), P("x3", 3)])
     with pytest.raises(ValueError):
-        gin(ideal, seed=1, entry_bound=2)
+        gin(ideal, 1, 2, oracle_target(ideal))
 
 
 def test_derive_seed_stable_and_distinct():
@@ -271,8 +288,9 @@ INTERSECTING_LINES = Config.of(3, flats=[[(1, 0, 0, 0), (0, 1, 0, 0)],
 def test_gin_matches_term_by_term_substitution(config, m):
     # the shared monomial-image table against expanding every term on its
     # own, under the coordinate matrix of gin's first draw
-    ideal = symbolic_power(config, m).ideal
-    g = gin(ideal, seed=5)
+    sp = symbolic_power(config, m)
+    ideal = sp.ideal
+    g = gin(ideal, 5, 100, sp.hilbert_numerator)
     moved = Ideal.of(expand_substitute(p, g.coordinate_matrix)
                      for p in ideal.generators)
     assert g.raw_initial == initial_ideal(groebner_basis(moved))
@@ -324,12 +342,12 @@ def test_gin_rejects_initial_ideal_that_is_not_borel_fixed(monkeypatch):
     identity = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
     monkeypatch.setattr(groebner, "random_change_matrix",
                         lambda rng, n, bound: identity)
-    ideal = symbolic_power(INTERSECTING_LINES, 2).ideal
-    assert initial_ideal(groebner_basis(ideal)) == (
+    sp = symbolic_power(INTERSECTING_LINES, 2)
+    assert initial_ideal(groebner_basis(sp.ideal)) == (
         (0, 2, 2, 0), (1, 1, 1, 0), (2, 0, 0, 0)
     )
     with pytest.raises(GenericityError, match="Borel-fixed"):
-        gin(ideal, seed=1)
+        gin(sp.ideal, 1, 100, sp.hilbert_numerator)
 
 
 def textbook_groebner(gens, order):
@@ -460,9 +478,9 @@ def test_stopped_loop_matches_full_loop_on_the_ladder(name):
 
 
 def test_target_saves_reductions(monkeypatch):
-    # the stopped draws skip the zero reductions after the last new lead,
-    # through the production entry point; a target left unused reduces as
-    # often as the full loop
+    # the stopped draws of the production entry point skip the zero
+    # reductions after the last new lead; the same two draws without a
+    # target run the full loop to the same leads
     calls = [0]
     reduce_terms = groebner._reduce_terms
 
@@ -473,10 +491,14 @@ def test_target_saves_reductions(monkeypatch):
     monkeypatch.setattr(groebner, "_reduce_terms", counting)
     moved, _ = coordinate_position(TWO_LINES)
     seed = derive_seed(3, "row", 2)
-    full = gin(symbolic_power(moved, 2).ideal, seed)
+    ideal = symbolic_power(moved, 2).ideal
+    full = [
+        groebner._gin_once(ideal, derive_seed(seed, "gin", k), 100, None, p)[1]
+        for k, p in enumerate(groebner.GIN_PRIMES)
+    ]
     full_calls, calls[0] = calls[0], 0
     stopped = asymptotics.gin_of_symbolic_power(TWO_LINES, 2, seed)
-    assert stopped == full
+    assert full == [stopped.staircase.min_gens] * 2
     assert calls[0] < full_calls
 
 
@@ -637,7 +659,7 @@ def test_prime_dividing_the_determinant_is_refused(monkeypatch):
     assert q > 1
     monkeypatch.setattr(groebner, "GIN_PRIMES", (q, q))
     with pytest.raises(GenericityError, match=f"prime {q} divides the determinant"):
-        gin(ideal, seed=11)
+        gin(ideal, 11, 100, oracle_target(ideal))
 
 
 def test_prime_dividing_a_denominator_is_refused(monkeypatch):
@@ -646,7 +668,7 @@ def test_prime_dividing_a_denominator_is_refused(monkeypatch):
     ideal = Ideal.of([fractional, P("x3", 3)])
     monkeypatch.setattr(groebner, "GIN_PRIMES", (q, q))
     with pytest.raises(GenericityError, match=f"prime {q} divides the denominator"):
-        gin(ideal, seed=11)
+        gin(ideal, 11, 100, oracle_target(ideal))
 
 
 def test_prime_that_changes_the_series_is_refused(monkeypatch):
@@ -656,10 +678,10 @@ def test_prime_that_changes_the_series_is_refused(monkeypatch):
     other = Polynomial(3, {(1, 0, 0): 1, (0, 1, 0): 1 + q})
     ideal = Ideal.of([P("x1 + x2", 3), other])
     target = k_polynomial([(1, 0, 0), (0, 1, 0)])
-    assert gin(ideal, seed=11, target=target).raw_initial == ((0, 1, 0), (1, 0, 0))
+    assert gin(ideal, 11, 100, target).raw_initial == ((0, 1, 0), (1, 0, 0))
     monkeypatch.setattr(groebner, "GIN_PRIMES", (q, q))
     with pytest.raises(GenericityError, match=f"prime {q} is unlucky") as err:
-        gin(ideal, seed=11, target=target)
+        gin(ideal, 11, 100, target)
     assert isinstance(err.value.__cause__, HilbertSeriesError)
 
 
@@ -676,6 +698,6 @@ def test_gin_draw_builds_no_fraction(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
-    gin(sp.ideal, seed=5, target=sp.hilbert_numerator)
+    gin(sp.ideal, 5, 100, sp.hilbert_numerator)
     monkeypatch.undo()
     assert built == []

@@ -15,11 +15,13 @@ from oracles import (
 
 from limshape import linalg
 from limshape.rings import (
+    DEGREVLEX,
     DimensionError,
     Polynomial,
     SingularMatrixError,
     cleared_substitute,
     linear_substitute,
+    unpack,
 )
 
 
@@ -247,12 +249,36 @@ def test_table_mod_p_is_the_exact_table_reduced(case, p):
         assert reduced == {b: v % p for b, v in terms.items() if v % p}
 
 
+@given(shared_substitution_cases(), st.sampled_from([0, 7, 2_147_483_647]))
+@settings(max_examples=60, deadline=None)
+def test_section_is_the_substitution_at_last_variable_zero(case, p):
+    # a gin draw substitutes its matrix without the last column, which must
+    # give the full substitution's terms free of x_last, exactly (p = 0) and
+    # mod p
+    polys, matrix = case
+    assume(p == 0 or all(type(x) is int for row in matrix for x in row))
+    n = len(matrix)
+    section = [row[:-1] for row in matrix]
+    full = cleared_substitute(polys, matrix, p)
+    cut = cleared_substitute(polys, section, p)
+    assert [scale for scale, _ in cut] == [scale for scale, _ in full]
+    for (_, terms), (_, cut_terms) in zip(full, cut):
+        at_zero = {
+            DEGREVLEX(a[:-1]): v
+            for a, v in ((unpack(b, n), v) for b, v in terms.items())
+            if a[-1] == 0
+        }
+        assert cut_terms == at_zero
+
+
 def test_linear_substitute_checks_its_inputs():
     x1 = Polynomial.linear_form([1, 0])
     with pytest.raises(DimensionError):
         linear_substitute([x1, Polynomial.linear_form([1, 0, 0])], [[1, 0], [0, 1]])
     with pytest.raises(DimensionError):
         linear_substitute([x1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(DimensionError):
+        linear_substitute([x1], [[1], [0]])
 
 
 def test_linear_substitute_composition_convention():
