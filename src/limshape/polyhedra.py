@@ -10,9 +10,11 @@ homogenized inequalities), starting from linalg's fraction-free echelon
 form.  Its primitive integer facet normals w, each the inequality
 w.(x, 1) >= 0, are the only H-representation: hull checks, clipping and
 vertex enumeration use them as they are, and the text a.x >= b is written
-only for JSON.  Volumes come from a recursive boundary triangulation with a
-selectable apex, one integer determinant per simplex.
-No floating point anywhere.
+only for JSON.  Volumes come from the boundary triangulation of
+Bueler-Enge-Fukuda (2000) with a selectable apex: one double description
+gives the facets as masks of the rows tight on them, the faces below are
+found from those masks alone, and each simplex costs one integer
+determinant.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import factorial, gcd, prod
+from operator import mul
 
 from . import linalg
 from .linalg import ComputationLimitError
@@ -182,7 +185,7 @@ def _polyhedron(dim, points, directions=()):
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 # -- constructions ---------------------------------------------------------
@@ -256,32 +259,43 @@ def clip_to_simplex(poly: RationalPolyhedron, t):
 def _triangulate(rows, dim, apex_last=False):
     """Simplices covering the full-dimensional polytope in R^dim whose
     points have the integer homogeneous rows `rows`, each simplex as a tuple
-    of positions in rows.  The apex is the first row (the last with
-    apex_last) and is joined to each facet it misses; a facet is
-    triangulated in the coordinates left after dropping one its normal
-    uses, which maps it one-to-one onto its projection."""
-    if len(rows) == dim + 1:
-        return [tuple(range(dim + 1))]
-    apex = len(rows) - 1 if apex_last else 0
-    simplices = []
-    for w in _extreme_rays(rows):
-        if not _dot(w, rows[apex]):
-            continue
-        face = [i for i, q in enumerate(rows) if not _dot(w, q)]
-        j = next(i for i, c in enumerate(w) if c)
-        projected = [rows[i][:j] + rows[i][j + 1 :] for i in face]
-        for sub in _triangulate(projected, dim - 1, apex_last):
-            simplices.append((apex,) + tuple(face[i] for i in sub))
-    return simplices
+    of positions in rows: the boundary triangulation of Bueler-Enge-Fukuda
+    (2000), driven by vertex-facet incidences.
+
+    One double description gives the facets, each kept as the bitmask of
+    the rows tight on it.  A face is the mask of its rows; the facets of a
+    face F are the inclusion-maximal nonempty sets F & M over the facet
+    masks M, other than F.  The apex of F, its first row (its last with
+    apex_last), is joined to the triangulation of each facet of F that
+    misses it, and a k-face with k + 1 rows is a simplex."""
+    masks = [
+        sum(1 << i for i, q in enumerate(rows) if not _dot(w, q))
+        for w in _extreme_rays(rows)
+    ]
+
+    def simplices(face, k):
+        if face.bit_count() == k + 1:
+            return [tuple(i for i in range(len(rows)) if face >> i & 1)]
+        apex = (face if apex_last else face & -face).bit_length() - 1
+        cuts = {face & m for m in masks} - {0, face}
+        out = []
+        for sub in cuts:
+            if sub >> apex & 1 or any(sub & c == sub != c for c in cuts):
+                continue
+            out += [(apex,) + s for s in simplices(sub, k - 1)]
+        return out
+
+    return simplices((1 << len(rows)) - 1, dim)
 
 
 def volume(poly: RationalPolyhedron, apex_last=False) -> Fraction:
-    """Exact Lebesgue volume of a bounded polytope via triangulation.
+    """Exact Lebesgue volume of a bounded polytope via the boundary
+    triangulation of _triangulate.
 
-    Lower-dimensional polytopes have volume 0.  apex_last switches the
-    triangulation apex, giving an independent decomposition of the same
-    region for cross-checks.  A simplex with vertex rows (v d, d) has
-    volume |det| / (dim! prod d).
+    Lower-dimensional polytopes have volume 0.  apex_last switches the apex
+    of every face from its first row to its last, giving an independent
+    decomposition of the same region for cross-checks.  A simplex with
+    vertex rows (v d, d) has volume |det| / (dim! prod d).
     """
     if not poly.is_bounded():
         raise UnboundedError("volume of an unbounded polyhedron")

@@ -4,8 +4,11 @@ A staircase is the upward-closed exponent set of a monomial ideal in n
 (dehomogenized) variables, stored by its antichain of minimal generators.
 Every lattice count, Hilbert function and volume is a short sum over the
 terms of one kernel, the K-polynomial (Hilbert-series numerator) of the
-ideal, computed by the pivot recursion of Bayer-Stillman and Bigatti.  A
-brute-force enumerator is kept as the independent oracle.
+ideal, computed by Bigatti's pivot recursion (Bigatti 1997): it pivots on
+x_i^e, for the variable x_i in the most generators and e the lower median
+of its nonzero exponents, and stops at pairwise-coprime generators.  Each
+step either drops generators or lowers the total degree, so it terminates.
+A brute-force enumerator is kept as the independent oracle.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, floor
+from operator import le
 
 from .rings import divides, degree
 
@@ -24,7 +28,10 @@ def minimalize(gens):
     multiples, so one pass keeps exactly the elements no kept one divides."""
     keep = []
     for g in sorted(set(map(tuple, gens))):
-        if not any(divides(h, g) for h in keep):
+        for h in keep:
+            if all(map(le, h, g)):
+                break
+        else:
             keep.append(g)
     return tuple(keep)
 
@@ -40,23 +47,32 @@ def k_polynomial(gens) -> dict:
     """Numerator of the Hilbert series of S/I, graded by total degree, for
     the monomial ideal I generated by the exponent vectors gens.
 
-    Returns {degree: coefficient} without zero coefficients: {0: 1} for the
-    zero ideal, {} for the unit ideal.  As a polynomial it equals the subset
-    sum over S of gens of (-1)^|S| t^deg(lcm S).  Computed by the pivot
-    recursion N(I) = N(I + x_i) + t N(I : x_i) on the variable x_i that
-    occurs in the most generators, down to pairwise-coprime generators,
-    where N = prod (1 - t^deg g).
+    Returns {degree: coefficient} without zero coefficients, keys in
+    ascending degree: {0: 1} for the zero ideal, {} for the unit ideal.  As
+    a polynomial it equals the subset sum over S of gens of
+    (-1)^|S| t^deg(lcm S).  Computed by Bigatti's pivot recursion (see
+    _k_minimal) down to pairwise-coprime generators, where
+    N = prod (1 - t^deg g).
     """
-    return _k_minimal(minimalize(gens))
+    return dict(sorted(_k_minimal(minimalize(gens)).items()))
 
 
 def _k_minimal(gens) -> dict:
-    """k_polynomial of a sorted antichain gens.  Then the generators of
-    I + x_i, those without x_i and x_i itself, are one too; only those of
-    I : x_i are minimalized.  Each list stays sorted, which fixes the order
-    of the keys."""
-    n = len(gens[0]) if gens else 0
-    occurs = [sum(1 for g in gens if g[i]) for i in range(n)]
+    """k_polynomial of an antichain gens, keys in no set order.
+
+    Bigatti's pivot (Bigatti 1997): on the variable x_i that occurs in the
+    most generators, with e the lower median of the nonzero exponents of
+    x_i, N(I) = N(I + x_i^e) + t^e N(I : x_i^e), from the exact sequence
+    0 -> S/(I : x_i^e)(-e) -> S/I -> S/(I + x_i^e) -> 0.  The generators
+    of I + x_i^e, those with g_i < e and x_i^e itself, are an antichain
+    too: a power of x_i among gens has the largest exponent of x_i, so it is
+    not one of them; only those of I : x_i^e are minimalized.  It
+    terminates: the lower median leaves at least two generators with
+    g_i >= e, so I + x_i^e has fewer generators, and I : x_i^e has no more
+    generators and a smaller total degree.
+    """
+    cols = list(zip(*gens))
+    occurs = [len(c) - c.count(0) for c in cols]
     if max(occurs, default=0) < 2:
         poly = {0: 1}
         for g in gens:
@@ -67,13 +83,15 @@ def _k_minimal(gens) -> dict:
             poly = {e: c for e, c in nxt.items() if c}
         return poly
     i = occurs.index(max(occurs))
-    x_i = tuple(int(j == i) for j in range(n))
-    poly = _k_minimal(sorted([g for g in gens if not g[i]] + [x_i]))
-    for e, c in _k_minimal(minimalize(
-        g[:i] + (max(g[i] - 1, 0),) + g[i + 1:] for g in gens
+    exps = sorted(x for x in cols[i] if x)
+    e = exps[(len(exps) - 1) // 2]
+    pivot = (0,) * i + (e,) + (0,) * (len(cols) - i - 1)
+    poly = _k_minimal([g for g in gens if g[i] < e] + [pivot])
+    for d, c in _k_minimal(minimalize(
+        g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens
     )).items():
-        poly[e + 1] = poly.get(e + 1, 0) + c
-    return {e: c for e, c in poly.items() if c}
+        poly[d + e] = poly.get(d + e, 0) + c
+    return {d: c for d, c in poly.items() if c}
 
 
 def k_polynomial_plus(k, gens, a) -> dict:
@@ -82,14 +100,14 @@ def k_polynomial_plus(k, gens, a) -> dict:
 
     The exact sequence 0 -> S/(I : x^a)(-|a|) -> S/I -> S/(I + x^a) -> 0
     gives K(I + x^a) = K(I) - t^|a| K(I : x^a), and I : x^a is generated by
-    lcm(g, a) / a over the generators g of I.
+    lcm(g, a) / a over the generators g of I.  Keys in ascending degree.
     """
     d = degree(a)
     out = dict(k)
     colon = (tuple(max(x - y, 0) for x, y in zip(g, a)) for g in gens)
     for e, c in k_polynomial(colon).items():
         out[e + d] = out.get(e + d, 0) - c
-    return {e: c for e, c in out.items() if c}
+    return {e: c for e, c in sorted(out.items()) if c}
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from limshape import linalg
 from limshape.polyhedra import (
     RationalPolyhedron,
     UnboundedError,
     _extreme_rays,
+    _triangulate,
     clip_to_simplex,
     clipped_volume,
     convex_union_approximant,
@@ -58,6 +60,52 @@ def test_volume_simplex_and_cube():
 def test_volume_apex_choice_agrees():
     for poly in (simplex(3, 2), cube(3), cube(4)):
         assert volume(poly, apex_last=False) == volume(poly, apex_last=True)
+
+
+def assert_simplices_nondegenerate(poly, apex_last):
+    # a wrong face lattice can hide behind simplices of volume 0
+    rows = poly.points
+    for simplex in _triangulate(rows, poly.dim, apex_last):
+        assert linalg.det([rows[i] for i in simplex])
+
+
+# [0, 2]^3 as all 27 points of its grid: vertices, edge midpoints, face
+# centres and the centre
+GRID_CUBE = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
+# the 4-dimensional cross-polytope with its centre
+CROSS_4 = [(0,) * 4] + [
+    tuple(s * int(i == j) for j in range(4)) for i in range(4) for s in (1, -1)
+]
+
+
+@pytest.mark.parametrize("apex_last", [False, True])
+@pytest.mark.parametrize(
+    "points, dim, expected",
+    [(GRID_CUBE, 3, 8), (CROSS_4, 4, Fraction(2, 3))],
+    ids=["grid-cube", "cross-polytope"],
+)
+def test_volume_of_non_vertex_points_matches_pyramids(points, dim, expected, apex_last):
+    points = [tuple(map(Fraction, p)) for p in points]
+    poly = RationalPolyhedron.of(dim, points)
+    assert len(poly.points) == len(points)
+    assert volume(poly, apex_last) == volume_by_pyramids(points, dim) == expected
+    assert_simplices_nondegenerate(poly, apex_last)
+
+
+def test_triangulation_takes_only_facets_of_each_face():
+    # two facets of the cross-polytope may meet in an edge alone; with its
+    # midpoint that edge has three rows, which would pass for a triangle if
+    # every face shared with another facet were taken as a facet
+    midpoints = {
+        tuple(Fraction(x + y, 2) for x, y in zip(p, q))
+        for i, p in enumerate(CROSS_4[1:]) for q in CROSS_4[i + 2:]
+        if any(x + y for x, y in zip(p, q))
+    }
+    poly = RationalPolyhedron.of(4, CROSS_4 + sorted(midpoints))
+    assert len(poly.points) == 9 + 24
+    for apex_last in (False, True):
+        assert volume(poly, apex_last) == Fraction(2, 3)
+        assert_simplices_nondegenerate(poly, apex_last)
 
 
 def test_volume_lower_dimensional_is_zero():
@@ -368,6 +416,9 @@ def test_volume_invariances(poly):
     v = volume(poly)
     assert v >= 0
     assert volume(poly, apex_last=True) == v
+    if v > 0:
+        assert_simplices_nondegenerate(poly, False)
+        assert_simplices_nondegenerate(poly, True)
     # translation invariance
     shift = tuple(Fraction(3) for _ in range(poly.dim))
     moved = RationalPolyhedron.of(

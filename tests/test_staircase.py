@@ -160,6 +160,44 @@ def test_k_polynomial_matches_subset_sum(n_gens):
     assert k_polynomial(gens) == subset_k_polynomial(gens)
 
 
+# the sweep's scale: up to 13 generators with exponents up to 9, so at most
+# 8192 subsets for the oracle
+wide_gens_strategy = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(0, 9)] * n), max_size=13)
+)
+# the second ideal of the pool in perfbench/staircases.json
+POOL_IDEAL = [
+    (0, 9, 0), (1, 8, 0), (2, 4, 2), (2, 5, 1), (2, 6, 0), (3, 3, 2), (3, 4, 1),
+    (3, 5, 0), (4, 2, 2), (4, 3, 1), (4, 4, 0), (5, 1, 0), (6, 0, 0),
+]
+
+
+@given(wide_gens_strategy)
+# x1 pivots at e = 2 and x1^5 is a generator: a power of the pivot variable
+# has its largest exponent, so it goes to the colon, never below the median
+@example([(5, 0, 0), (1, 2, 0), (2, 1, 1), (3, 0, 2), (0, 3, 3)])
+# x1^1 lies below the lower median 2 of the raw x1 exponents and divides
+# the generators above it, which minimalize drops before the first pivot
+@example([(1, 0, 0), (2, 3, 0), (3, 1, 1), (4, 0, 2), (0, 2, 2)])
+# every generator has x1^3: I + x1^3 is (x1^3) alone
+@example([(3, 2, 0, 0), (3, 1, 1, 0), (3, 0, 2, 1), (3, 0, 0, 4)])
+@example(POOL_IDEAL)
+@settings(max_examples=100, deadline=None)
+def test_k_polynomial_matches_subset_sum_at_sweep_scale(gens):
+    assert k_polynomial(gens) == subset_k_polynomial(gens)
+
+
+@given(wide_gens_strategy)
+@example(POOL_IDEAL)
+@settings(max_examples=100, deadline=None)
+def test_k_polynomial_keys_ascend(gens):
+    # error messages print K-polynomials, so the key order is part of them
+    assert list(k_polynomial(gens)) == sorted(k_polynomial(gens))
+    for i, a in enumerate(gens):
+        series = k_polynomial_plus(k_polynomial(gens[:i]), gens[:i], a)
+        assert list(series) == sorted(series)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 4).flatmap(
     lambda n: st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=12)
