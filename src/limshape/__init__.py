@@ -17,7 +17,6 @@ from .polyhedra import (
     newton_polyhedron,
     scale,
     convex_union_approximant,
-    clip_to_simplex,
     volume,
     gamma_region,
 )

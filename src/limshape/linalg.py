@@ -14,8 +14,9 @@ from math import gcd, lcm
 
 
 class ComputationLimitError(RuntimeError):
-    """A resource cap was exhausted: the S-pairs of a Buchberger run or the
-    rays of a double description."""
+    """A resource cap was exhausted: the S-pairs or basis of a Buchberger
+    run, the exponent width of a packed monomial, the rays of a double
+    description or the nodes of a K-polynomial recursion."""
 
 
 def json_integer(data, key) -> int:

@@ -3,18 +3,24 @@
 Polyhedra are conv(vertices) + cone(rays), held as integer homogeneous
 rows from construction to volume: a vertex v is the primitive row (v d, d)
 with d > 0, a ray r the primitive row (r, 0).  Rationals are read only by
-`RationalPolyhedron.of` and written only by its `vertices` view.  One
-double-description kernel, `_extreme_rays`, finds facets (the rays of the
-dual of the homogenizing cone) and vertices (the rays (x d, d) of the
-homogenized inequalities), starting from linalg's fraction-free echelon
-form.  Its primitive integer facet normals w, each the inequality
-w.(x, 1) >= 0, are the only H-representation: hull checks, clipping and
-vertex enumeration use them as they are, and the text a.x >= b is written
-only for JSON.  Volumes come from the boundary triangulation of
-Bueler-Enge-Fukuda (2000) with a selectable apex: one double description
-gives the facets as masks of the rows tight on them, the faces below are
-found from those masks alone, and each simplex costs one integer
-determinant.  No floating point anywhere.
+`RationalPolyhedron.of` and written only by its `vertices` view.
+
+One double-description kernel, `_extreme_rays`, starting from linalg's
+fraction-free echelon form, returns each extreme ray with the mask of the
+rows tight on it, and each polyhedron runs it once.  Over a hull's
+generator rows it gives the facets (the rays of the dual of the
+homogenizing cone), and their masks tell which points are vertices:
+`canonical()` attaches those facets and `scale` carries them.  Over a
+clip's normals, the hull's facets and the simplex's, it gives the clip's
+vertices (the rays (x d, d)) with the normals tight on each.  Its
+primitive integer facet normals w, each the inequality w.(x, 1) >= 0, are
+the only H-representation: hull checks and clipping use them as they are,
+and the text a.x >= b is written only for JSON.  Volumes come from the
+boundary triangulation of Bueler-Enge-Fukuda (2000) with a selectable
+apex: it needs only the facets as masks of the rows tight on them, which a
+clip reads off its own double description; the faces below come from
+those masks alone, and each simplex costs one integer determinant.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import factorial, gcd, prod
-from operator import mul
+from operator import and_, mul
 
 from . import linalg
 from .linalg import ComputationLimitError
@@ -58,8 +64,12 @@ def _extreme_rays(rows):
     1953; Fukuda-Prodon 1996): start from the simplicial cone of d
     independent rows, then cut by each other row, keeping the rays on its
     side and joining each adjacent pair across it.  Two rays are adjacent
-    when no third ray is tight on every row both are tight on.  Raises
-    ComputationLimitError once the ray list passes RAY_CAP."""
+    when no third ray is tight on every row both are tight on.
+
+    Returns sorted (ray, mask) pairs, mask the bitmask of the rows tight on
+    the ray: a join across row k is tight exactly where both its rays are,
+    and on k.  Raises ComputationLimitError once the ray list passes
+    RAY_CAP."""
     rows = [_reduced(r) for r in rows]
     m, d = len(rows), len(rows[0])
     # echelon form of [rows^T | I]: the pivots pick independent rows B and
@@ -96,7 +106,7 @@ def _extreme_rays(rows):
                         f"ray cap {RAY_CAP} exhausted ({m} rows in dimension {d})"
                     )
         rays = cut
-    return sorted(ray for ray, _ in rays)
+    return sorted(rays)
 
 
 @dataclass(frozen=True)
@@ -141,40 +151,63 @@ class RationalPolyhedron:
     def facet_inequalities(self):
         """Primitive integer normals w = (a, -b) describing the polyhedron,
         each the inequality w.(x, 1) >= 0, that is a.x >= b, sorted by
-        (a, b); cached.
-
-        Computed from the homogenizing cone spanned by the points and
-        directions: the equations of its linear span, in both signs, and
-        its facets within that span, both read off one echelon form of
-        those rows.  A full-dimensional polyhedron has no equations.  Each
-        row g is re-checked as w.g >= 0 against every normal w.
-        """
-        if self.facets is not None:
-            return self.facets
-        d = self.dim
-        rows = self.points + self.directions
-        ech, pivots = linalg.echelon(rows)
-        normals = set()
-        for w in linalg.kernel(ech, pivots, d + 1):
-            w = _reduced(w)
-            normals |= {w, tuple(-x for x in w)}
-        # on its pivot coordinates the span is all of R^k, so the cone is
-        # full-dimensional there and a facet normal extends by zeros; at
-        # k = 1 (a lone point) the one dual ray is no facet, only 0 >= -1
-        projected = [[g[c] for c in pivots] for g in rows]
-        for u in _extreme_rays(projected) if len(pivots) > 1 else ():
-            w = dict(zip(pivots, u))
-            normals.add(tuple(w.get(c, 0) for c in range(d + 1)))
-        if any(_dot(w, g) < 0 for w in normals for g in rows):
-            raise RuntimeError("generator violates computed facet")
-        facets = tuple(sorted(normals, key=lambda w: (w[:d], -w[d])))
-        object.__setattr__(self, "facets", facets)
-        return facets
+        (a, b): those `canonical` or `scale` attached, else computed by
+        _facets and attached."""
+        if self.facets is None:
+            rows = self.points + self.directions
+            object.__setattr__(self, "facets", _facets(self.dim, rows)[0])
+        return self.facets
 
     def canonical(self):
-        """Same polyhedron with redundant generator points dropped."""
-        points = _vertex_enumerate(self.facet_inequalities(), self.dim)
-        return _polyhedron(self.dim, points, self.directions)
+        """Same polyhedron with redundant generator points dropped and its
+        facets attached, from the one double description of _facets.
+
+        The generators on the least face of the homogenizing cone through a
+        point are the rows tight on every facet the point is tight on.  A
+        vertex spans its face alone; any other point lies inside a face of
+        dimension >= 2, whose extreme rays are at least two generator rows."""
+        rows = self.points + self.directions
+        facets, masks = _facets(self.dim, rows)
+        everything = (1 << len(rows)) - 1
+        points = tuple(
+            p for i, p in enumerate(self.points)
+            if reduce(and_, (m for m in masks if m >> i & 1), everything) == 1 << i
+        )
+        return RationalPolyhedron(self.dim, points, self.directions, facets)
+
+
+def _facets(dim, rows):
+    """(normals, masks) for the polyhedron whose points and directions are
+    the integer rows: its sorted facet_inequalities, and for each facet of
+    the homogenizing cone within its span the mask of the rows tight on it.
+
+    Computed from the homogenizing cone spanned by the rows: the equations
+    of its linear span, in both signs, and its facets within that span,
+    both read off one echelon form of those rows and one double
+    description.  A full-dimensional polyhedron has no equations.  Each row
+    g is re-checked as w.g >= 0 against every normal w."""
+    ech, pivots = linalg.echelon(rows)
+    normals = set()
+    for w in linalg.kernel(ech, pivots, dim + 1):
+        w = _reduced(w)
+        normals |= {w, tuple(-x for x in w)}
+    # on its pivot coordinates the span is all of R^k, so the cone is
+    # full-dimensional there and a facet normal extends by zeros; at
+    # k = 1 (a lone point) the one dual ray is no facet, only 0 >= -1
+    projected = [[g[c] for c in pivots] for g in rows]
+    masks = []
+    for u, mask in _extreme_rays(projected) if len(pivots) > 1 else ():
+        w = dict(zip(pivots, u))
+        normals.add(tuple(w.get(c, 0) for c in range(dim + 1)))
+        masks.append(mask)
+    if any(_dot(w, g) < 0 for w in normals for g in rows):
+        raise RuntimeError("generator violates computed facet")
+    return _sorted_facets(normals, dim), masks
+
+
+def _sorted_facets(normals, dim):
+    """The normals w = (a, -b) as a tuple sorted by (a, b)."""
+    return tuple(sorted(normals, key=lambda w: (w[:dim], -w[dim])))
 
 
 def _polyhedron(dim, points, directions=()):
@@ -202,12 +235,19 @@ def newton_polyhedron(staircase) -> RationalPolyhedron:
 
 def scale(poly: RationalPolyhedron, factor) -> RationalPolyhedron:
     """factor * poly: the point (v d, d) goes to (v d p, d q) for the int or
-    Fraction factor p/q."""
+    Fraction factor p/q, and attached facets come along."""
     if factor <= 0:
         raise ValueError("scale factor must be positive")
     p, q = factor.numerator, factor.denominator
     points = [_reduced([x * p for x in v[:-1]] + [v[-1] * q]) for v in poly.points]
-    return _polyhedron(poly.dim, points, poly.directions)
+    facets = poly.facets
+    if facets is not None:
+        # a.x >= b becomes a.x >= (p/q) b: the normal (a, -b) goes to the
+        # primitive (q a, -p b)
+        facets = _sorted_facets(
+            [_reduced([x * q for x in w[:-1]] + [w[-1] * p]) for w in facets], poly.dim
+        )
+    return RationalPolyhedron(poly.dim, tuple(sorted(points)), poly.directions, facets)
 
 
 def convex_union_approximant(polys) -> RationalPolyhedron:
@@ -229,15 +269,6 @@ def convex_union_approximant(polys) -> RationalPolyhedron:
 # -- clipping and volume ---------------------------------------------------
 
 
-def _vertex_enumerate(normals, dim):
-    """Vertices of {x : w.(x, 1) >= 0 for all normals w}, as their rows
-    (x d, d): the extreme rays of the cone {(x, s) : w.(x, s) >= 0,
-    s >= 0} with s > 0.  Rays with s = 0 are directions of recession, not
-    vertices."""
-    rows = list(normals) + [(0,) * dim + (1,)]
-    return [r for r in _extreme_rays(rows) if r[dim]]
-
-
 def simplex_inequalities(dim, t):
     """The normals of x_i >= 0 and sum x_i <= t: (e_i, 0) and, for the int
     or Fraction t = p/q, (-q, ..., -q, p)."""
@@ -246,36 +277,47 @@ def simplex_inequalities(dim, t):
     return normals
 
 
-def clip_to_simplex(poly: RationalPolyhedron, t):
-    """Intersection with the corner simplex {x >= 0, sum x_i <= t}: a
-    bounded polyhedron, or None when it is empty."""
+def _clip(poly: RationalPolyhedron, t):
+    """The intersection Q of poly with the corner simplex {x >= 0,
+    sum x_i <= t}, from one double description: the rows (x d, d) of its
+    vertices, sorted (none when Q is empty), and for each normal of poly
+    and of the simplex the mask of the vertices tight on it.
+
+    The vertices are the extreme rays of the cone {(x, s) : w.(x, s) >= 0,
+    s >= 0} over those normals w; the simplex bounds it, so each has s > 0.
+    Each comes with the mask of the normals tight on it, and transposing
+    those masks gives the normals' masks.  Every facet of Q is among the
+    normals, and every other normal is tight on a face of Q or on none."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    normals = list(poly.facet_inequalities()) + simplex_inequalities(poly.dim, t)
-    points = _vertex_enumerate(normals, poly.dim)
-    return _polyhedron(poly.dim, points) if points else None
-
-
-def _triangulate(rows, dim, apex_last=False):
-    """Simplices covering the full-dimensional polytope in R^dim whose
-    points have the integer homogeneous rows `rows`, each simplex as a tuple
-    of positions in rows: the boundary triangulation of Bueler-Enge-Fukuda
-    (2000), driven by vertex-facet incidences.
-
-    One double description gives the facets, each kept as the bitmask of
-    the rows tight on it.  A face is the mask of its rows; the facets of a
-    face F are the inclusion-maximal nonempty sets F & M over the facet
-    masks M, other than F.  The apex of F, its first row (its last with
-    apex_last), is joined to the triangulation of each facet of F that
-    misses it, and a k-face with k + 1 rows is a simplex."""
+    dim = poly.dim
+    normals = [*poly.facet_inequalities(), *simplex_inequalities(dim, t)]
+    rays = _extreme_rays(normals + [(0,) * dim + (1,)])
+    rows = tuple(r for r, _ in rays)
     masks = [
-        sum(1 << i for i, q in enumerate(rows) if not _dot(w, q))
-        for w in _extreme_rays(rows)
+        sum(1 << i for i, (_, tight) in enumerate(rays) if tight >> j & 1)
+        for j in range(len(normals))
     ]
+    return rows, masks
+
+
+def _triangulate(n, masks, dim, apex_last=False):
+    """Simplices covering a full-dimensional polytope in R^dim whose n
+    points have the rows 0..n-1, each simplex as a tuple of row positions:
+    the boundary triangulation of Bueler-Enge-Fukuda (2000), driven by
+    vertex-facet incidences.
+
+    masks holds each facet as the bitmask of the rows tight on it; masks of
+    other valid inequalities, tight on a lower face or on no row, may come
+    along.  A face is the mask of its rows; the facets of a face F are the
+    inclusion-maximal nonempty sets F & M over the masks M, other than F.
+    The apex of F, its first row (its last with apex_last), is joined to
+    the triangulation of each facet of F that misses it, and a k-face with
+    k + 1 rows is a simplex."""
 
     def simplices(face, k):
         if face.bit_count() == k + 1:
-            return [tuple(i for i in range(len(rows)) if face >> i & 1)]
+            return [tuple(i for i in range(n) if face >> i & 1)]
         apex = (face if apex_last else face & -face).bit_length() - 1
         cuts = {face & m for m in masks} - {0, face}
         out = []
@@ -285,34 +327,47 @@ def _triangulate(rows, dim, apex_last=False):
             out += [(apex,) + s for s in simplices(sub, k - 1)]
         return out
 
-    return simplices((1 << len(rows)) - 1, dim)
+    return simplices((1 << n) - 1, dim)
 
 
-def volume(poly: RationalPolyhedron, apex_last=False) -> Fraction:
-    """Exact Lebesgue volume of a bounded polytope via the boundary
-    triangulation of _triangulate.
-
-    Lower-dimensional polytopes have volume 0.  apex_last switches the apex
-    of every face from its first row to its last, giving an independent
-    decomposition of the same region for cross-checks.  A simplex with
-    vertex rows (v d, d) has volume |det| / (dim! prod d).
-    """
-    if not poly.is_bounded():
-        raise UnboundedError("volume of an unbounded polyhedron")
-    dim = poly.dim
-    rows = poly.points
-    if linalg.rank(rows) <= dim:
+def _volume(rows, masks, dim, apex_last=False) -> Fraction:
+    """Volume of the polytope whose points have the integer rows `rows`,
+    from the masks of the inequalities describing it (see _triangulate).
+    It is lower-dimensional, so of volume 0, when it has no rows or one of
+    those inequalities is tight on every row: otherwise the mean of points
+    each strict on one inequality is strict on all.  A simplex with vertex
+    rows (v d, d) has volume |det| / (dim! prod d)."""
+    if not rows or (1 << len(rows)) - 1 in masks:
         return Fraction(0)
     total = Fraction(0)
-    for simplex in _triangulate(rows, dim, apex_last):
+    for simplex in _triangulate(len(rows), masks, dim, apex_last):
         mat = [rows[i] for i in simplex]
         total += Fraction(abs(linalg.det(mat)), prod(q[dim] for q in mat))
     return total / factorial(dim)
 
 
+def volume(poly: RationalPolyhedron, apex_last=False) -> Fraction:
+    """Exact Lebesgue volume of a bounded polytope via the boundary
+    triangulation of _triangulate, its facet masks from one double
+    description over its points.
+
+    Lower-dimensional polytopes have volume 0.  apex_last switches the apex
+    of every face from its first row to its last, giving an independent
+    decomposition of the same region for cross-checks.
+    """
+    if not poly.is_bounded():
+        raise UnboundedError("volume of an unbounded polyhedron")
+    rows = poly.points
+    if linalg.rank(rows) <= poly.dim:
+        return Fraction(0)
+    masks = [tight for _, tight in _extreme_rays(rows)]
+    return _volume(rows, masks, poly.dim, apex_last)
+
+
 def clipped_volume(poly: RationalPolyhedron, t, apex_last=False) -> Fraction:
-    clipped = clip_to_simplex(poly, t)
-    return Fraction(0) if clipped is None else volume(clipped, apex_last)
+    """Volume of poly within the corner simplex {x >= 0, sum x_i <= t}, from
+    the clip's one double description."""
+    return _volume(*_clip(poly, t), poly.dim, apex_last)
 
 
 def gamma_region(delta: RationalPolyhedron, t):
@@ -324,9 +379,8 @@ def gamma_region(delta: RationalPolyhedron, t):
     """
     t = Fraction(t)
     n = delta.dim
-    clipped = clip_to_simplex(delta, t)
-    excluded = Fraction(0) if clipped is None else volume(clipped)
-    vol = t**n / factorial(n) - excluded
+    rows, masks = _clip(delta, t)
+    vol = t**n / factorial(n) - _volume(rows, masks, n)
     description = {
         "dim": n,
         "t": str(t),
@@ -334,7 +388,8 @@ def gamma_region(delta: RationalPolyhedron, t):
             {"coeffs": [str(int(i == j)) for j in range(n)], "rhs": "0"}
             for i in range(n)
         ] + [{"coeffs": ["-1"] * n, "rhs": str(-t)}],
-        "excluded": None if clipped is None else polyhedron_to_dict(clipped),
+        # the clip's vertices alone: its normals include redundant ones
+        "excluded": polyhedron_to_dict(RationalPolyhedron(n, rows)) if rows else None,
     }
     return vol, description
 

@@ -7,7 +7,8 @@ terms of one kernel, the K-polynomial (Hilbert-series numerator) of the
 ideal, computed by Bigatti's pivot recursion (Bigatti 1997): it pivots on
 x_i^e, for the variable x_i in the most generators and e the lower median
 of its nonzero exponents, and stops at pairwise-coprime generators.  Each
-step either drops generators or lowers the total degree, so it terminates.
+step either drops generators or lowers the total degree, so it terminates;
+a call that passes K_NODE_CAP nodes stops with ComputationLimitError.
 A brute-force enumerator is kept as the independent oracle.
 """
 
@@ -18,7 +19,13 @@ from fractions import Fraction
 from math import comb, factorial, floor
 from operator import le
 
+from .linalg import ComputationLimitError
 from .rings import divides, degree
+
+# nodes of the pivot recursion one k_polynomial call may visit, read at call
+# time: the largest call on the reach ladder (5 generic points in P^3 at
+# m = 6) visits 285
+K_NODE_CAP = 100_000
 
 
 def minimalize(gens):
@@ -52,13 +59,15 @@ def k_polynomial(gens) -> dict:
     a polynomial it equals the subset sum over S of gens of
     (-1)^|S| t^deg(lcm S).  Computed by Bigatti's pivot recursion (see
     _k_minimal) down to pairwise-coprime generators, where
-    N = prod (1 - t^deg g).
+    N = prod (1 - t^deg g).  Raises ComputationLimitError once the
+    recursion passes K_NODE_CAP nodes.
     """
-    return dict(sorted(_k_minimal(minimalize(gens)).items()))
+    return dict(sorted(_k_minimal(minimalize(gens), [K_NODE_CAP]).items()))
 
 
-def _k_minimal(gens) -> dict:
-    """k_polynomial of an antichain gens, keys in no set order.
+def _k_minimal(gens, budget) -> dict:
+    """k_polynomial of an antichain gens, keys in no set order; budget is
+    the one-element list of the nodes the call may still visit.
 
     Bigatti's pivot (Bigatti 1997): on the variable x_i that occurs in the
     most generators, with e the lower median of the nonzero exponents of
@@ -71,6 +80,9 @@ def _k_minimal(gens) -> dict:
     g_i >= e, so I + x_i^e has fewer generators, and I : x_i^e has no more
     generators and a smaller total degree.
     """
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise ComputationLimitError(f"K-polynomial node cap {K_NODE_CAP} exhausted")
     cols = list(zip(*gens))
     occurs = [len(c) - c.count(0) for c in cols]
     if max(occurs, default=0) < 2:
@@ -86,10 +98,10 @@ def _k_minimal(gens) -> dict:
     exps = sorted(x for x in cols[i] if x)
     e = exps[(len(exps) - 1) // 2]
     pivot = (0,) * i + (e,) + (0,) * (len(cols) - i - 1)
-    poly = _k_minimal([g for g in gens if g[i] < e] + [pivot])
+    poly = _k_minimal([g for g in gens if g[i] < e] + [pivot], budget)
     for d, c in _k_minimal(minimalize(
         g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens
-    )).items():
+    ), budget).items():
         poly[d + e] = poly.get(d + e, 0) + c
     return {d: c for d, c in poly.items() if c}
 

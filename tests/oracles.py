@@ -15,6 +15,8 @@ the F_p draws are checked against.
 the engine's packed boundary for the tests that drive it directly.
 `parse_polynomial` reads the text form that `str(Polynomial)` writes.
 `count_fractions` records every Fraction built while it is patched in.
+`clip_to_simplex` gives the clip that `polyhedra` computes internally as
+a polyhedron, for the tests that compare its vertices.
 """
 
 import random
@@ -27,7 +29,7 @@ from math import comb, factorial
 
 from limshape import linalg
 from limshape.configs import Config
-from limshape.polyhedra import _dot, _lift, _reduced
+from limshape.polyhedra import RationalPolyhedron, _clip, _dot, _lift, _reduced
 from limshape.groebner import (
     Ideal,
     buchberger,
@@ -498,7 +500,7 @@ def volume_by_pyramids(points, dim):
     a_j != 0, has its area scaled by |a_j| / |a|, and the apex lies at
     height (a.apex - b) / |a|, so the pyramid has volume
     (a.apex - b) vol(projection) / (dim |a_j|)."""
-    points = sorted(set(points))
+    points = sorted({tuple(map(Fraction, p)) for p in points})
     base = points[0]
     if linalg.rank([[x - y for x, y in zip(p, base)] for p in points]) < dim:
         return Fraction(0)
@@ -514,6 +516,13 @@ def volume_by_pyramids(points, dim):
         face = [p[:j] + p[j + 1:] for p in points if _dot(a, p) == b]
         total += height * volume_by_pyramids(face, dim - 1) / abs(a[j])
     return total / dim
+
+
+def clip_to_simplex(poly, t):
+    """Intersection with the corner simplex {x >= 0, sum x_i <= t}: a
+    bounded polyhedron, or None when it is empty."""
+    rows, _ = _clip(poly, t)
+    return RationalPolyhedron(poly.dim, rows) if rows else None
 
 
 # -- arithmetic ------------------------------------------------------------

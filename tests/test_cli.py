@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from limshape import asymptotics, cli, groebner, polyhedra, rings
+from limshape import asymptotics, cli, groebner, polyhedra, rings, staircase
 from limshape.configs import (
     config_from_json,
     config_to_dict,
@@ -311,6 +311,28 @@ def test_limiting_shape_outputs(config_path, tmp_path, capsys):
     )
 
 
+def test_limiting_shape_writes_facets_of_delta_alone(config_path, tmp_path, capsys):
+    # delta_approximant carries its facets, as canonical attached them, and
+    # they read the same as those computed afresh from its vertices; the
+    # excluded clip is written by its vertices alone
+    outdir = tmp_path / "out"
+    code, _, _ = run(
+        ["limiting-shape", "--config", config_path, "--m-max", "2", "--t", "2",
+         "--out", str(outdir)],
+        capsys,
+    )
+    assert code == cli.EXIT_OK
+    shape = json.loads((outdir / "limiting_shape.json").read_text())
+    delta = shape["delta_approximant"]
+    assert delta["facets"]
+    fresh = polyhedra.polyhedron_from_dict(delta)
+    assert fresh.facets is None
+    fresh.facet_inequalities()
+    assert polyhedra.polyhedron_to_dict(fresh) == delta
+    excluded = shape["gamma"]["region"]["excluded"]
+    assert excluded["vertices"] and "facets" not in excluded
+
+
 def test_report_command_json(config_path, capsys):
     code, out, _ = run(
         ["report", "--config", config_path, "--m-max", "2", "--t", "2"], capsys
@@ -511,16 +533,18 @@ def test_ray_cap_maps_to_exit_4(config_path, tmp_path, capsys, monkeypatch):
     assert "resource failure: ray cap 1 " in err
 
 
-@pytest.mark.parametrize("module, cap, message", [
-    (groebner, "BASIS_CAP", "basis cap 1 exhausted"),
-    (rings, "EXPONENT_BITS", "exponent 2 does not fit in the 1-bit"),
-], ids=["basis", "exponent"])
-def test_engine_caps_map_to_exit_4(module, cap, message, config_path, tmp_path,
-                                   capsys, monkeypatch):
+@pytest.mark.parametrize("module, cap, value, message", [
+    (groebner, "BASIS_CAP", 1, "basis cap 1 exhausted"),
+    (rings, "EXPONENT_BITS", 1, "exponent 2 does not fit in the 1-bit"),
+    (staircase, "K_NODE_CAP", 0, "K-polynomial node cap 0 exhausted"),
+], ids=["basis", "exponent", "k-polynomial"])
+def test_engine_caps_map_to_exit_4(module, cap, value, message, config_path,
+                                   tmp_path, capsys, monkeypatch):
     # the real caps, not a faked exception: every symbolic power of two
     # points needs a basis of more than one element, and a gin draw of it
-    # exponents of 2 and more
-    monkeypatch.setattr(module, cap, 1)
+    # exponents of 2 and more; at m = 1 their leads are coprime, which the
+    # K-polynomial recursion finishes in its first node
+    monkeypatch.setattr(module, cap, value)
     code, _, err = run(["gin", "--config", config_path], capsys)
     assert code == cli.EXIT_RESOURCE
     assert f"resource failure: {message}" in err

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from limshape import linalg
+from limshape import linalg, polyhedra
 from limshape.polyhedra import (
     RationalPolyhedron,
     UnboundedError,
     _extreme_rays,
     _triangulate,
-    clip_to_simplex,
     clipped_volume,
     convex_union_approximant,
     gamma_region,
@@ -25,6 +24,7 @@ from limshape.polyhedra import (
 )
 from limshape.staircase import MonomialStaircase
 from oracles import (
+    clip_to_simplex,
     count_fractions,
     facets_by_subsets,
     polyhedron_contains,
@@ -65,7 +65,8 @@ def test_volume_apex_choice_agrees():
 def assert_simplices_nondegenerate(poly, apex_last):
     # a wrong face lattice can hide behind simplices of volume 0
     rows = poly.points
-    for simplex in _triangulate(rows, poly.dim, apex_last):
+    masks = [tight for _, tight in _extreme_rays(rows)]
+    for simplex in _triangulate(len(rows), masks, poly.dim, apex_last):
         assert linalg.det([rows[i] for i in simplex])
 
 
@@ -90,6 +91,12 @@ def test_volume_of_non_vertex_points_matches_pyramids(points, dim, expected, ape
     assert len(poly.points) == len(points)
     assert volume(poly, apex_last) == volume_by_pyramids(points, dim) == expected
     assert_simplices_nondegenerate(poly, apex_last)
+
+
+def test_pyramid_oracle_is_exact_on_int_points():
+    # int coordinates must not fall back to float division
+    vol = volume_by_pyramids(CROSS_4, 4)
+    assert vol == Fraction(2, 3) and type(vol) is Fraction
 
 
 def test_triangulation_takes_only_facets_of_each_face():
@@ -252,6 +259,10 @@ def test_rays_are_stored_primitive():
 # a lone point lifts to a one-dimensional cone, which has no facet: only
 # its equations in both signs, never the trivial 0 >= -1
 @example(RationalPolyhedron.of(2, [(1, 2)]), 1)
+# the clip is the corner point alone, and the triangle x + y + z = 2 where
+# the clip meets the hull only in a face: volume 0 without a rank test
+@example(RationalPolyhedron.of(3, [(0, 0, 0)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)]), 0)
+@example(newton_polyhedron(MonomialStaircase.from_generators(3, QUAD)), 2)
 @settings(max_examples=60, deadline=None)
 def test_double_description_matches_subset_enumeration(poly, t):
     dim = poly.dim
@@ -267,13 +278,90 @@ def test_double_description_matches_subset_enumeration(poly, t):
         if bounded is not None:
             oracle = volume_by_pyramids(bounded.vertices, dim)
             assert volume(bounded) == volume(bounded, apex_last=True) == oracle
+    # the clip's own masks, not a second double description, give its volume
+    oracle = volume_by_pyramids(clipped.vertices, dim) if clipped else 0
+    assert clipped_volume(poly, t) == clipped_volume(poly, t, apex_last=True) == oracle
+
+
+@st.composite
+def shifted_generators(draw):
+    """(dim, points, rays): points in dimensions 2-4 on a coordinate
+    subspace S, so that the polyhedron is often lower-dimensional, with rays
+    along some of the axes of S and, for some points v, the points v + e_i
+    along those rays, redundant only through the ray."""
+    dim = draw(st.integers(2, 4))
+    support = draw(st.sets(st.integers(0, dim - 1), min_size=1))
+    axes = sorted(draw(st.sets(st.sampled_from(sorted(support)))))
+    coords = st.tuples(*[st.integers(0, 2) if i in support else st.just(0)
+                         for i in range(dim)])
+    points = draw(st.lists(coords, min_size=1, max_size=5))
+    shifted = [
+        tuple(x + (j == i) for j, x in enumerate(v))
+        for v in points for i in axes if draw(st.booleans())
+    ]
+    rays = [tuple(int(i == j) for j in range(dim)) for i in axes]
+    return dim, points + shifted, rays
+
+
+@given(shifted_generators(), FACTORS)
+@example((3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(1, 0, 0)]), Fraction(1, 2))
+@example((2, [(1, 1), (2, 1), (1, 2)], [(1, 0), (0, 1)]), 3)
+@settings(max_examples=80, deadline=None)
+def test_canonical_reads_vertices_and_facets_off_one_description(generators, f):
+    # the vertices come from the facets' masks of tight rows, and the facets
+    # canonical attaches, and scale carries, are those a fresh polyhedron of
+    # the same rows computes
+    dim, points, rays = generators
+    poly = RationalPolyhedron.of(dim, points, rays)
+    facets = facets_by_subsets(poly)
+    canon = poly.canonical()
+    assert canon.vertices == tuple(vertex_enumerate_by_subsets(facets, dim))
+    assert canon.directions == poly.directions
+    fresh = RationalPolyhedron(dim, canon.points, canon.directions)
+    assert canon.facets == fresh.facet_inequalities() == facets
+    scaled = scale(canon, f)
+    fresh = RationalPolyhedron(dim, scaled.points, scaled.directions)
+    assert scaled.facets == fresh.facet_inequalities()
+    assert scaled.vertices == scale(poly, f).canonical().vertices
+
+
+def count_double_descriptions(monkeypatch):
+    """A list that collects the rows of every double description run until
+    monkeypatch.undo()."""
+    calls = []
+
+    def counted(rows, inner=polyhedra._extreme_rays):
+        calls.append(rows)
+        return inner(rows)
+
+    monkeypatch.setattr(polyhedra, "_extreme_rays", counted)
+    return calls
+
+
+def test_each_polyhedron_runs_one_double_description(monkeypatch):
+    # the hull's one description gives its vertices and facets, scaling
+    # carries the facets, and the clip's one description gives its volume
+    st_ = MonomialStaircase.from_generators(3, QUAD)
+    calls = count_double_descriptions(monkeypatch)
+    hull = newton_polyhedron(st_)
+    assert len(calls) == 1
+    half = scale(hull, Fraction(1, 2))
+    assert len(calls) == 1
+    assert clipped_volume(half, Fraction(5, 2)) > 0
+    assert len(calls) == 2
+    other = newton_polyhedron(MonomialStaircase.from_generators(3, [(1, 0, 0)]))
+    delta = convex_union_approximant([hull, other])
+    assert len(calls) == 4
+    gamma_region(delta, 3)
+    assert len(calls) == 5
 
 
 def test_extreme_rays_need_spanning_rows():
     # {y1 >= 0, y2 = 0} in R^3 holds the whole y3-axis: not a pointed cone
     with pytest.raises(ValueError, match="do not span"):
         _extreme_rays([(1, 0, 0), (0, 1, 0), (0, -1, 0)])
-    assert _extreme_rays([(1, 0), (0, 1), (1, 1)]) == [(0, 1), (1, 0)]
+    # each ray comes with the mask of the rows tight on it
+    assert _extreme_rays([(1, 0), (0, 1), (1, 1)]) == [((0, 1), 0b001), ((1, 0), 0b010)]
 
 
 def test_extreme_rays_builds_no_fraction(monkeypatch):
@@ -286,7 +374,7 @@ def test_extreme_rays_builds_no_fraction(monkeypatch):
     rays = _extreme_rays(rows)
     monkeypatch.undo()
     assert built == []
-    assert len([r for r in rays if r[3]]) == len(clip_to_simplex(delta, t).vertices)
+    assert len([r for r, _ in rays if r[3]]) == len(clip_to_simplex(delta, t).vertices)
 
 
 def test_facets_and_containment_build_no_fraction(monkeypatch):

@@ -7,6 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import contains_minkowski, contains_scaled
 
+from limshape import staircase
+from limshape.linalg import ComputationLimitError
 from limshape.rings import divides
 from limshape.staircase import (
     MonomialStaircase,
@@ -185,6 +187,27 @@ POOL_IDEAL = [
 @settings(max_examples=100, deadline=None)
 def test_k_polynomial_matches_subset_sum_at_sweep_scale(gens):
     assert k_polynomial(gens) == subset_k_polynomial(gens)
+
+
+def test_k_polynomial_node_cap_counts_each_call(monkeypatch):
+    # the cap bounds the nodes of one call's pivot recursion: a call that
+    # visits exactly K_NODE_CAP nodes finishes, one more is refused
+    nodes = []
+
+    def counted(gens, budget, inner=staircase._k_minimal):
+        nodes.append(gens)
+        return inner(gens, budget)
+
+    monkeypatch.setattr(staircase, "_k_minimal", counted)
+    expected = k_polynomial(POOL_IDEAL)
+    monkeypatch.undo()
+    assert len(nodes) > 1
+    monkeypatch.setattr(staircase, "K_NODE_CAP", len(nodes))
+    assert k_polynomial(POOL_IDEAL) == expected
+    assert k_polynomial(POOL_IDEAL) == expected
+    monkeypatch.setattr(staircase, "K_NODE_CAP", len(nodes) - 1)
+    with pytest.raises(ComputationLimitError, match=f"cap {len(nodes) - 1} exhausted"):
+        k_polynomial(POOL_IDEAL)
 
 
 @given(wide_gens_strategy)
