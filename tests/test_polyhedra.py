@@ -325,9 +325,9 @@ def test_canonical_reads_vertices_and_facets_off_one_description(generators, f):
     assert scaled.vertices == scale(poly, f).canonical().vertices
 
 
-def count_double_descriptions(monkeypatch):
-    """A list that collects the rows of every double description run until
-    monkeypatch.undo()."""
+def test_each_polyhedron_runs_one_double_description(monkeypatch):
+    # the hull's one description gives its vertices and facets, scaling
+    # carries the facets, and the clip's one description gives its volume
     calls = []
 
     def counted(rows, inner=polyhedra._extreme_rays):
@@ -335,14 +335,7 @@ def count_double_descriptions(monkeypatch):
         return inner(rows)
 
     monkeypatch.setattr(polyhedra, "_extreme_rays", counted)
-    return calls
-
-
-def test_each_polyhedron_runs_one_double_description(monkeypatch):
-    # the hull's one description gives its vertices and facets, scaling
-    # carries the facets, and the clip's one description gives its volume
     st_ = MonomialStaircase.from_generators(3, QUAD)
-    calls = count_double_descriptions(monkeypatch)
     hull = newton_polyhedron(st_)
     assert len(calls) == 1
     half = scale(hull, Fraction(1, 2))
