@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from limshape import asymptotics, cli, groebner, polyhedra, rings, staircase
 from limshape.configs import (
+    Config,
     config_from_json,
     config_to_dict,
     coordinate_position,
@@ -222,6 +224,65 @@ def test_symbolic_power_command_keeps_input_coordinates(name, tmp_path, capsys):
         assert json.loads(out)["generators"] == given, (name, m)
         # the basis in coordinate position prints otherwise
         assert given != [str(g) for g in symbolic_power(moved, m).ideal.generators]
+
+
+# sha256 of the `symbolic-power` and `gin` outputs for m = 1..m_max, each
+# without its manifest: the Q path from the component forms to the printed
+# bases and the F_p draws, pinned byte for byte
+GOLDEN_CASES = {
+    **MOVE_ORACLE_CASES,
+    "five-points-P3": (Config.generic(3, 0, 5, 3), 3),
+    "three-lines-P3": (Config.generic(3, 1, 3, 3), 2),
+}
+GOLDEN_DIGESTS = {
+    "two-lines": (
+        "10c59960eb33118f2df9463bd075a3a4a6eb1755026a164ff5e5574c6019703c",
+        "b9c5f42bac8679b17a3f04e989c42b9fa708e34bbc5185e470b4789bf2ce3fd2",
+    ),
+    "three-points": (
+        "98ff7758b44204067e1283fa52bf0ac4c29ef8f80799a1ec9fe81a7b2e36478c",
+        "f1ebc7ed40a26f41cc30c7ec5a4dcaeb2ef12dbf269a45ff2bdf29292966e336",
+    ),
+    "intersecting-lines": (
+        "8767d31e4ddd0e275926a32a83853824d34fe8b0cce0d6809a166bb65c73ecbe",
+        "c2a01c175bfbc5a6d716f66346dfcdffe84f49059ca874ac72d732137920915a",
+    ),
+    "point-plus-line": (
+        "47d0289fca1d37ce8f70fa4d2311b701f7c32da26d80a7b021a70f58b0421308",
+        "529689e2a27507e1c22fb71f02584f7bfccd321bcc6f9a8f0fa180d0ad40dc8f",
+    ),
+    "five-points-P2": (
+        "40b5a647aca7012f1071139590ee7276042e6ff8f0b0f66969c3115f11987441",
+        "a18b6837e9c0e35ed4b9e32b357efc6737da9dd72ceed7395c0bb7561fbfa2ae",
+    ),
+    "five-points-P3": (
+        "ed5c83ade49fecb54c46a22858ea553e03301b7c11d8286ed0b631c941eb3bb9",
+        "01dc5d977661e0b9d3f534ba220d45a20ac10b4f81d9df1fa9e83717312dc1aa",
+    ),
+    "three-lines-P3": (
+        "3a2c95f9fc91d780fef1dc99199f71b285de61de889bce5eb0e9aeb75915ee20",
+        "1192bce35a0b82b58d5b8919b7559bf7097b8f137e1cb5e6374ff05678f88bc3",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_CASES)
+def test_symbolic_power_and_gin_outputs_match_golden_digests(name, tmp_path, capsys):
+    config, m_max = GOLDEN_CASES[name]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config_to_dict(config)))
+    digests = []
+    for command in ("symbolic-power", "gin"):
+        payloads = []
+        for m in range(1, m_max + 1):
+            code, out, _ = run([command, "--config", str(path), "--m", str(m)], capsys)
+            assert code == cli.EXIT_OK
+            payload = json.loads(out)
+            del payload["manifest"]
+            payloads.append(payload)
+        text = json.dumps(payloads, sort_keys=True)
+        digests.append(hashlib.sha256(text.encode()).hexdigest())
+    assert tuple(digests) == GOLDEN_DIGESTS[name]
 
 
 def test_zero_denominator_in_a_config_exits_2(tmp_path, capsys):
