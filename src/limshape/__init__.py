@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .rings import Polynomial, DEGREVLEX
 from .groebner import (
-    Ideal,
     GinResult,
     intersect_ideals,
     gin,

@@ -333,7 +333,7 @@ def gin_of_symbolic_power(config: Config, m, seed, entry_bound=100) -> GinResult
     """
     moved, _ = coordinate_position(config)
     sp = symbolic_power(moved, m)
-    return gin(sp.ideal, seed, entry_bound, sp.hilbert_numerator)
+    return gin(sp.generators, sp.nvars, seed, entry_bound, sp.hilbert_numerator)
 
 
 def compute_report_row(config: Config, t, m, seed, entry_bound) -> ReportRow:

@@ -199,17 +199,16 @@ def cmd_symbolic_power(args):
     # I^(m) in coordinate position, moved back: its reduced degrevlex basis
     # is unique, so it prints as the intersection in the input coordinates.
     # The move keeps the Hilbert series, and substituting the integer
-    # multiple d * B^-1 and clearing denominators only scale each
-    # homogeneous generator, which the engine makes monic.
+    # multiple d * B^-1 only scales each homogeneous generator, which the
+    # engine makes monic.  Polynomial only prints the basis.
     moved, back = coordinate_position(config)
     sp = symbolic_power(moved, args.m)
-    nvars = sp.ideal.nvars
-    gens = [terms for _, terms in cleared_substitute(sp.ideal.generators, back)]
-    basis = reduce_tails(buchberger(gens, nvars, target=sp.hilbert_numerator))
+    gens = cleared_substitute(sp.generators, back)
+    basis = reduce_tails(buchberger(gens, sp.nvars, target=sp.hilbert_numerator))
     payload = {
         "manifest": manifest.as_dict(),
-        "nvars": nvars,
-        "generators": [str(Polynomial(nvars, terms)) for terms in basis],
+        "nvars": sp.nvars,
+        "generators": [str(Polynomial(sp.nvars, terms)) for terms in basis],
     }
     _emit(payload, args, f"symbolic_power_m{args.m}.json")
     return EXIT_OK

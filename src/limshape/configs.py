@@ -3,7 +3,10 @@ flats in P^n, their radical ideals, and symbolic powers.
 
 Symbolic powers are intersections of ordinary powers of the component
 ideals; every component here is a complete intersection of linear forms,
-for which ordinary and symbolic powers agree.
+for which ordinary and symbolic powers agree.  They are computed in the
+pipeline's one polynomial format (see rings), from the packed component
+forms to the basis gin takes: primitive integer term dicts with a positive
+leading coefficient, keyed by DEGREVLEX packed monomials.
 
 A configuration keeps the rational coordinates it was given.  Its forms
 and its coordinate position are computed on integer rows: each rational
@@ -18,12 +21,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import gcd, lcm
+from types import SimpleNamespace
 
 from . import linalg
-from .groebner import Ideal, intersect_ideals
-from .rings import DEGREVLEX, Polynomial
+from .groebner import intersect_ideals
+from .rings import DEGREVLEX, Polynomial, check_exponent, unit_keys, unpack
 from .staircase import k_polynomial, minimalize
 
 GENERIC_COORD_BOUND = 100
@@ -167,7 +171,9 @@ def configs_disjoint(a: Config, b: Config) -> bool:
 @dataclass(frozen=True)
 class SymbolicPower:
     m: int
-    ideal: Ideal  # generated by a degrevlex Groebner basis of I^(m)
+    nvars: int
+    # a degrevlex Groebner basis of I^(m), in the pipeline's format
+    generators: tuple
     leads: tuple  # its leading monomials: the minimal generators of in(I^(m))
 
     @property
@@ -175,24 +181,60 @@ class SymbolicPower:
         """The K-polynomial of I^(m), read off its leads."""
         return k_polynomial(self.leads)
 
+    @property
+    def ideal(self):
+        """The generators as monic Polynomials, built on each read: the view
+        the benchmark's size counts read."""
+        n = self.nvars
+        return SimpleNamespace(generators=tuple(
+            Polynomial(n, {unpack(a, n): Fraction(c, g[max(g)])
+                           for a, c in g.items()})
+            for g in self.generators
+        ))
+
+
+def _power(forms, m, weights):
+    """All m-fold products of the forms, in the order of
+    combinations_with_replacement, keyed by the packed monomials whose unit
+    keys are weights: a product of monomials is + on their keys."""
+    linear = [{w: c for w, c in zip(weights, f) if c} for f in forms]
+    products = []
+    for combo in combinations_with_replacement(linear, m):
+        product = {0: 1}
+        for f in combo:
+            terms = {}
+            for a, c in product.items():
+                for b, d in f.items():
+                    terms[a + b] = terms.get(a + b, 0) + c * d
+            product = {k: v for k, v in terms.items() if v}
+        products.append(product)
+    return products
+
 
 def symbolic_power(config: Config, m: int) -> SymbolicPower:
     """I^(m) as the intersection of m-th powers of the component ideals
     (Zariski-Nagata for unions of points and linear flats), generated by a
     degrevlex Groebner basis.  Each component ideal is generated by its
-    forms in reduced row-echelon form, whose leads are distinct variables,
-    so its m-th power is one already; intersect_ideals returns the reduced
-    basis of each intersection."""
+    forms in reduced row-echelon form, primitive integer rows positive at
+    their pivots, whose leads are distinct variables, so its m-th power is
+    a Groebner basis already, and in the pipeline's format: a product of
+    primitive forms is primitive (Gauss), and its leading coefficient is the
+    product of theirs.  intersect_ideals returns the reduced basis of each
+    intersection."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if not config.components:
         raise DegenerateConfigError("empty configuration")
-    ideal = reduce(intersect_ideals, (
-        Ideal.of(Polynomial.linear_form(f) for f in forms).power(m)
-        for forms in config.forms
-    ))
-    leads = minimalize(max(g.terms, key=DEGREVLEX) for g in ideal.generators)
-    return SymbolicPower(m, ideal, leads)
+    # no exponent of a product of m forms passes m, and the m-th power of a
+    # form holds its pivot variable to the power m
+    check_exponent(m)
+    n = config.n + 1
+    weights = unit_keys(DEGREVLEX, n)
+    generators, *others = [_power(forms, m, weights) for forms in config.forms]
+    for other in others:
+        generators = intersect_ideals(generators, other, n)
+    leads = minimalize(unpack(max(g), n) for g in generators)
+    return SymbolicPower(m, n, tuple(generators), leads)
 
 
 def coordinate_position(config: Config) -> tuple[Config, tuple]:

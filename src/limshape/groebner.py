@@ -1,22 +1,30 @@
 """Buchberger engine: minimal Groebner bases over Q or a prime field, ideal
 intersection by elimination, gin, and the regularity surrogate.
 
+Ideals come in and go out as lists of generators in the one polynomial
+format of the pipeline (see rings): primitive integer term dicts with a
+positive leading coefficient, keyed by DEGREVLEX packed monomials, with the
+number of variables passed beside them.  intersect_ideals takes and returns
+them, and gin takes them.
+
 The engine keeps each basis element as a monic (leading monomial, term
 dict) pair, from the input generators to a minimal basis; that list is
 also its reducer list.  Each caller reduces only what it returns: gin reads
 the leading monomials alone, and intersect_ideals tail-reduces the u-free
-pairs it keeps.
+pairs it keeps and clears each of them once.
 
 One S-pair loop (buchberger) and one reduction loop (_reduce_terms)
 serve both coefficient fields, chosen by an argument p: p = 0 is Q, with
 Fraction coefficients, and a prime p is F_p, with int residues.
-intersect_ideals and symbolic-power's move back compute over Q, because
-the bases they return are printed.  gin's two draws compute over F_p, one
-prime of GIN_PRIMES each (2^31 - 1 and 2^31 - 19), because gin reads only
-leading monomials, and on its section x_last = 0, in one variable fewer;
-the reasons this keeps gin's checks as strong as draws over Q in all
-variables are in gin's docstring (modular Groebner bases: Traverso 1988,
-"Groebner trace algorithms"; Arnold 2003, J. Symb. Comput. 35).
+intersect_ideals computes over Q, because its basis is the exact I^(m)
+that both of gin's primes reduce and that symbolic-power moves back, and
+so does that move back, whose basis is printed.  gin's two draws compute
+over F_p, one prime of GIN_PRIMES each (2^31 - 1 and 2^31 - 19), because
+gin reads only leading monomials, and on its section x_last = 0, in one
+variable fewer; the reasons this keeps gin's checks as strong as draws
+over Q in all variables are in gin's docstring (modular Groebner bases:
+Traverso 1988, "Groebner trace algorithms"; Arnold 2003, J. Symb. Comput.
+35).
 
 The engine computes on packed monomials, one int per monomial (see
 rings): term dicts are keyed by the order's packed keys, a product is +,
@@ -24,9 +32,9 @@ the order is <, and both scans over the leads, for a reducer and for the
 chain criterion, test divisibility with one guard-bit test.  The
 engine's boundary is packed: buchberger takes packed generators, which
 gin's draws and symbolic-power's move back get from cleared_substitute
-and intersect_ideals builds from packed_terms, and it unpacks only the
-leads it returns.  reduce_tails is the one place the Q path unpacks whole
-term dicts.  A monomial whose exponent passes the field width raises
+and intersect_ideals re-keys by the elimination order, and it unpacks only
+the leads it returns.  reduce_tails is the one place the Q path unpacks
+whole term dicts.  A monomial whose exponent passes the field width raises
 ComputationLimitError before its key is used, so no key wraps.
 
 A caller that knows the Hilbert series of the ideal in advance passes its
@@ -48,15 +56,12 @@ import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from operator import mul
 
 from . import linalg
 from .linalg import ComputationLimitError
 from .rings import (
     DEGREVLEX,
-    DimensionError,
-    Polynomial,
     cleared_substitute,
     degree,
     elimination_order,
@@ -96,39 +101,6 @@ class GenericityError(RuntimeError):
 # the benchmark's tests import this name; ROADMAP item 1's benchmark change
 # deletes it
 LastVariableError = GenericityError
-
-
-@dataclass(frozen=True)
-class Ideal:
-    nvars: int
-    generators: tuple  # nonempty tuple of homogeneous nonzero Polynomial
-
-    @classmethod
-    def of(cls, gens):
-        gens = tuple(gens)
-        if not gens:
-            raise ValueError("ideal needs at least one generator")
-        nvars = gens[0].nvars
-        for g in gens:
-            if g.nvars != nvars:
-                raise DimensionError("mixed variable counts in generators")
-            if g.is_zero():
-                raise ValueError("zero generator")
-            if not g.is_homogeneous():
-                raise ValueError(f"generator not homogeneous: {g}")
-        return cls(nvars, gens)
-
-    def power(self, m: int) -> "Ideal":
-        """Ordinary power: all m-fold products of generators."""
-        if m < 1:
-            raise ValueError("power must be >= 1")
-        prods = []
-        for combo in combinations_with_replacement(self.generators, m):
-            p = combo[0]
-            for q in combo[1:]:
-                p = p * q
-            prods.append(p)
-        return Ideal.of(prods)
 
 
 def _reduce_terms(terms, reducers, guard, p=0):
@@ -317,35 +289,41 @@ def reduce_tails(pairs):
     ]
 
 
-def intersect_ideals(a: Ideal, b: Ideal) -> Ideal:
-    """Intersection of a and b via u*a + (1-u)*b and elimination of u.
+def intersect_ideals(a, b, n):
+    """The reduced degrevlex basis of the intersection of the ideals that a
+    and b generate, lists of term dicts in n variables in the pipeline's
+    format (see rings), in that format and sorted by lead.
 
-    u is prepended as the most significant variable; the elimination-block
-    order restricted to u-free monomials is degrevlex on the original ring,
-    so the u-free elements of a minimal elimination basis are a minimal
-    degrevlex basis of the intersection, already in degrevlex order.  A
-    u-free lead divides no monomial holding u, so reducing those elements
-    among themselves gives the reduced basis.
+    Via u*a + (1-u)*b and elimination of u: u is prepended as the most
+    significant variable; the elimination-block order restricted to u-free
+    monomials is degrevlex on the original ring, so the u-free elements of
+    a minimal elimination basis are a minimal degrevlex basis of the
+    intersection, already in degrevlex order.  A u-free lead divides no
+    monomial holding u, so reducing those elements among themselves gives
+    the reduced basis.  Each reduced element is monic over Q; times the lcm
+    of its denominators it is the primitive integer one, with a positive
+    leading coefficient.
     """
-    if a.nvars != b.nvars:
-        raise DimensionError("intersection of ideals in different rings")
-    n = a.nvars
     order = elimination_order(1)
     # the packed key of u, and those of x_1..x_n in the ring with u
     u, *weights = unit_keys(order, n + 1)
-    gens = [
-        {k + u: c for k, c in packed_terms(f.terms, weights).items()}
-        for f in a.generators
-    ]
-    for g in b.generators:
-        terms = packed_terms(g.terms, weights)
+
+    def lift(f):
+        return {sum(map(mul, unpack(k, n), weights)): c for k, c in f.items()}
+
+    gens = [{k + u: c for k, c in lift(f).items()} for f in a]
+    for g in b:
+        terms = lift(g)
         gens.append({**terms, **{k + u: -c for k, c in terms.items()}})
     pairs = buchberger(gens, n + 1, order)
     kept = [(lead, f) for lead, f in pairs if lead[0] == 0]
-    return Ideal.of(
-        Polynomial(n, {al[1:]: c for al, c in terms.items()})
-        for terms in reduce_tails(kept)
-    )
+    weights = unit_keys(DEGREVLEX, n)
+    basis = []
+    for terms in reduce_tails(kept):
+        _, ints = linalg.cleared(list(terms.values()))
+        cleared = dict(zip([al[1:] for al in terms], ints))
+        basis.append(packed_terms(cleared, weights))
+    return basis
 
 
 # -- generic initial ideals ------------------------------------------------
@@ -380,26 +358,25 @@ def random_change_matrix(rng: random.Random, n: int, entry_bound: int):
             return m
 
 
-def _gin_once(ideal: Ideal, seed: int, entry_bound: int, target, p: int):
+def _gin_once(generators, nvars, seed: int, entry_bound: int, target, p: int):
     """One draw: its seeded integer matrix and the leads of its section
     x_last = 0, computed over F_p in the first nvars - 1 variables."""
     rng = random.Random(seed)
-    matrix = random_change_matrix(rng, ideal.nvars, entry_bound)
+    matrix = random_change_matrix(rng, nvars, entry_bound)
     if linalg.det(matrix) % p == 0:
         raise GenericityError(
             f"prime {p} divides the determinant of the coordinate draw"
         )
-    gens = []
-    section = [row[:-1] for row in matrix]
-    for scale, terms in cleared_substitute(ideal.generators, section, p):
-        if scale % p == 0:
+    for g in generators:
+        lc = g[max(g)]
+        if lc % p == 0:
             raise GenericityError(
-                f"prime {p} divides the denominator {scale} of a generator"
+                f"prime {p} divides the leading coefficient {lc} of a generator"
             )
-        if terms:
-            gens.append(terms)
+    section = [row[:-1] for row in matrix]
+    gens = [terms for terms in cleared_substitute(generators, section, p) if terms]
     try:
-        pairs = buchberger(gens, ideal.nvars - 1, target=target, p=p)
+        pairs = buchberger(gens, nvars - 1, target=target, p=p)
     except HilbertSeriesError as exc:
         raise GenericityError(
             f"prime {p} is unlucky, the ideal is not saturated, or the last "
@@ -408,14 +385,16 @@ def _gin_once(ideal: Ideal, seed: int, entry_bound: int, target, p: int):
     return matrix, minimalize(lead for lead, _ in pairs)
 
 
-def gin(ideal: Ideal, seed: int, entry_bound: int, target) -> GinResult:
-    """Generic initial ideal of a saturated ideal via two seeded random
-    coordinate changes, each computed over a prime field F_p, one prime of
-    GIN_PRIMES per draw, on its hyperplane section x_last = 0.
+def gin(generators, nvars, seed: int, entry_bound: int, target) -> GinResult:
+    """Generic initial ideal of the saturated ideal that generators, term
+    dicts in nvars variables in the pipeline's format (see rings), generate,
+    via two seeded random coordinate changes, each computed over a prime
+    field F_p, one prime of GIN_PRIMES per draw, on its hyperplane section
+    x_last = 0.
 
     Each draw substitutes the first nvars - 1 columns of its integer matrix
-    into the generators mod its prime, with the denominators cleared; a
-    prime dividing the determinant or a cleared denominator is refused.
+    into the generators mod its prime; a prime dividing the determinant or
+    the leading coefficient of a generator is refused.
     Both draws' buchberger take target, the K-polynomial of the ideal over
     Q.  For degrevlex, in(J + (x_last)) = in(J) + (x_last) (Bayer-Stillman
     1987); if x_last is a nonzerodivisor on S/gI, no minimal generator of
@@ -448,7 +427,8 @@ def gin(ideal: Ideal, seed: int, entry_bound: int, target) -> GinResult:
         raise ValueError(f"entry_bound must be >= {MIN_ENTRY_BOUND}")
     p0, p1 = GIN_PRIMES
     (matrix, raw), (_, raw2) = (
-        _gin_once(ideal, derive_seed(seed, "gin", k), entry_bound, target, p)
+        _gin_once(generators, nvars, derive_seed(seed, "gin", k), entry_bound,
+                  target, p)
         for k, p in enumerate((p0, p1))
     )
     if raw != raw2:
@@ -456,7 +436,7 @@ def gin(ideal: Ideal, seed: int, entry_bound: int, target) -> GinResult:
             f"two coordinate draws (over F_{p0} and F_{p1}) disagree; raise "
             f"entry_bound (currently {entry_bound})"
         )
-    staircase = MonomialStaircase.from_generators(ideal.nvars - 1, raw)
+    staircase = MonomialStaircase.from_generators(nvars - 1, raw)
     result = GinResult(staircase, matrix)
     if not result.staircase.is_borel_fixed():
         raise GenericityError(

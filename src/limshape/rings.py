@@ -1,10 +1,9 @@
-"""Exact multivariate polynomial arithmetic over the rationals, and packed
-monomials.
+"""Packed monomials, the integer polynomials the pipeline computes on, and
+the Polynomial its printed bases are written with.
 
-Monomials are exponent tuples; polynomials map exponent tuples to nonzero
-Fraction coefficients.  Variable precedence is x1 > x2 > ... > x_nvars
-(variable i lives at tuple index i-1).  All values are immutable after
-construction and safe to share.
+Monomials are exponent tuples.  Variable precedence is x1 > x2 > ... >
+x_nvars (variable i lives at tuple index i-1).  All values are immutable
+after construction and safe to share.
 
 A monomial order is its key function, and the key of an exponent tuple is
 one int, its packed monomial.  The low fields of the int hold the
@@ -18,17 +17,24 @@ Buchberger engine computes on these ints: a product is +, a comparison <,
 a divisibility test one guard-bit test (the packed monomials of sparse
 polynomial engines: Monagan-Pearce 2011, "Sparse polynomial division
 using a heap").
+
+A polynomial is a term dict keyed by packed monomials.  From the component
+forms to gin every polynomial has one format: a primitive integer term
+dict with a positive leading coefficient, keyed by DEGREVLEX packed
+monomials.  Each nonzero rational polynomial has exactly one multiple in
+that format, so no generator carries a denominator or a scale of its own.
+cleared_substitute moves such dicts by an integer matrix, exactly or mod a
+prime.  Polynomial, with exact rational coefficients keyed by exponent
+tuples, only writes the bases that symbolic-power prints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import accumulate
-from math import lcm
-from operator import add, le, mul
+from operator import le, mul
 
-from .linalg import ComputationLimitError, det
+from .linalg import ComputationLimitError, cleared, det
 
 # bits of an exponent in a packed monomial, below its guard bit; read at
 # call time, so that all keys of one computation share it
@@ -47,20 +53,19 @@ def degree(alpha) -> int:
     return sum(alpha)
 
 
-def mul_exp(a, b):
-    return tuple(map(add, a, b))
-
-
 def divides(a, b) -> bool:
     """Componentwise a <= b, i.e. x^a divides x^b."""
     return all(map(le, a, b))
 
 
-def _exponent_overflow(e):
-    return ComputationLimitError(
-        f"exponent {e} does not fit in the {EXPONENT_BITS}-bit exponent field "
-        "of a packed monomial"
-    )
+def check_exponent(e):
+    """Raises ComputationLimitError when an exponent e does not fit in the
+    exponent field of a packed monomial."""
+    if e >> EXPONENT_BITS:
+        raise ComputationLimitError(
+            f"exponent {e} does not fit in the {EXPONENT_BITS}-bit exponent "
+            "field of a packed monomial"
+        )
 
 
 def _pack(alpha, sums):
@@ -71,9 +76,7 @@ def _pack(alpha, sums):
     passes the field width: the guard bit shows that before the key is
     used."""
     bits = EXPONENT_BITS
-    top = max(alpha, default=0)
-    if top >> bits:
-        raise _exponent_overflow(top)
+    check_exponent(max(alpha, default=0))
     width = bits + 1 + len(alpha).bit_length()
     key = 0
     for s in sums:
@@ -119,9 +122,7 @@ def unit_keys(order, n):
 def packed_terms(terms, weights):
     """The term dict keyed by packed monomials, each the dot product of its
     exponent tuple with weights, the unit keys of an order."""
-    top = max(map(max, terms), default=0)
-    if top >> EXPONENT_BITS:
-        raise _exponent_overflow(top)
+    check_exponent(max(map(max, terms), default=0))
     return {sum(map(mul, a, weights)): c for a, c in terms.items()}
 
 
@@ -139,9 +140,10 @@ def unpack(key, n):
 
 
 class Polynomial:
-    """Sparse polynomial with exact rational coefficients.
+    """Sparse polynomial with exact rational coefficients, keyed by exponent
+    tuples: the printed form of a basis.
 
-    Treat instances as immutable; operations return fresh polynomials.
+    Treat instances as immutable.
     """
 
     __slots__ = ("nvars", "terms", "_hash")
@@ -165,87 +167,6 @@ class Polynomial:
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Polynomial is immutable")
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def constant(cls, nvars, c):
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
-
-    @classmethod
-    def linear_form(cls, coeffs):
-        """sum_i coeffs[i] * x_{i+1}."""
-        n = len(coeffs)
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if c:
-                e = [0] * n
-                e[i] = 1
-                terms[tuple(e)] = Fraction(c)
-        return cls(n, terms)
-
-    # -- predicates --------------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
-
-    def is_homogeneous(self):
-        degs = {degree(a) for a in self.terms}
-        return len(degs) <= 1
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _check(self, other):
-        if self.nvars != other.nvars:
-            raise DimensionError(
-                f"polynomials in {self.nvars} vs {other.nvars} variables"
-            )
-
-    def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(self.nvars, other)
-        self._check(other)
-        terms = dict(self.terms)
-        for a, c in other.terms.items():
-            s = terms.get(a, 0) + c
-            if s:
-                terms[a] = s
-            else:
-                terms.pop(a, None)
-        return Polynomial(self.nvars, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Polynomial(self.nvars, {a: -c for a, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(self.nvars, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            c = Fraction(other)
-            return Polynomial(
-                self.nvars, {a: k * c for a, k in self.terms.items()}
-            )
-        self._check(other)
-        terms = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                ab = mul_exp(a, b)
-                s = terms.get(ab, 0) + ca * cb
-                if s:
-                    terms[ab] = s
-                else:
-                    terms.pop(ab, None)
-        return Polynomial(self.nvars, terms)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -258,14 +179,6 @@ class Polynomial:
             )
         return self._hash
 
-    # -- ordered terms -----------------------------------------------------
-
-    def sorted_terms(self, order=DEGREVLEX):
-        """(exponent, coefficient) pairs, biggest monomial first."""
-        return [(a, self.terms[a]) for a in sorted(self.terms, key=order, reverse=True)]
-
-    # -- substitution ------------------------------------------------------
-
     def linear_substitute(self, matrix):
         """Replace x_i by sum_j matrix[i][j] * x_j (rows act on variables).
 
@@ -273,13 +186,13 @@ class Polynomial:
         """
         return linear_substitute([self], matrix)[0]
 
-    # -- text format -------------------------------------------------------
-
     def __str__(self):
-        if self.is_zero():
+        """The terms from the biggest monomial down, as `3*x1^2*x2 - 1/2*x3`."""
+        if not self.terms:
             return "0"
         parts = []
-        for a, c in self.sorted_terms():
+        for a in sorted(self.terms, key=DEGREVLEX, reverse=True):
+            c = self.terms[a]
             factors = []
             for i, e in enumerate(a):
                 if e == 1:
@@ -305,49 +218,47 @@ class Polynomial:
 
 
 def linear_substitute(polys, matrix):
-    """Each polynomial with x_i replaced by sum_j matrix[i][j] * x_j.
+    """Each Polynomial with x_i replaced by sum_j matrix[i][j] * x_j.
 
-    The rational result of cleared_substitute, whose packed integer dicts
-    the engine takes as they are; only Polynomial.linear_substitute, which
-    the benchmark wraps, calls it.  The matrix must be square of size nvars
-    and invertible, which only this path checks.
+    The rational form of cleared_substitute: each polynomial is cleared of
+    its denominators, substituted and divided back.  Only
+    Polynomial.linear_substitute, which the benchmark wraps, calls it.  The
+    matrix must be square of size nvars and invertible, which only this
+    path checks.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise DimensionError("matrix is not square")
+    if any(f.nvars != n for f in polys):
+        raise DimensionError("matrix rows != nvars")
     if det(matrix) == 0:
         raise SingularMatrixError("coordinate change matrix is singular")
+    weights = unit_keys(DEGREVLEX, n)
+    rows = [cleared(list(f.terms.values())) for f in polys]
+    packed = [packed_terms(dict(zip(f.terms, ints)), weights)
+              for f, (_, ints) in zip(polys, rows)]
     return [
-        Polynomial(n, {unpack(b, n): Fraction(v, scale) for b, v in acc.items()})
-        for scale, acc in cleared_substitute(polys, matrix)
+        Polynomial(n, {unpack(b, n): Fraction(v, d) for b, v in terms.items()})
+        for (d, _), terms in zip(rows, cleared_substitute(packed, matrix))
     ]
 
 
 def cleared_substitute(polys, matrix, p=0):
-    """(d, term dict) per polynomial f: the nonzero terms of d * f(matrix x),
-    keyed by DEGREVLEX packed monomials in k variables for an nvars x k
-    matrix, where d is the lcm of the denominators of f's coefficients.
-    The coefficients are ints, or their residues mod p when a prime p is
-    given with an integer matrix.  gin's draws pass the first nvars - 1
+    """The nonzero terms of f(matrix x) for each integer term dict f keyed by
+    DEGREVLEX packed monomials in nvars variables, for an nvars x k matrix:
+    term dicts keyed by DEGREVLEX packed monomials in k variables.  The
+    coefficients are ints for an integer matrix, or their residues mod p
+    when a prime p is given with one.  gin's draws pass the first nvars - 1
     columns of their matrices: the substitution, then x_last = 0.
 
-    The polynomials share one table of monomial images: the image of x^a is
-    built once, as the image of x^a / x_i times row i, where x_i is the
+    The polynomials share one table of monomial images: the image of x^a
+    is built once, as the image of x^a / x_i times row i, where x_i is the
     first variable of x^a; times x_j is + the key of x_j.  Integer entries
     stay Python ints in the table, so the inner products are integer
     products when the matrix is integral, and mod p every entry of the
     table is a residue.
     """
-    polys = list(polys)
-    n = polys[0].nvars if polys else len(matrix)
-    if len(matrix) != n:
-        raise DimensionError("matrix rows != nvars")
-    if any(f.nvars != n for f in polys):
-        raise DimensionError("mixed variable counts in substituted polynomials")
-    # an image of x^a has the degree of a, which bounds its exponents
-    top = max((degree(a) for f in polys for a in f.terms), default=0)
-    if top >> EXPONENT_BITS:
-        raise _exponent_overflow(top)
+    n = len(matrix)
     weights = unit_keys(DEGREVLEX, len(matrix[0]))
     rows = [[(w, c) for w, c in zip(weights, row) if c] for row in matrix]
 
@@ -361,6 +272,8 @@ def cleared_substitute(polys, matrix, p=0):
     def image(alpha):
         img = table.get(alpha)
         if img is None:
+            # an image of x^a has the degree of a, which bounds its exponents
+            check_exponent(degree(alpha))
             i = next(j for j, e in enumerate(alpha) if e)
             lower = image(alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :])
             img = {}
@@ -373,15 +286,13 @@ def cleared_substitute(polys, matrix, p=0):
 
     sums = []
     for f in polys:
-        scale = reduce(lcm, [c.denominator for c in f.terms.values()], 1)
         acc = {}
-        for alpha, c in f.terms.items():
-            c = c.numerator * (scale // c.denominator)
+        for key, c in f.items():
             if p:
                 c %= p
-            for beta, v in image(alpha).items():
+            for beta, v in image(unpack(key, n)).items():
                 acc[beta] = acc.get(beta, 0) + c * v
-        sums.append((scale, nonzero(acc)))
+        sums.append(nonzero(acc))
     # image is a closure over itself, so the table would wait for the
     # cycle collector; free the largest thing alive here now
     table.clear()

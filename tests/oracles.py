@@ -13,6 +13,10 @@ division oracles take: the engine's minimal basis with its tails reduced.
 the F_p draws are checked against.
 `pack_generators` and `unpack_pairs` carry tuple-keyed term dicts across
 the engine's packed boundary for the tests that drive it directly.
+`Poly` is a Polynomial with ring arithmetic and `Ideal` an ideal by its
+Poly generators, the forms the oracles compute with; `packed` and
+`ideal_of` carry an Ideal to the pipeline's packed integer generators and
+back, and `symbolic_ideal` is the Ideal of a symbolic power.
 `parse_polynomial` reads the text form that `str(Polynomial)` writes.
 `count_fractions` records every Fraction built while it is patched in.
 `clip_to_simplex` gives the clip that `polyhedra` computes internally as
@@ -24,14 +28,13 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from math import comb, factorial
+from itertools import combinations, combinations_with_replacement, product
+from math import comb, factorial, gcd
 
 from limshape import linalg
-from limshape.configs import Config
+from limshape.configs import Config, symbolic_power
 from limshape.polyhedra import RationalPolyhedron, _clip, _dot, _lift, _reduced
 from limshape.groebner import (
-    Ideal,
     buchberger,
     derive_seed,
     random_change_matrix,
@@ -44,7 +47,6 @@ from limshape.rings import (
     degree,
     divides,
     linear_substitute,
-    mul_exp,
     packed_terms,
     unit_keys,
     unpack,
@@ -53,6 +55,10 @@ from limshape.staircase import MonomialStaircase, k_polynomial, minimalize
 
 
 # -- monomials and polynomials -----------------------------------------------
+
+
+def mul_exp(a, b):
+    return tuple(x + y for x, y in zip(a, b))
 
 
 def exp_div(b, a):
@@ -90,8 +96,74 @@ def compare(a, b, order=DEGREVLEX) -> int:
     return (ka > kb) - (ka < kb)
 
 
-def monomial(alpha, c=1) -> Polynomial:
-    return Polynomial(len(alpha), {tuple(alpha): Fraction(c)})
+class Poly(Polynomial):
+    """A Polynomial with the ring arithmetic the oracles compute with; the
+    package's Polynomial only prints.  A Polynomial operand is taken as the
+    Poly with its terms, any other one as a constant."""
+
+    __slots__ = ()
+
+    @classmethod
+    def constant(cls, nvars, c):
+        return cls(nvars, {(0,) * nvars: c})
+
+    @classmethod
+    def linear_form(cls, coeffs):
+        """sum_i coeffs[i] * x_{i+1}."""
+        n = len(coeffs)
+        return cls(n, {
+            tuple(int(i == j) for j in range(n)): c for i, c in enumerate(coeffs)
+        })
+
+    def is_zero(self):
+        return not self.terms
+
+    def is_homogeneous(self):
+        return len({degree(a) for a in self.terms}) <= 1
+
+    def _operand(self, other):
+        if not isinstance(other, Polynomial):
+            return Poly.constant(self.nvars, other)
+        if self.nvars != other.nvars:
+            raise DimensionError(
+                f"polynomials in {self.nvars} vs {other.nvars} variables"
+            )
+        return other
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for a, c in self._operand(other).terms.items():
+            terms[a] = terms.get(a, 0) + c
+        return Poly(self.nvars, terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly(self.nvars, {a: -c for a, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -Poly(self.nvars, self._operand(other).terms)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, Polynomial):
+            c = Fraction(other)
+            return Poly(self.nvars, {a: k * c for a, k in self.terms.items()})
+        other = self._operand(other)
+        terms = {}
+        for a, ca in self.terms.items():
+            for b, cb in other.terms.items():
+                ab = mul_exp(a, b)
+                terms[ab] = terms.get(ab, 0) + ca * cb
+        return Poly(self.nvars, terms)
+
+    __rmul__ = __mul__
+
+
+def monomial(alpha, c=1) -> Poly:
+    return Poly(len(alpha), {tuple(alpha): Fraction(c)})
 
 
 def leading_monomial(p: Polynomial, order=DEGREVLEX):
@@ -116,7 +188,7 @@ def evaluate(p: Polynomial, point):
     return total
 
 
-def partial(p: Polynomial, i) -> Polynomial:
+def partial(p: Polynomial, i) -> Poly:
     """d/dx_i, 1-based."""
     terms = {}
     for a, c in p.terms.items():
@@ -125,7 +197,7 @@ def partial(p: Polynomial, i) -> Polynomial:
             b = list(a)
             b[i - 1] -= 1
             terms[tuple(b)] = terms.get(tuple(b), 0) + c * e
-    return Polynomial(p.nvars, terms)
+    return Poly(p.nvars, terms)
 
 
 _TOKEN = re.compile(
@@ -134,7 +206,7 @@ _TOKEN = re.compile(
 )
 
 
-def parse_polynomial(text: str, nvars: int) -> Polynomial:
+def parse_polynomial(text: str, nvars: int) -> Poly:
     """Parse sums of terms like `3*x1^2*x2 - 1/2*x3 + 4`.
 
     Round-trips exactly with str(Polynomial).
@@ -181,7 +253,75 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
                 expo = [0] * nvars
             expo[i - 1] += e
     flush()
-    return Polynomial(nvars, terms)
+    return Poly(nvars, terms)
+
+
+# -- ideals -------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Ideal:
+    nvars: int
+    generators: tuple  # nonempty tuple of homogeneous nonzero Poly
+
+    @classmethod
+    def of(cls, gens):
+        gens = tuple(Poly(g.nvars, g.terms) for g in gens)
+        if not gens:
+            raise ValueError("ideal needs at least one generator")
+        nvars = gens[0].nvars
+        for g in gens:
+            if g.nvars != nvars:
+                raise DimensionError("mixed variable counts in generators")
+            if g.is_zero():
+                raise ValueError("zero generator")
+            if not g.is_homogeneous():
+                raise ValueError(f"generator not homogeneous: {g}")
+        return cls(nvars, gens)
+
+    def power(self, m: int) -> "Ideal":
+        """Ordinary power: all m-fold products of generators."""
+        if m < 1:
+            raise ValueError("power must be >= 1")
+        prods = []
+        for combo in combinations_with_replacement(self.generators, m):
+            p = combo[0]
+            for q in combo[1:]:
+                p = p * q
+            prods.append(p)
+        return Ideal.of(prods)
+
+
+def packed(ideal: Ideal):
+    """The ideal's generators in the pipeline's format: each the primitive
+    integer multiple with a positive leading coefficient, keyed by
+    DEGREVLEX packed monomials."""
+    weights = unit_keys(DEGREVLEX, ideal.nvars)
+    out = []
+    for g in ideal.generators:
+        _, ints = linalg.cleared(list(g.terms.values()))
+        content = gcd(*ints)
+        if g.terms[leading_monomial(g)] < 0:
+            content = -content
+        out.append(packed_terms(
+            {a: c // content for a, c in zip(g.terms, ints)}, weights
+        ))
+    return out
+
+
+def ideal_of(generators, nvars) -> Ideal:
+    """The Ideal of term dicts in nvars variables in the pipeline's format,
+    each made monic: the Polynomials SymbolicPower.ideal builds."""
+    return Ideal.of(
+        Poly(nvars, {unpack(a, nvars): Fraction(c, g[max(g)]) for a, c in g.items()})
+        for g in generators
+    )
+
+
+def symbolic_ideal(config: Config, m: int) -> Ideal:
+    """The Ideal of symbolic_power(config, m)'s generators, made monic."""
+    sp = symbolic_power(config, m)
+    return ideal_of(sp.generators, sp.nvars)
 
 
 # -- reduced Groebner bases, membership and ideal equality -------------------
@@ -215,7 +355,7 @@ def groebner_basis(ideal: Ideal, order=DEGREVLEX) -> GroebnerBasis:
     gens = pack_generators([g.terms for g in ideal.generators], order)
     pairs = buchberger(gens, ideal.nvars, order)
     return GroebnerBasis(ideal, order, tuple(
-        Polynomial(ideal.nvars, terms) for terms in reduce_tails(pairs)
+        Poly(ideal.nvars, terms) for terms in reduce_tails(pairs)
     ))
 
 
@@ -246,7 +386,7 @@ def initial_ideal(gb: GroebnerBasis):
     return minimalize(gb.leading_monomials())
 
 
-def normal_form(f, basis, order=DEGREVLEX) -> Polynomial:
+def normal_form(f, basis, order=DEGREVLEX) -> Poly:
     """Full multivariate division remainder of f by basis: the textbook
     division on exponent tuples, taking the largest remaining term under
     order and the first element whose lead divides it, so it shares no code
@@ -272,7 +412,7 @@ def normal_form(f, basis, order=DEGREVLEX) -> Polynomial:
                 break
         else:
             remainder[lm] = work.pop(lm)
-    return Polynomial(f.nvars, remainder)
+    return Poly(f.nvars, remainder)
 
 
 def contains(gb: GroebnerBasis, f: Polynomial) -> bool:

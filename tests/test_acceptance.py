@@ -18,6 +18,7 @@ from oracles import (
     contains_scaled,
     groebner_basis,
     hf_via_initial,
+    ideal_of,
 )
 
 from limshape.asymptotics import (
@@ -88,13 +89,14 @@ def sym_power(which, m):
 
 @lru_cache(maxsize=None)
 def sym_power_gb(which, m):
-    return groebner_basis(sym_power(which, m).ideal)
+    sp = sym_power(which, m)
+    return groebner_basis(ideal_of(sp.generators, sp.nvars))
 
 
 @lru_cache(maxsize=None)
 def gin_of(which, m):
     sp = sym_power(which, m)
-    return gin(sp.ideal, SEED, 100, sp.hilbert_numerator)
+    return gin(sp.generators, sp.nvars, SEED, 100, sp.hilbert_numerator)
 
 
 @lru_cache(maxsize=None)

@@ -161,10 +161,10 @@ def test_ahf_estimate_report_formats():
 def test_ahf_estimate_keeps_rows_past_saturation_failure(monkeypatch):
     real_gin = asymptotics.gin
 
-    def gin_failing_at_m2(ideal, seed, entry_bound, target):
+    def gin_failing_at_m2(generators, nvars, seed, entry_bound, target):
         if seed == derive_seed(0, "row", 2):
             raise GenericityError("the ideal is not saturated")
-        return real_gin(ideal, seed, entry_bound, target)
+        return real_gin(generators, nvars, seed, entry_bound, target)
 
     monkeypatch.setattr(asymptotics, "gin", gin_failing_at_m2)
     cfg = Config.of(2, [(0, 0, 1)])
@@ -243,5 +243,5 @@ def test_gin_of_symbolic_power_matches_unmoved_gin(name):
         seed = derive_seed(3, "row", m)
         moved = asymptotics.gin_of_symbolic_power(config, m, seed)
         sp = symbolic_power(config, m)
-        given_coords = gin(sp.ideal, seed, 100, sp.hilbert_numerator)
+        given_coords = gin(sp.generators, sp.nvars, seed, 100, sp.hilbert_numerator)
         assert moved.staircase == given_coords.staircase, (name, m)

@@ -10,11 +10,10 @@ from limshape.configs import (
     config_from_json,
     config_to_dict,
     coordinate_position,
-    symbolic_power,
 )
 from limshape.groebner import ComputationLimitError, GenericityError
 from limshape.staircase import k_polynomial
-from oracles import groebner_basis
+from oracles import groebner_basis, symbolic_ideal
 from test_asymptotics import MOVE_ORACLE_CASES
 
 
@@ -220,10 +219,10 @@ def test_symbolic_power_command_keeps_input_coordinates(name, tmp_path, capsys):
             ["symbolic-power", "--config", str(path), "--m", str(m)], capsys
         )
         assert code == cli.EXIT_OK
-        given = [str(g) for g in symbolic_power(config, m).ideal.generators]
+        given = [str(g) for g in symbolic_ideal(config, m).generators]
         assert json.loads(out)["generators"] == given, (name, m)
         # the basis in coordinate position prints otherwise
-        assert given != [str(g) for g in symbolic_power(moved, m).ideal.generators]
+        assert given != [str(g) for g in symbolic_ideal(moved, m).generators]
 
 
 # sha256 of the `symbolic-power` and `gin` outputs for m = 1..m_max, each
@@ -340,7 +339,7 @@ def test_symbolic_power_command_prints_a_reduced_basis(component, tmp_path, caps
             ["symbolic-power", "--config", str(path), "--m", str(m)], capsys
         )
         assert code == cli.EXIT_OK
-        reduced = groebner_basis(symbolic_power(config, m).ideal).basis
+        reduced = groebner_basis(symbolic_ideal(config, m)).basis
         assert json.loads(out)["generators"] == [str(g) for g in reduced], m
 
 
@@ -370,6 +369,30 @@ def test_limiting_shape_outputs(config_path, tmp_path, capsys):
     assert csv_text.splitlines()[0] == (
         "m,count,count_over_mn,vol_staircase,vol_convex,target,gap"
     )
+
+
+def test_limiting_shape_builds_no_polynomial(monkeypatch, tmp_path, capsys):
+    # from the component forms to gin every polynomial is a packed integer
+    # term dict; Polynomial only prints symbolic-power's bases.  Five points
+    # in P^3 are not a monomial ideal after the move, so every stage runs
+    built = []
+    init = rings.Polynomial.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config_to_dict(Config.generic(3, 0, 5, 3))))
+    monkeypatch.setattr(rings.Polynomial, "__init__", counting)
+    code, _, _ = run(
+        ["limiting-shape", "--config", str(path), "--m-max", "2", "--t", "3",
+         "--out", str(tmp_path / "out")],
+        capsys,
+    )
+    monkeypatch.undo()
+    assert code == cli.EXIT_OK
+    assert built == []
 
 
 def test_limiting_shape_writes_facets_of_delta_alone(config_path, tmp_path, capsys):

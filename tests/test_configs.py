@@ -8,6 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    Ideal,
+    Poly,
     contains,
     count_fractions,
     differential_membership_check,
@@ -15,11 +17,14 @@ from oracles import (
     groebner_basis,
     hf_via_rank,
     ideal_contains,
+    ideal_of,
     ideals_equal,
     initial_ideal,
     monomial,
+    packed,
     parse_polynomial,
     partial,
+    symbolic_ideal,
     total_degree,
 )
 
@@ -35,8 +40,6 @@ from limshape.configs import (
     coordinate_position,
     symbolic_power,
 )
-from limshape.groebner import Ideal
-from limshape.rings import Polynomial
 
 
 def P(text, n):
@@ -54,7 +57,7 @@ def all_monomials(nvars, d):
 
 
 def test_point_ideal_coordinate_point():
-    ideal = symbolic_power(Config.of(3, [(1, 0, 0, 0)]), 1).ideal
+    ideal = symbolic_ideal(Config.of(3, [(1, 0, 0, 0)]), 1)
     gb = groebner_basis(ideal)
     assert sorted(gb.leading_monomials()) == [
         (0, 0, 0, 1),
@@ -68,7 +71,7 @@ def test_point_ideal_coordinate_point():
 
 def test_point_ideal_general_point():
     pt = (1, 2, 3)
-    ideal = symbolic_power(Config.of(2, [pt]), 1).ideal
+    ideal = symbolic_ideal(Config.of(2, [pt]), 1)
     for g in ideal.generators:
         assert evaluate(g, pt) == 0
         assert total_degree(g) == 1
@@ -199,7 +202,7 @@ def test_two_intersecting_lines_radical():
         [(1, 0, 0, 0), (0, 0, 1, 0)],
     ])
     assert not components_disjoint(cfg)
-    ideal = symbolic_power(cfg, 1).ideal
+    ideal = symbolic_ideal(cfg, 1)
     expected = Ideal.of([P("x1", 4), P("x2*x3", 4)])
     assert ideals_equal(ideal, expected)
 
@@ -213,10 +216,10 @@ def test_disjoint_lines_detection():
 
 def test_symbolic_power_single_point_is_ordinary_power():
     cfg = Config.of(2, [(0, 0, 1)])
-    sp = symbolic_power(cfg, 2)
+    square = symbolic_ideal(cfg, 2)
     expected = Ideal.of([P("x1", 3), P("x2", 3)]).power(2)
-    assert ideals_equal(sp.ideal, expected)
-    assert ideal_contains(groebner_basis(symbolic_power(cfg, 1).ideal), sp.ideal)
+    assert ideals_equal(square, expected)
+    assert ideal_contains(groebner_basis(symbolic_ideal(cfg, 1)), square)
 
 
 @pytest.mark.parametrize("config", [
@@ -227,27 +230,31 @@ def test_symbolic_power_single_point_is_ordinary_power():
 def test_symbolic_power_leads_generate_the_initial_ideal(config):
     # the leads give the Hilbert series buchberger stops on, in any
     # coordinates: the forms of (1, 2, -3, 5)'s kernel all lead with x1
-    # until they are put in echelon form
+    # until they are put in echelon form; each generator, a component's
+    # power or an intersection's, is primitive with a positive leading
+    # coefficient
     for m in (1, 2, 3):
         sp = symbolic_power(config, m)
-        assert sp.leads == initial_ideal(groebner_basis(sp.ideal)), m
+        ideal = ideal_of(sp.generators, sp.nvars)
+        assert sp.leads == initial_ideal(groebner_basis(ideal)), m
+        assert packed(ideal) == list(sp.generators), m
 
 
 def test_symbolic_power_two_points_hilbert_function():
     cfg = Config.of(2, [(1, 0, 0), (0, 1, 0)])
-    sp = symbolic_power(cfg, 1)
+    ideal = symbolic_ideal(cfg, 1)
     # two points in P^2: HF is 1, 2, 2, 2, ...
-    assert [hf_via_rank(sp.ideal, d) for d in range(4)] == [1, 2, 2, 2]
-    sp2 = symbolic_power(cfg, 2)
+    assert [hf_via_rank(ideal, d) for d in range(4)] == [1, 2, 2, 2]
+    square = symbolic_ideal(cfg, 2)
     # two double points: scheme degree 6, but degree-2 forms only impose 5
     # conditions (the doubled line through the points)
-    assert [hf_via_rank(sp2.ideal, d) for d in range(6)] == [1, 3, 5, 6, 6, 6]
-    assert ideal_contains(groebner_basis(symbolic_power(cfg, 1).ideal), sp2.ideal)
+    assert [hf_via_rank(square, d) for d in range(6)] == [1, 3, 5, 6, 6, 6]
+    assert ideal_contains(groebner_basis(ideal), square)
 
 
 def test_symbolic_power_semigroup_containment():
     cfg = Config.of(2, [(1, 0, 0), (0, 1, 0), (1, 1, 1)])
-    powers = {m: symbolic_power(cfg, m).ideal for m in (1, 2, 3)}
+    powers = {m: symbolic_ideal(cfg, m) for m in (1, 2, 3)}
     gbs = {m: groebner_basis(i) for m, i in powers.items()}
     for p, q in [(1, 1), (1, 2)]:
         prod = Ideal.of(
@@ -276,13 +283,12 @@ def _random_member_of_symbolic_square(cfg, degree, rng):
     for v in kernel:
         c = Fraction(rng.randint(-5, 5))
         coeffs = [a + c * b for a, b in zip(coeffs, v)]
-    return Polynomial(nvars, dict(zip(monos, coeffs)))
+    return Poly(nvars, dict(zip(monos, coeffs)))
 
 
 def test_differential_oracle_agrees_with_groebner():
     cfg = Config.generic(2, 0, 3, seed=4)
-    sp = symbolic_power(cfg, 2)
-    gb = groebner_basis(sp.ideal)
+    gb = groebner_basis(symbolic_ideal(cfg, 2))
     rng = random.Random(9)
     checked = 0
     for degree in (3, 4, 5):
@@ -379,12 +385,11 @@ def _is_monomial(p):
 def test_coordinate_position_gives_monomial_ideals(config):
     moved, _ = coordinate_position(config)
     for forms in moved.forms:
-        gens = [Polynomial.linear_form(f) for f in forms]
+        gens = [Poly.linear_form(f) for f in forms]
         assert all(_is_monomial(g) and total_degree(g) == 1 for g in gens)
-    sp = symbolic_power(moved, 1)
-    assert all(_is_monomial(g) for g in sp.ideal.generators)
+    assert all(_is_monomial(g) for g in symbolic_ideal(moved, 1).generators)
     # the unmoved configuration has no such generators
-    assert not all(_is_monomial(g) for g in symbolic_power(config, 1).ideal.generators)
+    assert not all(_is_monomial(g) for g in symbolic_ideal(config, 1).generators)
 
 
 def test_inverse_is_the_inverse():

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     GroebnerBasis,
+    Ideal,
+    Poly,
     contains,
     exp_div,
     exp_lcm,
@@ -16,6 +18,7 @@ from oracles import (
     hf_via_initial,
     hf_via_rank,
     ideal_contains,
+    ideal_of,
     ideals_equal,
     initial_ideal,
     leading_monomial,
@@ -23,6 +26,7 @@ from oracles import (
     normal_form,
     oracle_target,
     pack_generators,
+    packed,
     parse_polynomial,
     tuple_degrevlex,
     tuple_elimination_order,
@@ -38,18 +42,15 @@ from limshape.groebner import (
     ComputationLimitError,
     GenericityError,
     HilbertSeriesError,
-    Ideal,
     derive_seed,
     gin,
     intersect_ideals,
     regularity_surrogate,
 )
 from limshape.rings import (
-    Polynomial,
     divides,
     elimination_order,
     guard_bits,
-    linear_substitute,
     packed_terms,
     unit_keys,
     unpack,
@@ -59,6 +60,17 @@ from limshape.staircase import k_polynomial
 
 def P(text, n):
     return parse_polynomial(text, n)
+
+
+def intersect(a: Ideal, b: Ideal) -> Ideal:
+    """intersect_ideals on the packed generators of two Ideals."""
+    n = a.nvars
+    return ideal_of(intersect_ideals(packed(a), packed(b), n), n)
+
+
+def gin_of(ideal: Ideal, seed, entry_bound, target):
+    """gin on the packed generators of an Ideal."""
+    return gin(packed(ideal), ideal.nvars, seed, entry_bound, target)
 
 
 def s_polynomial(f, g, order):
@@ -118,7 +130,7 @@ def test_membership_oracle_products():
 def test_intersection_simple():
     a = Ideal.of([P("x1", 2)])
     b = Ideal.of([P("x2", 2)])
-    inter = intersect_ideals(a, b)
+    inter = intersect(a, b)
     assert ideals_equal(inter, Ideal.of([P("x1*x2", 2)]))
 
 
@@ -126,7 +138,7 @@ def test_intersection_monomial_vs_bruteforce():
     # (x1, x2)^2 and (x1, x3)^2 in 4 variables
     a = Ideal.of([P("x1", 4), P("x2", 4)]).power(2)
     b = Ideal.of([P("x1", 4), P("x3", 4)]).power(2)
-    inter = intersect_ideals(a, b)
+    inter = intersect(a, b)
     gb = groebner_basis(inter)
     assert_is_groebner(gb)
 
@@ -144,7 +156,7 @@ def test_intersection_monomial_vs_bruteforce():
 
 def test_intersection_idempotent():
     a = Ideal.of([P("x1^2 - x2*x3", 3), P("x2^2", 3)])
-    assert ideals_equal(intersect_ideals(a, a), a)
+    assert ideals_equal(intersect(a, a), a)
 
 
 def test_ideal_power():
@@ -161,7 +173,7 @@ def test_initial_ideal_minimal_generators():
 def test_gin_of_coordinate_point():
     # saturated ideal of a point in P^2: gin is (x1, x2)
     ideal = Ideal.of([P("x2", 3), P("x3", 3)])
-    g = gin(ideal, 11, 100, oracle_target(ideal))
+    g = gin_of(ideal, 11, 100, oracle_target(ideal))
     assert g.staircase.min_gens == ((0, 1), (1, 0))
     assert g.raw_initial == ((0, 1, 0), (1, 0, 0))
 
@@ -169,7 +181,7 @@ def test_gin_of_coordinate_point():
 def test_gin_fixes_borel_ideal():
     # strongly stable monomial ideal in 3 variables: gin reproduces it
     ideal = Ideal.of([P("x1^2", 3), P("x1*x2", 3), P("x2^3", 3)])
-    g = gin(ideal, 5, 100, oracle_target(ideal))
+    g = gin_of(ideal, 5, 100, oracle_target(ideal))
     assert set(g.raw_initial) == {(2, 0, 0), (1, 1, 0), (0, 3, 0)}
     assert regularity_surrogate(g) == 3
 
@@ -177,9 +189,9 @@ def test_gin_fixes_borel_ideal():
 def test_gin_deterministic_and_seed_independent():
     ideal = Ideal.of([P("x2", 3), P("x3", 3)]).power(2)
     target = oracle_target(ideal)
-    g1 = gin(ideal, 1, 100, target)
-    g2 = gin(ideal, 1, 100, target)
-    g3 = gin(ideal, 99, 100, target)
+    g1 = gin_of(ideal, 1, 100, target)
+    g2 = gin_of(ideal, 1, 100, target)
+    g3 = gin_of(ideal, 99, 100, target)
     assert g1.staircase == g2.staircase == g3.staircase
     assert g1.coordinate_matrix == g2.coordinate_matrix
     assert g1.coordinate_matrix != g3.coordinate_matrix
@@ -199,20 +211,20 @@ def test_gin_rejects_unsaturated_input():
         full = gin_draws_over_q(ideal, 3, 100, target)
         assert any(lead[-1] for raw in full for lead in raw)
         with pytest.raises(GenericityError, match="not saturated"):
-            gin(ideal, 3, 100, target)
+            gin_of(ideal, 3, 100, target)
 
 
 def test_section_draw_agrees_with_the_full_draw_on_a_saturated_ideal():
     ideal = Ideal.of([P("x1", 3), P("x2", 3)])
     target = oracle_target(ideal)
     full = gin_draws_over_q(ideal, 3, 100, target)
-    assert full == [gin(ideal, 3, 100, target).raw_initial] * 2
+    assert full == [gin_of(ideal, 3, 100, target).raw_initial] * 2
 
 
 def test_gin_entry_bound_validation():
     ideal = Ideal.of([P("x2", 3), P("x3", 3)])
     with pytest.raises(ValueError):
-        gin(ideal, 1, 2, oracle_target(ideal))
+        gin_of(ideal, 1, 2, oracle_target(ideal))
 
 
 def test_derive_seed_stable_and_distinct():
@@ -245,7 +257,7 @@ def test_hf_known_values():
 def test_ideal_contains():
     big = groebner_basis(Ideal.of([P("x1", 2), P("x2", 2)]))
     assert ideal_contains(big, Ideal.of([P("x1^2 + x2^2", 2)]))
-    assert not ideal_contains(big, Ideal.of([Polynomial.constant(2, 1)]))
+    assert not ideal_contains(big, Ideal.of([Poly.constant(2, 1)]))
 
 
 def test_returned_bases_satisfy_buchberger_criterion():
@@ -289,8 +301,8 @@ def test_gin_matches_term_by_term_substitution(config, m):
     # the shared monomial-image table against expanding every term on its
     # own, under the coordinate matrix of gin's first draw
     sp = symbolic_power(config, m)
-    ideal = sp.ideal
-    g = gin(ideal, 5, 100, sp.hilbert_numerator)
+    ideal = ideal_of(sp.generators, sp.nvars)
+    g = gin(sp.generators, sp.nvars, 5, 100, sp.hilbert_numerator)
     moved = Ideal.of(expand_substitute(p, g.coordinate_matrix)
                      for p in ideal.generators)
     assert g.raw_initial == initial_ideal(groebner_basis(moved))
@@ -304,13 +316,13 @@ TWO_LINES_SQUARE_PAIRS = 561
 
 
 def test_pair_order_is_pinned(monkeypatch):
-    squares = [Ideal.of(Polynomial.linear_form(f) for f in forms).power(2)
+    squares = [packed(Ideal.of(Poly.linear_form(f) for f in forms).power(2))
                for forms in TWO_LINES.flats]
     monkeypatch.setattr(groebner, "PAIR_CAP", TWO_LINES_SQUARE_PAIRS)
-    intersect_ideals(*squares)
+    intersect_ideals(*squares, 4)
     monkeypatch.setattr(groebner, "PAIR_CAP", TWO_LINES_SQUARE_PAIRS - 1)
     with pytest.raises(ComputationLimitError):
-        intersect_ideals(*squares)
+        intersect_ideals(*squares, 4)
 
 
 # the remainders the same run computes: the S-pairs left by the coprime
@@ -321,7 +333,7 @@ TWO_LINES_SQUARE_REDUCTIONS = 80
 
 
 def test_criteria_keep_the_pinned_reductions(monkeypatch):
-    squares = [Ideal.of(Polynomial.linear_form(f) for f in forms).power(2)
+    squares = [packed(Ideal.of(Poly.linear_form(f) for f in forms).power(2))
                for forms in TWO_LINES.flats]
     calls = []
     reduce_terms = groebner._reduce_terms
@@ -331,7 +343,7 @@ def test_criteria_keep_the_pinned_reductions(monkeypatch):
         return reduce_terms(*args)
 
     monkeypatch.setattr(groebner, "_reduce_terms", counting)
-    intersect_ideals(*squares)
+    intersect_ideals(*squares, 4)
     assert len(calls) == TWO_LINES_SQUARE_REDUCTIONS
 
 
@@ -343,11 +355,10 @@ def test_gin_rejects_initial_ideal_that_is_not_borel_fixed(monkeypatch):
     monkeypatch.setattr(groebner, "random_change_matrix",
                         lambda rng, n, bound: identity)
     sp = symbolic_power(INTERSECTING_LINES, 2)
-    assert initial_ideal(groebner_basis(sp.ideal)) == (
-        (0, 2, 2, 0), (1, 1, 1, 0), (2, 0, 0, 0)
-    )
+    assert sp.leads == ((0, 2, 2, 0), (1, 1, 1, 0), (2, 0, 0, 0))
+    assert sp.leads == initial_ideal(groebner_basis(ideal_of(sp.generators, 4)))
     with pytest.raises(GenericityError, match="Borel-fixed"):
-        gin(sp.ideal, 1, 100, sp.hilbert_numerator)
+        gin(sp.generators, sp.nvars, 1, 100, sp.hilbert_numerator)
 
 
 def textbook_groebner(gens, order):
@@ -383,7 +394,7 @@ def small_homogeneous_ideals(draw):
         monos = all_monomials(nvars, draw(st.integers(1, 3)))
         coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monos),
                                max_size=len(monos)).filter(any))
-        gens.append(Polynomial(nvars, dict(zip(monos, coeffs))))
+        gens.append(Poly(nvars, dict(zip(monos, coeffs))))
     return Ideal.of(gens)
 
 
@@ -413,7 +424,7 @@ def test_buchberger_matches_textbook_algorithm(ideal, orders):
         assert not any(divides(lj, lead) for j, lj in enumerate(leads) if j != i)
     # tail-reducing the pairs gives the reduced basis
     reduced = groebner.reduce_tails(pairs)
-    assert tuple(Polynomial(n, t) for t in reduced) == expect
+    assert tuple(Poly(n, t) for t in reduced) == expect
     # the loop stopped at the Hilbert series of the ideal returns the same
     # pairs, so the same reduced basis
     target = k_polynomial(leads)
@@ -441,9 +452,12 @@ def test_buchberger_matches_textbook_algorithm(ideal, orders):
 @pytest.mark.parametrize("m", [1, 2])
 def test_intersection_is_already_the_reduced_basis(config, m):
     # intersect_ideals returns the u-free part of the reduced elimination
-    # basis as it is, which must be the reduced degrevlex basis in order
-    ideal = symbolic_power(config, m).ideal
-    assert groebner_basis(ideal).basis == ideal.generators
+    # basis, each element cleared once, which must be the reduced degrevlex
+    # basis in order, each element primitive with a positive leading
+    # coefficient
+    sp = symbolic_power(config, m)
+    reduced = groebner_basis(ideal_of(sp.generators, sp.nvars)).basis
+    assert packed(Ideal.of(reduced)) == list(sp.generators)
 
 
 # the configurations of the acceptance suite, each drawn from its seed
@@ -464,11 +478,10 @@ def test_stopped_loop_matches_full_loop_on_the_ladder(name):
     for m in (1, 2, 3):
         sp = symbolic_power(moved, m)
         rng = random.Random(derive_seed(3, "gin", 0))
-        draw = groebner.random_change_matrix(rng, sp.ideal.nvars, 100)
-        n = sp.ideal.nvars
+        n = sp.nvars
+        draw = groebner.random_change_matrix(rng, n, 100)
         for matrix in (draw, back):
-            moved_back = linear_substitute(sp.ideal.generators, matrix)
-            gens = pack_generators([g.terms for g in moved_back])
+            gens = rings.cleared_substitute(sp.generators, matrix)
             full = groebner.buchberger(gens, n)
             assert sp.hilbert_numerator == k_polynomial(lead for lead, _ in full)
             stopped = groebner.buchberger(gens, n, target=sp.hilbert_numerator)
@@ -491,9 +504,11 @@ def test_target_saves_reductions(monkeypatch):
     monkeypatch.setattr(groebner, "_reduce_terms", counting)
     moved, _ = coordinate_position(TWO_LINES)
     seed = derive_seed(3, "row", 2)
-    ideal = symbolic_power(moved, 2).ideal
+    sp = symbolic_power(moved, 2)
     full = [
-        groebner._gin_once(ideal, derive_seed(seed, "gin", k), 100, None, p)[1]
+        groebner._gin_once(
+            sp.generators, sp.nvars, derive_seed(seed, "gin", k), 100, None, p
+        )[1]
         for k, p in enumerate(groebner.GIN_PRIMES)
     ]
     full_calls, calls[0] = calls[0], 0
@@ -551,7 +566,8 @@ def test_gin_over_f_p_matches_draws_over_q(name):
         seed = derive_seed(3, "row", m)
         g = asymptotics.gin_of_symbolic_power(config, m, seed)
         sp = symbolic_power(moved, m)
-        over_q = gin_draws_over_q(sp.ideal, seed, 100, sp.hilbert_numerator)
+        ideal = ideal_of(sp.generators, sp.nvars)
+        over_q = gin_draws_over_q(ideal, seed, 100, sp.hilbert_numerator)
         assert over_q == [g.raw_initial] * 2, (name, m)
 
 
@@ -659,29 +675,34 @@ def test_prime_dividing_the_determinant_is_refused(monkeypatch):
     assert q > 1
     monkeypatch.setattr(groebner, "GIN_PRIMES", (q, q))
     with pytest.raises(GenericityError, match=f"prime {q} divides the determinant"):
-        gin(ideal, 11, 100, oracle_target(ideal))
+        gin_of(ideal, 11, 100, oracle_target(ideal))
 
 
-def test_prime_dividing_a_denominator_is_refused(monkeypatch):
+def test_prime_dividing_a_leading_coefficient_is_refused(monkeypatch):
+    # mod q the generator q x1 + x2 leads with x2, not x1
     q = _prime_not_dividing(_first_draw_det(11, 3))
-    fractional = Polynomial(3, {(0, 1, 0): 1, (1, 0, 0): Fraction(1, q)})
-    ideal = Ideal.of([fractional, P("x3", 3)])
+    ideal = Ideal.of([P(f"{q}*x1 + x2", 3), P("x3", 3)])
+    assert packed(ideal)[0][DEGREVLEX((1, 0, 0))] == q
+    target = oracle_target(ideal)
+    assert gin_of(ideal, 11, 100, target).raw_initial == ((0, 1, 0), (1, 0, 0))
     monkeypatch.setattr(groebner, "GIN_PRIMES", (q, q))
-    with pytest.raises(GenericityError, match=f"prime {q} divides the denominator"):
-        gin(ideal, 11, 100, oracle_target(ideal))
+    with pytest.raises(
+        GenericityError, match=f"prime {q} divides the leading coefficient {q} "
+    ):
+        gin_of(ideal, 11, 100, target)
 
 
 def test_prime_that_changes_the_series_is_refused(monkeypatch):
     # x1 + x2 and x1 + (1 + q) x2 span two linear forms over Q and one mod q,
     # so the F_q loop runs out of pairs short of the target
     q = _prime_not_dividing(_first_draw_det(11, 3))
-    other = Polynomial(3, {(1, 0, 0): 1, (0, 1, 0): 1 + q})
+    other = Poly(3, {(1, 0, 0): 1, (0, 1, 0): 1 + q})
     ideal = Ideal.of([P("x1 + x2", 3), other])
     target = k_polynomial([(1, 0, 0), (0, 1, 0)])
-    assert gin(ideal, 11, 100, target).raw_initial == ((0, 1, 0), (1, 0, 0))
+    assert gin_of(ideal, 11, 100, target).raw_initial == ((0, 1, 0), (1, 0, 0))
     monkeypatch.setattr(groebner, "GIN_PRIMES", (q, q))
     with pytest.raises(GenericityError, match=f"prime {q} is unlucky") as err:
-        gin(ideal, 11, 100, target)
+        gin_of(ideal, 11, 100, target)
     assert isinstance(err.value.__cause__, HilbertSeriesError)
 
 
@@ -698,6 +719,6 @@ def test_gin_draw_builds_no_fraction(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
-    gin(sp.ideal, 5, 100, sp.hilbert_numerator)
+    gin(sp.generators, sp.nvars, 5, 100, sp.hilbert_numerator)
     monkeypatch.undo()
     assert built == []

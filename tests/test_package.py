@@ -127,6 +127,27 @@ def test_staircase_sweep_pass_matches_benchmark_digest(monkeypatch, tmp_path):
     assert result.digest == expected["staircase-sweep"]["1"]
 
 
+def test_traced_two_lines_pass_reads_its_counts(monkeypatch, tmp_path):
+    # a traced pass reads sizes off the values the wrapped calls return, the
+    # symbolic power's through its `ideal` view; a change to what they
+    # return would otherwise surface only as a crash of a `--trace 1` run
+    run = load_benchmark_module(monkeypatch, "run")
+    workloads = load_benchmark_module(monkeypatch, "workloads")
+    workload = workloads.WORKLOADS["two-lines"]
+    config = workload.build(1, tmp_path)
+    passes, _ = run.run_passes(workload, config, tmp_path, seconds=0, traced=True)
+    (wall, result, recorder), = passes
+    assert result.failures == [None] * workload.m_max
+    metrics = run.layer_metrics(recorder, wall)
+    counts = {
+        "configs.symbolic_power.gens_out": 13,
+        "configs.symbolic_power.coeff_bits_max": 1,
+        "groebner.buchberger.basis_out": 49,
+        "groebner.gin.raw_gens": 13,
+    }
+    assert {name: metrics[name] for name in counts} == counts
+
+
 def _definitions(tree):
     """(qualified name, node) of each top-level function, class and name
     assignment and of each method."""
@@ -187,6 +208,7 @@ def test_every_definition_has_a_caller():
 # the definitions only the benchmark reaches: hooks it wraps or times,
 # kept until ROADMAP's item 1 moves them out of the package
 BENCHMARK_ONLY = {
+    "configs.py:SymbolicPower.ideal",
     "groebner.py:LastVariableError",
     "rings.py:Polynomial.linear_substitute",
     "staircase.py:MonomialStaircase.count_gamma_bruteforce",
