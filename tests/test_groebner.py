@@ -355,8 +355,9 @@ def test_gin_rejects_initial_ideal_that_is_not_borel_fixed(monkeypatch):
     monkeypatch.setattr(groebner, "random_change_matrix",
                         lambda rng, n, bound: identity)
     sp = symbolic_power(INTERSECTING_LINES, 2)
-    assert sp.leads == ((0, 2, 2, 0), (1, 1, 1, 0), (2, 0, 0, 0))
-    assert sp.leads == initial_ideal(groebner_basis(ideal_of(sp.generators, 4)))
+    assert initial_ideal(groebner_basis(ideal_of(sp.generators, sp.nvars))) == (
+        (0, 2, 2, 0), (1, 1, 1, 0), (2, 0, 0, 0)
+    )
     with pytest.raises(GenericityError, match="Borel-fixed"):
         gin(sp.generators, sp.nvars, 1, 100, sp.hilbert_numerator)
 
