@@ -16,7 +16,8 @@ from math import gcd, lcm
 class ComputationLimitError(RuntimeError):
     """A resource cap was exhausted: the S-pairs or basis of a Buchberger
     run, the exponent width of a packed monomial, the rays of a double
-    description or the nodes of a K-polynomial recursion."""
+    description, the nodes of a K-polynomial recursion or the monomial
+    images of a substitution."""
 
 
 def json_integer(data, key) -> int:

@@ -40,6 +40,11 @@ from .linalg import ComputationLimitError, cleared, det
 # call time, so that all keys of one computation share it
 EXPONENT_BITS = 15
 
+# monomial images one cleared_substitute call may hold, read at call time:
+# the largest table on the reach ladder (three generic lines in P^3 at
+# m = 5) holds 1 271
+IMAGE_CAP = 100_000
+
 
 class DimensionError(ValueError):
     """Operands live in polynomial rings with different variable counts."""
@@ -256,7 +261,8 @@ def cleared_substitute(polys, matrix, p=0):
     first variable of x^a; times x_j is + the key of x_j.  Integer entries
     stay Python ints in the table, so the inner products are integer
     products when the matrix is integral, and mod p every entry of the
-    table is a residue.
+    table is a residue.  Raises ComputationLimitError once the table would
+    pass IMAGE_CAP images.
     """
     n = len(matrix)
     weights = unit_keys(DEGREVLEX, len(matrix[0]))
@@ -274,6 +280,8 @@ def cleared_substitute(polys, matrix, p=0):
         if img is None:
             # an image of x^a has the degree of a, which bounds its exponents
             check_exponent(degree(alpha))
+            if len(table) >= IMAGE_CAP:
+                raise ComputationLimitError(f"image table cap {IMAGE_CAP} exhausted")
             i = next(j for j, e in enumerate(alpha) if e)
             lower = image(alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :])
             img = {}

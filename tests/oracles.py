@@ -18,6 +18,8 @@ Poly generators, the forms the oracles compute with; `packed` and
 `ideal_of` carry an Ideal to the pipeline's packed integer generators and
 back, and `symbolic_ideal` is the Ideal of a symbolic power.
 `parse_polynomial` reads the text form that `str(Polynomial)` writes.
+`eliahou_kervaire_k_polynomial` is the closed-form K-polynomial of a
+strongly stable ideal, an oracle for the K-polynomial kernel.
 `count_fractions` records every Fraction built while it is patched in.
 `clip_to_simplex` gives the clip that `polyhedra` computes internally as
 a polyhedron, for the tests that compare its vertices.
@@ -458,6 +460,23 @@ def hf_via_rank(ideal: Ideal, d: int) -> int:
                 row[index[mul_exp(a, shift)]] = c
             rows.append(row)
     return len(monos) - linalg.rank(rows)
+
+
+def eliahou_kervaire_k_polynomial(gens):
+    """K-polynomial of a strongly stable monomial ideal (Borel-fixed, with
+    x1 > x2 > ...) from its Eliahou-Kervaire resolution (Eliahou-Kervaire
+    1990, "Minimal resolutions of some monomial ideals"): a minimal
+    generator u whose last variable is x_max(u) has C(max(u) - 1, i)
+    syzygies of degree deg u + i at step i + 1, so
+    K = 1 - sum_u t^deg(u) (1 - t)^(max(u) - 1).  Wrong for other ideals.
+    Keys in ascending degree, without zero coefficients."""
+    poly = {0: 1}
+    for u in minimalize(gens):
+        last = max((i for i, e in enumerate(u) if e), default=0)
+        for i in range(last + 1):
+            d = degree(u) + i
+            poly[d] = poly.get(d, 0) - (-1) ** i * comb(last, i)
+    return {d: c for d, c in sorted(poly.items()) if c}
 
 
 def _degree_monomials(n, d):

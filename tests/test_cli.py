@@ -621,13 +621,15 @@ def test_ray_cap_maps_to_exit_4(config_path, tmp_path, capsys, monkeypatch):
     (groebner, "BASIS_CAP", 1, "basis cap 1 exhausted"),
     (rings, "EXPONENT_BITS", 1, "exponent 2 does not fit in the 1-bit"),
     (staircase, "K_NODE_CAP", 0, "K-polynomial node cap 0 exhausted"),
-], ids=["basis", "exponent", "k-polynomial"])
+    (rings, "IMAGE_CAP", 1, "image table cap 1 exhausted"),
+], ids=["basis", "exponent", "k-polynomial", "image-table"])
 def test_engine_caps_map_to_exit_4(module, cap, value, message, config_path,
                                    tmp_path, capsys, monkeypatch):
     # the real caps, not a faked exception: every symbolic power of two
-    # points needs a basis of more than one element, and a gin draw of it
-    # exponents of 2 and more; at m = 1 their leads are coprime, which the
-    # K-polynomial recursion finishes in its first node
+    # points needs a basis of more than one element, a gin draw of it
+    # exponents of 2 and more, and the draw's substitution an image beyond
+    # the table's first entry, that of 1; every K-polynomial call visits
+    # at least its first node
     monkeypatch.setattr(module, cap, value)
     code, _, err = run(["gin", "--config", config_path], capsys)
     assert code == cli.EXIT_RESOURCE

@@ -1,11 +1,17 @@
+import json
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, floor
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import contains_minkowski, contains_scaled
+from oracles import (
+    contains_minkowski,
+    contains_scaled,
+    eliahou_kervaire_k_polynomial,
+)
 
 from limshape import staircase
 from limshape.linalg import ComputationLimitError
@@ -152,22 +158,55 @@ def test_k_polynomial_known_values():
     assert k_polynomial([(2, 0), (1, 1), (0, 2)]) == {0: 1, 2: -3, 3: 2}
 
 
-@given(gens_strategy)
-@example((3, []))
-@example((3, [(0, 0, 0)]))
-@example((2, [(0, 0), (1, 3)]))
+# ideals in 1-6 variables with at most 8 (not necessarily minimal)
+# generators: slices of 5 and 6 variables recurse down four levels
+deep_gens_strategy = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(0, 5)] * n), max_size=8)
+)
+
+
+@given(deep_gens_strategy)
+@example([])
+@example([(0, 0, 0)])
+@example([(0, 0), (1, 3)])
+# x3^2 makes the slice at c = 2 the unit ideal before the last exponents
+# 3 and 5 of x3, whose generators it divides
+@example([(1, 0, 0), (0, 0, 2), (0, 1, 3), (2, 2, 5)])
+@example([(0, 0, 2)])
+# the same one level down: the slice at x4^1 reaches (0, 0, 2), a unit
+# slice of its own before its last exponent of x3
+@example([(1, 0, 0, 0), (0, 0, 2, 1), (0, 1, 3, 0), (0, 0, 4, 0), (1, 1, 1, 2)])
+# repeated last exponents: three generators share each of x3^1 and x3^0
+@example([(2, 0, 1), (0, 2, 1), (1, 1, 1), (3, 0, 0), (0, 3, 0), (1, 2, 0)])
+# duplicate and non-minimal generators
+@example([(1, 1, 0), (1, 1, 0), (2, 1, 0), (0, 3, 1), (1, 3, 2), (0, 3, 1)])
+@example([(2, 1, 0, 1), (2, 1, 0, 1), (3, 1, 1, 1), (0, 0, 1, 0), (0, 1, 1, 3)])
+# one and two variables, the closed forms, with repeats and multiples
+@example([(3,), (2,), (5,), (2,)])
+@example([(0,), (4,)])
+@example([(3, 0), (1, 2), (2, 2), (0, 4), (1, 2), (3, 1)])
+@example([(1, 2, 0, 1, 3), (2, 0, 1, 0, 1), (0, 1, 1, 1, 0), (1, 1, 1, 1, 1),
+          (0, 0, 3, 0, 0), (2, 2, 0, 0, 2)])
+@example([(1, 0, 2, 0, 1, 1), (0, 1, 0, 2, 1, 0), (1, 1, 1, 0, 0, 2),
+          (0, 0, 0, 1, 1, 1), (2, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 3)])
 @settings(max_examples=150, deadline=None)
-def test_k_polynomial_matches_subset_sum(n_gens):
-    _, gens = n_gens
+def test_k_polynomial_matches_subset_sum(gens):
     assert k_polynomial(gens) == subset_k_polynomial(gens)
 
 
 # the sweep's scale: up to 13 generators with exponents up to 9, so at most
 # 8192 subsets for the oracle
-wide_gens_strategy = st.integers(1, 4).flatmap(
+wide_gens_strategy = st.integers(1, 6).flatmap(
     lambda n: st.lists(st.tuples(*[st.integers(0, 9)] * n), max_size=13)
 )
-# the second ideal of the pool in perfbench/staircases.json
+POOL = [
+    [tuple(g) for g in gens]
+    for gens in json.loads(
+        (Path(__file__).resolve().parent.parent / "perfbench" / "staircases.json")
+        .read_text()
+    )
+]
+# the second ideal of the pool
 POOL_IDEAL = [
     (0, 9, 0), (1, 8, 0), (2, 4, 2), (2, 5, 1), (2, 6, 0), (3, 3, 2), (3, 4, 1),
     (3, 5, 0), (4, 2, 2), (4, 3, 1), (4, 4, 0), (5, 1, 0), (6, 0, 0),
@@ -175,32 +214,49 @@ POOL_IDEAL = [
 
 
 @given(wide_gens_strategy)
-# x1 pivots at e = 2 and x1^5 is a generator: a power of the pivot variable
-# has its largest exponent, so it goes to the colon, never below the median
+# x1^5 is a generator, and each exponent of x3 but 0 occurs once
 @example([(5, 0, 0), (1, 2, 0), (2, 1, 1), (3, 0, 2), (0, 3, 3)])
-# x1^1 lies below the lower median 2 of the raw x1 exponents and divides
-# the generators above it, which minimalize drops before the first pivot
+# x1 divides the generators with x3^1 and x3^2, so their slices add nothing
 @example([(1, 0, 0), (2, 3, 0), (3, 1, 1), (4, 0, 2), (0, 2, 2)])
-# every generator has x1^3: I + x1^3 is (x1^3) alone
+# every generator has x1^3 and a distinct exponent of x4
 @example([(3, 2, 0, 0), (3, 1, 1, 0), (3, 0, 2, 1), (3, 0, 0, 4)])
+# 13 generators in 5 and 6 variables, several sharing their last exponent
+@example([(i % 3, (i * 2) % 5, (i * 7) % 4, i % 2, 9 - i % 4) for i in range(13)])
+@example([(i % 4, 3 - i % 4, (i * 5) % 6, i // 5, (i * 3) % 7, i % 3)
+          for i in range(13)])
 @example(POOL_IDEAL)
 @settings(max_examples=100, deadline=None)
 def test_k_polynomial_matches_subset_sum_at_sweep_scale(gens):
     assert k_polynomial(gens) == subset_k_polynomial(gens)
 
 
-def test_k_polynomial_node_cap_counts_each_call(monkeypatch):
-    # the cap bounds the nodes of one call's pivot recursion: a call that
-    # visits exactly K_NODE_CAP nodes finishes, one more is refused
+def kernel_nodes(monkeypatch, gens):
+    """The generator lists of the nodes one k_polynomial(gens) call visits."""
     nodes = []
 
-    def counted(gens, budget, inner=staircase._k_minimal):
+    def counted(gens, budget, inner=staircase._k_slice):
         nodes.append(gens)
         return inner(gens, budget)
 
-    monkeypatch.setattr(staircase, "_k_minimal", counted)
+    with monkeypatch.context() as patch:
+        patch.setattr(staircase, "_k_slice", counted)
+        k_polynomial(gens)
+    return nodes
+
+
+def test_k_polynomial_nodes_per_call_on_the_pool(monkeypatch):
+    # a structural bound instead of a timing: a 3-variable call visits its
+    # own node and one 2-variable slice per distinct exponent of x3 at most
+    for gens in POOL:
+        bound = 1 + len({g[-1] for g in gens})
+        assert 1 < len(kernel_nodes(monkeypatch, gens)) <= bound
+
+
+def test_k_polynomial_node_cap_counts_each_call(monkeypatch):
+    # the cap bounds the nodes of one call's slicing recursion: a call that
+    # visits exactly K_NODE_CAP nodes finishes, one more is refused
+    nodes = kernel_nodes(monkeypatch, POOL_IDEAL)
     expected = k_polynomial(POOL_IDEAL)
-    monkeypatch.undo()
     assert len(nodes) > 1
     monkeypatch.setattr(staircase, "K_NODE_CAP", len(nodes))
     assert k_polynomial(POOL_IDEAL) == expected
@@ -328,6 +384,47 @@ def test_is_borel_fixed_matches_definition(n_gens, close):
     assert staircase.is_borel_fixed() == borel_fixed_bruteforce(staircase)
     if close:
         assert staircase.is_borel_fixed()
+
+
+def test_eliahou_kervaire_matches_k_polynomial_on_the_pool():
+    # every pool ideal is Borel-fixed, and each has 13 generators
+    for gens in POOL:
+        assert MonomialStaircase.from_generators(3, gens).is_borel_fixed()
+        assert k_polynomial(gens) == eliahou_kervaire_k_polynomial(gens)
+
+
+# degrees of the Borel generators per variable count, chosen so that about
+# four closures in five have 20-60 minimal generators
+BOREL_DEGREES = {3: (6, 9), 4: (4, 6), 5: (3, 4)}
+
+
+@st.composite
+def large_borel_ideals(draw):
+    """Borel-fixed ideals in 3-5 variables with 20-60 minimal generators:
+    the closures of 1-3 monomials weighted towards the last variable."""
+    n = draw(st.integers(3, 5))
+    low, high = BOREL_DEGREES[n]
+    seeds = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(low, high))
+        last = draw(st.integers(d // 2, d))
+        cuts = sorted(draw(st.lists(
+            st.integers(0, d - last), min_size=n - 2, max_size=n - 2)))
+        seeds.append(tuple(
+            b - a for a, b in zip([0] + cuts, cuts + [d - last])
+        ) + (last,))
+    ideal = borel_closure(n, seeds)
+    assume(20 <= len(ideal.min_gens) <= 60)
+    return ideal
+
+
+@given(large_borel_ideals())
+@settings(max_examples=60, deadline=None)
+def test_eliahou_kervaire_matches_k_polynomial_past_subset_sums(ideal):
+    # far past the 13 generators of the subset-sum oracle
+    assert ideal.is_borel_fixed()
+    assert k_polynomial(ideal.min_gens) == eliahou_kervaire_k_polynomial(
+        ideal.min_gens)
 
 
 def test_power_of_maximal_ideal():
