@@ -72,9 +72,9 @@ def _k_slice(gens, budget) -> dict:
     1 + sum_j t^(c_j) (N(J_j) - N(J_(j-1))), N(J_(-1)) = 1 (Roune 2010, "A
     slice algorithm for corners and Hilbert-Poincare series of monomial
     ideals"), up to the first unit J_j, the only slice with N = 0.  Slices
-    of 3 or more variables are minimalized.  In two, padded with zeros,
-    the gens sorted by x that lower the running minimum of y are the
-    corners: N = 1 - sum t^(x_i + y_i) + sum t^(x_(i+1) + y_i).  Each
+    of 3 or more variables are minimalized.  In two (fewer are padded with
+    zeros), the gens sorted by x that lower the running minimum of y are
+    the corners: N = 1 - sum t^(x_i + y_i) + sum t^(x_(i+1) + y_i).  Each
     slice has one variable fewer, so it ends.
     """
     budget[0] -= 1

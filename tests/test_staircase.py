@@ -173,8 +173,8 @@ deep_gens_strategy = st.integers(1, 6).flatmap(
 # 3 and 5 of x3, whose generators it divides
 @example([(1, 0, 0), (0, 0, 2), (0, 1, 3), (2, 2, 5)])
 @example([(0, 0, 2)])
-# the same one level down: the slice at x4^1 reaches (0, 0, 2), a unit
-# slice of its own before its last exponent of x3
+# the same one level down: the slice at x4^1 holds x3^2, so the last slice
+# of that 3-variable slice is the unit ideal
 @example([(1, 0, 0, 0), (0, 0, 2, 1), (0, 1, 3, 0), (0, 0, 4, 0), (1, 1, 1, 2)])
 # repeated last exponents: three generators share each of x3^1 and x3^0
 @example([(2, 0, 1), (0, 2, 1), (1, 1, 1), (3, 0, 0), (0, 3, 0), (1, 2, 0)])
@@ -216,7 +216,7 @@ POOL_IDEAL = [
 @given(wide_gens_strategy)
 # x1^5 is a generator, and each exponent of x3 but 0 occurs once
 @example([(5, 0, 0), (1, 2, 0), (2, 1, 1), (3, 0, 2), (0, 3, 3)])
-# x1 divides the generators with x3^1 and x3^2, so their slices add nothing
+# x1 divides the generator with x3^1, so its slice adds nothing
 @example([(1, 0, 0), (2, 3, 0), (3, 1, 1), (4, 0, 2), (0, 2, 2)])
 # every generator has x1^3 and a distinct exponent of x4
 @example([(3, 2, 0, 0), (3, 1, 1, 0), (3, 0, 2, 1), (3, 0, 0, 4)])
