@@ -12,6 +12,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial, floor
 
 from . import __version__
@@ -385,24 +386,14 @@ def ahf_estimate(
         raise ValueError("m_list must be nonempty and strictly increasing")
     t = Fraction(t)
     n = config.n
+    row = partial(compute_report_row, config, t, seed=seed, entry_bound=entry_bound)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(
-                pool.map(
-                    compute_report_row,
-                    [config] * len(m_list),
-                    [t] * len(m_list),
-                    m_list,
-                    [seed] * len(m_list),
-                    [entry_bound] * len(m_list),
-                )
-            )
+            rows = list(pool.map(row, m_list))
     else:
-        rows = [
-            compute_report_row(config, t, m, seed, entry_bound) for m in m_list
-        ]
+        rows = list(map(row, m_list))
 
     try:
         target = ahp_of_config(config)

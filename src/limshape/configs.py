@@ -27,7 +27,7 @@ from types import SimpleNamespace
 
 from . import linalg
 from .groebner import intersect_ideals
-from .rings import DEGREVLEX, Polynomial, check_exponent, unit_keys, unpack
+from .rings import DEGREVLEX, Polynomial, cleared_substitute, unpack
 from .staircase import k_polynomial, minimalize
 
 GENERIC_COORD_BOUND = 100
@@ -47,11 +47,13 @@ class Config:
     flats: tuple = ()  # each flat: tuple of linear-form coefficient tuples
 
     def __post_init__(self):
-        """Raises DegenerateConfigError for a zero or repeated point,
-        dependent forms, or a component that equals or lies in another,
-        where it would be redundant."""
+        """Raises DegenerateConfigError for no components, a zero or
+        repeated point, dependent forms, or a component that equals or lies
+        in another, where it would be redundant."""
         n, points, flats = self.n, self.points, self.flats
         _check_ambient(n)
+        if not points and not flats:
+            raise DegenerateConfigError("configuration has no components")
         for p in points:
             if len(p) != n + 1:
                 raise DegenerateConfigError("point coordinate length != n+1")
@@ -91,7 +93,7 @@ class Config:
         return cls(n, points, tuple(tuple(map(coords, forms)) for forms in flats))
 
     @classmethod
-    def generic(cls, n, r, s, seed, bound=GENERIC_COORD_BOUND):
+    def generic(cls, n, r, s, seed):
         """s seeded random r-flats in P^n with integer coefficients: points
         by their coordinates when r = 0, else flats by n-r forms each."""
         if r and not 0 < r < n:
@@ -105,7 +107,10 @@ class Config:
         drawn = []
         while len(drawn) < s:
             rows = [
-                tuple(rng.randint(-bound, bound) for _ in range(n + 1))
+                tuple(
+                    rng.randint(-GENERIC_COORD_BOUND, GENERIC_COORD_BOUND)
+                    for _ in range(n + 1)
+                )
                 for _ in range(n - r if r else 1)
             ]
             item = rows if r else rows[0]
@@ -193,24 +198,6 @@ class SymbolicPower:
         ))
 
 
-def _power(forms, m, weights):
-    """All m-fold products of the forms, in the order of
-    combinations_with_replacement, keyed by the packed monomials whose unit
-    keys are weights: a product of monomials is + on their keys."""
-    linear = [{w: c for w, c in zip(weights, f) if c} for f in forms]
-    products = []
-    for combo in combinations_with_replacement(linear, m):
-        product = {0: 1}
-        for f in combo:
-            terms = {}
-            for a, c in product.items():
-                for b, d in f.items():
-                    terms[a + b] = terms.get(a + b, 0) + c * d
-            product = {k: v for k, v in terms.items() if v}
-        products.append(product)
-    return products
-
-
 def symbolic_power(config: Config, m: int) -> SymbolicPower:
     """I^(m) as the intersection of m-th powers of the component ideals
     (Zariski-Nagata for unions of points and linear flats), generated by a
@@ -219,18 +206,22 @@ def symbolic_power(config: Config, m: int) -> SymbolicPower:
     their pivots, whose leads are distinct variables, so its m-th power is
     a Groebner basis already, and in the pipeline's format: a product of
     primitive forms is primitive (Gauss), and its leading coefficient is the
-    product of theirs.  intersect_ideals returns the reduced basis of each
-    intersection."""
+    product of theirs.  The products of k forms, in the order of
+    combinations_with_replacement, are the images of the degree-m
+    monomials in k variables under the k x (n+1) matrix of the forms.
+    intersect_ideals returns the reduced basis of each intersection."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if not config.components:
-        raise DegenerateConfigError("empty configuration")
-    # no exponent of a product of m forms passes m, and the m-th power of a
-    # form holds its pivot variable to the power m
-    check_exponent(m)
     n = config.n + 1
-    weights = unit_keys(DEGREVLEX, n)
-    generators, *others = [_power(forms, m, weights) for forms in config.forms]
+    powers = []
+    for forms in config.forms:
+        k = len(forms)
+        monomials = [
+            {DEGREVLEX(tuple(map(combo.count, range(k)))): 1}
+            for combo in combinations_with_replacement(range(k), m)
+        ]
+        powers.append(cleared_substitute(monomials, forms))
+    generators, *others = powers
     for other in others:
         generators = intersect_ideals(generators, other, n)
     leads = minimalize(unpack(max(g), n) for g in generators)
@@ -331,13 +322,14 @@ def config_from_dict(data) -> Config:
     flats = []
     for comp in data.get("components", []):
         if comp["type"] == "point":
-            points.append([linalg.json_number(c) for c in comp["coords"]])
+            coords = linalg.json_array(comp["coords"], "coords")
+            points.append([linalg.json_number(c) for c in coords])
         elif comp["type"] == "flat":
-            flats.append([[linalg.json_number(c) for c in f] for f in comp["forms"]])
+            forms = linalg.json_array(comp["forms"], "forms")
+            flats.append([[linalg.json_number(c) for c in linalg.json_array(f, "form")]
+                          for f in forms])
         else:
             raise DegenerateConfigError(f"unknown component type {comp['type']!r}")
-    if not points and not flats:
-        raise DegenerateConfigError("configuration has no components")
     return Config.of(n, points, flats)
 
 

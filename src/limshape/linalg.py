@@ -1,5 +1,6 @@
 """Small exact linear algebra on integer and rational matrices (dense, desk
-scale), and the readers of the JSON numbers those matrices are built from.
+scale), and the readers of the JSON numbers and arrays those matrices are
+built from.
 
 One fraction-free kernel, `echelon`, computes the reduced row-echelon form
 on integers; `rank`, `nullspace` and `inverse` are views of it that return
@@ -37,6 +38,14 @@ def json_number(x) -> Fraction:
         return Fraction(x)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {x!r}") from None
+
+
+def json_array(x, name):
+    """x, which must be a JSON array, or a list or tuple built in Python: a
+    string is not read as a sequence of digits."""
+    if not isinstance(x, (list, tuple)):
+        raise ValueError(f"{name} must be an array, got {x!r}")
+    return x
 
 
 def cleared(row):

@@ -412,10 +412,14 @@ def polyhedron_to_dict(poly: RationalPolyhedron):
 
 
 def polyhedron_from_dict(data) -> RationalPolyhedron:
+    def rows(items, key, name):
+        return [[linalg.json_number(x) for x in linalg.json_array(row, name)]
+                for row in linalg.json_array(items, key)]
+
     return RationalPolyhedron.of(
         linalg.json_integer(data, "dim"),
-        [[linalg.json_number(x) for x in v] for v in data["vertices"]],
-        [[linalg.json_number(x) for x in r] for r in data.get("rays", [])],
+        rows(data["vertices"], "vertices", "vertex"),
+        rows(data.get("rays", []), "rays", "ray"),
     )
 
 

@@ -170,6 +170,32 @@ def test_usage_errors(capsys, tmp_path, config_path):
         assert "--entry-bound: must be >= 10" in err and "wall time" not in err
 
 
+def test_json_arrays_are_not_read_from_strings(tmp_path, capsys):
+    # a string where an array of numbers belongs is a usage error, not a
+    # sequence of digits: "1234" is not the point (1, 2, 3, 4)
+    for name, component in (
+        ("coords", {"type": "point", "coords": "1234"}),
+        ("forms", {"type": "flat", "forms": "1000"}),
+        ("form", {"type": "flat", "forms": ["1000"]}),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"n": 3, "components": [component]}))
+        for command in ("gin", "symbolic-power"):
+            code, _, err = run([command, "--config", str(path)], capsys)
+            assert code == cli.EXIT_USAGE, (name, command)
+            assert f"{name} must be an array" in err, (name, command)
+    for name, poly in (
+        ("vertices", '{"dim": 1, "vertices": "01"}'),
+        ("vertex", '{"dim": 2, "vertices": ["00", "10", "01"]}'),
+        ("rays", '{"dim": 2, "vertices": [[0, 0]], "rays": "1"}'),
+        ("ray", '{"dim": 2, "vertices": [[0, 0]], "rays": ["10", "01"]}'),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(poly)
+        code, _, err = run(["volume", "--poly", str(path), "--t", "1"], capsys)
+        assert code == cli.EXIT_USAGE and f"{name} must be an array" in err, name
+
+
 def test_decimals_are_read_exactly(tmp_path, capsys):
     # a written decimal is the fraction it names, not its binary rounding
     path = tmp_path / "points.json"
@@ -627,9 +653,9 @@ def test_engine_caps_map_to_exit_4(module, cap, value, message, config_path,
                                    tmp_path, capsys, monkeypatch):
     # the real caps, not a faked exception: every symbolic power of two
     # points needs a basis of more than one element, a gin draw of it
-    # exponents of 2 and more, and the draw's substitution an image beyond
-    # the table's first entry, that of 1; every K-polynomial call visits
-    # at least its first node
+    # exponents of 2 and more, and each component's power, like the draw's
+    # substitution, an image beyond the table's first entry, that of 1;
+    # every K-polynomial call visits at least its first node
     monkeypatch.setattr(module, cap, value)
     code, _, err = run(["gin", "--config", config_path], capsys)
     assert code == cli.EXIT_RESOURCE

@@ -28,7 +28,7 @@ from oracles import (
     total_degree,
 )
 
-from limshape import linalg
+from limshape import linalg, rings
 from limshape.configs import (
     Config,
     DegenerateConfigError,
@@ -40,6 +40,7 @@ from limshape.configs import (
     coordinate_position,
     symbolic_power,
 )
+from limshape.linalg import ComputationLimitError
 
 
 def P(text, n):
@@ -158,6 +159,7 @@ DEGENERATE_CONFIGS = [
     # a zero point comes before a point on a flat, and a repeat before both
     (3, [(1, 0, 0, 0), (0, 0, 0, 0)], [[(0, 1, 0, 0)]], "zero coordinate"),
     (3, [(1, 0, 0, 0), (2, 0, 0, 0)], [[(0, 1, 0, 0)]], "points 0 and 1"),
+    (2, [], [], "configuration has no components"),
 ]
 
 
@@ -238,6 +240,14 @@ def test_symbolic_power_leads_generate_the_initial_ideal(config):
         ideal = ideal_of(sp.generators, sp.nvars)
         assert sp.leads == initial_ideal(groebner_basis(ideal)), m
         assert packed(ideal) == list(sp.generators), m
+
+
+def test_symbolic_power_obeys_the_image_cap(monkeypatch):
+    # each component's power is built as a table of monomial images, so the
+    # cap on one substitution's table bounds it too
+    monkeypatch.setattr(rings, "IMAGE_CAP", 1)
+    with pytest.raises(ComputationLimitError, match="image table cap 1 exhausted"):
+        symbolic_power(Config.of(2, [(1, 0, 0), (0, 0, 1)]), 1)
 
 
 def test_symbolic_power_two_points_hilbert_function():
@@ -363,6 +373,10 @@ def test_config_json_rejects_garbage():
         config_from_json('{"n": 2, "components": []}')
     with pytest.raises(DegenerateConfigError):
         config_from_json('{"n": 2, "components": [{"type": "blob"}]}')
+    # a generic family of no members is refused when it is loaded
+    for s in (0, -1):
+        with pytest.raises(DegenerateConfigError, match="no components"):
+            config_from_json(f'{{"n": 2, "generic": {{"r": 0, "s": {s}, "seed": 1}}}}')
 
 
 # -- coordinate position -------------------------------------------------
