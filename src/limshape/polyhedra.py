@@ -6,20 +6,22 @@ with d > 0, a ray r the primitive row (r, 0).  Rationals are read only by
 `RationalPolyhedron.of` and written only by its `vertices` view.
 
 One double-description kernel, `_extreme_rays`, starting from linalg's
-fraction-free echelon form, returns each extreme ray with the mask of the
-rows tight on it, and each polyhedron runs it once.  Over a hull's
-generator rows it gives the facets (the rays of the dual of the
-homogenizing cone), and their masks tell which points are vertices:
-`canonical()` attaches those facets and `scale` carries them.  Over a
-clip's normals, the hull's facets and the simplex's, it gives the clip's
-vertices (the rays (x d, d)) with the normals tight on each.  Its
-primitive integer facet normals w, each the inequality w.(x, 1) >= 0, are
-the only H-representation: hull checks and clipping use them as they are,
-and the text a.x >= b is written only for JSON.  Volumes come from the
-boundary triangulation of Bueler-Enge-Fukuda (2000) with a selectable
-apex: it needs only the facets as masks of the rows tight on them, which a
-clip reads off its own double description; the faces below come from
-those masks alone, and each simplex costs one integer determinant.  No
+fraction-free echelon form and then cutting by each other row in
+`_cut`, returns each extreme ray with the mask of the rows tight on it,
+and each polyhedron runs it once.  Over a hull's generator rows it gives
+the facets (the rays of the dual of the homogenizing cone), and their
+masks tell which points are vertices: `canonical()` attaches those facets
+and `scale` carries them.  A clip runs no description of its own: `_cut`
+takes the corner simplex's rays, known in closed form, through the hull's
+facets, giving the clip's vertices (the rays (x d, d)) with the normals
+tight on each.  Its primitive integer facet normals w, each the inequality
+w.(x, 1) >= 0, are the only H-representation: hull checks and clipping
+use them as they are, and the text a.x >= b is written only for JSON.
+Volumes come from the boundary triangulation of Bueler-Enge-Fukuda (2000)
+with a selectable apex: it needs only the facets as masks of the rows
+tight on them, which a clip reads off its own cuts; the faces below come
+from those masks alone, each simplex costs one integer determinant, and
+the volumes are summed as integers over one common denominator.  No
 floating point anywhere.
 """
 
@@ -29,15 +31,16 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 from operator import and_, mul
 
 from . import linalg
 from .linalg import ComputationLimitError
 
 MAX_DIM = 6
-# rays one double description may hold, read at call time: the benchmark
-# workloads and 5 generic points in P^3 up to m = 4 never hold more than 12
+# rays one double description or one clip may hold, read at call time:
+# over the benchmark's pool of staircases and 5 generic points in P^3 up to
+# m = 4, neither holds more than 15 after a cut
 RAY_CAP = 1_000
 
 
@@ -62,14 +65,10 @@ def _extreme_rays(rows):
     """Primitive integer extreme rays of the pointed cone {y : r.y >= 0 for
     all rows r}, for integer rows, by double description (Motzkin et al.
     1953; Fukuda-Prodon 1996): start from the simplicial cone of d
-    independent rows, then cut by each other row, keeping the rays on its
-    side and joining each adjacent pair across it.  Two rays are adjacent
-    when no third ray is tight on every row both are tight on.
+    independent rows, then cut by each other row (see _cut).
 
     Returns sorted (ray, mask) pairs, mask the bitmask of the rows tight on
-    the ray: a join across row k is tight exactly where both its rays are,
-    and on k.  Raises ComputationLimitError once the ray list passes
-    RAY_CAP."""
+    the ray."""
     rows = [_reduced(r) for r in rows]
     m, d = len(rows), len(rows[0])
     # echelon form of [rows^T | I]: the pivots pick independent rows B and
@@ -82,9 +81,22 @@ def _extreme_rays(rows):
         raise ValueError("rows do not span: the cone is not pointed")
     basis = sum(1 << k for k in pivots)
     rays = [(_reduced(row[m:]), basis ^ 1 << k) for row, k in zip(ech, pivots)]
-    for k, row in enumerate(rows):
-        if basis >> k & 1:
-            continue
+    others = [(k, row) for k, row in enumerate(rows) if not basis >> k & 1]
+    return sorted(_cut(rays, others, d))
+
+
+def _cut(rays, indexed_rows, d):
+    """The (ray, mask) pairs of a pointed cone in R^d, given as its extreme
+    rays with the masks of the rows tight on each, cut by each (k, row) in
+    turn down to the cone where also row.y >= 0: keep the rays on the row's
+    side and join each adjacent pair across it.  Two rays are adjacent when
+    no third ray is tight on every row both are tight on, and only if they
+    share d - 2 tight rows, the rank of the 2-face they span.
+
+    A join across row k is tight exactly where both its rays are, and on k,
+    so bit k marks the rows tight on a ray.  Raises ComputationLimitError
+    once the ray list passes RAY_CAP."""
+    for k, row in indexed_rows:
         cut, pos, neg = [], [], []
         for ray, tight in rays:
             v = _dot(row, ray)
@@ -97,16 +109,18 @@ def _extreme_rays(rows):
         for p, tp, vp in pos:
             for q, tq, vq in neg:
                 both = tp & tq
-                if any(t & both == both for r, t in rays if r is not p and r is not q):
+                if both.bit_count() < d - 2 or any(
+                    t & both == both for r, t in rays if r is not p and r is not q
+                ):
                     continue
                 ray = _reduced([vp * y - vq * x for x, y in zip(p, q)])
                 cut.append((ray, both | 1 << k))
                 if len(cut) > RAY_CAP:
                     raise ComputationLimitError(
-                        f"ray cap {RAY_CAP} exhausted ({m} rows in dimension {d})"
+                        f"ray cap {RAY_CAP} exhausted (a cone in dimension {d})"
                     )
         rays = cut
-    return sorted(rays)
+    return rays
 
 
 @dataclass(frozen=True)
@@ -269,34 +283,42 @@ def convex_union_approximant(polys) -> RationalPolyhedron:
 # -- clipping and volume ---------------------------------------------------
 
 
-def simplex_inequalities(dim, t):
-    """The normals of x_i >= 0 and sum x_i <= t: (e_i, 0) and, for the int
-    or Fraction t = p/q, (-q, ..., -q, p)."""
-    normals = [tuple(int(i == j) for j in range(dim + 1)) for i in range(dim)]
-    normals.append((-t.denominator,) * dim + (t.numerator,))
-    return normals
-
-
 def _clip(poly: RationalPolyhedron, t):
     """The intersection Q of poly with the corner simplex {x >= 0,
-    sum x_i <= t}, from one double description: the rows (x d, d) of its
-    vertices, sorted (none when Q is empty), and for each normal of poly
-    and of the simplex the mask of the vertices tight on it.
+    sum x_i <= t}: the rows (x d, d) of its vertices, sorted (none when Q is
+    empty), and for each normal of poly and of the simplex the mask of the
+    vertices tight on it.
 
-    The vertices are the extreme rays of the cone {(x, s) : w.(x, s) >= 0,
-    s >= 0} over those normals w; the simplex bounds it, so each has s > 0.
-    Each comes with the mask of the normals tight on it, and transposing
-    those masks gives the normals' masks.  Every facet of Q is among the
-    normals, and every other normal is tight on a face of Q or on none."""
+    The vertices are the extreme rays of the cone {(x, s) : s >= 0,
+    w.(x, s) >= 0} over those normals w; the simplex bounds it, so each
+    has s > 0.  For t = p/q that cone starts as the homogenized simplex,
+    always pointed, whose extreme rays are known: (0, ..., 0, 1), tight on each
+    x_i >= 0, and (p e_i, q), tight on the other x_j >= 0 and on sum x_i <=
+    t; at t = 0 only (0, ..., 0, 1), tight on all of them.  The cuts by
+    poly's normals alone give the rest (see _cut), whatever poly is, and
+    each ray comes with the mask of the normals tight on it, poly's first
+    and then the simplex's; transposing those masks gives the normals'
+    masks.  Every facet of Q is among the normals, and every other normal
+    is tight on a face of Q or on none."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    dim = poly.dim
-    normals = [*poly.facet_inequalities(), *simplex_inequalities(dim, t)]
-    rays = _extreme_rays(normals + [(0,) * dim + (1,)])
+    dim, p, q = poly.dim, t.numerator, t.denominator
+    facets = poly.facet_inequalities()
+    f = len(facets)
+    n = f + dim + 1
+    # the simplex's normals sit at the bits f..n-1, the sum's last
+    axes = (1 << n) - (1 << f)
+    rays = [((0,) * dim + (1,), axes if p == 0 else axes ^ 1 << n - 1)]
+    if p:
+        rays += [
+            (tuple(p * int(i == j) for j in range(dim)) + (q,), axes ^ 1 << f + i)
+            for i in range(dim)
+        ]
+    rays = sorted(_cut(rays, enumerate(facets), dim + 1))
     rows = tuple(r for r, _ in rays)
     masks = [
         sum(1 << i for i, (_, tight) in enumerate(rays) if tight >> j & 1)
-        for j in range(len(normals))
+        for j in range(n)
     ]
     return rows, masks
 
@@ -336,14 +358,17 @@ def _volume(rows, masks, dim, apex_last=False) -> Fraction:
     It is lower-dimensional, so of volume 0, when it has no rows or one of
     those inequalities is tight on every row: otherwise the mean of points
     each strict on one inequality is strict on all.  A simplex with vertex
-    rows (v d, d) has volume |det| / (dim! prod d)."""
+    rows (v d, d) has volume |det| / (dim! prod d); each such prod d
+    divides L^(dim + 1), for L the lcm of all the d, so the volumes are
+    summed as integers over L^(dim + 1) dim!."""
     if not rows or (1 << len(rows)) - 1 in masks:
         return Fraction(0)
-    total = Fraction(0)
+    common = reduce(lcm, (q[dim] for q in rows), 1) ** (dim + 1)
+    total = 0
     for simplex in _triangulate(len(rows), masks, dim, apex_last):
         mat = [rows[i] for i in simplex]
-        total += Fraction(abs(linalg.det(mat)), prod(q[dim] for q in mat))
-    return total / factorial(dim)
+        total += abs(linalg.det(mat)) * (common // prod(q[dim] for q in mat))
+    return Fraction(total, common * factorial(dim))
 
 
 def volume(poly: RationalPolyhedron, apex_last=False) -> Fraction:
@@ -366,7 +391,7 @@ def volume(poly: RationalPolyhedron, apex_last=False) -> Fraction:
 
 def clipped_volume(poly: RationalPolyhedron, t, apex_last=False) -> Fraction:
     """Volume of poly within the corner simplex {x >= 0, sum x_i <= t}, from
-    the clip's one double description."""
+    the masks of the clip's own cuts."""
     return _volume(*_clip(poly, t), poly.dim, apex_last)
 
 

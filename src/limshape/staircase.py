@@ -201,16 +201,17 @@ class MonomialStaircase:
 
         The staircase region is the union of corners g + R^n_{>=0}; each
         K-polynomial term c t^d contributes c times the corner simplex of
-        side cutoff - d.
+        side cutoff - d: for cutoff = p/q, c (p - d q)^n / (q^n n!), summed
+        on integers over the terms with d q < p.
         """
         cutoff = Fraction(cutoff)
         if cutoff < 0:
             raise ValueError("cutoff must be >= 0")
-        n = self.nvars
-        return sum(
-            (c * (cutoff - d) ** n / factorial(n)
-             for d, c in k_polynomial(self.min_gens).items() if d < cutoff),
-            Fraction(0),
+        n, p, q = self.nvars, cutoff.numerator, cutoff.denominator
+        return Fraction(
+            sum(c * (p - d * q) ** n
+                for d, c in k_polynomial(self.min_gens).items() if d * q < p),
+            q**n * factorial(n),
         )
 
     def lm_volume(self, cutoff: Fraction) -> Fraction:

@@ -22,7 +22,9 @@ back, and `symbolic_ideal` is the Ideal of a symbolic power.
 strongly stable ideal, an oracle for the K-polynomial kernel.
 `count_fractions` records every Fraction built while it is patched in.
 `clip_to_simplex` gives the clip that `polyhedra` computes internally as
-a polyhedron, for the tests that compare its vertices.
+a polyhedron, for the tests that compare its vertices, and
+`clip_by_one_description` computes that clip's rows and masks by a double
+description over all of its normals at once, from their echelon form.
 """
 
 import random
@@ -35,7 +37,14 @@ from math import comb, factorial, gcd
 
 from limshape import linalg
 from limshape.configs import Config, symbolic_power
-from limshape.polyhedra import RationalPolyhedron, _clip, _dot, _lift, _reduced
+from limshape.polyhedra import (
+    RationalPolyhedron,
+    _clip,
+    _dot,
+    _extreme_rays,
+    _lift,
+    _reduced,
+)
 from limshape.groebner import (
     buchberger,
     derive_seed,
@@ -675,6 +684,30 @@ def volume_by_pyramids(points, dim):
         face = [p[:j] + p[j + 1:] for p in points if _dot(a, p) == b]
         total += height * volume_by_pyramids(face, dim - 1) / abs(a[j])
     return total / dim
+
+
+def simplex_inequalities(dim, t):
+    """The normals of x_i >= 0 and sum x_i <= t: (e_i, 0) and, for the int
+    or Fraction t = p/q, (-q, ..., -q, p)."""
+    normals = [tuple(int(i == j) for j in range(dim + 1)) for i in range(dim)]
+    normals.append((-t.denominator,) * dim + (t.numerator,))
+    return normals
+
+
+def clip_by_one_description(poly, t):
+    """`_clip(poly, t)` by one double description, started from the echelon
+    form of its rows: the extreme rays of the cone {(x, s) : w.(x, s) >= 0,
+    s >= 0} over poly's normals and the simplex's, which the simplex
+    bounds, so each has s > 0, with the masks of the normals tight on each
+    transposed."""
+    normals = [*poly.facet_inequalities(), *simplex_inequalities(poly.dim, t)]
+    rays = _extreme_rays(normals + [(0,) * poly.dim + (1,)])
+    rows = tuple(r for r, _ in rays)
+    masks = [
+        sum(1 << i for i, (_, tight) in enumerate(rays) if tight >> j & 1)
+        for j in range(len(normals))
+    ]
+    return rows, masks
 
 
 def clip_to_simplex(poly, t):

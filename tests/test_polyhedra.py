@@ -10,6 +10,7 @@ from limshape import linalg, polyhedra
 from limshape.polyhedra import (
     RationalPolyhedron,
     UnboundedError,
+    _clip,
     _extreme_rays,
     _triangulate,
     clipped_volume,
@@ -19,15 +20,16 @@ from limshape.polyhedra import (
     polyhedron_from_dict,
     polyhedron_to_dict,
     scale,
-    simplex_inequalities,
     volume,
 )
 from limshape.staircase import MonomialStaircase
 from oracles import (
+    clip_by_one_description,
     clip_to_simplex,
     count_fractions,
     facets_by_subsets,
     polyhedron_contains,
+    simplex_inequalities,
     vertex_enumerate_by_subsets,
     volume_by_pyramids,
 )
@@ -325,9 +327,53 @@ def test_canonical_reads_vertices_and_facets_off_one_description(generators, f):
     assert scaled.vertices == scale(poly, f).canonical().vertices
 
 
+def with_facets(poly):
+    """poly with the facets of facet_inequalities attached."""
+    poly.facet_inequalities()
+    return poly
+
+
+@st.composite
+def clip_inputs(draw):
+    """(poly, t): polyhedra in dimensions 1-4 with coordinates in -2..2 and
+    up to three rays of any sign, so that non-pointed, lower-dimensional
+    and redundant ones are common, with their facets attached by
+    facet_inequalities or by canonical; t zero, whole or fractional."""
+    dim = draw(st.integers(1, 4))
+    coords = st.tuples(*[st.integers(-2, 2)] * dim)
+    points = draw(st.lists(coords, min_size=1, max_size=5))
+    rays = draw(st.lists(coords.filter(any), max_size=3))
+    poly = RationalPolyhedron.of(dim, points, rays)
+    poly = poly.canonical() if draw(st.booleans()) else with_facets(poly)
+    return poly, draw(st.sampled_from([0, 1, 3, Fraction(5, 2), Fraction(2, 3)]))
+
+
+@given(clip_inputs())
+@example((newton_polyhedron(MonomialStaircase.from_generators(3, QUAD)), 0))
+@example((newton_polyhedron(MonomialStaircase.from_generators(3, QUAD)), Fraction(5, 2)))
+# a horizontal line: its rays (1, 0) and (-1, 0) make it no pointed cone
+@example((RationalPolyhedron.of(2, [(1, 1)], [(1, 0), (-1, 0)]), Fraction(5, 2)))
+# lower-dimensional: a triangle in the plane z = 0 of R^3, and a half-line
+# that leaves the simplex through x_3 = 0
+@example((RationalPolyhedron.of(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)]), Fraction(1, 2)))
+@example((RationalPolyhedron.of(3, [(0, 0, 1)], [(1, 0, -1)]), 3))
+# the point (0, 1) is redundant, so it is no extreme ray of the hull's cone
+@example(
+    (with_facets(RationalPolyhedron.of(2, [(0, 0), (0, 1)], [(1, 0), (0, 1)])),
+     Fraction(5, 2))
+)
+@settings(max_examples=150, deadline=None)
+def test_clip_from_the_simplex_rays_matches_one_description(inputs):
+    # cutting the corner simplex's own rays by the hull's facets gives the
+    # rows and masks of one double description over all the normals
+    poly, t = inputs
+    assert _clip(poly, t) == clip_by_one_description(poly, t)
+
+
 def test_each_polyhedron_runs_one_double_description(monkeypatch):
     # the hull's one description gives its vertices and facets, scaling
-    # carries the facets, and the clip's one description gives its volume
+    # carries the facets, and the clip cuts the simplex's own rays by those
+    # facets with no description of its own
     calls = []
 
     def counted(rows, inner=polyhedra._extreme_rays):
@@ -341,12 +387,20 @@ def test_each_polyhedron_runs_one_double_description(monkeypatch):
     half = scale(hull, Fraction(1, 2))
     assert len(calls) == 1
     assert clipped_volume(half, Fraction(5, 2)) > 0
-    assert len(calls) == 2
+    assert len(calls) == 1
     other = newton_polyhedron(MonomialStaircase.from_generators(3, [(1, 0, 0)]))
     delta = convex_union_approximant([hull, other])
-    assert len(calls) == 4
+    assert len(calls) == 3
     gamma_region(delta, 3)
-    assert len(calls) == 5
+    assert len(calls) == 3
+
+
+def test_clip_cuts_obey_the_ray_cap(monkeypatch):
+    # the hull is built first; only the clip's own cuts meet the cap
+    hull = newton_polyhedron(MonomialStaircase.from_generators(3, QUAD))
+    monkeypatch.setattr(polyhedra, "RAY_CAP", 1)
+    with pytest.raises(linalg.ComputationLimitError, match="^ray cap 1 "):
+        clipped_volume(hull, Fraction(5, 2))
 
 
 def test_extreme_rays_need_spanning_rows():
@@ -359,15 +413,17 @@ def test_extreme_rays_need_spanning_rows():
 
 def test_extreme_rays_builds_no_fraction(monkeypatch):
     # the echelon form that starts the double description and every cut
-    # run on ints, here on the clip of a Newton polyhedron at a fractional t
+    # run on ints, here on the clip of a Newton polyhedron at a fractional
+    # t, and so do the simplex's rays that start the clip's own cuts
     delta = newton_polyhedron(MonomialStaircase.from_generators(3, QUAD))
     t = Fraction(5, 2)
     rows = [*delta.facet_inequalities(), *simplex_inequalities(3, t), (0, 0, 0, 1)]
     built = count_fractions(monkeypatch)
     rays = _extreme_rays(rows)
+    clip = _clip(delta, t)
     monkeypatch.undo()
     assert built == []
-    assert len([r for r, _ in rays if r[3]]) == len(clip_to_simplex(delta, t).vertices)
+    assert tuple(r for r, _ in rays) == clip[0] and len(clip[0]) == 7
 
 
 def test_facets_and_containment_build_no_fraction(monkeypatch):
@@ -492,6 +548,9 @@ def random_polytopes(draw):
 
 
 @given(random_polytopes())
+# halved, every vertex has the denominator 2, so a simplex's prod d is
+# 2^(dim + 1) and the common denominator must hold it
+@example(RationalPolyhedron.of(2, [(1, 1), (3, 1), (1, 3)]))
 @settings(max_examples=50, deadline=None)
 def test_volume_invariances(poly):
     v = volume(poly)
@@ -511,10 +570,10 @@ def test_volume_invariances(poly):
         poly.dim, [tuple(reversed(vert)) for vert in poly.vertices]
     )
     assert volume(perm) == v
-    # scaling by 2 multiplies volume by 2^dim
-    doubled = scale(poly, 2) if v > 0 else None
-    if doubled is not None:
-        assert volume(doubled) == v * 2**poly.dim
+    # scaling by 2 multiplies volume by 2^dim, and by 1/2 divides it
+    if v > 0:
+        assert volume(scale(poly, 2)) == v * 2**poly.dim
+        assert volume(scale(poly, Fraction(1, 2))) == v / 2**poly.dim
 
 
 def test_volume_matches_lattice_count_estimate():
