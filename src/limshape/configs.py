@@ -188,12 +188,12 @@ class SymbolicPower:
 
     @property
     def ideal(self):
-        """The generators as monic Polynomials, built on each read: the view
-        the benchmark's size counts read."""
+        """The generators as Polynomials with the primitive integer
+        coefficients the pipeline holds, built on each read: the view the
+        benchmark's size counts read."""
         n = self.nvars
         return SimpleNamespace(generators=tuple(
-            Polynomial(n, {unpack(a, n): Fraction(c, g[max(g)])
-                           for a, c in g.items()})
+            Polynomial(n, {unpack(a, n): c for a, c in g.items()})
             for g in self.generators
         ))
 

@@ -50,7 +50,10 @@ def json_array(x, name):
 
 def cleared(row):
     """(d, [x d for x in row]) for the least d > 0 that makes every entry of
-    the rational row an integer; builds no Fraction."""
+    the rational row an integer, (1, a copy) for an int row; builds no
+    Fraction."""
+    if all(type(x) is int for x in row):
+        return 1, list(row)
     d = reduce(lcm, [x.denominator for x in row], 1)
     return d, [x.numerator * (d // x.denominator) for x in row]
 

@@ -1,34 +1,35 @@
 """Exact rational polyhedral geometry at desk scale (dim <= 6).
 
-Polyhedra are conv(vertices) + cone(rays), held as integer homogeneous
-rows from construction to volume: a vertex v is the primitive row (v d, d)
-with d > 0, a ray r the primitive row (r, 0).  Rationals are read only by
-`RationalPolyhedron.of` and written only by its `vertices` view.
+A polyhedron is conv(vertices) + cone(rays) with its facets, built whole by
+`_polyhedron` and held as integer homogeneous rows from construction to
+volume: a vertex v is the primitive row (v d, d) with d > 0, a ray r the
+primitive row (r, 0).  Rationals are read only by `RationalPolyhedron.of`
+and written only by its `vertices` view.
 
 One double-description kernel, `_extreme_rays`, starting from linalg's
-fraction-free echelon form and then cutting by each other row in
-`_cut`, returns each extreme ray with the mask of the rows tight on it,
-and each polyhedron runs it once.  Over a hull's generator rows it gives
-the facets (the rays of the dual of the homogenizing cone), and their
-masks tell which points are vertices: `canonical()` attaches those facets
-and `scale` carries them.  A clip runs no description of its own: `_cut`
-takes the corner simplex's rays, known in closed form, through the hull's
-facets, giving the clip's vertices (the rays (x d, d)) with the normals
-tight on each.  Its primitive integer facet normals w, each the inequality
-w.(x, 1) >= 0, are the only H-representation: hull checks and clipping
-use them as they are, and the text a.x >= b is written only for JSON.
-Volumes come from the boundary triangulation of Bueler-Enge-Fukuda (2000)
-with a selectable apex: it needs only the facets as masks of the rows
-tight on them, which a clip reads off its own cuts; the faces below come
-from those masks alone, each simplex costs one integer determinant, and
-the volumes are summed as integers over one common denominator.  No
+fraction-free echelon form and then cutting by each other row in `_cut`,
+returns each extreme ray with the mask of the rows tight on it.  The
+builder runs it once over a hull's generator rows: the rays are the facets
+(the rays of the dual of the homogenizing cone), and their masks tell which
+points are vertices, the only points kept; `scale` carries the facets.
+Their primitive integer normals w, each the inequality w.(x, 1) >= 0, are
+the only H-representation: hull checks and clipping use them as they are,
+and the text a.x >= b is written only for JSON.  A clip runs no
+description of its own: `_cut` takes the corner simplex's rays, known in
+closed form, through the hull's facets, giving the clip's vertices (the
+rays (x d, d)) with the normals tight on each.  Volumes come from the
+boundary triangulation of Bueler-Enge-Fukuda (2000) with a selectable
+apex: it needs only the facets as masks of the rows tight on them, which a
+polytope reads off its facets and a clip off its own cuts; the faces below
+come from those masks alone, each simplex costs one integer determinant,
+and the volumes are summed as integers over one common denominator.  No
 floating point anywhere.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import factorial, gcd, lcm, prod
@@ -68,7 +69,8 @@ def _extreme_rays(rows):
     independent rows, then cut by each other row (see _cut).
 
     Returns sorted (ray, mask) pairs, mask the bitmask of the rows tight on
-    the ray."""
+    the ray, or None when the rows do not span R^d, so that the cone is not
+    pointed."""
     rows = [_reduced(r) for r in rows]
     m, d = len(rows), len(rows[0])
     # echelon form of [rows^T | I]: the pivots pick independent rows B and
@@ -78,7 +80,7 @@ def _extreme_rays(rows):
         [list(c) + [int(i == j) for j in range(d)] for i, c in enumerate(zip(*rows))]
     )
     if pivots[-1] >= m:
-        raise ValueError("rows do not span: the cone is not pointed")
+        return None
     basis = sum(1 << k for k in pivots)
     rays = [(_reduced(row[m:]), basis ^ 1 << k) for row, k in zip(ech, pivots)]
     others = [(k, row) for k, row in enumerate(rows) if not basis >> k & 1]
@@ -127,16 +129,18 @@ def _cut(rays, indexed_rows, d):
 class RationalPolyhedron:
     """conv(vertices) + cone(rays), as integer homogeneous rows: each vertex
     v is the primitive row (v d, d) with d > 0 and each ray r the primitive
-    row (r, 0), both sorted and distinct."""
+    row (r, 0), both sorted and distinct, with its facets (see _facets).
+    Built by _polyhedron, or by scale from a built one."""
 
     dim: int
     points: tuple
-    directions: tuple = ()
-    facets: tuple = field(default=None, compare=False)  # normals w: w.(x, 1) >= 0
+    directions: tuple
+    facets: tuple  # normals w: w.(x, 1) >= 0
 
     @classmethod
     def of(cls, dim, vertices, rays=()):
-        """The polyhedron of rational vertices and rays, validated."""
+        """The polyhedron of rational points and rays, validated: its
+        vertices are those points that are vertices."""
         if dim > MAX_DIM:
             raise ValueError(f"dimension {dim} beyond supported {MAX_DIM}")
         vs = [tuple(map(Fraction, v)) for v in vertices]
@@ -153,41 +157,21 @@ class RationalPolyhedron:
     @property
     def vertices(self):
         """The vertex tuples of Fractions, sorted."""
-        return tuple(
-            sorted(tuple(Fraction(x, q[-1]) for x in q[:-1]) for q in self.points)
-        )
+        return _vertices(self.points)
 
     def is_bounded(self):
         return not self.directions
 
-    # -- H-representation --------------------------------------------------
-
     def facet_inequalities(self):
         """Primitive integer normals w = (a, -b) describing the polyhedron,
         each the inequality w.(x, 1) >= 0, that is a.x >= b, sorted by
-        (a, b): those `canonical` or `scale` attached, else computed by
-        _facets and attached."""
-        if self.facets is None:
-            rows = self.points + self.directions
-            object.__setattr__(self, "facets", _facets(self.dim, rows)[0])
+        (a, b)."""
         return self.facets
 
-    def canonical(self):
-        """Same polyhedron with redundant generator points dropped and its
-        facets attached, from the one double description of _facets.
 
-        The generators on the least face of the homogenizing cone through a
-        point are the rows tight on every facet the point is tight on.  A
-        vertex spans its face alone; any other point lies inside a face of
-        dimension >= 2, whose extreme rays are at least two generator rows."""
-        rows = self.points + self.directions
-        facets, masks = _facets(self.dim, rows)
-        everything = (1 << len(rows)) - 1
-        points = tuple(
-            p for i, p in enumerate(self.points)
-            if reduce(and_, (m for m in masks if m >> i & 1), everything) == 1 << i
-        )
-        return RationalPolyhedron(self.dim, points, self.directions, facets)
+def _vertices(points):
+    """The rows (v d, d) as the sorted tuples v of Fractions."""
+    return tuple(sorted(tuple(Fraction(x, q[-1]) for x in q[:-1]) for q in points))
 
 
 def _facets(dim, rows):
@@ -195,28 +179,31 @@ def _facets(dim, rows):
     the integer rows: its sorted facet_inequalities, and for each facet of
     the homogenizing cone within its span the mask of the rows tight on it.
 
-    Computed from the homogenizing cone spanned by the rows: the equations
-    of its linear span, in both signs, and its facets within that span,
-    both read off one echelon form of those rows and one double
-    description.  A full-dimensional polyhedron has no equations.  Each row
-    g is re-checked as w.g >= 0 against every normal w."""
-    ech, pivots = linalg.echelon(rows)
-    normals = set()
-    for w in linalg.kernel(ech, pivots, dim + 1):
-        w = _reduced(w)
-        normals |= {w, tuple(-x for x in w)}
-    # on its pivot coordinates the span is all of R^k, so the cone is
-    # full-dimensional there and a facet normal extends by zeros; at
-    # k = 1 (a lone point) the one dual ray is no facet, only 0 >= -1
-    projected = [[g[c] for c in pivots] for g in rows]
-    masks = []
-    for u, mask in _extreme_rays(projected) if len(pivots) > 1 else ():
-        w = dict(zip(pivots, u))
-        normals.add(tuple(w.get(c, 0) for c in range(dim + 1)))
-        masks.append(mask)
+    Rows that span give the facets as the rays of one double description.
+    Otherwise the equations of their span, in both signs, and the facets
+    within it come from one echelon form of the rows and one description
+    over their projection.  Each row g is re-checked as w.g >= 0 against
+    every normal w."""
+    rays = _extreme_rays(rows)
+    if rays is not None:
+        normals = {u for u, _ in rays}
+    else:
+        ech, pivots = linalg.echelon(rows)
+        normals = set()
+        for w in linalg.kernel(ech, pivots, dim + 1):
+            w = _reduced(w)
+            normals |= {w, tuple(-x for x in w)}
+        # on its pivot coordinates the span is all of R^k, so the cone is
+        # full-dimensional there and a facet normal extends by zeros; at
+        # k = 1 (a lone point) the one dual ray is no facet, only 0 >= -1
+        projected = [[g[c] for c in pivots] for g in rows]
+        rays = _extreme_rays(projected) if len(pivots) > 1 else []
+        for u, _ in rays:
+            w = dict(zip(pivots, u))
+            normals.add(tuple(w.get(c, 0) for c in range(dim + 1)))
     if any(_dot(w, g) < 0 for w in normals for g in rows):
         raise RuntimeError("generator violates computed facet")
-    return _sorted_facets(normals, dim), masks
+    return _sorted_facets(normals, dim), [mask for _, mask in rays]
 
 
 def _sorted_facets(normals, dim):
@@ -224,11 +211,26 @@ def _sorted_facets(normals, dim):
     return tuple(sorted(normals, key=lambda w: (w[:dim], -w[dim])))
 
 
-def _polyhedron(dim, points, directions=()):
-    """The polyhedron of integer rows, sorted and made distinct."""
-    return RationalPolyhedron(
-        dim, tuple(sorted(set(points))), tuple(sorted(set(directions)))
+def _polyhedron(dim, points, directions):
+    """The polyhedron of integer rows, sorted and made distinct, with its
+    facets (see _facets) and only those points that are vertices.
+
+    The rows on the least face of the homogenizing cone through a point are
+    those tight on every facet the point is tight on.  A vertex is alone on
+    its face, and any other point's face holds a vertex; a polyhedron with
+    a line has none, and keeps the first point of each minimal face."""
+    points = sorted(set(points))
+    directions = tuple(sorted(set(directions)))
+    facets, masks = _facets(dim, (*points, *directions))
+    n = len(points)
+    # all bits set, -1 is the face of a point on no facet
+    faces = [reduce(and_, (m for m in masks if m >> i & 1), -1) for i in range(n)]
+    kept = tuple(
+        p for i, (p, face) in enumerate(zip(points, faces))
+        if face & -face == 1 << i
+        and all(faces[j] == face for j in range(i + 1, n) if face >> j & 1)
     )
+    return RationalPolyhedron(dim, kept, directions, facets)
 
 
 def _dot(a, b):
@@ -244,23 +246,21 @@ def newton_polyhedron(staircase) -> RationalPolyhedron:
         raise ValueError("staircase of the zero ideal has no Newton polyhedron")
     n = staircase.nvars
     units = [tuple(int(i == j) for j in range(n + 1)) for i in range(n)]
-    return _polyhedron(n, [g + (1,) for g in staircase.min_gens], units).canonical()
+    return _polyhedron(n, [g + (1,) for g in staircase.min_gens], units)
 
 
 def scale(poly: RationalPolyhedron, factor) -> RationalPolyhedron:
     """factor * poly: the point (v d, d) goes to (v d p, d q) for the int or
-    Fraction factor p/q, and attached facets come along."""
+    Fraction factor p/q, and the facets come along."""
     if factor <= 0:
         raise ValueError("scale factor must be positive")
     p, q = factor.numerator, factor.denominator
     points = [_reduced([x * p for x in v[:-1]] + [v[-1] * q]) for v in poly.points]
-    facets = poly.facets
-    if facets is not None:
-        # a.x >= b becomes a.x >= (p/q) b: the normal (a, -b) goes to the
-        # primitive (q a, -p b)
-        facets = _sorted_facets(
-            [_reduced([x * q for x in w[:-1]] + [w[-1] * p]) for w in facets], poly.dim
-        )
+    # a.x >= b becomes a.x >= (p/q) b: the normal (a, -b) goes to the
+    # primitive (q a, -p b)
+    facets = _sorted_facets(
+        [_reduced([x * q for x in w[:-1]] + [w[-1] * p]) for w in poly.facets], poly.dim
+    )
     return RationalPolyhedron(poly.dim, tuple(sorted(points)), poly.directions, facets)
 
 
@@ -273,11 +273,7 @@ def convex_union_approximant(polys) -> RationalPolyhedron:
     for p in polys:
         if p.dim != dim or p.directions != directions:
             raise ValueError("family members must share dimension and rays")
-    points = [v for p in polys for v in p.points]
-    hull = _polyhedron(dim, points, directions).canonical()
-    if any(_dot(w, v) < 0 for w in hull.facet_inequalities() for v in points):
-        raise RuntimeError("hull fails to contain an input vertex")
-    return hull
+    return _polyhedron(dim, [v for p in polys for v in p.points], directions)
 
 
 # -- clipping and volume ---------------------------------------------------
@@ -373,19 +369,19 @@ def _volume(rows, masks, dim, apex_last=False) -> Fraction:
 
 def volume(poly: RationalPolyhedron, apex_last=False) -> Fraction:
     """Exact Lebesgue volume of a bounded polytope via the boundary
-    triangulation of _triangulate, its facet masks from one double
-    description over its points.
+    triangulation of _triangulate, each facet's mask the vertices tight on
+    it; an equation, tight on all, makes the volume 0.
 
-    Lower-dimensional polytopes have volume 0.  apex_last switches the apex
-    of every face from its first row to its last, giving an independent
-    decomposition of the same region for cross-checks.
+    apex_last switches the apex of every face from its first row to its
+    last, giving an independent decomposition of the same region for
+    cross-checks.
     """
     if not poly.is_bounded():
         raise UnboundedError("volume of an unbounded polyhedron")
     rows = poly.points
-    if linalg.rank(rows) <= poly.dim:
-        return Fraction(0)
-    masks = [tight for _, tight in _extreme_rays(rows)]
+    masks = [
+        sum(1 << i for i, q in enumerate(rows) if not _dot(w, q)) for w in poly.facets
+    ]
     return _volume(rows, masks, poly.dim, apex_last)
 
 
@@ -414,7 +410,9 @@ def gamma_region(delta: RationalPolyhedron, t):
             for i in range(n)
         ] + [{"coeffs": ["-1"] * n, "rhs": str(-t)}],
         # the clip's vertices alone: its normals include redundant ones
-        "excluded": polyhedron_to_dict(RationalPolyhedron(n, rows)) if rows else None,
+        "excluded": {
+            "dim": n, "vertices": _strings(_vertices(rows)), "rays": []
+        } if rows else None,
     }
     return vol, description
 
@@ -422,18 +420,20 @@ def gamma_region(delta: RationalPolyhedron, t):
 # -- serialization ---------------------------------------------------------
 
 
+def _strings(vectors):
+    return [[str(x) for x in v] for v in vectors]
+
+
 def polyhedron_to_dict(poly: RationalPolyhedron):
-    data = {
-        "dim": poly.dim,
-        "vertices": [[str(x) for x in v] for v in poly.vertices],
-        "rays": [[str(x) for x in r[:-1]] for r in poly.directions],
-    }
-    if poly.facets is not None:
-        d = poly.dim
-        data["facets"] = [
+    d = poly.dim
+    return {
+        "dim": d,
+        "vertices": _strings(poly.vertices),
+        "rays": _strings(r[:-1] for r in poly.directions),
+        "facets": [
             {"coeffs": [str(c) for c in w[:d]], "rhs": str(-w[d])} for w in poly.facets
-        ]
-    return data
+        ],
+    }
 
 
 def polyhedron_from_dict(data) -> RationalPolyhedron:

@@ -151,7 +151,7 @@ class Polynomial:
     Treat instances as immutable.
     """
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=None):
         if nvars < 1:
@@ -167,7 +167,6 @@ class Polynomial:
                 clean[tuple(alpha)] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Polynomial is immutable")
@@ -178,11 +177,7 @@ class Polynomial:
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(
-                self, "_hash", hash((self.nvars, frozenset(self.terms.items())))
-            )
-        return self._hash
+        return hash((self.nvars, frozenset(self.terms.items())))
 
     def linear_substitute(self, matrix):
         """Replace x_i by sum_j matrix[i][j] * x_j (rows act on variables).

@@ -38,11 +38,11 @@ from math import comb, factorial, gcd
 from limshape import linalg
 from limshape.configs import Config, symbolic_power
 from limshape.polyhedra import (
-    RationalPolyhedron,
     _clip,
     _dot,
     _extreme_rays,
     _lift,
+    _polyhedron,
     _reduced,
 )
 from limshape.groebner import (
@@ -322,7 +322,8 @@ def packed(ideal: Ideal):
 
 def ideal_of(generators, nvars) -> Ideal:
     """The Ideal of term dicts in nvars variables in the pipeline's format,
-    each made monic: the Polynomials SymbolicPower.ideal builds."""
+    each made monic; SymbolicPower.ideal builds them with their integer
+    coefficients as they are."""
     return Ideal.of(
         Poly(nvars, {unpack(a, nvars): Fraction(c, g[max(g)]) for a, c in g.items()})
         for g in generators
@@ -712,9 +713,10 @@ def clip_by_one_description(poly, t):
 
 def clip_to_simplex(poly, t):
     """Intersection with the corner simplex {x >= 0, sum x_i <= t}: a
-    bounded polyhedron, or None when it is empty."""
+    bounded polyhedron, built from the clip's rows as every polyhedron is,
+    or None when it is empty."""
     rows, _ = _clip(poly, t)
-    return RationalPolyhedron(poly.dim, rows) if rows else None
+    return _polyhedron(poly.dim, rows, ()) if rows else None
 
 
 # -- arithmetic ------------------------------------------------------------

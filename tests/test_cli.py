@@ -422,9 +422,10 @@ def test_limiting_shape_builds_no_polynomial(monkeypatch, tmp_path, capsys):
 
 
 def test_limiting_shape_writes_facets_of_delta_alone(config_path, tmp_path, capsys):
-    # delta_approximant carries its facets, as canonical attached them, and
-    # they read the same as those computed afresh from its vertices; the
-    # excluded clip is written by its vertices alone
+    # delta_approximant carries its facets, which every polyhedron has from
+    # construction, and they read the same as those of a polyhedron built
+    # afresh from its vertices; the excluded clip is written by its vertices
+    # alone
     outdir = tmp_path / "out"
     code, _, _ = run(
         ["limiting-shape", "--config", config_path, "--m-max", "2", "--t", "2",
@@ -436,8 +437,6 @@ def test_limiting_shape_writes_facets_of_delta_alone(config_path, tmp_path, caps
     delta = shape["delta_approximant"]
     assert delta["facets"]
     fresh = polyhedra.polyhedron_from_dict(delta)
-    assert fresh.facets is None
-    fresh.facet_inequalities()
     assert polyhedra.polyhedron_to_dict(fresh) == delta
     excluded = shape["gamma"]["region"]["excluded"]
     assert excluded["vertices"] and "facets" not in excluded

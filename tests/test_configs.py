@@ -250,6 +250,25 @@ def test_symbolic_power_obeys_the_image_cap(monkeypatch):
         symbolic_power(Config.of(2, [(1, 0, 0), (0, 0, 1)]), 1)
 
 
+def test_symbolic_power_view_shows_the_integers_it_holds():
+    # the `ideal` view prints each generator with the primitive integer
+    # coefficients the pipeline holds, so the sizes read off it are theirs:
+    # three lines in coordinate position at m = 2 hold 140-bit integers,
+    # which made monic would read as 135 bits
+    moved, _ = coordinate_position(Config.generic(3, 1, 3, 3))
+    sp = symbolic_power(moved, 2)
+    n = sp.nvars
+    view = sp.ideal.generators
+    assert [g.terms for g in view] == [
+        {rings.unpack(a, n): c for a, c in g.items()} for g in sp.generators
+    ]
+    bits = [
+        max(c.numerator.bit_length(), c.denominator.bit_length())
+        for g in view for c in g.terms.values()
+    ]
+    assert max(bits) == 140
+
+
 def test_symbolic_power_two_points_hilbert_function():
     cfg = Config.of(2, [(1, 0, 0), (0, 1, 0)])
     ideal = symbolic_ideal(cfg, 1)

@@ -51,6 +51,31 @@ def test_no_memo_caches():
     assert found == []
 
 
+def test_no_attribute_memos():
+    # an instance is whole once built: object.__setattr__, which writes past
+    # a frozen dataclass or a class that forbids assignment, may run only in
+    # __init__ or __post_init__, so that no field is filled in later by a
+    # lazy memo
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        builders = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            and fn.name in ("__init__", "__post_init__")
+            for node in ast.walk(fn)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name) and node.value.id == "object"
+            and id(node) not in builders
+        ]
+    assert found == []
+
+
 def test_no_starred_generator_arguments():
     # f(*(x for x in row)) builds its argument tuple at a guessed size and
     # shrinks it, so CPython 3.11 parks one tuple per call on a per-size

@@ -12,7 +12,9 @@ from limshape.polyhedra import (
     UnboundedError,
     _clip,
     _extreme_rays,
+    _lift,
     _triangulate,
+    _volume,
     clipped_volume,
     convex_union_approximant,
     gamma_region,
@@ -64,11 +66,20 @@ def test_volume_apex_choice_agrees():
         assert volume(poly, apex_last=False) == volume(poly, apex_last=True)
 
 
-def assert_simplices_nondegenerate(poly, apex_last):
+def kernel_masks(rows):
+    """The masks of the rows tight on each facet of the cone they span, by
+    the kernel itself, for any rows: vertices or not."""
+    return [tight for _, tight in _extreme_rays(rows)]
+
+
+def raw_rows(points):
+    """The rows (v d, d) of the points as given, non-vertices included."""
+    return sorted({_lift(tuple(map(Fraction, p))) for p in points})
+
+
+def assert_simplices_nondegenerate(rows, dim, apex_last):
     # a wrong face lattice can hide behind simplices of volume 0
-    rows = poly.points
-    masks = [tight for _, tight in _extreme_rays(rows)]
-    for simplex in _triangulate(len(rows), masks, poly.dim, apex_last):
+    for simplex in _triangulate(len(rows), kernel_masks(rows), dim, apex_last):
         assert linalg.det([rows[i] for i in simplex])
 
 
@@ -88,11 +99,14 @@ CROSS_4 = [(0,) * 4] + [
     ids=["grid-cube", "cross-polytope"],
 )
 def test_volume_of_non_vertex_points_matches_pyramids(points, dim, expected, apex_last):
-    points = [tuple(map(Fraction, p)) for p in points]
-    poly = RationalPolyhedron.of(dim, points)
-    assert len(poly.points) == len(points)
-    assert volume(poly, apex_last) == volume_by_pyramids(points, dim) == expected
-    assert_simplices_nondegenerate(poly, apex_last)
+    # the kernel triangulates the rows as given, which `of` would thin to
+    # the vertices
+    rows = raw_rows(points)
+    assert len(rows) == len(points)
+    vol = _volume(rows, kernel_masks(rows), dim, apex_last)
+    assert vol == volume_by_pyramids(points, dim) == expected
+    assert_simplices_nondegenerate(rows, dim, apex_last)
+    assert volume(RationalPolyhedron.of(dim, points), apex_last) == expected
 
 
 def test_pyramid_oracle_is_exact_on_int_points():
@@ -110,11 +124,11 @@ def test_triangulation_takes_only_facets_of_each_face():
         for i, p in enumerate(CROSS_4[1:]) for q in CROSS_4[i + 2:]
         if any(x + y for x, y in zip(p, q))
     }
-    poly = RationalPolyhedron.of(4, CROSS_4 + sorted(midpoints))
-    assert len(poly.points) == 9 + 24
+    rows = raw_rows(CROSS_4 + sorted(midpoints))
+    assert len(rows) == 9 + 24
     for apex_last in (False, True):
-        assert volume(poly, apex_last) == Fraction(2, 3)
-        assert_simplices_nondegenerate(poly, apex_last)
+        assert _volume(rows, kernel_masks(rows), 4, apex_last) == Fraction(2, 3)
+        assert_simplices_nondegenerate(rows, 4, apex_last)
 
 
 def test_volume_lower_dimensional_is_zero():
@@ -142,7 +156,7 @@ def test_lower_dimensional_polytope_keeps_to_its_affine_hull(
     poly = RationalPolyhedron.of(len(vertices[0]), vertices)
     assert all(polyhedron_contains(poly, v) for v in poly.vertices + tuple(inside))
     assert not any(polyhedron_contains(poly, p) for p in outside)
-    assert poly.canonical().vertices == poly.vertices
+    assert poly.vertices == tuple(sorted(tuple(map(Fraction, v)) for v in vertices))
     assert clipped_volume(poly, 2) == 0
 
 
@@ -183,7 +197,7 @@ def test_cube_facets_survive_face_centres_and_edge_midpoints():
         for v in cube(3).vertices for axis in range(3) if v[axis] == 0
     ]
     crowded = RationalPolyhedron.of(3, list(cube(3).vertices) + centres + midpoints)
-    assert len(crowded.vertices) == 8 + 6 + 12
+    assert crowded.vertices == cube(3).vertices
     assert crowded.facet_inequalities() == cube(3).facet_inequalities()
     assert len(crowded.facet_inequalities()) == 6
 
@@ -222,7 +236,8 @@ FACTORS = st.sampled_from([1, 3, Fraction(1, 2), Fraction(2, 3)])
 @settings(max_examples=60, deadline=None)
 def test_rows_are_primitive_ints_and_vertices_their_fractions(generators, f, g):
     # the points are primitive rows (v d, d), d > 0, and the directions
-    # primitive rows (r, 0), sorted and distinct; vertices reads them back
+    # primitive rows (r, 0), sorted and distinct; vertices reads them back,
+    # as those of the given points that are vertices
     dim, points, rays = generators
     inputs = [tuple(f * x for x in v) for v in points]
     poly = RationalPolyhedron.of(dim, inputs, rays)
@@ -235,7 +250,8 @@ def test_rows_are_primitive_ints_and_vertices_their_fractions(generators, f, g):
         assert all(r[-1] == 0 for r in p.directions)
         assert p.points == tuple(sorted(set(p.points)))
         assert p.directions == tuple(sorted(set(p.directions)))
-    assert poly.vertices == tuple(sorted({tuple(map(Fraction, v)) for v in inputs}))
+    assert set(poly.vertices) <= {tuple(map(Fraction, v)) for v in inputs}
+    assert RationalPolyhedron.of(dim, poly.vertices, rays) == poly
     assert scaled.vertices == tuple(
         sorted(tuple(g * x for x in v) for v in poly.vertices)
     )
@@ -270,7 +286,7 @@ def test_double_description_matches_subset_enumeration(poly, t):
     dim = poly.dim
     facets = facets_by_subsets(poly)
     assert poly.facet_inequalities() == facets
-    assert poly.canonical().vertices == tuple(vertex_enumerate_by_subsets(facets, dim))
+    assert poly.vertices == tuple(vertex_enumerate_by_subsets(facets, dim))
     clipped = clip_to_simplex(poly, t)
     expected = vertex_enumerate_by_subsets(
         list(facets) + simplex_inequalities(dim, t), dim
@@ -309,42 +325,30 @@ def shifted_generators(draw):
 @example((3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(1, 0, 0)]), Fraction(1, 2))
 @example((2, [(1, 1), (2, 1), (1, 2)], [(1, 0), (0, 1)]), 3)
 @settings(max_examples=80, deadline=None)
-def test_canonical_reads_vertices_and_facets_off_one_description(generators, f):
-    # the vertices come from the facets' masks of tight rows, and the facets
-    # canonical attaches, and scale carries, are those a fresh polyhedron of
-    # the same rows computes
+def test_builder_reads_vertices_and_facets_off_one_description(generators, f):
+    # the vertices come from the facets' masks of tight rows, and the
+    # polyhedron scale gives, facets included, is the one built afresh from
+    # the scaled points
     dim, points, rays = generators
     poly = RationalPolyhedron.of(dim, points, rays)
     facets = facets_by_subsets(poly)
-    canon = poly.canonical()
-    assert canon.vertices == tuple(vertex_enumerate_by_subsets(facets, dim))
-    assert canon.directions == poly.directions
-    fresh = RationalPolyhedron(dim, canon.points, canon.directions)
-    assert canon.facets == fresh.facet_inequalities() == facets
-    scaled = scale(canon, f)
-    fresh = RationalPolyhedron(dim, scaled.points, scaled.directions)
-    assert scaled.facets == fresh.facet_inequalities()
-    assert scaled.vertices == scale(poly, f).canonical().vertices
-
-
-def with_facets(poly):
-    """poly with the facets of facet_inequalities attached."""
-    poly.facet_inequalities()
-    return poly
+    assert poly.vertices == tuple(vertex_enumerate_by_subsets(facets, dim))
+    assert poly.facets == facets
+    scaled = scale(poly, f)
+    fresh = RationalPolyhedron.of(dim, [[f * x for x in v] for v in points], rays)
+    assert scaled == fresh
 
 
 @st.composite
 def clip_inputs(draw):
     """(poly, t): polyhedra in dimensions 1-4 with coordinates in -2..2 and
     up to three rays of any sign, so that non-pointed, lower-dimensional
-    and redundant ones are common, with their facets attached by
-    facet_inequalities or by canonical; t zero, whole or fractional."""
+    and redundant ones are common; t zero, whole or fractional."""
     dim = draw(st.integers(1, 4))
     coords = st.tuples(*[st.integers(-2, 2)] * dim)
     points = draw(st.lists(coords, min_size=1, max_size=5))
     rays = draw(st.lists(coords.filter(any), max_size=3))
     poly = RationalPolyhedron.of(dim, points, rays)
-    poly = poly.canonical() if draw(st.booleans()) else with_facets(poly)
     return poly, draw(st.sampled_from([0, 1, 3, Fraction(5, 2), Fraction(2, 3)]))
 
 
@@ -357,11 +361,8 @@ def clip_inputs(draw):
 # that leaves the simplex through x_3 = 0
 @example((RationalPolyhedron.of(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)]), Fraction(1, 2)))
 @example((RationalPolyhedron.of(3, [(0, 0, 1)], [(1, 0, -1)]), 3))
-# the point (0, 1) is redundant, so it is no extreme ray of the hull's cone
-@example(
-    (with_facets(RationalPolyhedron.of(2, [(0, 0), (0, 1)], [(1, 0), (0, 1)])),
-     Fraction(5, 2))
-)
+# the builder drops the redundant point (0, 1)
+@example((RationalPolyhedron.of(2, [(0, 0), (0, 1)], [(1, 0), (0, 1)]), Fraction(5, 2)))
 @settings(max_examples=150, deadline=None)
 def test_clip_from_the_simplex_rays_matches_one_description(inputs):
     # cutting the corner simplex's own rays by the hull's facets gives the
@@ -370,29 +371,57 @@ def test_clip_from_the_simplex_rays_matches_one_description(inputs):
     assert _clip(poly, t) == clip_by_one_description(poly, t)
 
 
+@given(clip_inputs())
+@settings(max_examples=60, deadline=None)
+def test_builder_keeps_a_least_set_of_points(inputs):
+    # the kept points give the polyhedron back, and none can go: with rays
+    # of any sign, a polyhedron that holds a line keeps one point on each
+    # minimal face
+    poly, _ = inputs
+    rays, vertices = [r[:-1] for r in poly.directions], poly.vertices
+    assert RationalPolyhedron.of(poly.dim, vertices, rays) == poly
+    fewer = [vertices[:i] + vertices[i + 1:] for i in range(len(vertices))]
+    assert all(RationalPolyhedron.of(poly.dim, v, rays) != poly for v in fewer if v)
+
+
 def test_each_polyhedron_runs_one_double_description(monkeypatch):
-    # the hull's one description gives its vertices and facets, scaling
-    # carries the facets, and the clip cuts the simplex's own rays by those
-    # facets with no description of its own
-    calls = []
+    # a full-dimensional hull's one description, from one echelon form,
+    # gives its vertices and facets; scaling carries the facets, the clip
+    # cuts the simplex's own rays by those facets with no description of
+    # its own, and a volume reads its masks off the facets.  Rows that do
+    # not span take a second description, over their projection, and a
+    # second echelon form, which gives that projection and the equations.
+    calls = {"_extreme_rays": 0, "echelon": 0}
 
-    def counted(rows, inner=polyhedra._extreme_rays):
-        calls.append(rows)
-        return inner(rows)
+    def counting(owner, name):
+        inner = getattr(owner, name)
 
-    monkeypatch.setattr(polyhedra, "_extreme_rays", counted)
+        def counted(rows):
+            calls[name] += 1
+            return inner(rows)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(polyhedra, "_extreme_rays")
+    counting(linalg, "echelon")
     st_ = MonomialStaircase.from_generators(3, QUAD)
     hull = newton_polyhedron(st_)
-    assert len(calls) == 1
+    assert list(calls.values()) == [1, 1]
     half = scale(hull, Fraction(1, 2))
-    assert len(calls) == 1
+    assert list(calls.values()) == [1, 1]
     assert clipped_volume(half, Fraction(5, 2)) > 0
-    assert len(calls) == 1
+    assert list(calls.values()) == [1, 1]
     other = newton_polyhedron(MonomialStaircase.from_generators(3, [(1, 0, 0)]))
     delta = convex_union_approximant([hull, other])
-    assert len(calls) == 3
+    assert list(calls.values()) == [3, 3]
     gamma_region(delta, 3)
-    assert len(calls) == 3
+    assert list(calls.values()) == [3, 3]
+    cube = RationalPolyhedron.of(3, GRID_CUBE)
+    assert list(calls.values()) == [4, 4]
+    assert volume(cube) == volume(cube, apex_last=True) == 8
+    assert list(calls.values()) == [4, 4]
+    RationalPolyhedron.of(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+    assert list(calls.values()) == [6, 7]
 
 
 def test_clip_cuts_obey_the_ray_cap(monkeypatch):
@@ -405,8 +434,7 @@ def test_clip_cuts_obey_the_ray_cap(monkeypatch):
 
 def test_extreme_rays_need_spanning_rows():
     # {y1 >= 0, y2 = 0} in R^3 holds the whole y3-axis: not a pointed cone
-    with pytest.raises(ValueError, match="do not span"):
-        _extreme_rays([(1, 0, 0), (0, 1, 0), (0, -1, 0)])
+    assert _extreme_rays([(1, 0, 0), (0, 1, 0), (0, -1, 0)]) is None
     # each ray comes with the mask of the rows tight on it
     assert _extreme_rays([(1, 0), (0, 1), (1, 1)]) == [((0, 1), 0b001), ((1, 0), 0b010)]
 
@@ -427,9 +455,9 @@ def test_extreme_rays_builds_no_fraction(monkeypatch):
 
 
 def test_facets_and_containment_build_no_fraction(monkeypatch):
-    # the normals come out of the double description as ints, a point is
-    # tested on its cleared integer row, and the constructions map integer
-    # rows to integer rows
+    # the builder's normals come out of the double description as ints, a
+    # point is tested on its cleared integer row, and the constructions map
+    # integer rows to integer rows
     hull = RationalPolyhedron.of(
         3, [(0, 0, 0), (2, 0, 0), (0, Fraction(3, 2), 0), (0, 0, Fraction(1, 3))]
     )
@@ -438,13 +466,15 @@ def test_facets_and_containment_build_no_fraction(monkeypatch):
     staircase = MonomialStaircase.from_generators(3, QUAD)
     half, t = Fraction(1, 2), Fraction(5, 2)
     built = count_fractions(monkeypatch)
-    facets = hull.facet_inequalities()
+    rebuilt = convex_union_approximant([hull])
+    facets = rebuilt.facet_inequalities()
     verdicts = (polyhedron_contains(hull, inside), polyhedron_contains(hull, outside))
-    made = [hull.canonical(), newton_polyhedron(staircase)]
+    made = [rebuilt, newton_polyhedron(staircase)]
     made.append(scale(made[-1], half))
     made.append(clip_to_simplex(made[-1], t))
     monkeypatch.undo()
     assert built == []
+    assert rebuilt == hull
     assert all(type(x) is int for w in facets for x in w)
     assert verdicts == (True, False)
     assert all(type(x) is int for p in made for row in p.points for x in row)
@@ -454,7 +484,29 @@ def test_minimal_vertices_drop_redundant_points():
     tri = RationalPolyhedron.of(
         2, [(0, 0), (2, 0), (0, 2), (1, 0), (Fraction(1, 2), Fraction(1, 2))]
     )
-    assert tri.canonical().vertices == ((0, 0), (0, 2), (2, 0))
+    assert tri.vertices == ((0, 0), (0, 2), (2, 0))
+    # (1, 1) lies on the edge from (2, 0) to (0, 2)
+    edge = RationalPolyhedron.of(2, [(0, 0), (2, 0), (0, 2), (1, 1)])
+    assert edge.vertices == ((0, 0), (0, 2), (2, 0))
+    # a line has no vertex: the first point on it is kept, and it tells the
+    # line apart from a parallel one
+    line = RationalPolyhedron.of(2, [(2, 1), (1, 1)], rays=[(1, 0), (-1, 0)])
+    assert line.vertices == ((1, 1),)
+    assert line != RationalPolyhedron.of(2, [(1, 2)], rays=[(1, 0), (-1, 0)])
+    # a strip: its two boundary lines are its minimal faces
+    strip = RationalPolyhedron.of(
+        2, [(0, 0), (3, 1), (1, 0), (0, 1), (5, Fraction(1, 2))], rays=[(1, 0), (-1, 0)]
+    )
+    assert strip.vertices == ((0, 0), (0, 1))
+
+
+def test_polyhedron_dict_is_unchanged_by_a_clip():
+    # the facets are there from construction, so using them changes nothing
+    poly = RationalPolyhedron.of(3, [(1, 0, 0), (0, 2, 0), (0, 0, 1), (1, 1, 1)])
+    before = polyhedron_to_dict(poly)
+    assert clipped_volume(poly, 3) > 0
+    assert polyhedron_to_dict(poly) == before
+    assert len(before["facets"]) == 4
 
 
 def test_newton_polyhedron_of_quadruple():
@@ -557,8 +609,8 @@ def test_volume_invariances(poly):
     assert v >= 0
     assert volume(poly, apex_last=True) == v
     if v > 0:
-        assert_simplices_nondegenerate(poly, False)
-        assert_simplices_nondegenerate(poly, True)
+        assert_simplices_nondegenerate(poly.points, poly.dim, False)
+        assert_simplices_nondegenerate(poly.points, poly.dim, True)
     # translation invariance
     shift = tuple(Fraction(3) for _ in range(poly.dim))
     moved = RationalPolyhedron.of(
