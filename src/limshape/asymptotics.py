@@ -26,6 +26,7 @@ from .configs import (
 )
 from .groebner import (
     ComputationLimitError,
+    ENTRY_BOUND,
     GenericityError,
     GinResult,
     derive_seed,
@@ -235,7 +236,6 @@ class ConvergenceReport:
     n: int
     t: Fraction
     seed: int
-    entry_bound: int
     config: dict
     rows: list
     target: UniPoly | None = None
@@ -283,7 +283,7 @@ class ConvergenceReport:
             "n": self.n,
             "t": str(self.t),
             "seed": self.seed,
-            "entry_bound": self.entry_bound,
+            "entry_bound": ENTRY_BOUND,
             "tool_version": __version__,
             "config": self.config,
             "target": None if self.target is None else str(self.target),
@@ -323,7 +323,7 @@ def _is_factorial(m):
     return f == m
 
 
-def gin_of_symbolic_power(config: Config, m, seed, entry_bound=100) -> GinResult:
+def gin_of_symbolic_power(config: Config, m, seed) -> GinResult:
     """gin of I^(m), computed on the configuration moved into coordinate
     position.
 
@@ -334,10 +334,10 @@ def gin_of_symbolic_power(config: Config, m, seed, entry_bound=100) -> GinResult
     """
     moved, _ = coordinate_position(config)
     sp = symbolic_power(moved, m)
-    return gin(sp.generators, sp.nvars, seed, entry_bound, sp.hilbert_numerator)
+    return gin(sp.generators, sp.nvars, seed, sp.hilbert_numerator)
 
 
-def compute_report_row(config: Config, t, m, seed, entry_bound) -> ReportRow:
+def compute_report_row(config: Config, t, m, seed) -> ReportRow:
     """One (config, m) row: symbolic power -> gin -> staircase, lattice
     count of the complement and both volume paths.  Resource, genericity
     and saturation failures are captured in the row, not raised."""
@@ -345,7 +345,7 @@ def compute_report_row(config: Config, t, m, seed, entry_bound) -> ReportRow:
     n = config.n
     row = ReportRow(m=m)
     try:
-        g = gin_of_symbolic_power(config, m, derive_seed(seed, "row", m), entry_bound)
+        g = gin_of_symbolic_power(config, m, derive_seed(seed, "row", m))
         st = g.staircase
         mt = Fraction(m) * t
         row.count = st.count_gamma(floor(mt))
@@ -371,7 +371,6 @@ def ahf_estimate(
     t,
     m_list,
     seed: int = 0,
-    entry_bound: int = 100,
     family: str = "config",
     jobs: int = 1,
 ) -> ConvergenceReport:
@@ -386,7 +385,7 @@ def ahf_estimate(
         raise ValueError("m_list must be nonempty and strictly increasing")
     t = Fraction(t)
     n = config.n
-    row = partial(compute_report_row, config, t, seed=seed, entry_bound=entry_bound)
+    row = partial(compute_report_row, config, t, seed=seed)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -405,7 +404,6 @@ def ahf_estimate(
         n=n,
         t=t,
         seed=seed,
-        entry_bound=entry_bound,
         config=config_to_dict(config),
         rows=rows,
         target=target,

@@ -29,15 +29,14 @@ from .asymptotics import (
 )
 from .configs import (
     Config,
-    DegenerateConfigError,
     config_from_json,
     coordinate_position,
     symbolic_power,
 )
 from .groebner import (
     ComputationLimitError,
+    ENTRY_BOUND,
     GenericityError,
-    MIN_ENTRY_BOUND,
     buchberger,
     reduce_tails,
     regularity_surrogate,
@@ -81,13 +80,20 @@ class RunManifest:
     config_path: str | None = None
     config_sha256: str | None = None
     seed: int | None = None
-    entry_bound: int | None = None
     m: int | None = None
     m_max: int | None = None
     t: str | None = None
 
     def as_dict(self):
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        """The fields that are set, in order; a seed, which fixes the gin
+        draws, is followed by the bound on their entries."""
+        out = {}
+        for k, v in asdict(self).items():
+            if v is not None:
+                out[k] = v
+                if k == "seed":
+                    out["entry_bound"] = ENTRY_BOUND
+        return out
 
 
 def _load_config(path):
@@ -99,7 +105,7 @@ def _load_config(path):
         raise CliError(f"cannot read config: {exc}", EXIT_USAGE)
     try:
         config = config_from_json(text)
-    except (ValueError, KeyError, TypeError, DegenerateConfigError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise CliError(f"bad config {path}: {exc}", EXIT_USAGE)
     digest = hashlib.sha256(text.encode()).hexdigest()
     return config, digest
@@ -116,20 +122,15 @@ def _parse_t(text):
     return t
 
 
-def _whole_number(least):
-    """The argparse type of a whole number >= least: 1 for --m, --m-max and
-    --jobs, MIN_ENTRY_BOUND for --entry-bound."""
-
-    def parse(text):
-        try:
-            k = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad integer {text!r}")
-        if k < least:
-            raise argparse.ArgumentTypeError(f"must be >= {least}, got {text}")
-        return k
-
-    return parse
+def _whole_number(text):
+    """The value of --m, --m-max and --jobs: a whole number >= 1."""
+    try:
+        k = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}")
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return k
 
 
 def _emit(payload, args, name):
@@ -153,10 +154,9 @@ def _gin_run(args):
     """The manifest and the gin of I^(m) for `gin` and `staircase`."""
     config, digest = _load_config(args.config)
     manifest = RunManifest(
-        args.command, __version__, args.config, digest, args.seed,
-        args.entry_bound, args.m,
+        args.command, __version__, args.config, digest, args.seed, args.m
     )
-    return manifest, gin_of_symbolic_power(config, args.m, args.seed, args.entry_bound)
+    return manifest, gin_of_symbolic_power(config, args.m, args.seed)
 
 
 def _estimate_run(args):
@@ -165,14 +165,13 @@ def _estimate_run(args):
     config, digest = _load_config(args.config)
     manifest = RunManifest(
         args.command, __version__, args.config, digest, args.seed,
-        args.entry_bound, m_max=args.m_max, t=str(args.t),
+        m_max=args.m_max, t=str(args.t),
     )
     report = ahf_estimate(
         config,
         args.t,
         list(range(1, args.m_max + 1)),
         seed=args.seed,
-        entry_bound=args.entry_bound,
         family=args.command,
         jobs=args.jobs,
     )
@@ -313,10 +312,10 @@ def _check(name, ok, detail=""):
     return ok
 
 
-def _verify_two_lines(seed, entry_bound):
+def _verify_two_lines(seed):
     ok = True
     config = Config.generic(3, 1, 2, seed)
-    g = gin_of_symbolic_power(config, 1, seed, entry_bound)
+    g = gin_of_symbolic_power(config, 1, seed)
     expected = {(1, 0, 1), (0, 2, 0), (1, 1, 0), (2, 0, 0)}
     ok &= _check(
         "gin(I) contains the degree-2 quadruple",
@@ -344,7 +343,7 @@ def _verify_two_lines(seed, entry_bound):
     return ok
 
 
-def _verify_intersecting_lines(seed, entry_bound):
+def _verify_intersecting_lines(seed):
     ok = True
     lines = Config.of(
         3,
@@ -354,7 +353,7 @@ def _verify_intersecting_lines(seed, entry_bound):
         ],
     )
     for m in (1, 2):
-        g = gin_of_symbolic_power(lines, m, seed, entry_bound)
+        g = gin_of_symbolic_power(lines, m, seed)
         reg = regularity_surrogate(g)
         hp = intersecting_lines_hp(m)
         match = all(
@@ -375,7 +374,7 @@ def _verify_intersecting_lines(seed, entry_bound):
     return ok
 
 
-def _verify_points_grid(seed, entry_bound):
+def _verify_points_grid(seed):
     ok = True
     for n in (2, 3, 4):
         for r in range(1, 7):
@@ -386,10 +385,7 @@ def _verify_points_grid(seed, entry_bound):
                 str(ahp),
             )
     config = Config.generic(2, 0, 2, seed)
-    report = ahf_estimate(
-        config, 2, [1, 2, 3, 4], seed=seed, entry_bound=entry_bound,
-        family="points-grid",
-    )
+    report = ahf_estimate(config, 2, [1, 2, 3, 4], seed=seed, family="points-grid")
     ok &= _check(
         "all rows satisfy the lattice-volume error bound",
         all(r.lattice_bound_ok for r in report.rows if r.error is None),
@@ -424,7 +420,7 @@ def cmd_verify(args):
             f"unknown example {args.example!r}; "
             f"choose from {sorted(VERIFIERS)}", EXIT_USAGE
         )
-    ok = fn(args.seed, args.entry_bound)
+    ok = fn(args.seed)
     print("all checks passed" if ok else "some checks FAILED")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -446,19 +442,17 @@ def build_parser():
         command computes no gin."""
         p.add_argument("--config", help="configuration JSON path")
         if m:
-            p.add_argument("--m", type=_whole_number(1), default=1,
+            p.add_argument("--m", type=_whole_number, default=1,
                            help="symbolic power")
         if rows:
-            p.add_argument("--m-max", type=_whole_number(1), default=2,
+            p.add_argument("--m-max", type=_whole_number, default=2,
                            dest="m_max")
             p.add_argument("--t", type=_parse_t, required=True,
                            help="rational truncation parameter, e.g. 7/2")
-            p.add_argument("--jobs", type=_whole_number(1), default=1)
+            p.add_argument("--jobs", type=_whole_number, default=1)
             p.add_argument("--format", choices=["json", "csv"], default="json")
         if draws:
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--entry-bound", type=_whole_number(MIN_ENTRY_BOUND),
-                           default=100, dest="entry_bound")
         p.add_argument("--out", help="output directory (default: stdout)")
 
     p = sub.add_parser("gin", help="gin of a symbolic power")
@@ -494,8 +488,6 @@ def build_parser():
     p = sub.add_parser("verify", help="run a worked-example acceptance fixture")
     p.add_argument("example", help="two-lines | intersecting-lines | points-grid")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--entry-bound", type=_whole_number(MIN_ENTRY_BOUND),
-                   default=100, dest="entry_bound")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("report", help="convergence report CSV/JSON")
@@ -517,7 +509,7 @@ def main(argv=None):
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = exc.code
-    except (DegenerateConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_USAGE
     except (GenericityError, ComputationLimitError) as exc:

@@ -82,7 +82,7 @@ PAIR_CAP = 200_000  # S-pairs one Buchberger run may take; read at call time
 # basis of the reach runs has 345 (5 points in P^3 up to m = 6), and the
 # B^2 / 2 pending pairs of a basis at the cap take about 110 MB
 BASIS_CAP = 1_000
-MIN_ENTRY_BOUND = 10  # least bound on the entries of a gin draw
+ENTRY_BOUND = 100  # a gin draw's matrix has entries in [-ENTRY_BOUND, ENTRY_BOUND]
 # the prime of each gin draw, 2^31 - 1 and the largest prime below it;
 # read at call time
 GIN_PRIMES = (2_147_483_647, 2_147_483_629)
@@ -332,7 +332,6 @@ def intersect_ideals(a, b, n):
 @dataclass(frozen=True)
 class GinResult:
     staircase: MonomialStaircase  # in nvars-1 variables (last one dropped)
-    coordinate_matrix: tuple
 
     @property
     def raw_initial(self):
@@ -348,21 +347,21 @@ def derive_seed(seed: int, *labels) -> int:
     return int(h[:16], 16)
 
 
-def random_change_matrix(rng: random.Random, n: int, entry_bound: int):
+def random_change_matrix(rng: random.Random, n: int):
     while True:
         m = tuple(
-            tuple(rng.randint(-entry_bound, entry_bound) for _ in range(n))
+            tuple(rng.randint(-ENTRY_BOUND, ENTRY_BOUND) for _ in range(n))
             for _ in range(n)
         )
         if linalg.det([list(r) for r in m]) != 0:
             return m
 
 
-def _gin_once(generators, nvars, seed: int, entry_bound: int, target, p: int):
-    """One draw: its seeded integer matrix and the leads of its section
-    x_last = 0, computed over F_p in the first nvars - 1 variables."""
-    rng = random.Random(seed)
-    matrix = random_change_matrix(rng, nvars, entry_bound)
+def _gin_once(generators, nvars, seed: int, target, p: int):
+    """One draw: the minimal leads, sorted by packed key, of the section
+    x_last = 0 under the integer matrix the seed alone fixes, computed over
+    F_p in the first nvars - 1 variables."""
+    matrix = random_change_matrix(random.Random(seed), nvars)
     if linalg.det(matrix) % p == 0:
         raise GenericityError(
             f"prime {p} divides the determinant of the coordinate draw"
@@ -382,19 +381,21 @@ def _gin_once(generators, nvars, seed: int, entry_bound: int, target, p: int):
             f"prime {p} is unlucky, the ideal is not saturated, or the last "
             f"variable of the draw is a zero divisor on it: over F_{p} {exc}"
         ) from exc
-    return matrix, minimalize(lead for lead, _ in pairs)
+    return tuple(lead for lead, _ in pairs)
 
 
-def gin(generators, nvars, seed: int, entry_bound: int, target) -> GinResult:
+def gin(generators, nvars, seed: int, target) -> GinResult:
     """Generic initial ideal of the saturated ideal that generators, term
     dicts in nvars variables in the pipeline's format (see rings), generate,
     via two seeded random coordinate changes, each computed over a prime
     field F_p, one prime of GIN_PRIMES per draw, on its hyperplane section
     x_last = 0.
 
-    Each draw substitutes the first nvars - 1 columns of its integer matrix
-    into the generators mod its prime; a prime dividing the determinant or
-    the leading coefficient of a generator is refused.
+    Draw k's integer matrix, with entries in [-ENTRY_BOUND, ENTRY_BOUND],
+    is fixed by derive_seed(seed, "gin", k) alone.  Each draw substitutes
+    the first nvars - 1 columns of its matrix into the generators mod its
+    prime; a prime dividing the determinant or the leading coefficient of a
+    generator is refused.
     Both draws' buchberger take target, the K-polynomial of the ideal over
     Q.  For degrevlex, in(J + (x_last)) = in(J) + (x_last) (Bayer-Stillman
     1987); if x_last is a nonzerodivisor on S/gI, no minimal generator of
@@ -404,6 +405,8 @@ def gin(generators, nvars, seed: int, entry_bound: int, target) -> GinResult:
     match; so a match also certifies saturation.  The two draws must agree
     on a Borel-fixed initial ideal (Galligo, Bayer-Stillman); a failed
     check raises GenericityError, naming the prime where one is at fault.
+    The generic matrices form a Zariski-open set, so another seed is the
+    way out of draws that disagree or are not Borel-fixed.
 
     Why the draws over F_p meet the standard of draws over Q: a draw over Q
     misses gin(I) only when its matrix lies on a proper Zariski-closed set,
@@ -423,21 +426,17 @@ def gin(generators, nvars, seed: int, entry_bound: int, target) -> GinResult:
     Borel-fixed ideals of characteristic p are the strongly stable ones the
     gate tests for (Pardue 1994).
     """
-    if entry_bound < MIN_ENTRY_BOUND:
-        raise ValueError(f"entry_bound must be >= {MIN_ENTRY_BOUND}")
     p0, p1 = GIN_PRIMES
-    (matrix, raw), (_, raw2) = (
-        _gin_once(generators, nvars, derive_seed(seed, "gin", k), entry_bound,
-                  target, p)
+    raw, raw2 = (
+        _gin_once(generators, nvars, derive_seed(seed, "gin", k), target, p)
         for k, p in enumerate((p0, p1))
     )
     if raw != raw2:
         raise GenericityError(
-            f"two coordinate draws (over F_{p0} and F_{p1}) disagree; raise "
-            f"entry_bound (currently {entry_bound})"
+            f"two coordinate draws (over F_{p0} and F_{p1}) disagree; try "
+            "another seed"
         )
-    staircase = MonomialStaircase.from_generators(nvars - 1, raw)
-    result = GinResult(staircase, matrix)
+    result = GinResult(MonomialStaircase.from_generators(nvars - 1, raw))
     if not result.staircase.is_borel_fixed():
         raise GenericityError(
             f"initial ideal {result.raw_initial} is not Borel-fixed; the "

@@ -371,13 +371,18 @@ def groebner_basis(ideal: Ideal, order=DEGREVLEX) -> GroebnerBasis:
     ))
 
 
-def gin_draws_over_q(ideal: Ideal, seed, entry_bound=100, target=None):
+def gin_draw_matrix(seed, nvars, k=0):
+    """The integer matrix of gin's draw k (0 or 1), which its seed alone
+    fixes."""
+    return random_change_matrix(random.Random(derive_seed(seed, "gin", k)), nvars)
+
+
+def gin_draws_over_q(ideal: Ideal, seed, target=None):
     """The minimal generators of the initial ideal of each of gin's two
     draws, computed over Q under the seeded matrices gin draws."""
     raws = []
     for k in (0, 1):
-        rng = random.Random(derive_seed(seed, "gin", k))
-        matrix = random_change_matrix(rng, ideal.nvars, entry_bound)
+        matrix = gin_draw_matrix(seed, ideal.nvars, k)
         moved = linear_substitute(ideal.generators, matrix)
         pairs = buchberger(
             pack_generators([g.terms for g in moved]), ideal.nvars, target=target

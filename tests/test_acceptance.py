@@ -96,7 +96,7 @@ def sym_power_gb(which, m):
 @lru_cache(maxsize=None)
 def gin_of(which, m):
     sp = sym_power(which, m)
-    return gin(sp.generators, sp.nvars, SEED, 100, sp.hilbert_numerator)
+    return gin(sp.generators, sp.nvars, SEED, sp.hilbert_numerator)
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from oracles import groebner_basis, symbolic_ideal
 from test_asymptotics import MOVE_ORACLE_CASES
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 TWO_POINTS = '{"n": 2, "components": [{"type": "point", "coords": [1, 0, 0]}, {"type": "point", "coords": [0, 0, 1]}]}'
 
 
@@ -61,6 +64,13 @@ def test_usage_errors(capsys, tmp_path, config_path):
         ["staircase", "--format", "csv"],
         ["symbolic-power", "--seed", "1"],
         ["symbolic-power", "--entry-bound", "50"],
+        # the seed alone fixes the gin draws; their bound is no flag
+        ["gin", "--config", config_path, "--entry-bound", "100"],
+        ["staircase", "--config", config_path, "--entry-bound", "100"],
+        ["limiting-shape", "--config", config_path, "--t", "2",
+         "--entry-bound", "100"],
+        ["report", "--config", config_path, "--t", "2", "--entry-bound", "100"],
+        ["verify", "two-lines", "--entry-bound", "100"],
         ["ahp-flats", "--n", "3", "--r", "1", "--s", "2", "--format", "json"],
         ["volume", "--poly", str(missing), "--format", "json"],
         # the report commands need --t
@@ -156,18 +166,27 @@ def test_usage_errors(capsys, tmp_path, config_path):
         path.write_text(poly)
         code, _, err = run(["volume", "--poly", str(path), "--t", "1"], capsys)
         assert code == cli.EXIT_USAGE and "expected a number" in err, name
-    # gin draws need entries up to at least 10, checked while the flags are
-    # read
-    for argv in (
-        ["gin", "--config", config_path],
-        ["staircase", "--config", config_path],
-        ["limiting-shape", "--config", config_path, "--t", "2"],
-        ["report", "--config", config_path, "--t", "2"],
-        ["verify", "two-lines"],
-    ):
-        code, _, err = run(argv + ["--entry-bound", "5"], capsys)
-        assert code == cli.EXIT_USAGE, argv
-        assert "--entry-bound: must be >= 10" in err and "wall time" not in err
+
+
+def test_readme_cli_table_lists_the_flags_each_parser_takes():
+    # one row per subcommand, naming exactly the options of its parser
+    # (help aside), so the table cannot drift from the flags
+    subparsers, = (a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    lines = README.read_text().split("## CLI", 1)[1].splitlines()
+    start = lines.index("| command | purpose | flags |") + 2
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        command, _, flags = (cell.strip(" `") for cell in line.strip("|").split("|"))
+        assert command not in table, command
+        table[command] = sorted(flags.split())
+    assert sorted(table) == sorted(subparsers.choices)
+    for command, parser in subparsers.choices.items():
+        options = [s for a in parser._actions if not isinstance(a, argparse._HelpAction)
+                   for s in a.option_strings]
+        assert table[command] == sorted(options), command
 
 
 def test_json_arrays_are_not_read_from_strings(tmp_path, capsys):
@@ -585,7 +604,7 @@ def test_non_borel_initial_ideal_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     path.write_text(INTERSECTING_LINES)
     for matrix, reason in ((identity, "not saturated"), (permutation, "Borel-fixed")):
         monkeypatch.setattr(groebner, "random_change_matrix",
-                            lambda rng, n, bound: matrix)
+                            lambda rng, n: matrix)
         code, _, err = run(["gin", "--config", str(path), "--m", "2"], capsys)
         assert code == cli.EXIT_GENERICITY
         assert reason in err
