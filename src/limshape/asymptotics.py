@@ -389,7 +389,7 @@ def ahf_estimate(
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(m_list))) as pool:
             rows = list(pool.map(row, m_list))
     else:
         rows = list(map(row, m_list))

@@ -20,9 +20,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations, combinations_with_replacement, product
-from math import gcd, lcm
 from types import SimpleNamespace
 
 from . import linalg
@@ -234,62 +232,60 @@ def coordinate_position(config: Config) -> tuple[Config, tuple]:
 
     The points and forms are cleared of their denominators; every step
     after that computes on integer rows.  The vectors spanning each
-    component (the point itself, or the kernel of a flat's forms) in
-    component order, then the unit vectors, are kept greedily while they
-    are independent: a basis B of k^(n+1).  If a point outside the basis
-    has no zero coordinate in it, the basis is scaled so that the point
-    becomes (1,...,1), the projective frame.  Points map to B^-1 p and
-    forms to f B, in reduced row-echelon form, each as a primitive integer
-    row positive at its first nonzero entry, so a flat spanned by basis
-    vectors is cut out by variables.  gin is invariant under this change
-    of coordinates.
+    component (the point itself, or the kernel of a flat's forms), then
+    the unit vectors, are kept greedily while independent: a basis B of
+    k^(n+1) in blocks, one per component with kept vectors and one of unit
+    vectors.  The first component with no kept vector and a nonzero part
+    in every block is put in normal form: each block is kept anew from the
+    parts there of that component's vectors, then its own.  So a point
+    becomes (1,...,1), the projective frame, and a line skew to two lines
+    in P^3 is cut out by x0 - x2 and x1 - x3.  Points map to B^-1 p and
+    forms to f B in reduced row-echelon form, primitive integer rows, so a
+    flat spanned by basis vectors is cut out by variables.  gin is
+    invariant under this change of coordinates.
 
     A polynomial G vanishes on the moved configuration iff G(B^-1 x)
     vanishes on the given one; the second value is d B^-1 as integer rows
-    whose entries have gcd 1, for some d > 0, the matrix
-    rings.cleared_substitute takes for that substitution, which for
-    homogeneous G only scales G(B^-1 x).
+    for the least d > 0, the matrix rings.cleared_substitute takes for that
+    substitution, which for homogeneous G only scales G(B^-1 x).
     """
     n = config.n
     points = [linalg.cleared(p)[1] for p in config.points]
     flats = [[linalg.cleared(f)[1] for f in forms] for forms in config.flats]
-    spans = points + [v for forms in flats for v in linalg.nullspace(forms)]
-    spans += [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    spans = [[p] for p in points] + [linalg.nullspace(forms) for forms in flats]
+    spans.append([[int(i == j) for j in range(n + 1)] for i in range(n + 1)])
+    tags, vectors = zip(*[(k, v) for k, vs in enumerate(spans) for v in vs])
     # a column is a pivot of the echelon form iff it is independent of the
     # columns before it
-    basis = [spans[c] for c in linalg.echelon(list(zip(*spans)))[1]]
+    columns = list(zip(*vectors))
+    rows, kept = linalg.echelon(columns)
+    basis = [vectors[c] for c in kept]
+    blocks = dict.fromkeys(tags[c] for c in kept)
+    # the relation v of each column f left out: s vectors[f] is the sum of
+    # -v[c] vectors[c] over the kept c, for one s > 0 common to all f
+    relations = linalg.kernel(rows, kept, len(tags))
+    for k in sorted(set(range(len(spans) - 1)) - blocks.keys()):
+        ours = [v for v in relations if any(x for x, t in zip(v, tags) if t == k)]
+        if {tags[c] for v in ours for c in kept if v[c]} == blocks.keys():
+            candidates = [u for t in blocks for u in [
+                _coordinates(columns, [-x if s == t else 0 for x, s in zip(v, tags)])
+                for v in ours] + [vectors[c] for c in kept if tags[c] == t]]
+            basis = [candidates[c] for c in linalg.echelon(list(zip(*candidates)))[1]]
+            break
     inverse = linalg.inverse(list(zip(*basis)))  # d B^-1, by rows
-    for p in points:
-        if p not in basis:
-            frame = _coordinates(inverse, p)
-            if all(frame):
-                # B diag(frame) has the inverse diag(1/frame) B^-1: row i
-                # of d B^-1 times lcm(frame) / frame[i] keeps it integral
-                scale = lcm(*frame)
-                basis = [[x * c for x in v] for v, c in zip(basis, frame)]
-                inverse = [[x * (scale // c) for x in row]
-                           for row, c in zip(inverse, frame)]
-                break
-    # the scaling may leave a common factor; the least multiple substitutes
-    # with the smallest integers
-    content = reduce(gcd, [x for row in inverse for x in row])
-    inverse = [[x // content for x in row] for row in inverse]
     points = [linalg.echelon([_coordinates(inverse, p)])[0][0] for p in points]
     flats = [
         linalg.echelon([_coordinates(basis, f) for f in forms])[0]  # f B
         for forms in flats
     ]
-    moved = Config(
-        n,
-        tuple(map(tuple, points)),
-        tuple(tuple(map(tuple, forms)) for forms in flats),
-    )
+    moved = Config(n, tuple(map(tuple, points)),
+                   tuple(tuple(map(tuple, forms)) for forms in flats))
     return moved, tuple(map(tuple, inverse))
 
 
 def _coordinates(rows, p):
     """Each row dotted with p: d B^-1 p for the rows of d B^-1, f B for
-    the columns of B, or a flat's forms at a point."""
+    the columns of B, a flat's forms at a point, or a sum of columns."""
     return [sum(a * b for a, b in zip(row, p)) for row in rows]
 
 
@@ -314,7 +310,9 @@ def config_to_dict(config: Config):
 
 def config_from_dict(data) -> Config:
     n = linalg.json_integer(data, "n")
-    if "generic" in data and not data.get("components"):
+    if "generic" in data:
+        if data.get("components"):
+            raise DegenerateConfigError("give generic or components, not both")
         g = data["generic"]
         r, s, seed = (linalg.json_integer(g, key) for key in ("r", "s", "seed"))
         return Config.generic(n, r, s, seed)

@@ -140,7 +140,9 @@ def det(mat):
 def inverse(mat):
     """d mat^-1 as integer rows, for the least d > 0, read off the echelon
     form of [mat | I]: its row i is the least integer multiple row[i] of
-    (e_i | row i of mat^-1), so d is the lcm of those multiples."""
+    (e_i | row i of mat^-1), so d is the lcm of those multiples.  For an
+    integer mat its entries have gcd 1: were d mat^-1 = g N, N integral and
+    g > 1, then mat N = (d/g) I makes d/g an integer below d that clears it."""
     n = len(mat)
     rows, pivots = echelon(
         [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
@@ -153,8 +155,8 @@ def inverse(mat):
 
 def kernel(rows, pivots, cols):
     """Integer basis of the right kernel of echelon rows with cols columns:
-    one vector per free column f, positive at f and 0 at the other free
-    columns."""
+    one vector per free column f, 0 at the other free columns and at f the
+    same positive value for every f."""
     scale = reduce(lcm, [row[c] for row, c in zip(rows, pivots)], 1)
     basis = []
     for f in range(cols):

@@ -1,3 +1,4 @@
+import concurrent.futures
 from fractions import Fraction
 from math import comb, factorial
 
@@ -200,6 +201,32 @@ def test_ahf_estimate_parallel_matches_serial():
     assert serial.to_dict() == parallel.to_dict()
 
 
+def test_ahf_estimate_starts_no_more_workers_than_rows(monkeypatch):
+    # a pool forks its workers at the first submit, so --jobs above the
+    # number of rows would only fork idle processes; a fake pool records
+    # the count and starts none
+    started = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    cfg = Config.of(2, [(0, 0, 1), (0, 1, 0)])
+    for jobs, m_list in ((500, [1, 2]), (2, [1, 2, 3])):
+        ahf_estimate(cfg, t=2, m_list=m_list, seed=3, jobs=jobs)
+    assert started == [2, 2]
+
+
 def test_ahf_estimate_convergence_toward_target():
     cfg = Config.generic(2, 0, 2, seed=7)
     report = ahf_estimate(cfg, t=2, m_list=[1, 2, 3, 4], seed=7)
@@ -233,6 +260,9 @@ MOVE_ORACLE_CASES = {
     # n + 3 points: the fourth goes to the frame (1,1,1), the fifth
     # anywhere; in P^3 the unmoved m = 2 alone takes about 4 s
     "five-points-P2": (Config.generic(2, 0, 5, seed=3), 3),
+    # the third line goes to x0 - x2 = x1 - x3 = 0; the unmoved m = 3
+    # alone takes about 15 s
+    "three-lines-P3": (Config.generic(3, 1, 3, seed=3), 2),
 }
 
 

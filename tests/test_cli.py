@@ -142,6 +142,14 @@ def test_usage_errors(capsys, tmp_path, config_path):
         path.write_text(json.dumps(data))
         code, _, err = run(["symbolic-power", "--config", str(path)], capsys)
         assert code == cli.EXIT_USAGE and "must be an integer" in err, name
+    # a generic family beside components is refused, not run on the points
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps({
+        "n": 3, "generic": {"r": 1, "s": 2, "seed": 3},
+        "components": [{"type": "point", "coords": [1, 2, 3, 4]}],
+    }))
+    code, _, err = run(["report", "--config", str(path), "--t", "2"], capsys)
+    assert code == cli.EXIT_USAGE and "not both" in err
     for dim in ("2.0", "true"):
         path = tmp_path / "dim.json"
         path.write_text(f'{{"dim": {dim}, "vertices": [[0, 0]]}}')
@@ -276,7 +284,6 @@ def test_symbolic_power_command_keeps_input_coordinates(name, tmp_path, capsys):
 GOLDEN_CASES = {
     **MOVE_ORACLE_CASES,
     "five-points-P3": (Config.generic(3, 0, 5, 3), 3),
-    "three-lines-P3": (Config.generic(3, 1, 3, 3), 2),
 }
 GOLDEN_DIGESTS = {
     "two-lines": (

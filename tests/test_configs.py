@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     Ideal,
@@ -253,9 +253,9 @@ def test_symbolic_power_obeys_the_image_cap(monkeypatch):
 def test_symbolic_power_view_shows_the_integers_it_holds():
     # the `ideal` view prints each generator with the primitive integer
     # coefficients the pipeline holds, so the sizes read off it are theirs:
-    # three lines in coordinate position at m = 2 hold 140-bit integers,
-    # which made monic would read as 135 bits
-    moved, _ = coordinate_position(Config.generic(3, 1, 3, 3))
+    # three lines in P^4, whose third keeps a basis vector and so stays
+    # generic in coordinate position, hold 207-bit integers at m = 2
+    moved, _ = coordinate_position(Config.generic(4, 1, 3, 3))
     sp = symbolic_power(moved, 2)
     n = sp.nvars
     view = sp.ideal.generators
@@ -266,7 +266,7 @@ def test_symbolic_power_view_shows_the_integers_it_holds():
         max(c.numerator.bit_length(), c.denominator.bit_length())
         for g in view for c in g.terms.values()
     ]
-    assert max(bits) == 140
+    assert max(bits) == 207
 
 
 def test_symbolic_power_two_points_hilbert_function():
@@ -392,6 +392,11 @@ def test_config_json_rejects_garbage():
         config_from_json('{"n": 2, "components": []}')
     with pytest.raises(DegenerateConfigError):
         config_from_json('{"n": 2, "components": [{"type": "blob"}]}')
+    # a family and components together are refused, not read as the
+    # components alone
+    with pytest.raises(DegenerateConfigError, match="not both"):
+        config_from_json('{"n": 3, "generic": {"r": 1, "s": 2, "seed": 3}, '
+                         '"components": [{"type": "point", "coords": [1, 2, 3, 4]}]}')
     # a generic family of no members is refused when it is loaded
     for s in (0, -1):
         with pytest.raises(DegenerateConfigError, match="no components"):
@@ -441,6 +446,15 @@ def test_inverse_is_the_inverse():
         assert d > 0 and d == int(d)
         assert product == [[d * int(i == j) for j in range(n)] for i in range(n)]
         assert gcd(int(d), *(x for row in inv for x in row)) == 1
+    # for an integer matrix the entries alone have gcd 1, d aside: the
+    # frame's diagonal scalings among them
+    integer = [[[2, 0], [0, 2]], [[4, 2], [2, 4]],
+               [[6, 0, 0], [0, 10, 0], [0, 0, 15]]]
+    integer += [[[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+                for n in (2, 3, 5) for _ in range(4)]
+    for mat in integer:
+        if linalg.rank(mat) == len(mat):
+            assert reduce(gcd, [x for row in linalg.inverse(mat) for x in row]) == 1
     with pytest.raises(ValueError, match="singular"):
         linalg.inverse([[1, 2], [2, 4]])
 
@@ -461,6 +475,23 @@ def test_coordinate_position_puts_next_point_on_the_frame():
     ]})
     # the point is a basis vector, so no point lies outside the basis
     assert coordinate_position(union)[0].components[0] == ("point", tuple(units[0]))
+
+
+@pytest.mark.parametrize("config", [Config.generic(3, 1, 3, seed=3),
+                                    Config.generic(5, 2, 3, seed=3)],
+                         ids=["three-lines-P3", "three-planes-P5"])
+def test_coordinate_position_puts_a_third_flat_in_normal_form(config):
+    # the first two flats span the basis; each block is kept anew from the
+    # third flat's parts in it, so that flat is cut out by differences of
+    # variables, x_i - x_(i+r+1) for r-flats
+    moved, _ = coordinate_position(config)
+    forms = [f for fs in moved.forms for f in fs]
+    assert {x for f in forms for x in f} == {-1, 0, 1}
+    n, k = moved.n, len(moved.forms[2])
+    assert moved.forms[2] == tuple(
+        tuple(int(j == i) - int(j == i + n + 1 - k) for j in range(n + 1))
+        for i in range(k)
+    )
 
 
 @pytest.mark.parametrize("config", [Config.generic(3, 0, 5, seed=3),
@@ -508,6 +539,9 @@ _coords = st.lists(st.integers(-3, 3), min_size=4, max_size=4)
     points=st.lists(_coords, max_size=3),
     flats=st.lists(st.lists(_coords, min_size=1, max_size=3), max_size=3),
 )
+# three skew lines, the third put in normal form
+@example(points=[], flats=[[list(f) for f in forms]
+                           for forms in Config.generic(3, 1, 3, seed=3).flats])
 def test_coordinate_position_keeps_incidences(points, flats):
     comps = [{"type": "point", "coords": p} for p in points]
     comps += [{"type": "flat", "forms": f} for f in flats]
