@@ -3,10 +3,17 @@ flats in P^n, their radical ideals, and symbolic powers.
 
 Symbolic powers are intersections of ordinary powers of the component
 ideals; every component here is a complete intersection of linear forms,
-for which ordinary and symbolic powers agree.  They are computed in the
-pipeline's one polynomial format (see rings), from the packed component
-forms to the basis gin takes: primitive integer term dicts with a positive
-leading coefficient, keyed by DEGREVLEX packed monomials.
+for which ordinary and symbolic powers agree.  They are built without
+S-pairs wherever a stop rule is proven: the components that are coordinate
+subspaces intersect to a monomial ideal J, read off directly, and points
+beyond them, in a configuration of points alone, cut I^(m) out of J degree
+by degree as the kernel of their conditions, up to the degree where the
+Hilbert function settles (symbolic_power).  A configuration with a flat
+and a component beyond the coordinate subspaces intersects by elimination
+(groebner.intersect_ideals).  Generators come in the pipeline's one
+polynomial format (see rings), the format gin takes: primitive integer
+term dicts with a positive leading coefficient, keyed by DEGREVLEX packed
+monomials.
 
 A configuration keeps the rational coordinates it was given.  Its forms
 and its coordinate position are computed on integer rows: each rational
@@ -20,15 +27,22 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from functools import reduce
+from itertools import combinations, combinations_with_replacement, product, repeat
+from math import comb, gcd
 from types import SimpleNamespace
 
 from . import linalg
 from .groebner import intersect_ideals
-from .rings import DEGREVLEX, Polynomial, cleared_substitute, unpack
+from .linalg import ComputationLimitError
+from .rings import DEGREVLEX, Polynomial, cleared_substitute, divides, unpack
 from .staircase import k_polynomial, minimalize
 
 GENERIC_COORD_BOUND = 100
+# entries one degree's condition matrix may hold, read at call time: the
+# largest on the reach ladder (6 generic points in P^4 at m = 5) holds
+# 70 x 651, about 46 000
+CONDITION_CAP = 1_000_000
 
 
 class DegenerateConfigError(ValueError):
@@ -175,14 +189,10 @@ def configs_disjoint(a: Config, b: Config) -> bool:
 class SymbolicPower:
     m: int
     nvars: int
-    # a degrevlex Groebner basis of I^(m), in the pipeline's format
+    # generators of I^(m) in the pipeline's format, sorted by lead
     generators: tuple
-    leads: tuple  # its leading monomials: the minimal generators of in(I^(m))
-
-    @property
-    def hilbert_numerator(self) -> dict:
-        """The K-polynomial of I^(m), read off its leads."""
-        return k_polynomial(self.leads)
+    # the K-polynomial of I^(m), {degree: coefficient}, exact over Q
+    hilbert_numerator: dict
 
     @property
     def ideal(self):
@@ -197,33 +207,195 @@ class SymbolicPower:
 
 
 def symbolic_power(config: Config, m: int) -> SymbolicPower:
-    """I^(m) as the intersection of m-th powers of the component ideals
-    (Zariski-Nagata for unions of points and linear flats), generated by a
-    degrevlex Groebner basis.  Each component ideal is generated by its
-    forms in reduced row-echelon form, primitive integer rows positive at
-    their pivots, whose leads are distinct variables, so its m-th power is
-    a Groebner basis already, and in the pipeline's format: a product of
-    primitive forms is primitive (Gauss), and its leading coefficient is the
-    product of theirs.  The products of k forms, in the order of
-    combinations_with_replacement, are the images of the degree-m
-    monomials in k variables under the k x (n+1) matrix of the forms.
-    intersect_ideals returns the reduced basis of each intersection."""
+    """I^(m), the intersection of the m-th powers of the component ideals
+    (Zariski-Nagata; each component is cut out by linear forms, so its
+    symbolic and ordinary powers agree), with its exact K-polynomial.
+
+    A component whose forms are variables is a coordinate subspace, spanned
+    by basis vectors, as coordinate_position makes all but the components
+    beyond its basis.  The intersection J of their m-th powers is monomial:
+    x^a lies in it iff sum_(i in F) a_i >= m for the variables F of each,
+    and its minimal generators are built directly (_coordinate_generators).
+    The other components take one of two paths.
+
+    Points beyond the basis, when every component is a point, go by
+    kernels.  f lies in I_p^m iff f(B_p (y, z)) has no term of y-degree
+    below m, for the basis B_p of p and the unit vectors but one: the
+    partials of order m - 1 vanish at p (Emsalem-Iarrobino 1995, "Inverse
+    system of a symbolic power I").  So I^(m)_d is the kernel of those
+    conditions, cleared_substitute's truncated image table, on the
+    monomials of J_d (_point_kernels).  S/I^(m) is one-dimensional
+    Cohen-Macaulay of multiplicity e = s C(m-1+n, n) for s points in P^n:
+    its Hilbert function rises to e and stays there, and from the first
+    degree d0 where it reaches e, the regularity of S/I^(m), I^(m) is
+    generated in degrees up to d0 + 1.  That is the stop rule.  The
+    K-polynomial comes from exact ranks, and the exact echelon form they
+    take gives the kernels at no further cost, so the generators are exact
+    too: the rows of the reduced echelon form of each I^(m)_d whose leads
+    no lead of a lower degree divides.  They generate I^(m) but need not
+    be a Groebner basis of it.  (Ranks mod a prime are faster where the
+    coordinates are large, but would not make the K-polynomial exact.)
+
+    A configuration with a flat and a component beyond the basis, such as
+    three generic lines in P^3 or three planes in P^5, stays on the
+    elimination: J, or the first such component's power when J is the unit
+    ideal, is intersected with the power of each such component in turn by
+    intersect_ideals, which returns a reduced basis.  Kernels would serve
+    flats too, but a flat's stop rule needs a proven bound on the
+    regularity of I^(m), which is not taken here.  A component's power is
+    the image of the degree-m monomials in k variables under the k x (n+1)
+    matrix of its k forms, in reduced row-echelon form with leads distinct
+    variables: a Groebner basis in the pipeline's format, primitive by
+    Gauss.
+
+    Raises ComputationLimitError past CONDITION_CAP entries in one
+    degree's condition matrix or IMAGE_CAP images in one table.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
     n = config.n + 1
-    powers = []
-    for forms in config.forms:
-        k = len(forms)
-        monomials = [
-            {DEGREVLEX(tuple(map(combo.count, range(k)))): 1}
-            for combo in combinations_with_replacement(range(k), m)
-        ]
-        powers.append(cleared_substitute(monomials, forms))
-    generators, *others = powers
-    for other in others:
-        generators = intersect_ideals(generators, other, n)
+    supports, beyond = [], []
+    for (_, data), forms in zip(config.components, config.forms):
+        if all(sum(map(bool, f)) == 1 for f in forms):
+            supports.append({next(i for i, c in enumerate(f) if c) for f in forms})
+        else:
+            beyond.append((data, forms))
+    if beyond and not config.flats:
+        points = [linalg.cleared(p)[1] for p, _ in beyond]
+        generators, numerator = _point_kernels(points, supports, m, config.n)
+        return SymbolicPower(m, n, tuple(generators), numerator)
+    generators = [
+        {DEGREVLEX(a): 1} for a in _coordinate_generators(supports, m, n)
+    ]
+    for k, (_, forms) in enumerate(beyond):
+        power = _power(forms, m)
+        generators = intersect_ideals(generators, power, n) if k or supports else power
     leads = minimalize(unpack(max(g), n) for g in generators)
-    return SymbolicPower(m, n, tuple(generators), leads)
+    return SymbolicPower(m, n, tuple(generators), k_polynomial(leads))
+
+
+def _power(forms, m):
+    """The m-th power of the ideal of the forms: the images of the degree-m
+    monomials in k variables, in the order of
+    combinations_with_replacement, under the k x (n+1) matrix of the
+    forms."""
+    k = len(forms)
+    monomials = [
+        {DEGREVLEX(tuple(map(combo.count, range(k)))): 1}
+        for combo in combinations_with_replacement(range(k), m)
+    ]
+    return cleared_substitute(monomials, forms)
+
+
+def _coordinate_generators(supports, m, n):
+    """The minimal generators of the intersection of the ideals (x_F)^m,
+    for the variable sets F in supports, as exponent tuples in n variables
+    sorted by DEGREVLEX: the unit ideal's 1 when there are none.
+
+    x^a is a minimal generator iff every sum over an F is at least m and
+    each variable of a lies in an F whose sum is exactly m.  So a_i is at
+    most m less the sum so far of some F holding i, and a variable in no F
+    is 0; the exponents are chosen in turn within those bounds."""
+    out = []
+
+    def extend(a):
+        i = len(a)
+        if i == n:
+            sums = [sum(a[j] for j in f) for f in supports]
+            tight = [f for f, s in zip(supports, sums) if s == m]
+            if min(sums, default=m) >= m and all(
+                any(j in f for f in tight) for j in range(n) if a[j]
+            ):
+                out.append(tuple(a))
+            return
+        top = max((m - sum(a[j] for j in f if j < i) for f in supports if i in f),
+                  default=0)
+        for e in range(top + 1):
+            extend(a + [e])
+
+    extend([])
+    return sorted(out, key=DEGREVLEX)
+
+
+def _point_kernels(points, supports, m, n):
+    """(generators, K-polynomial) of I^(m) for the points beyond the basis,
+    integer rows, and the coordinate points, by their supports, in P^n: the
+    kernel path of symbolic_power.
+
+    In degree d the columns are J_d's monomials in increasing DEGREVLEX
+    order, where J holds x^a with a_i <= d - m for each coordinate point
+    e_i.  Each point p, with k its first nonzero coordinate, takes the
+    coordinates x_j = y_j + p_j z (j != k), x_k = p_k z; its rows are the
+    coefficients of the terms of y-degree below m.  In the reduced echelon
+    form of the rows, a free column f has the kernel vector with its
+    largest monomial at f and its other entries at pivot columns, all
+    smaller: so these vectors are the reduced echelon form of I^(m)_d with
+    the columns in decreasing order, led by the free columns, in(I^(m))_d.
+    Below degree m, I^(m) is 0."""
+    e = (len(points) + len(supports)) * comb(m - 1 + n, n)
+    cap = CONDITION_CAP
+    conditions = len(points) * comb(m - 1 + n, n)
+    matrices = []
+    for p in points:
+        k = next(j for j, c in enumerate(p) if c)
+        ys = [j for j in range(n + 1) if j != k]
+        matrices.append(
+            [[int(j == y) for y in ys] + [p[j]] for j in range(n + 1)]
+        )
+    hf = [comb(d + n, n) for d in range(m)]
+    generators, leads = [], []
+    d = m
+    while True:
+        monomials = sorted(
+            (a for a in _monomials(n + 1, d)
+             if all(sum(a[i] for i in f) >= m for f in supports)),
+            key=DEGREVLEX,
+        )
+        cols = len(monomials)
+        if conditions * cols > cap:
+            raise ComputationLimitError(
+                f"condition matrix cap {cap} exhausted ({conditions} x {cols} "
+                f"in degree {d})"
+            )
+        polys = [{DEGREVLEX(a): 1} for a in monomials]
+        rows = []
+        for matrix in matrices if monomials else ():
+            table = {}
+            for c, image in enumerate(cleared_substitute(polys, matrix, below=m)):
+                for b, v in image.items():
+                    table.setdefault(b, [0] * cols)[c] = v
+            rows += table.values()
+        echelon, pivots = linalg.echelon(rows)
+        pivoted = set(pivots)
+        free = [c for c in range(cols) if c not in pivoted]
+        hf.append(comb(d + n, n) - len(free))
+        # a lead of this degree divides no other of it
+        for f, v in zip(free, linalg.kernel(echelon, pivots, cols)):
+            a = monomials[f]
+            if not any(map(divides, leads, repeat(a))):
+                g = reduce(gcd, v, 0)
+                generators.append(
+                    {DEGREVLEX(b): x // g for b, x in zip(monomials, v) if x}
+                )
+                leads.append(a)
+        if hf[d - 1] == e:
+            return generators, _numerator(hf, n)
+        d += 1
+
+
+def _monomials(n, d):
+    """The exponent tuples of degree d in n variables."""
+    for combo in combinations_with_replacement(range(n), d):
+        yield tuple(map(combo.count, range(n)))
+
+
+def _numerator(hf, n):
+    """The K-polynomial of S/I in n + 1 variables whose Hilbert function is
+    hf and then constant: (1 - t)^(n+1) times the Hilbert series."""
+    poly = [b - a for a, b in zip([0] + hf, hf)]  # the h-vector
+    for _ in range(n):
+        poly = [b - a for a, b in zip([0] + poly, poly + [0])]
+    return {d: c for d, c in enumerate(poly) if c}
 
 
 def coordinate_position(config: Config) -> tuple[Config, tuple]:

@@ -18,13 +18,15 @@ serve both coefficient fields, chosen by an argument p: p = 0 is Q, with
 Fraction coefficients, and a prime p is F_p, with int residues.
 intersect_ideals computes over Q, because its basis is the exact I^(m)
 that both of gin's primes reduce and that symbolic-power moves back, and
-so does that move back, whose basis is printed.  gin's two draws compute
-over F_p, one prime of GIN_PRIMES each (2^31 - 1 and 2^31 - 19), because
-gin reads only leading monomials, and on its section x_last = 0, in one
-variable fewer; the reasons this keeps gin's checks as strong as draws
-over Q in all variables are in gin's docstring (modular Groebner bases:
-Traverso 1988, "Groebner trace algorithms"; Arnold 2003, J. Symb. Comput.
-35).
+so does that move back, whose basis is printed.  symbolic_power calls
+intersect_ideals only for the configurations with a flat and a component
+beyond the coordinate subspaces; the others take no S-pair before gin (see
+configs.symbolic_power).  gin's two draws compute over F_p, one prime of
+GIN_PRIMES each (2^31 - 1 and 2^31 - 19), because gin reads only leading
+monomials, and on its section x_last = 0, in one variable fewer; the
+reasons this keeps gin's checks as strong as draws over Q in all
+variables are in gin's docstring (modular Groebner bases: Traverso 1988,
+"Groebner trace algorithms"; Arnold 2003, J. Symb. Comput. 35).
 
 The engine computes on packed monomials, one int per monomial (see
 rings): term dicts are keyed by the order's packed keys, a product is +,
@@ -42,8 +44,8 @@ numerator, the K-polynomial, as a target, and the S-pair loop stops as soon
 as the leads found so far have it (Traverso 1996, "Hilbert functions and
 the Buchberger algorithm").  gin knows it because a linear change of
 coordinates keeps the K-polynomial, and so does a generic hyperplane
-section of a saturated ideal; symbolic_power returns I^(m) with the
-leads of a Groebner basis of it.
+section of a saturated ideal; symbolic_power returns I^(m) with its
+K-polynomial, read off exact ranks or the leads of a Groebner basis.
 
 Inputs are desk scale (n <= 4, small degrees); the S-pair loop carries
 fixed caps on the S-pairs it takes (PAIR_CAP) and on the size of its basis

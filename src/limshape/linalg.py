@@ -17,8 +17,9 @@ from math import gcd, lcm
 class ComputationLimitError(RuntimeError):
     """A resource cap was exhausted: the S-pairs or basis of a Buchberger
     run, the exponent width of a packed monomial, the rays of a double
-    description, the nodes of a K-polynomial recursion or the monomial
-    images of a substitution."""
+    description, the nodes of a K-polynomial recursion, the monomial
+    images of a substitution or the entries of a symbolic power's
+    condition matrix."""
 
 
 def json_integer(data, key) -> int:

@@ -29,7 +29,7 @@ floating point anywhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import reduce
 from math import factorial, gcd, lcm, prod
@@ -125,17 +125,31 @@ def _cut(rays, indexed_rows, d):
     return rays
 
 
+# the key that _polyhedron and scale, the only constructors, pass
+_BUILT = object()
+
+
 @dataclass(frozen=True)
 class RationalPolyhedron:
     """conv(vertices) + cone(rays), as integer homogeneous rows: each vertex
     v is the primitive row (v d, d) with d > 0 and each ray r the primitive
     row (r, 0), both sorted and distinct, with its facets (see _facets).
-    Built by _polyhedron, or by scale from a built one."""
+    Built by _polyhedron, or by scale from a built one: rows given to the
+    dataclass constructor would be trusted unchecked, so it refuses them.
+    Use RationalPolyhedron.of for rational points and rays."""
 
     dim: int
     points: tuple
     directions: tuple
     facets: tuple  # normals w: w.(x, 1) >= 0
+    key: InitVar[object] = None
+
+    def __post_init__(self, key):
+        if key is not _BUILT:
+            raise TypeError(
+                "a RationalPolyhedron is built by RationalPolyhedron.of, "
+                "not from rows and facets"
+            )
 
     @classmethod
     def of(cls, dim, vertices, rays=()):
@@ -230,7 +244,7 @@ def _polyhedron(dim, points, directions):
         if face & -face == 1 << i
         and all(faces[j] == face for j in range(i + 1, n) if face >> j & 1)
     )
-    return RationalPolyhedron(dim, kept, directions, facets)
+    return RationalPolyhedron(dim, kept, directions, facets, _BUILT)
 
 
 def _dot(a, b):
@@ -261,7 +275,9 @@ def scale(poly: RationalPolyhedron, factor) -> RationalPolyhedron:
     facets = _sorted_facets(
         [_reduced([x * q for x in w[:-1]] + [w[-1] * p]) for w in poly.facets], poly.dim
     )
-    return RationalPolyhedron(poly.dim, tuple(sorted(points)), poly.directions, facets)
+    return RationalPolyhedron(
+        poly.dim, tuple(sorted(points)), poly.directions, facets, _BUILT
+    )
 
 
 def convex_union_approximant(polys) -> RationalPolyhedron:

@@ -120,8 +120,21 @@ def elimination_order(split):
 
 def unit_keys(order, n):
     """order(e_j) for the unit vectors e_1, ..., e_n: a packed key is
-    linear, so order(a) == sum(map(mul, a, unit_keys(order, n)))."""
-    return [order(tuple(int(i == j) for j in range(n))) for i in range(n)]
+    linear, so order(a) == sum(map(mul, a, unit_keys(order, n))).
+
+    DEGREVLEX's are in closed form, since every substitution and gin draw
+    asks for them: e_j sets its own exponent field and the high fields of
+    the partial sums e_1 + ... + e_i with i >= j, which _pack stacks from
+    e_1 upwards above the exponent fields."""
+    if order is not DEGREVLEX:
+        return [order(tuple(int(i == j) for j in range(n))) for i in range(n)]
+    low = EXPONENT_BITS + 1
+    width = low + n.bit_length()
+    keys, high = [], 0
+    for j in range(n - 1, -1, -1):
+        high |= 1 << low * n + width * j
+        keys.append(high | 1 << low * (n - 1 - j))
+    return keys[::-1]
 
 
 def packed_terms(terms, weights):
@@ -243,13 +256,20 @@ def linear_substitute(polys, matrix):
     ]
 
 
-def cleared_substitute(polys, matrix, p=0):
+def cleared_substitute(polys, matrix, p=0, below=None):
     """The nonzero terms of f(matrix x) for each integer term dict f keyed by
     DEGREVLEX packed monomials in nvars variables, for an nvars x k matrix:
     term dicts keyed by DEGREVLEX packed monomials in k variables.  The
     coefficients are ints for an integer matrix, or their residues mod p
     when a prime p is given with one.  gin's draws pass the first nvars - 1
     columns of their matrices: the substitution, then x_last = 0.
+
+    With below = m, only the terms of degree below m in the first k - 1
+    variables are kept: a point's conditions on I^(m) in coordinates
+    adapted to it (see configs.symbolic_power).  That degree is the total
+    degree less the last exponent, the lowest field of a packed key, and
+    no factor of an image lowers it, so the table is truncated as it is
+    built.
 
     The polynomials share one table of monomial images: the image of x^a
     is built once, as the image of x^a / x_i times row i, where x_i is the
@@ -269,6 +289,7 @@ def cleared_substitute(polys, matrix, p=0):
         return {b: v for b, v in acc.items() if v}
 
     table = {(0,) * n: {0: 1}}
+    last = (1 << EXPONENT_BITS) - 1
 
     def image(alpha):
         img = table.get(alpha)
@@ -284,6 +305,10 @@ def cleared_substitute(polys, matrix, p=0):
                 for w, c in rows[i]:
                     gamma = beta + w
                     img[gamma] = img.get(gamma, 0) + v * c
+            if below is not None:
+                # keep the last exponent above degree - m
+                floor = degree(alpha) - below
+                img = {b: v for b, v in img.items() if b & last > floor}
             img = table[alpha] = nonzero(img)
         return img
 

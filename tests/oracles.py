@@ -17,6 +17,9 @@ the engine's packed boundary for the tests that drive it directly.
 Poly generators, the forms the oracles compute with; `packed` and
 `ideal_of` carry an Ideal to the pipeline's packed integer generators and
 back, and `symbolic_ideal` is the Ideal of a symbolic power.
+`symbolic_power_by_elimination` is the reduced basis of a symbolic power by
+the intersection of its components' powers alone, the oracle of the
+pipeline's monomial and kernel paths.
 `parse_polynomial` reads the text form that `str(Polynomial)` writes.
 `eliahou_kervaire_k_polynomial` is the closed-form K-polynomial of a
 strongly stable ideal, an oracle for the K-polynomial kernel.
@@ -48,6 +51,7 @@ from limshape.polyhedra import (
 from limshape.groebner import (
     buchberger,
     derive_seed,
+    intersect_ideals,
     random_change_matrix,
     reduce_tails,
 )
@@ -369,6 +373,24 @@ def groebner_basis(ideal: Ideal, order=DEGREVLEX) -> GroebnerBasis:
     return GroebnerBasis(ideal, order, tuple(
         Poly(ideal.nvars, terms) for terms in reduce_tails(pairs)
     ))
+
+
+def symbolic_power_by_elimination(config: Config, m: int) -> GroebnerBasis:
+    """The reduced basis of I^(m) by the elimination alone, the path the
+    pipeline took for every configuration before its kernels: each
+    component's m-th power, from the oracle's own products of its forms,
+    intersected in component order by intersect_ideals."""
+    n = config.n + 1
+    powers = [
+        packed(Ideal.of([Poly(n, {tuple(int(i == j) for j in range(n)): c
+                                  for i, c in enumerate(f) if c})
+                         for f in forms]).power(m))
+        for forms in config.forms
+    ]
+    generators, *others = powers
+    for other in others:
+        generators = intersect_ideals(generators, other, n)
+    return groebner_basis(ideal_of(generators, n))
 
 
 def gin_draw_matrix(seed, nvars, k=0):

@@ -275,3 +275,20 @@ def test_gin_of_symbolic_power_matches_unmoved_gin(name):
         sp = symbolic_power(config, m)
         given_coords = gin(sp.generators, sp.nvars, seed, sp.hilbert_numerator)
         assert moved.staircase == given_coords.staircase, (name, m)
+
+
+def test_six_generic_points_in_p2_meet_the_waldschmidt_bound():
+    # the Waldschmidt constant of 6 generic points in P^2 is 12/5 (Nagata;
+    # see Bocci-Harbourne 2010, "Comparing powers and symbolic powers of
+    # ideals"), the infimum of alpha(I^(m)) / m, where alpha, the least
+    # degree of an element, is the least degree of a gin generator.  The
+    # six conics through five of the points reach it at m = 5, where
+    # alpha = 12; that row takes about 8 s, so it is left out here
+    config = Config.generic(2, 0, 6, 3)
+    alphas = [
+        min(map(sum, asymptotics.gin_of_symbolic_power(
+            config, m, derive_seed(3, "row", m)).staircase.min_gens))
+        for m in range(1, 5)
+    ]
+    assert alphas == [3, 5, 8, 10]
+    assert all(a >= -(-12 * m // 5) for m, a in enumerate(alphas, 1))

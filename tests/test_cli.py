@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from limshape import asymptotics, cli, groebner, polyhedra, rings, staircase
+from limshape import asymptotics, cli, configs, groebner, polyhedra, rings, staircase
 from limshape.configs import (
     Config,
     config_from_json,
@@ -21,6 +21,10 @@ from test_asymptotics import MOVE_ORACLE_CASES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TWO_POINTS = '{"n": 2, "components": [{"type": "point", "coords": [1, 0, 0]}, {"type": "point", "coords": [0, 0, 1]}]}'
+FOUR_POINTS = json.dumps({"n": 2, "components": [
+    {"type": "point", "coords": coords}
+    for coords in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 2, 3])
+]})
 
 
 @pytest.fixture
@@ -625,16 +629,17 @@ def test_non_borel_initial_ideal_maps_to_exit_3(tmp_path, capsys, monkeypatch):
 
 
 def test_pair_cap_maps_to_exit_4(config_path, tmp_path, capsys, monkeypatch):
-    # the real cap, not a faked exception: one S-pair is too few for any
-    # symbolic power of two points
-    monkeypatch.setattr(groebner, "PAIR_CAP", 1)
+    # the real cap, not a faked exception: the symbolic powers of two
+    # coordinate points are monomial and take no S-pair, but each gin draw
+    # of them takes one
+    monkeypatch.setattr(groebner, "PAIR_CAP", 0)
     assert run(["gin", "--config", config_path], capsys)[0] == cli.EXIT_RESOURCE
     code, out, _ = run(
         ["report", "--config", config_path, "--m-max", "2", "--t", "2"], capsys
     )
     assert code == cli.EXIT_OK
     errors = [r["error"] for r in json.loads(out)["rows"]]
-    assert all(e.startswith("ComputationLimitError: S-pair cap 1") for e in errors)
+    assert all(e.startswith("ComputationLimitError: S-pair cap 0") for e in errors)
     code, _, _ = run(
         ["limiting-shape", "--config", config_path, "--m-max", "2", "--t", "2",
          "--out", str(tmp_path / "out")],
@@ -668,19 +673,23 @@ def test_ray_cap_maps_to_exit_4(config_path, tmp_path, capsys, monkeypatch):
     assert "resource failure: ray cap 1 " in err
 
 
-@pytest.mark.parametrize("module, cap, value, message", [
-    (groebner, "BASIS_CAP", 1, "basis cap 1 exhausted"),
-    (rings, "EXPONENT_BITS", 1, "exponent 2 does not fit in the 1-bit"),
-    (staircase, "K_NODE_CAP", 0, "K-polynomial node cap 0 exhausted"),
-    (rings, "IMAGE_CAP", 1, "image table cap 1 exhausted"),
-], ids=["basis", "exponent", "k-polynomial", "image-table"])
-def test_engine_caps_map_to_exit_4(module, cap, value, message, config_path,
+@pytest.mark.parametrize("module, cap, value, message, config", [
+    (groebner, "BASIS_CAP", 1, "basis cap 1 exhausted", TWO_POINTS),
+    (rings, "EXPONENT_BITS", 1, "exponent 2 does not fit in the 1-bit", TWO_POINTS),
+    (staircase, "K_NODE_CAP", 0, "K-polynomial node cap 0 exhausted", TWO_POINTS),
+    (rings, "IMAGE_CAP", 1, "image table cap 1 exhausted", TWO_POINTS),
+    (configs, "CONDITION_CAP", 0, "condition matrix cap 0 exhausted", FOUR_POINTS),
+], ids=["basis", "exponent", "k-polynomial", "image-table", "condition-matrix"])
+def test_engine_caps_map_to_exit_4(module, cap, value, message, config,
                                    tmp_path, capsys, monkeypatch):
-    # the real caps, not a faked exception: every symbolic power of two
-    # points needs a basis of more than one element, a gin draw of it
-    # exponents of 2 and more, and each component's power, like the draw's
-    # substitution, an image beyond the table's first entry, that of 1;
-    # every K-polynomial call visits at least its first node
+    # the real caps, not a faked exception: every gin draw of a symbolic
+    # power of two points needs a basis of more than one element, exponents
+    # of 2 and more, and an image beyond the substitution table's first
+    # entry, that of 1; every K-polynomial call visits at least its first
+    # node; and the fourth of four points in P^2, on the frame, has
+    # conditions on the monomials of every symbolic power
+    config_path = str(tmp_path / "config.json")
+    Path(config_path).write_text(config)
     monkeypatch.setattr(module, cap, value)
     code, _, err = run(["gin", "--config", config_path], capsys)
     assert code == cli.EXIT_RESOURCE

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -25,10 +25,11 @@ from oracles import (
     parse_polynomial,
     partial,
     symbolic_ideal,
+    symbolic_power_by_elimination,
     total_degree,
 )
 
-from limshape import linalg, rings
+from limshape import configs, linalg, rings
 from limshape.configs import (
     Config,
     DegenerateConfigError,
@@ -41,6 +42,7 @@ from limshape.configs import (
     symbolic_power,
 )
 from limshape.linalg import ComputationLimitError
+from limshape.staircase import k_polynomial
 
 
 def P(text, n):
@@ -230,24 +232,98 @@ def test_symbolic_power_single_point_is_ordinary_power():
     Config.of(2, [(1, 0, 0), (0, 1, 0), (1, 1, 1)]),
 ], ids=["point", "line", "points"])
 def test_symbolic_power_leads_generate_the_initial_ideal(config):
-    # the leads give the Hilbert series buchberger stops on, in any
-    # coordinates: the forms of (1, 2, -3, 5)'s kernel all lead with x1
-    # until they are put in echelon form; each generator, a component's
-    # power or an intersection's, is primitive with a positive leading
-    # coefficient
+    # the K-polynomial buchberger stops on is that of the leads of a
+    # Groebner basis of the generators, in any coordinates: the forms of
+    # (1, 2, -3, 5)'s kernel all lead with x1 until they are put in echelon
+    # form; each generator, a component's power or a kernel vector, is
+    # primitive with a positive leading coefficient
     for m in (1, 2, 3):
         sp = symbolic_power(config, m)
         ideal = ideal_of(sp.generators, sp.nvars)
-        assert sp.leads == initial_ideal(groebner_basis(ideal)), m
+        leads = initial_ideal(groebner_basis(ideal))
+        assert sp.hilbert_numerator == k_polynomial(leads), m
         assert packed(ideal) == list(sp.generators), m
 
 
 def test_symbolic_power_obeys_the_image_cap(monkeypatch):
-    # each component's power is built as a table of monomial images, so the
-    # cap on one substitution's table bounds it too
+    # the conditions of a point beyond the basis, here (1, 1, 1), are read
+    # off a table of monomial images, so the cap on one substitution's table
+    # bounds them too
     monkeypatch.setattr(rings, "IMAGE_CAP", 1)
     with pytest.raises(ComputationLimitError, match="image table cap 1 exhausted"):
-        symbolic_power(Config.of(2, [(1, 0, 0), (0, 0, 1)]), 1)
+        symbolic_power(Config.of(2, [(1, 0, 0), (0, 0, 1), (1, 1, 1)]), 1)
+
+
+def test_symbolic_power_obeys_the_condition_cap(monkeypatch):
+    # 4 points in P^2 at m = 2: the frame point beyond the basis has 3
+    # conditions, and the stop degree 5 the largest J_5, the 12 monomials
+    # with no exponent above 3: 36 entries
+    config = coordinate_position(Config.generic(2, 0, 4, 3))[0]
+    monkeypatch.setattr(configs, "CONDITION_CAP", 36)
+    symbolic_power(config, 2)
+    monkeypatch.setattr(configs, "CONDITION_CAP", 35)
+    with pytest.raises(ComputationLimitError,
+                       match=r"condition matrix cap 35 exhausted \(3 x 12 in degree 5\)"):
+        symbolic_power(config, 2)
+
+
+# (config, m_max): each path of symbolic_power against the elimination,
+# in coordinate position and as drawn, where no component is a coordinate
+# subspace and J is the unit ideal; six points in P^3 as drawn take 26 s
+LINE = [(2, -1, 4, 7), (3, 5, -2, 1)]
+ELIMINATION_ORACLE_CASES = {
+    "five-points-P2": (Config.generic(2, 0, 5, 3), 3),
+    "six-points-P2": (Config.generic(2, 0, 6, 3), 2),
+    "five-points-P3": (Config.generic(3, 0, 5, 3), 2),
+    "two-lines": (Config.generic(3, 1, 2, 3), 3),
+    "point-plus-line": (Config.of(3, [(1, 2, -3, 5)], [LINE]), 3),
+    "line-and-three-points": (
+        Config.of(3, [(1, 2, -3, 5), (2, 0, 1, 1), (1, 1, 1, 3)], [LINE]), 2
+    ),
+}
+ELIMINATION_ORACLE_CASES.update({
+    f"{name}-moved": (coordinate_position(config)[0], m_max)
+    for name, (config, m_max) in [
+        *ELIMINATION_ORACLE_CASES.items(),
+        ("six-points-P2", (Config.generic(2, 0, 6, 3), 3)),
+        ("five-points-P3", (Config.generic(3, 0, 5, 3), 3)),
+        ("six-points-P3", (Config.generic(3, 0, 6, 3), 2)),
+    ]
+})
+
+
+@pytest.mark.parametrize("name", ELIMINATION_ORACLE_CASES)
+def test_symbolic_power_matches_the_elimination_oracle(name):
+    config, m_max = ELIMINATION_ORACLE_CASES[name]
+    for m in range(1, m_max + 1):
+        sp = symbolic_power(config, m)
+        oracle = symbolic_power_by_elimination(config, m)
+        assert groebner_basis(ideal_of(sp.generators, sp.nvars)).basis == oracle.basis
+        assert sp.hilbert_numerator == k_polynomial(initial_ideal(oracle)), (name, m)
+
+
+def test_point_kernels_stop_where_the_hilbert_function_settles(monkeypatch):
+    # s points in P^n: the Hilbert function of S/I^(m) rises to
+    # e = s C(m-1+n, n) and stays there, and the kernels stop one degree
+    # after it first reaches e, where the last generators lie.  Five double
+    # points in P^2 reach e = 15 in degree 5, not 4: the square of the conic
+    # through them is a quartic in I^(2)
+    config = coordinate_position(Config.generic(2, 0, 5, 3))[0]
+    m, e = 2, 5 * comb(2 - 1 + 2, 2)
+    degrees = []
+    real = configs.cleared_substitute
+
+    def recording(polys, matrix, p=0, below=None):
+        degrees.append(max(sum(rings.unpack(max(f), 3)) for f in polys))
+        return real(polys, matrix, p, below)
+
+    monkeypatch.setattr(configs, "cleared_substitute", recording)
+    sp = symbolic_power(config, m)
+    ideal = ideal_of(sp.generators, sp.nvars)
+    hf = [hf_via_rank(ideal, d) for d in range(10)]
+    assert hf == [1, 3, 6, 10, 14, e, e, e, e, e]
+    assert max(degrees) == 6
+    assert max(total_degree(g) for g in ideal.generators) <= 6
 
 
 def test_symbolic_power_view_shows_the_integers_it_holds():

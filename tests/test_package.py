@@ -167,7 +167,7 @@ def test_traced_two_lines_pass_reads_its_counts(monkeypatch, tmp_path):
     counts = {
         "configs.symbolic_power.gens_out": 13,
         "configs.symbolic_power.coeff_bits_max": 1,
-        "groebner.buchberger.basis_out": 49,
+        "groebner.buchberger.basis_out": 26,
         "groebner.gin.raw_gens": 13,
     }
     assert {name: metrics[name] for name in counts} == counts

@@ -258,6 +258,17 @@ def test_rows_are_primitive_ints_and_vertices_their_fractions(generators, f, g):
     assert scaled.directions == poly.directions
 
 
+def test_only_the_builder_makes_a_polyhedron():
+    # rows and facets given to the dataclass constructor would be trusted
+    # unchecked: this lone point, with no facet at all, clipped to a volume
+    # of 1/2 where a point has volume 0
+    with pytest.raises(TypeError, match="built by RationalPolyhedron.of"):
+        clipped_volume(RationalPolyhedron(2, ((0, 0, 1),), (), ()), 1)
+    point = RationalPolyhedron.of(2, [(0, 0)])
+    assert clipped_volume(point, 1) == 0
+    assert scale(point, 2) == point
+
+
 def test_rays_are_stored_primitive():
     polys = [
         RationalPolyhedron.of(2, [(0, 0)], rays=[ray])

@@ -14,7 +14,7 @@ from oracles import (
     total_degree,
 )
 
-from limshape import linalg
+from limshape import linalg, rings
 from limshape.rings import (
     DEGREVLEX,
     DimensionError,
@@ -84,6 +84,17 @@ def brute_sort_desc(monos):
 
 def test_degree2_fixture_matches_bruteforce_sort():
     assert brute_sort_desc(all_monomials(4, 2)) == DEG2_SORTED_4VARS
+
+
+@pytest.mark.parametrize("bits", [15, 3])
+def test_degrevlex_unit_keys_are_the_packed_unit_vectors(bits, monkeypatch):
+    # DEGREVLEX's unit keys come in closed form, every other order's from
+    # packing each unit vector; both must be the packed unit vectors, also
+    # at another field width
+    monkeypatch.setattr(rings, "EXPONENT_BITS", bits)
+    for n in range(1, 13):
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        assert unit_keys(DEGREVLEX, n) == list(map(DEGREVLEX, units)), n
 
 
 def test_compare_basics():
@@ -262,6 +273,21 @@ def test_table_mod_p_is_the_exact_table_reduced(case, p):
     for terms, reduced in zip(exact, residues):
         assert all(type(v) is int for v in terms.values())
         assert reduced == {b: v % p for b, v in terms.items() if v % p}
+
+
+@given(shared_substitution_cases(), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_truncated_table_keeps_the_terms_of_low_degree_but_in_the_last(case, m):
+    # a point's conditions keep the terms of degree below m in all
+    # variables but the last, and the table is truncated as it is built
+    polys, matrix = case
+    assume(all(type(x) is int for row in matrix for x in row))
+    n = len(matrix[0])
+    exact = cleared_substitute(cleared_terms(polys), matrix)
+    truncated = cleared_substitute(cleared_terms(polys), matrix, below=m)
+    for terms, kept in zip(exact, truncated):
+        assert kept == {b: v for b, v in terms.items()
+                        if sum(unpack(b, n)[:-1]) < m}
 
 
 @given(shared_substitution_cases(), st.sampled_from([0, 7, 2_147_483_647]))
