@@ -3,14 +3,13 @@ flats in P^n, their radical ideals, and symbolic powers.
 
 Symbolic powers are intersections of ordinary powers of the component
 ideals; every component here is a complete intersection of linear forms,
-for which ordinary and symbolic powers agree.  They are built without
-S-pairs wherever a stop rule is proven: the components that are coordinate
-subspaces intersect to a monomial ideal J, read off directly, and points
-beyond them, in a configuration of points alone, cut I^(m) out of J degree
-by degree as the kernel of their conditions, up to the degree where the
-Hilbert function settles (symbolic_power).  A configuration with a flat
-and a component beyond the coordinate subspaces intersects by elimination
-(groebner.intersect_ideals).  Generators come in the pipeline's one
+for which ordinary and symbolic powers agree.  One degree loop builds them
+with no S-pair: I^(m)_d is the kernel, on the monomials of the monomial
+intersection J of the coordinate subspaces' powers, of the conditions of
+the other components it takes, up to a proven stop degree; the power of
+each component it leaves is intersected by elimination
+(groebner.intersect_ideals; see symbolic_power).  Generators come in the
+pipeline's one
 polynomial format (see rings), the format gin takes: primitive integer
 term dicts with a positive leading coefficient, keyed by DEGREVLEX packed
 monomials.
@@ -39,9 +38,9 @@ from .rings import DEGREVLEX, Polynomial, cleared_substitute, divides, unpack
 from .staircase import k_polynomial, minimalize
 
 GENERIC_COORD_BOUND = 100
-# entries one degree's condition matrix may hold, read at call time: the
-# largest on the reach ladder (6 generic points in P^4 at m = 5) holds
-# 70 x 651, about 46 000
+# entries the condition blocks of one degree may hold, read at call time:
+# the most on the reach ladder are 58 440, three generic lines in P^3 at
+# m = 8 in degree 25, in blocks up to 36 x 110 (unsplit, 768 x 1740)
 CONDITION_CAP = 1_000_000
 
 
@@ -211,74 +210,61 @@ def symbolic_power(config: Config, m: int) -> SymbolicPower:
     (Zariski-Nagata; each component is cut out by linear forms, so its
     symbolic and ordinary powers agree), with its exact K-polynomial.
 
-    A component whose forms are variables is a coordinate subspace, spanned
-    by basis vectors, as coordinate_position makes all but the components
-    beyond its basis.  The intersection J of their m-th powers is monomial:
-    x^a lies in it iff sum_(i in F) a_i >= m for the variables F of each,
-    and its minimal generators are built directly (_coordinate_generators).
-    The other components take one of two paths.
+    One degree loop (_kernels) intersects the powers of the components it
+    takes: each coordinate subspace, as coordinate_position makes all but
+    the components beyond its basis; every point, in a configuration of
+    points alone; and otherwise each flat beyond the basis, in component
+    order, whose forms with those of the flats taken still split the
+    variables they hold into two groups or more, by which the condition
+    matrices are block diagonal.  The rest stay on the elimination: the
+    points beyond the basis next to a flat, and the flats whose forms link
+    all the variables they hold, such as a fourth line in P^3 or a third
+    line in P^4.  intersect_ideals intersects the loop's ideal with the
+    power of each, and the K-polynomial is read off the leads of the
+    reduced basis it returns.
 
-    Points beyond the basis, when every component is a point, go by
-    kernels.  f lies in I_p^m iff f(B_p (y, z)) has no term of y-degree
-    below m, for the basis B_p of p and the unit vectors but one: the
-    partials of order m - 1 vanish at p (Emsalem-Iarrobino 1995, "Inverse
-    system of a symbolic power I").  So I^(m)_d is the kernel of those
-    conditions, cleared_substitute's truncated image table, on the
-    monomials of J_d (_point_kernels).  S/I^(m) is one-dimensional
-    Cohen-Macaulay of multiplicity e = s C(m-1+n, n) for s points in P^n:
-    its Hilbert function rises to e and stays there, and from the first
-    degree d0 where it reaches e, the regularity of S/I^(m), I^(m) is
-    generated in degrees up to d0 + 1.  That is the stop rule.  The
-    K-polynomial comes from exact ranks, and the exact echelon form they
-    take gives the kernels at no further cost, so the generators are exact
-    too: the rows of the reduced echelon form of each I^(m)_d whose leads
-    no lead of a lower degree divides.  They generate I^(m) but need not
-    be a Groebner basis of it.  (Ranks mod a prime are faster where the
-    coordinates are large, but would not make the K-polynomial exact.)
-
-    A configuration with a flat and a component beyond the basis, such as
-    three generic lines in P^3 or three planes in P^5, stays on the
-    elimination: J, or the first such component's power when J is the unit
-    ideal, is intersected with the power of each such component in turn by
-    intersect_ideals, which returns a reduced basis.  Kernels would serve
-    flats too, but a flat's stop rule needs a proven bound on the
-    regularity of I^(m), which is not taken here.  A component's power is
-    the image of the degree-m monomials in k variables under the k x (n+1)
-    matrix of its k forms, in reduced row-echelon form with leads distinct
-    variables: a Groebner basis in the pipeline's format, primitive by
-    Gauss.
+    The loop's stop rules.  For s points: S/I^(m) is one-dimensional
+    Cohen-Macaulay of multiplicity e = s C(m-1+n, n) in P^n, so its
+    Hilbert function rises to e and stays there, and I^(m) is generated in
+    degrees up to d0 + 1 for the first degree d0 where it reaches e, the
+    regularity of S/I^(m).  With a flat among its s components: for linear
+    ideals, reg(I_1^m cap ... cap I_s^m) <= s m (Derksen-Sidman 2004,
+    "Castelnuovo-Mumford regularity by approximation", Adv. Math. 188), so
+    the generators lie in degrees up to D = s m, the Hilbert function is a
+    polynomial of degree r, the largest dimension of a component, from D
+    on, and ranks up to D + r fix the K-polynomial.  A bound that fell
+    short would fail gin's Hilbert-series check.
 
     Raises ComputationLimitError past CONDITION_CAP entries in one
-    degree's condition matrix or IMAGE_CAP images in one table.
+    degree's condition blocks or IMAGE_CAP images in one table.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     n = config.n + 1
-    supports, beyond = [], []
-    for (_, data), forms in zip(config.components, config.forms):
+    supports, frames, rest = [], [], []
+    for (kind, _), forms in zip(config.components, config.forms):
         if all(sum(map(bool, f)) == 1 for f in forms):
             supports.append({next(i for i, c in enumerate(f) if c) for f in forms})
+        elif not config.flats or kind == "flat" and len(_groups([*frames, forms])) > 1:
+            frames.append(forms)
         else:
-            beyond.append((data, forms))
-    if beyond and not config.flats:
-        points = [linalg.cleared(p)[1] for p, _ in beyond]
-        generators, numerator = _point_kernels(points, supports, m, config.n)
-        return SymbolicPower(m, n, tuple(generators), numerator)
-    generators = [
-        {DEGREVLEX(a): 1} for a in _coordinate_generators(supports, m, n)
-    ]
-    for k, (_, forms) in enumerate(beyond):
+            rest.append(forms)
+    generators, numerator = (_kernels(frames, supports, m, n)
+                             if supports or frames else ((), None))
+    for forms in rest:
         power = _power(forms, m)
-        generators = intersect_ideals(generators, power, n) if k or supports else power
-    leads = minimalize(unpack(max(g), n) for g in generators)
-    return SymbolicPower(m, n, tuple(generators), k_polynomial(leads))
+        generators = intersect_ideals(generators, power, n) if generators else power
+    if rest:
+        numerator = k_polynomial(minimalize(unpack(max(g), n) for g in generators))
+    return SymbolicPower(m, n, tuple(generators), numerator)
 
 
 def _power(forms, m):
     """The m-th power of the ideal of the forms: the images of the degree-m
     monomials in k variables, in the order of
-    combinations_with_replacement, under the k x (n+1) matrix of the
-    forms."""
+    combinations_with_replacement, under the k x (n+1) matrix of the forms.
+    In reduced row-echelon form their leads are distinct variables, so this
+    is a Groebner basis in the pipeline's format, primitive by Gauss."""
     k = len(forms)
     monomials = [
         {DEGREVLEX(tuple(map(combo.count, range(k)))): 1}
@@ -287,113 +273,123 @@ def _power(forms, m):
     return cleared_substitute(monomials, forms)
 
 
-def _coordinate_generators(supports, m, n):
-    """The minimal generators of the intersection of the ideals (x_F)^m,
-    for the variable sets F in supports, as exponent tuples in n variables
-    sorted by DEGREVLEX: the unit ideal's 1 when there are none.
+def _groups(frames):
+    """The variables that the forms of the frames hold, in the groups those
+    forms link, two variables being linked when a form holds both
+    (union-find)."""
+    parent = {}
 
-    x^a is a minimal generator iff every sum over an F is at least m and
-    each variable of a lies in an F whose sum is exactly m.  So a_i is at
-    most m less the sum so far of some F holding i, and a variable in no F
-    is 0; the exponents are chosen in turn within those bounds."""
-    out = []
+    def root(i):
+        while parent.setdefault(i, i) != i:
+            i = parent[i]
+        return i
 
-    def extend(a):
-        i = len(a)
-        if i == n:
-            sums = [sum(a[j] for j in f) for f in supports]
-            tight = [f for f, s in zip(supports, sums) if s == m]
-            if min(sums, default=m) >= m and all(
-                any(j in f for f in tight) for j in range(n) if a[j]
-            ):
-                out.append(tuple(a))
-            return
-        top = max((m - sum(a[j] for j in f if j < i) for f in supports if i in f),
-                  default=0)
-        for e in range(top + 1):
-            extend(a + [e])
-
-    extend([])
-    return sorted(out, key=DEGREVLEX)
+    for f in (f for forms in frames for f in forms):
+        first, *others = [root(i) for i, c in enumerate(f) if c]
+        for i in others:
+            parent[i] = first
+    groups = {}
+    for i in sorted(parent):
+        groups.setdefault(root(i), []).append(i)
+    return list(groups.values())
 
 
-def _point_kernels(points, supports, m, n):
-    """(generators, K-polynomial) of I^(m) for the points beyond the basis,
-    integer rows, and the coordinate points, by their supports, in P^n: the
-    kernel path of symbolic_power.
+def _kernels(frames, supports, m, n):
+    """(generators, K-polynomial) of the intersection of the m-th powers of
+    the coordinate subspaces, by their supports, and of the components cut
+    out by each frame's integer echelon rows, in n variables:
+    symbolic_power's loop.
 
     In degree d the columns are J_d's monomials in increasing DEGREVLEX
-    order, where J holds x^a with a_i <= d - m for each coordinate point
-    e_i.  Each point p, with k its first nonzero coordinate, takes the
-    coordinates x_j = y_j + p_j z (j != k), x_k = p_k z; its rows are the
-    coefficients of the terms of y-degree below m.  In the reduced echelon
-    form of the rows, a free column f has the kernel vector with its
-    largest monomial at f and its other entries at pivot columns, all
-    smaller: so these vectors are the reduced echelon form of I^(m)_d with
-    the columns in decreasing order, led by the free columns, in(I^(m))_d.
-    Below degree m, I^(m) is 0."""
-    e = (len(points) + len(supports)) * comb(m - 1 + n, n)
-    cap = CONDITION_CAP
-    conditions = len(points) * comb(m - 1 + n, n)
+    order.  A frame has z at the rows of the echelon form of its forms'
+    kernel and y at the unit vectors of the other columns, so the forms cut
+    out y = 0 and f lies in the component's m-th power iff f(frame(y, z))
+    has no term of y-degree below m (for a point, z is the point and these
+    are its partials of order m - 1: Emsalem-Iarrobino 1995, "Inverse
+    system of a symbolic power I"); the rows are those terms' coefficients.
+    The forms link the variables they hold into groups (_groups), and a
+    frame, each z put at its row's pivot column, maps each group's
+    variables into the span of its own at that group's columns: every term
+    of the image of x^a has a's degree in each group, so the condition
+    matrix is block diagonal by those degrees, and each block is echeloned
+    exactly on its own.  In a block's reduced echelon form a free column f
+    has the kernel vector with its largest monomial at f and its other
+    entries at pivot columns, all smaller: so these vectors, by free column
+    in increasing order, are the reduced echelon form of I^(m)_d with the
+    columns in decreasing order, led by in(I^(m))_d.  A generator is the
+    primitive vector of each free column that no lead of a lower degree
+    divides; generators need not be a Groebner basis."""
+    s = len(frames) + len(supports)
+    r = max(n - 1 - len(forms) for forms in supports + frames)  # largest dimension
+    top, e = s * m, s * comb(m + n - 2, n - 1)
     matrices = []
-    for p in points:
-        k = next(j for j, c in enumerate(p) if c)
-        ys = [j for j in range(n + 1) if j != k]
-        matrices.append(
-            [[int(j == y) for y in ys] + [p[j]] for j in range(n + 1)]
-        )
-    hf = [comb(d + n, n) for d in range(m)]
+    for forms in frames:
+        # y at the forms' pivots instead echelons points about 10% slower
+        kernel, zs = linalg.echelon(linalg.nullspace(forms))
+        ys = [j for j in range(n) if j not in zs]
+        matrices.append(([[int(j == c) for c in ys] + [v[j] for v in kernel]
+                          for j in range(n)], len(ys)))
+    groups = _groups(frames)
+    hf = [comb(d + n - 1, n - 1) for d in range(m)]
     generators, leads = [], []
     d = m
     while True:
-        monomials = sorted(
-            (a for a in _monomials(n + 1, d)
-             if all(sum(a[i] for i in f) >= m for f in supports)),
-            key=DEGREVLEX,
-        )
-        cols = len(monomials)
-        if conditions * cols > cap:
-            raise ComputationLimitError(
-                f"condition matrix cap {cap} exhausted ({conditions} x {cols} "
-                f"in degree {d})"
-            )
-        polys = [{DEGREVLEX(a): 1} for a in monomials]
+        exponents = (tuple(map(c.count, range(n)))
+                     for c in combinations_with_replacement(range(n), d)
+                     if all(sum(map(f.__contains__, c)) >= m for f in supports))
+        keyed = sorted((DEGREVLEX(a), a) for a in exponents)
+        monomials = [a for _, a in keyed]
+        polys = [{key: 1} for key, _ in keyed]
         rows = []
-        for matrix in matrices if monomials else ():
+        for matrix, k in matrices if monomials else ():
             table = {}
-            for c, image in enumerate(cleared_substitute(polys, matrix, below=m)):
+            for c, image in enumerate(cleared_substitute(polys, matrix, below=(k, m))):
                 for b, v in image.items():
-                    table.setdefault(b, [0] * cols)[c] = v
+                    table.setdefault(b, {})[c] = v
             rows += table.values()
-        echelon, pivots = linalg.echelon(rows)
-        pivoted = set(pivots)
-        free = [c for c in range(cols) if c not in pivoted]
-        hf.append(comb(d + n, n) - len(free))
+        generating = d <= top or not r
+        reduced = dict(enumerate(polys))  # I^(m)_d by the lead's column
+        if rows:
+            block = [tuple(sum(a[i] for i in g) for g in groups) for a in monomials]
+            blocks = {key: ([], []) for key in block}
+            for c, key in enumerate(block):
+                blocks[key][0].append(c)
+            for row in rows:
+                blocks[block[next(iter(row))]][1].append(row)
+            built = [(cols, part) for cols, part in blocks.values() if part]
+            if sum(len(cols) * len(part) for cols, part in built) > CONDITION_CAP:
+                shapes = " + ".join(f"{len(p)} x {len(cols)}" for cols, p in built)
+                raise ComputationLimitError(f"condition matrix cap {CONDITION_CAP} "
+                                            f"exhausted ({shapes} in degree {d})")
+            for cols, part in built:
+                echelon, pivots = linalg.echelon([[row.get(c, 0) for c in cols]
+                                                  for row in part])
+                for p in pivots:
+                    del reduced[cols[p]]
+                if generating:
+                    free = [c for c in cols if c in reduced]
+                    for f, v in zip(free, linalg.kernel(echelon, pivots, len(cols))):
+                        g = reduce(gcd, v, 0)
+                        reduced[f] = {keyed[c][0]: x // g for c, x in zip(cols, v) if x}
+        hf.append(comb(d + n - 1, n - 1) - len(reduced))
         # a lead of this degree divides no other of it
-        for f, v in zip(free, linalg.kernel(echelon, pivots, cols)):
-            a = monomials[f]
-            if not any(map(divides, leads, repeat(a))):
-                g = reduce(gcd, v, 0)
-                generators.append(
-                    {DEGREVLEX(b): x // g for b, x in zip(monomials, v) if x}
-                )
-                leads.append(a)
-        if hf[d - 1] == e:
-            return generators, _numerator(hf, n)
+        for c, g in reduced.items() if generating else ():
+            if not any(map(divides, leads, repeat(monomials[c]))):
+                generators.append(g)
+                leads.append(monomials[c])
+        if d == top + r if r else hf[d - 1] == e:
+            return generators, _numerator(hf, n - 1, r)
         d += 1
 
 
-def _monomials(n, d):
-    """The exponent tuples of degree d in n variables."""
-    for combo in combinations_with_replacement(range(n), d):
-        yield tuple(map(combo.count, range(n)))
-
-
-def _numerator(hf, n):
+def _numerator(hf, n, r):
     """The K-polynomial of S/I in n + 1 variables whose Hilbert function is
-    hf and then constant: (1 - t)^(n+1) times the Hilbert series."""
-    poly = [b - a for a, b in zip([0] + hf, hf)]  # the h-vector
-    for _ in range(n):
+    hf and then a polynomial of degree r, (1 - t)^(n+1) times the Hilbert
+    series: r + 1 differences of hf, which vanish beyond it, then n - r."""
+    poly = hf
+    for _ in range(r + 1):
+        poly = [b - a for a, b in zip([0] + poly, poly)]  # the h-vector at last
+    for _ in range(n - r):
         poly = [b - a for a, b in zip([0] + poly, poly + [0])]
     return {d: c for d, c in enumerate(poly) if c}
 

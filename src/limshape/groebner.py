@@ -13,14 +13,13 @@ also its reducer list.  Each caller reduces only what it returns: gin reads
 the leading monomials alone, and intersect_ideals tail-reduces the u-free
 pairs it keeps and clears each of them once.
 
-One S-pair loop (buchberger) and one reduction loop (_reduce_terms)
-serve both coefficient fields, chosen by an argument p: p = 0 is Q, with
+One S-pair loop (buchberger) and one reduction loop (_reduce_terms) serve
+both coefficient fields, chosen by an argument p: p = 0 is Q, with
 Fraction coefficients, and a prime p is F_p, with int residues.
 intersect_ideals computes over Q, because its basis is the exact I^(m)
 that both of gin's primes reduce and that symbolic-power moves back, and
 so does that move back, whose basis is printed.  symbolic_power calls
-intersect_ideals only for the configurations with a flat and a component
-beyond the coordinate subspaces; the others take no S-pair before gin (see
+intersect_ideals only for the components its degree loop leaves (see
 configs.symbolic_power).  gin's two draws compute over F_p, one prime of
 GIN_PRIMES each (2^31 - 1 and 2^31 - 19), because gin reads only leading
 monomials, and on its section x_last = 0, in one variable fewer; the

@@ -41,8 +41,8 @@ from .linalg import ComputationLimitError, cleared, det
 EXPONENT_BITS = 15
 
 # monomial images one cleared_substitute call may hold, read at call time:
-# the largest table on the reach ladder (three generic lines in P^3 at
-# m = 5) holds 1 271
+# the largest table on the reach ladder (the conditions of three generic
+# lines in P^3 at m = 8, in degree 25) holds 12 651
 IMAGE_CAP = 100_000
 
 
@@ -264,12 +264,11 @@ def cleared_substitute(polys, matrix, p=0, below=None):
     when a prime p is given with one.  gin's draws pass the first nvars - 1
     columns of their matrices: the substitution, then x_last = 0.
 
-    With below = m, only the terms of degree below m in the first k - 1
-    variables are kept: a point's conditions on I^(m) in coordinates
-    adapted to it (see configs.symbolic_power).  That degree is the total
-    degree less the last exponent, the lowest field of a packed key, and
-    no factor of an image lowers it, so the table is truncated as it is
-    built.
+    With below = (j, m), only the terms of degree below m in the first j
+    variables are kept: a component's conditions on I^(m) in a frame
+    adapted to it (see configs._kernels).  That degree is the partial
+    sum e1 + ... + ej, a high field of the DEGREVLEX key, and no factor of
+    an image lowers it, so the table is truncated as it is built.
 
     The polynomials share one table of monomial images: the image of x^a
     is built once, as the image of x^a / x_i times row i, where x_i is the
@@ -289,7 +288,11 @@ def cleared_substitute(polys, matrix, p=0, below=None):
         return {b: v for b, v in acc.items() if v}
 
     table = {(0,) * n: {0: 1}}
-    last = (1 << EXPONENT_BITS) - 1
+    j, m = below or (0, 0)  # j = 0 keeps every term
+    if j:
+        width = EXPONENT_BITS + 1 + len(weights).bit_length()
+        shift = (EXPONENT_BITS + 1) * len(weights) + width * (j - 1)
+        field = (1 << width) - 1
 
     def image(alpha):
         img = table.get(alpha)
@@ -305,10 +308,8 @@ def cleared_substitute(polys, matrix, p=0, below=None):
                 for w, c in rows[i]:
                     gamma = beta + w
                     img[gamma] = img.get(gamma, 0) + v * c
-            if below is not None:
-                # keep the last exponent above degree - m
-                floor = degree(alpha) - below
-                img = {b: v for b, v in img.items() if b & last > floor}
+            if j:
+                img = {b: v for b, v in img.items() if b >> shift & field < m}
             img = table[alpha] = nonzero(img)
         return img
 

@@ -25,6 +25,7 @@ FOUR_POINTS = json.dumps({"n": 2, "components": [
     {"type": "point", "coords": coords}
     for coords in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 2, 3])
 ]})
+THREE_LINES = '{"n": 3, "generic": {"r": 1, "s": 3, "seed": 3}}'
 
 
 @pytest.fixture
@@ -679,15 +680,18 @@ def test_ray_cap_maps_to_exit_4(config_path, tmp_path, capsys, monkeypatch):
     (staircase, "K_NODE_CAP", 0, "K-polynomial node cap 0 exhausted", TWO_POINTS),
     (rings, "IMAGE_CAP", 1, "image table cap 1 exhausted", TWO_POINTS),
     (configs, "CONDITION_CAP", 0, "condition matrix cap 0 exhausted", FOUR_POINTS),
-], ids=["basis", "exponent", "k-polynomial", "image-table", "condition-matrix"])
+    (configs, "CONDITION_CAP", 0, "condition matrix cap 0 exhausted", THREE_LINES),
+], ids=["basis", "exponent", "k-polynomial", "image-table", "condition-matrix",
+        "condition-blocks"])
 def test_engine_caps_map_to_exit_4(module, cap, value, message, config,
                                    tmp_path, capsys, monkeypatch):
     # the real caps, not a faked exception: every gin draw of a symbolic
     # power of two points needs a basis of more than one element, exponents
     # of 2 and more, and an image beyond the substitution table's first
     # entry, that of 1; every K-polynomial call visits at least its first
-    # node; and the fourth of four points in P^2, on the frame, has
-    # conditions on the monomials of every symbolic power
+    # node; the fourth of four points in P^2, on the frame, has conditions
+    # on the monomials of every symbolic power; and so does the third of
+    # three lines in P^3, in normal form, whose conditions split in blocks
     config_path = str(tmp_path / "config.json")
     Path(config_path).write_text(config)
     monkeypatch.setattr(module, cap, value)

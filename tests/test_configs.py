@@ -30,6 +30,7 @@ from oracles import (
 )
 
 from limshape import configs, linalg, rings
+from limshape.asymptotics import flats_hp
 from limshape.configs import (
     Config,
     DegenerateConfigError,
@@ -267,10 +268,36 @@ def test_symbolic_power_obeys_the_condition_cap(monkeypatch):
         symbolic_power(config, 2)
 
 
+def test_condition_cap_counts_the_blocks_built(monkeypatch):
+    # three lines in P^3 at m = 2: the third line, x1 = x3 and x2 = x4 in
+    # normal form, links x1 with x3 and x2 with x4, so each degree's
+    # conditions split by the degree in each pair.  Degree 7 has 22 rows on
+    # 76 columns, but its blocks hold 220 entries, the largest 3 x 14
+    config = coordinate_position(Config.generic(3, 1, 3, 3))[0]
+    monkeypatch.setattr(configs, "CONDITION_CAP", 220)
+    symbolic_power(config, 2)
+    monkeypatch.setattr(configs, "CONDITION_CAP", 219)
+    with pytest.raises(ComputationLimitError) as caught:
+        symbolic_power(config, 2)
+    message = str(caught.value)
+    assert message.startswith("condition matrix cap 219 exhausted (")
+    assert message.endswith(" in degree 7)")
+    shapes = [tuple(map(int, shape.split(" x ")))
+              for shape in message[message.index("(") + 1:-len(" in degree 7)")]
+              .split(" + ")]
+    assert sum(rows for rows, _ in shapes) == 22
+    assert sum(rows * cols for rows, cols in shapes) == 220
+    assert max(shapes) == (3, 14)
+
+
 # (config, m_max): each path of symbolic_power against the elimination,
 # in coordinate position and as drawn, where no component is a coordinate
 # subspace and J is the unit ideal; six points in P^3 as drawn take 26 s
 LINE = [(2, -1, 4, 7), (3, 5, -2, 1)]
+# x1 = x2 = 0 and x1 = x3 = 0: J alone, with overlapping supports
+MEETING_COORDINATE_LINES = Config.of(
+    3, flats=[[(1, 0, 0, 0), (0, 1, 0, 0)], [(1, 0, 0, 0), (0, 0, 1, 0)]]
+)
 ELIMINATION_ORACLE_CASES = {
     "five-points-P2": (Config.generic(2, 0, 5, 3), 3),
     "six-points-P2": (Config.generic(2, 0, 6, 3), 2),
@@ -280,6 +307,7 @@ ELIMINATION_ORACLE_CASES = {
     "line-and-three-points": (
         Config.of(3, [(1, 2, -3, 5), (2, 0, 1, 1), (1, 1, 1, 3)], [LINE]), 2
     ),
+    "meeting-coordinate-lines": (MEETING_COORDINATE_LINES, 3),
 }
 ELIMINATION_ORACLE_CASES.update({
     f"{name}-moved": (coordinate_position(config)[0], m_max)
@@ -288,6 +316,9 @@ ELIMINATION_ORACLE_CASES.update({
         ("six-points-P2", (Config.generic(2, 0, 6, 3), 3)),
         ("five-points-P3", (Config.generic(3, 0, 5, 3), 3)),
         ("six-points-P3", (Config.generic(3, 0, 6, 3), 2)),
+        ("three-lines-P3", (Config.generic(3, 1, 3, 3), 3)),
+        ("three-planes-P5", (Config.generic(5, 2, 3, 3), 2)),
+        ("four-lines-P3", (Config.generic(3, 1, 4, 3), 2)),
     ]
 })
 
@@ -300,6 +331,59 @@ def test_symbolic_power_matches_the_elimination_oracle(name):
         oracle = symbolic_power_by_elimination(config, m)
         assert groebner_basis(ideal_of(sp.generators, sp.nvars)).basis == oracle.basis
         assert sp.hilbert_numerator == k_polynomial(initial_ideal(oracle)), (name, m)
+
+
+def test_three_skew_lines_reach_their_hilbert_polynomial():
+    # a closed form with no elimination: the Hilbert function of S/I^(m)
+    # read off the loop's K-polynomial is flats_hp from degree 3m, the
+    # regularity bound of three lines, on
+    config = coordinate_position(Config.generic(3, 1, 3, 3))[0]
+    for m in (1, 2, 3):
+        numerator = symbolic_power(config, m).hilbert_numerator
+        hp = flats_hp(3, 1, 3, m)
+        for d in range(3 * m, 3 * m + 6):
+            hf = sum(c * comb(d - k + 3, 3) for k, c in numerator.items() if k <= d)
+            assert hf == hp(d), (m, d)
+
+
+@pytest.mark.parametrize("name, moved, calls", [
+    ("three-lines-P3", True, 0),
+    ("three-planes-P5", True, 0),
+    ("two-lines", True, 0),
+    ("four-lines-P3", True, 1),
+    ("point-plus-line", False, 1),
+    ("point-plus-line", True, 0),
+    ("line-and-three-points", False, 3),
+    ("line-and-three-points", True, 1),
+])
+def test_symbolic_power_intersects_only_what_the_loop_leaves(name, moved, calls,
+                                                             monkeypatch):
+    # the loop takes the coordinate subspaces, the points of a points-only
+    # configuration and each flat that keeps the variables its forms hold
+    # in two groups or more: the third of three lines in P^3 and of three
+    # planes in P^5, not the fourth line; the points beyond the basis next
+    # to a flat, and a line that links the variables it holds, go to the
+    # elimination one intersection each
+    config = {
+        "three-lines-P3": Config.generic(3, 1, 3, 3),
+        "three-planes-P5": Config.generic(5, 2, 3, 3),
+        "two-lines": Config.generic(3, 1, 2, 3),
+        "four-lines-P3": Config.generic(3, 1, 4, 3),
+        "point-plus-line": ELIMINATION_ORACLE_CASES["point-plus-line"][0],
+        "line-and-three-points": ELIMINATION_ORACLE_CASES["line-and-three-points"][0],
+    }[name]
+    if moved:
+        config = coordinate_position(config)[0]
+    counted = []
+    real = configs.intersect_ideals
+
+    def counting(a, b, n):
+        counted.append(n)
+        return real(a, b, n)
+
+    monkeypatch.setattr(configs, "intersect_ideals", counting)
+    symbolic_power(config, 2)
+    assert len(counted) == calls
 
 
 def test_point_kernels_stop_where_the_hilbert_function_settles(monkeypatch):

@@ -284,10 +284,26 @@ def test_truncated_table_keeps_the_terms_of_low_degree_but_in_the_last(case, m):
     assume(all(type(x) is int for row in matrix for x in row))
     n = len(matrix[0])
     exact = cleared_substitute(cleared_terms(polys), matrix)
-    truncated = cleared_substitute(cleared_terms(polys), matrix, below=m)
+    truncated = cleared_substitute(cleared_terms(polys), matrix, below=(n - 1, m))
     for terms, kept in zip(exact, truncated):
         assert kept == {b: v for b, v in terms.items()
                         if sum(unpack(b, n)[:-1]) < m}
+
+
+@given(shared_substitution_cases(), st.integers(1, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_truncated_table_keeps_the_terms_of_low_degree_in_the_first_j(case, m, data):
+    # a flat's conditions keep the terms of degree below m in its frame's
+    # first j variables, the y of its j forms: a high field of the key
+    polys, matrix = case
+    assume(all(type(x) is int for row in matrix for x in row))
+    n = len(matrix[0])
+    j = data.draw(st.integers(1, n))
+    exact = cleared_substitute(cleared_terms(polys), matrix)
+    truncated = cleared_substitute(cleared_terms(polys), matrix, below=(j, m))
+    for terms, kept in zip(exact, truncated):
+        assert kept == {b: v for b, v in terms.items()
+                        if sum(unpack(b, n)[:j]) < m}
 
 
 @given(shared_substitution_cases(), st.sampled_from([0, 7, 2_147_483_647]))
