@@ -17,6 +17,7 @@ from limshape.groebner import ComputationLimitError, GenericityError
 from limshape.staircase import k_polynomial
 from oracles import groebner_basis, symbolic_ideal
 from test_asymptotics import MOVE_ORACLE_CASES
+from test_configs import ELIMINATION_ORACLE_CASES
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -285,10 +286,13 @@ def test_symbolic_power_command_keeps_input_coordinates(name, tmp_path, capsys):
 
 # sha256 of the `symbolic-power` and `gin` outputs for m = 1..m_max, each
 # without its manifest: the Q path from the component forms to the printed
-# bases and the F_p draws, pinned byte for byte
+# bases and the F_p draws, pinned byte for byte.  The last two reach
+# intersect_ideals: a line beside points, and a fourth line in P^3
 GOLDEN_CASES = {
     **MOVE_ORACLE_CASES,
     "five-points-P3": (Config.generic(3, 0, 5, 3), 3),
+    "line-and-three-points": (ELIMINATION_ORACLE_CASES["line-and-three-points"][0], 3),
+    "four-lines-P3": (Config.generic(3, 1, 4, 3), 2),
 }
 GOLDEN_DIGESTS = {
     "two-lines": (
@@ -318,6 +322,14 @@ GOLDEN_DIGESTS = {
     "three-lines-P3": (
         "3a2c95f9fc91d780fef1dc99199f71b285de61de889bce5eb0e9aeb75915ee20",
         "1192bce35a0b82b58d5b8919b7559bf7097b8f137e1cb5e6374ff05678f88bc3",
+    ),
+    "line-and-three-points": (
+        "679208c385fcfb4d239313b5be0ba50a6644b687e32c27b277568a91f53df68d",
+        "c99bc19e3ce225d68f49409745ede9bcf90e0c883299153e84e06998bb99f7fb",
+    ),
+    "four-lines-P3": (
+        "cd431e9e9a85eb11283e25c788c5e134ada5f01ba7303b62ec04a0bba0e440f3",
+        "fdd96d05ec31bb643b469067a0495826844d386821d268d3207d9e5eb1db460a",
     ),
 }
 
