@@ -195,19 +195,21 @@ def cmd_symbolic_power(args):
     manifest = RunManifest(
         "symbolic-power", __version__, args.config, digest, m=args.m
     )
-    # I^(m) in coordinate position, moved back: its reduced degrevlex basis
-    # is unique, so it prints as the intersection in the input coordinates.
-    # The move keeps the Hilbert series, and substituting the integer
-    # multiple d * B^-1 only scales each homogeneous generator, which the
-    # engine makes monic.  Polynomial only prints the basis.
+    # I^(m) in coordinate position, moved back: the move keeps the Hilbert
+    # series, and the integer multiple d * B^-1 only scales each homogeneous
+    # generator.  The reduced degrevlex basis is unique, so it prints monic,
+    # each element over its first (lead) coefficient, as the intersection.
     moved, back = coordinate_position(config)
     sp = symbolic_power(moved, args.m)
     gens = cleared_substitute(sp.generators, back)
     basis = reduce_tails(buchberger(gens, sp.nvars, target=sp.hilbert_numerator))
+    monic = [
+        {a: Fraction(c, next(iter(t.values()))) for a, c in t.items()} for t in basis
+    ]
     payload = {
         "manifest": manifest.as_dict(),
         "nvars": sp.nvars,
-        "generators": [str(Polynomial(sp.nvars, terms)) for terms in basis],
+        "generators": [str(Polynomial(sp.nvars, terms)) for terms in monic],
     }
     _emit(payload, args, f"symbolic_power_m{args.m}.json")
     return EXIT_OK

@@ -7,16 +7,17 @@ positive leading coefficient, keyed by DEGREVLEX packed monomials, with the
 number of variables passed beside them.  intersect_ideals takes and returns
 them, and gin takes them.
 
-The engine keeps each basis element as a monic (leading monomial, term
-dict) pair, from the input generators to a minimal basis; that list is
-also its reducer list.  Each caller reduces only what it returns: gin reads
-the leading monomials alone, and intersect_ideals tail-reduces the u-free
-pairs it keeps and clears each of them once.
+The engine keeps each basis element as a (leading monomial, term dict)
+pair, from the input generators to a minimal basis; that list is also its
+reducer list.  Each caller reduces only what it returns: gin reads the
+leading monomials alone, and intersect_ideals tail-reduces the u-free
+pairs it keeps.
 
 One S-pair loop (buchberger) and one reduction loop (_reduce_terms) serve
-both coefficient fields, chosen by an argument p: p = 0 is Q, with
-Fraction coefficients, and a prime p is F_p, with int residues.
-intersect_ideals computes over Q, because its basis is the exact I^(m)
+both coefficient rings on ints, chosen by an argument p: p = 0 is Z,
+fraction-free (linalg's Bareiss idea) on primitive elements with a
+positive lead, and a prime p is F_p, on monic elements of residues.
+intersect_ideals computes over Z, because its basis is the exact I^(m)
 that both of gin's primes reduce and that symbolic-power moves back, and
 so does that move back, whose basis is printed.  symbolic_power calls
 intersect_ideals only for the components its degree loop leaves (see
@@ -34,7 +35,7 @@ chain criterion, test divisibility with one guard-bit test.  The
 engine's boundary is packed: buchberger takes packed generators, which
 gin's draws and symbolic-power's move back get from cleared_substitute
 and intersect_ideals re-keys by the elimination order, and it unpacks only
-the leads it returns.  reduce_tails is the one place the Q path unpacks
+the leads it returns.  reduce_tails is the one place the Z path unpacks
 whole term dicts.  A monomial whose exponent passes the field width raises
 ComputationLimitError before its key is used, so no key wraps.
 
@@ -56,7 +57,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 from operator import mul
 
 from . import linalg
@@ -79,9 +80,9 @@ from .staircase import (
 )
 
 PAIR_CAP = 200_000  # S-pairs one Buchberger run may take; read at call time
-# elements one Buchberger basis may hold; read at call time.  The largest
-# basis of the reach runs has 345 (5 points in P^3 up to m = 6), and the
-# B^2 / 2 pending pairs of a basis at the cap take about 110 MB
+# elements one Buchberger basis may hold; read at call time.  Reach runs
+# peak at 449 in a gin draw (two planes in P^5, m = 4), 352 over Z (three
+# lines in P^4, m = 5); B^2 / 2 pending pairs at the cap take about 110 MB
 BASIS_CAP = 1_000
 ENTRY_BOUND = 100  # a gin draw's matrix has entries in [-ENTRY_BOUND, ENTRY_BOUND]
 # the prime of each gin draw, 2^31 - 1 and the largest prime below it;
@@ -106,9 +107,11 @@ LastVariableError = GenericityError
 
 def _reduce_terms(terms, reducers, guard, p=0):
     """Remainder dict of a packed term dict modulo (lead, terms) reducer
-    pairs, over Q (p = 0, Fraction coefficients) or over F_p (int residues
-    mod p); guard is the guard bits of the packed monomials.  Every reducer
-    must be monic, so a term's coefficient is the factor of its reducer.
+    pairs with positive leads, over Z (p = 0) or F_p (int residues mod p);
+    guard is the guard bits of the packed monomials.  Before a reducer with
+    leading coefficient a != 1 reduces a term c, the scratch dict and the
+    remainder so far are scaled by a / gcd(a, c): over Z the remainder is a
+    positive multiple of the one over Q; over F_p reducers are monic.
 
     Works top-down through the support with a lazy max-heap of negated
     keys, mutating a scratch dict; the workhorse behind buchberger.  The
@@ -135,9 +138,16 @@ def _reduce_terms(terms, reducers, guard, p=0):
         for glm, gterms in reducers:
             if (covered - glm) & guard != guard:
                 continue
+            a = gterms[glm]
+            if a != 1:
+                g = gcd(a, lc)
+                lc, a = lc // g, a // g
+                if a != 1:
+                    work = {k: c * a for k, c in work.items()}
+                    remainder = {k: c * a for k, c in remainder.items()}
             shift = z - glm
-            for a, c in gterms.items():
-                ab = a + shift
+            for b, c in gterms.items():
+                ab = b + shift
                 old = work.get(ab)
                 s = (old or 0) - c * lc
                 if p:
@@ -155,26 +165,27 @@ def _reduce_terms(terms, reducers, guard, p=0):
     return remainder
 
 
-def _monic(terms, lead, p):
-    """The term dict divided by its coefficient at lead, over Q or F_p;
-    over Q the quotients are Fractions, also of int coefficients."""
+def _normal(terms, lead, p):
+    """The term dict as the engine keeps it: over F_p monic, over Z divided
+    by its content signed as lead's coefficient, so the lead is positive."""
     lc = terms[lead]
     if p:
         inverse = pow(lc, -1, p)
         return {a: c * inverse % p for a, c in terms.items()}
-    return {a: Fraction(c, lc) for a, c in terms.items()}
+    content = gcd(*terms.values()) if lc > 0 else -gcd(*terms.values())
+    return {a: c // content for a, c in terms.items()}
 
 
 def buchberger(gens, n, order=DEGREVLEX, target=None, p=0):
-    """Minimal Groebner basis of the ideal that gens, nonzero term dicts in
-    n variables keyed by order's packed monomials, span: monic (leading
+    """Minimal Groebner basis of the ideal that gens, nonzero int term dicts
+    in n variables keyed by order's packed monomials, span: (leading
     exponent tuple, packed term dict) pairs whose leads divide no other
     lead, sorted by lead.  Tails are left unreduced; reduce_tails finishes
     the reduced basis.
 
-    p = 0 computes over Q, with Fraction coefficients (int input is made
-    exact Fractions); a prime p computes over F_p, with coefficients the
-    int residues 1..p-1.  Both run the same loop.
+    p = 0 computes over Z, fraction-free, and each element is primitive
+    with a positive lead; a prime p computes over F_p, and each element is
+    monic, with coefficients the residues 1..p-1.  Both run the same loop.
 
     Normal selection strategy (smallest lcm first, ties by pair index) with
     Buchberger's coprime and chain criteria; pending pairs wait in a heap,
@@ -193,7 +204,7 @@ def buchberger(gens, n, order=DEGREVLEX, target=None, p=0):
     """
     weights = unit_keys(order, n)
     guard = guard_bits(n)
-    basis = []  # (lead, monic term dict) per element; the reducer list
+    basis = []  # (lead, _normal term dict) per element; the reducer list
     leads = []  # each lead unpacked once: the lcms, the series, the result
     pairs = set()  # pending pairs, for the chain criterion's lookups
     queue = []  # the same pairs as a heap of (lcm, i, j)
@@ -206,7 +217,7 @@ def buchberger(gens, n, order=DEGREVLEX, target=None, p=0):
             pairs.add((i, j))
             lcm = sum(map(mul, map(max, other, exponents), weights))
             heapq.heappush(queue, (lcm, i, j))
-        basis.append((lead, _monic(terms, lead, p)))
+        basis.append((lead, _normal(terms, lead, p)))
         leads.append(exponents)
 
     for g in gens:
@@ -240,12 +251,14 @@ def buchberger(gens, n, order=DEGREVLEX, target=None, p=0):
                 break
         if skip:
             continue
-        # S-polynomial of two monic elements: their leading terms cancel
+        # S-polynomial: cofactors lc_j / g and lc_i / g, g = gcd(lc_i, lc_j)
+        g = gcd(fi[li], fj[lj])
+        ci, cj = fi[li] // g, fj[lj] // g
         si, sj = l - li, l - lj
-        s = {a + si: c for a, c in fi.items()}
+        s = {a + si: c * cj for a, c in fi.items()}
         for a, c in fj.items():
             b = a + sj
-            v = s.get(b, 0) - c
+            v = s.get(b, 0) - c * ci
             if p:
                 v %= p
             if v:
@@ -276,18 +289,16 @@ def buchberger(gens, n, order=DEGREVLEX, target=None, p=0):
 def reduce_tails(pairs):
     """Term dicts of the reduced Groebner basis, keyed by exponent tuples, in
     the same order, from the pairs of a minimal one as buchberger returns
-    them: each element's remainder modulo the others keeps its monic lead,
-    since no lead divides another."""
+    them over Z: each element's remainder modulo the others keeps its
+    positive lead, since no lead divides another, and is made primitive."""
     n = len(pairs[0][0]) if pairs else 0
     guard = guard_bits(n)
     packed = [(max(f), f) for _, f in pairs]
-    return [
-        {
-            unpack(a, n): c
-            for a, c in _reduce_terms(f, packed[:i] + packed[i + 1 :], guard).items()
-        }
-        for i, (_, f) in enumerate(packed)
+    reduced = [
+        _normal(_reduce_terms(f, packed[:i] + packed[i + 1 :], guard), lead, 0)
+        for i, (lead, f) in enumerate(packed)
     ]
+    return [{unpack(a, n): c for a, c in f.items()} for f in reduced]
 
 
 def intersect_ideals(a, b, n):
@@ -301,9 +312,8 @@ def intersect_ideals(a, b, n):
     a minimal elimination basis are a minimal degrevlex basis of the
     intersection, already in degrevlex order.  A u-free lead divides no
     monomial holding u, so reducing those elements among themselves gives
-    the reduced basis.  Each reduced element is monic over Q; times the lcm
-    of its denominators it is the primitive integer one, with a positive
-    leading coefficient.
+    the reduced basis, whose elements reduce_tails already makes primitive
+    with a positive lead: only their keys change.
     """
     order = elimination_order(1)
     # the packed key of u, and those of x_1..x_n in the ring with u
@@ -319,12 +329,10 @@ def intersect_ideals(a, b, n):
     pairs = buchberger(gens, n + 1, order)
     kept = [(lead, f) for lead, f in pairs if lead[0] == 0]
     weights = unit_keys(DEGREVLEX, n)
-    basis = []
-    for terms in reduce_tails(kept):
-        _, ints = linalg.cleared(list(terms.values()))
-        cleared = dict(zip([al[1:] for al in terms], ints))
-        basis.append(packed_terms(cleared, weights))
-    return basis
+    return [
+        packed_terms({al[1:]: c for al, c in terms.items()}, weights)
+        for terms in reduce_tails(kept)
+    ]
 
 
 # -- generic initial ideals ------------------------------------------------

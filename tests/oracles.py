@@ -354,10 +354,18 @@ class GroebnerBasis:
 
 
 def pack_generators(gens, order=DEGREVLEX):
-    """Nonzero tuple-keyed term dicts as the packed generators buchberger
-    takes under order."""
+    """Nonzero tuple-keyed term dicts, rational or int, as the packed
+    generators buchberger takes under order: each cleared to its primitive
+    integer multiple with a positive lead, as the pipeline's format has
+    them."""
     weights = unit_keys(order, len(next(iter(gens[0]))))
-    return [packed_terms(g, weights) for g in gens]
+    out = []
+    for g in gens:
+        _, ints = linalg.cleared(list(g.values()))
+        terms = packed_terms(dict(zip(g, ints)), weights)
+        content = gcd(*ints) if terms[max(terms)] > 0 else -gcd(*ints)
+        out.append({a: c // content for a, c in terms.items()})
+    return out
 
 
 def unpack_pairs(pairs, n):
@@ -367,11 +375,14 @@ def unpack_pairs(pairs, n):
 
 
 def groebner_basis(ideal: Ideal, order=DEGREVLEX) -> GroebnerBasis:
-    """The reduced basis: the engine's minimal basis, tails reduced."""
+    """The reduced basis: the engine's minimal basis, tails reduced, each
+    primitive element divided by its lead, the first of its terms."""
     gens = pack_generators([g.terms for g in ideal.generators], order)
     pairs = buchberger(gens, ideal.nvars, order)
     return GroebnerBasis(ideal, order, tuple(
-        Poly(ideal.nvars, terms) for terms in reduce_tails(pairs)
+        Poly(ideal.nvars, {a: Fraction(c, next(iter(terms.values())))
+                           for a, c in terms.items()})
+        for terms in reduce_tails(pairs)
     ))
 
 

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +10,7 @@ from oracles import (
     Ideal,
     Poly,
     contains,
+    count_fractions,
     exp_div,
     exp_lcm,
     gin_draw_matrix,
@@ -35,7 +36,7 @@ from oracles import (
 from test_asymptotics import MOVE_ORACLE_CASES
 from test_rings import expand_substitute
 
-from limshape import asymptotics, groebner, linalg, rings
+from limshape import asymptotics, configs, groebner, linalg, rings
 from limshape.configs import Config, coordinate_position, symbolic_power
 from limshape.groebner import (
     DEGREVLEX,
@@ -423,16 +424,22 @@ def test_buchberger_matches_textbook_algorithm(ideal, orders):
     expect = textbook_groebner(ideal.generators, oracle)
     gens = pack_generators([g.terms for g in ideal.generators], order)
     pairs = groebner.buchberger(gens, n, order)
-    # a minimal basis: monic pairs whose leads divide no other lead, and
-    # those leads are the reduced basis's, in its order
+    # a minimal basis: primitive pairs with a positive lead, whose leads
+    # divide no other lead, and those leads are the reduced basis's, in its
+    # order
     leads = [lead for lead, _ in pairs]
     assert leads == [leading_monomial(g, oracle) for g in expect]
     for i, (lead, terms) in enumerate(unpack_pairs(pairs, n)):
-        assert max(terms, key=oracle) == lead and terms[lead] == 1
+        assert max(terms, key=oracle) == lead and is_primitive(terms, lead)
         assert not any(divides(lj, lead) for j, lj in enumerate(leads) if j != i)
-    # tail-reducing the pairs gives the reduced basis
+    # tail-reducing the pairs gives the reduced basis: each element is
+    # primitive with a positive lead, and divided by it the textbook's
     reduced = groebner.reduce_tails(pairs)
-    assert tuple(Poly(n, t) for t in reduced) == expect
+    assert all(is_primitive(t, lead) for t, lead in zip(reduced, leads))
+    assert tuple(
+        Poly(n, {a: Fraction(c, t[lead]) for a, c in t.items()})
+        for t, lead in zip(reduced, leads)
+    ) == expect
     # the loop stopped at the Hilbert series of the ideal returns the same
     # pairs, so the same reduced basis
     target = k_polynomial(leads)
@@ -440,13 +447,8 @@ def test_buchberger_matches_textbook_algorithm(ideal, orders):
     assert stopped == pairs
     assert groebner.reduce_tails(stopped) == reduced
     # the engine reads a remainder's leading monomial off its first key;
-    # its reducers are monic
-    weights = unit_keys(order, n)
-    monic = [g * (1 / g.terms[leading_monomial(g, order)]) for g in ideal.generators]
-    reducers = [
-        (order(leading_monomial(g, order)), packed_terms(g.terms, weights))
-        for g in monic
-    ]
+    # its reducers are primitive with a positive lead
+    reducers = [(max(g), g) for g in gens]
     for i, (_, terms) in enumerate(reducers):
         others = reducers[:i] + reducers[i + 1:]
         rem = groebner._reduce_terms(terms, others, guard_bits(n))
@@ -533,17 +535,38 @@ def test_buchberger_keeps_the_first_of_equal_leads():
         assert unpack_pairs(pairs, 2)[1] == ((2, 0), first)
 
 
-def test_integer_input_is_computed_in_exact_fractions():
-    # over Q the engine divides by leading coefficients; on int input the
-    # quotients must be Fractions, not floats
-    gens = [{(1, 0): 2, (0, 1): 3}, {(2, 0): 1, (0, 2): 5}]
-    exact = [{a: Fraction(c) for a, c in g.items()} for g in gens]
-    pairs = groebner.buchberger(pack_generators(gens), 2)
-    assert all(type(c) is Fraction for _, f in pairs for c in f.values())
-    assert pairs == groebner.buchberger(pack_generators(exact), 2)
-    assert unpack_pairs(pairs, 2) == [
-        ((1, 0), {(1, 0): 1, (0, 1): Fraction(3, 2)}), ((0, 2), {(0, 2): 1})
-    ]
+def is_primitive(terms, lead):
+    """Whether the term dict has int coefficients with gcd 1 and a positive
+    coefficient at lead: the format of the engine over Z."""
+    values = list(terms.values())
+    return all(type(c) is int for c in values) and gcd(*values) == 1 and terms[lead] > 0
+
+
+def test_engine_over_z_builds_no_fraction(monkeypatch):
+    # the elimination of the fourth of four moved lines in P^3 and the move
+    # back that symbolic-power prints run fraction-free: buchberger over Z,
+    # reduce_tails and intersect_ideals return primitive elements with a
+    # positive lead, and build no Fraction
+    moved, back = coordinate_position(Config.generic(3, 1, 4, 3))
+    intersections = []
+
+    def recording(a, b, n):
+        intersections.append(intersect_ideals(a, b, n))
+        return intersections[-1]
+
+    monkeypatch.setattr(configs, "intersect_ideals", recording)
+    built = count_fractions(monkeypatch)
+    sp = symbolic_power(moved, 2)
+    gens = rings.cleared_substitute(sp.generators, back)
+    pairs = groebner.buchberger(gens, sp.nvars, target=sp.hilbert_numerator)
+    reduced = groebner.reduce_tails(pairs)
+    monkeypatch.undo()
+    assert built == []
+    assert len(intersections) == 1 and intersections[0] == list(sp.generators)
+    assert all(is_primitive(g, max(g)) for g in sp.generators)
+    assert all(is_primitive(f, max(f)) for _, f in pairs)
+    leads = [lead for lead, _ in pairs]
+    assert all(is_primitive(t, lead) for t, lead in zip(reduced, leads))
 
 
 def test_wrong_target_raises_naming_both_numerators():

@@ -34,6 +34,20 @@ def test_no_float_literals():
     assert found == []
 
 
+def test_groebner_imports_no_fractions():
+    # the engine computes on ints alone: fraction-free over Z, residues
+    # over F_p, so groebner imports nothing from fractions
+    tree = ast.parse((PACKAGE / "groebner.py").read_text())
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+        or (isinstance(node, ast.Import)
+            and any(alias.name == "fractions" for alias in node.names))
+    ]
+    assert found == []
+
+
 def test_no_memo_caches():
     # speed comes from the algorithms, not from memos: the benchmark reuses
     # its staircases across passes, so a cache kept on them would time the
