@@ -13,10 +13,11 @@ reducer list.  Each caller reduces only what it returns: gin reads the
 leading monomials alone, and intersect_ideals tail-reduces the u-free
 pairs it keeps.
 
-One S-pair loop (buchberger) and one reduction loop (_reduce_terms) serve
-both coefficient rings on ints, chosen by an argument p: p = 0 is Z,
-fraction-free (linalg's Bareiss idea) on primitive elements with a
-positive lead, and a prime p is F_p, on monic elements of residues.
+One S-pair loop (buchberger) serves both coefficient rings on ints,
+chosen by an argument p: p = 0 is Z, fraction-free (linalg's Bareiss idea)
+on primitive elements with a positive lead, one S-pair at a time
+(_reduce_terms), and a prime p is F_p, on monic elements of residues, one
+F4 block of all the pairs of an lcm degree at a time (_reduce_block).
 intersect_ideals computes over Z, because its basis is the exact I^(m)
 that both of gin's primes reduce and that symbolic-power moves back, and
 so does that move back, whose basis is printed.  symbolic_power calls
@@ -47,9 +48,9 @@ coordinates keeps the K-polynomial, and so does a generic hyperplane
 section of a saturated ideal; symbolic_power returns I^(m) with its
 K-polynomial, read off exact ranks or the leads of a Groebner basis.
 
-Inputs are desk scale (n <= 4, small degrees); the S-pair loop carries
-fixed caps on the S-pairs it takes (PAIR_CAP) and on the size of its basis
-(BASIS_CAP), so runaway computations fail predictably instead of hanging.
+Inputs are desk scale (n <= 4, small degrees); the S-pair loop caps the
+S-pairs it takes (PAIR_CAP), its basis (BASIS_CAP) and one F4 block
+(BLOCK_CAP), so runaway computations fail predictably instead of hanging.
 """
 
 from __future__ import annotations
@@ -84,6 +85,10 @@ PAIR_CAP = 200_000  # S-pairs one Buchberger run may take; read at call time
 # peak at 449 in a gin draw (two planes in P^5, m = 4), 352 over Z (three
 # lines in P^4, m = 5); B^2 / 2 pending pairs at the cap take about 110 MB
 BASIS_CAP = 1_000
+# entries (rows x columns) one F4 block of a gin draw may hold; read at call
+# time.  Reach runs peak at 587 520 (three lines in P^4, m = 5) and 484 770
+# (three planes in P^5, m = 3); rows take at most 10 bytes an entry: 50 MB
+BLOCK_CAP = 5_000_000
 ENTRY_BOUND = 100  # a gin draw's matrix has entries in [-ENTRY_BOUND, ENTRY_BOUND]
 # the prime of each gin draw, 2^31 - 1 and the largest prime below it;
 # read at call time
@@ -105,21 +110,19 @@ class GenericityError(RuntimeError):
 LastVariableError = GenericityError
 
 
-def _reduce_terms(terms, reducers, guard, p=0):
-    """Remainder dict of a packed term dict modulo (lead, terms) reducer
-    pairs with positive leads, over Z (p = 0) or F_p (int residues mod p);
-    guard is the guard bits of the packed monomials.  Before a reducer with
-    leading coefficient a != 1 reduces a term c, the scratch dict and the
-    remainder so far are scaled by a / gcd(a, c): over Z the remainder is a
-    positive multiple of the one over Q; over F_p reducers are monic.
+def _reduce_terms(terms, reducers, guard):
+    """Remainder dict over Z of a packed term dict modulo (lead, terms)
+    reducer pairs with positive leads; guard is the guard bits of the packed
+    monomials.  Before a reducer with leading coefficient a != 1 reduces a
+    term c, the scratch dict and the remainder so far are scaled by
+    a / gcd(a, c): the remainder is a positive multiple of the one over Q.
 
     Works top-down through the support with a lazy max-heap of negated
-    keys, mutating a scratch dict; the workhorse behind buchberger.  The
-    first reducer in list order whose lead divides a term reduces it.  A
-    product of two packed monomials at most sets a guard bit, so each term
-    is checked once, as it leaves the heap, before its key is used.  The
-    remainder's terms are inserted in decreasing order, so its first key is
-    its leading monomial.
+    keys, mutating a scratch dict.  The first reducer in list order whose
+    lead divides a term reduces it.  A product of two packed monomials at
+    most sets a guard bit, so each term is checked once, as it leaves the
+    heap, before its key is used.  The remainder's terms are inserted in
+    decreasing order, so its first key is its leading monomial.
     """
     work = dict(terms)
     heap = [-z for z in work]
@@ -150,8 +153,6 @@ def _reduce_terms(terms, reducers, guard, p=0):
                 ab = b + shift
                 old = work.get(ab)
                 s = (old or 0) - c * lc
-                if p:
-                    s %= p
                 if s:
                     work[ab] = s
                     if old is None:
@@ -163,6 +164,79 @@ def _reduce_terms(terms, reducers, guard, p=0):
             remainder[z] = lc
             del work[z]
     return remainder
+
+
+def _reduce_block(batch, basis, guard, p):
+    """The new elements, monic term dicts led by their first keys, that
+    batch's S-pairs, (lcm, i, j) triples, add to basis over F_p as one F4
+    block (Faugere 1999, "A new efficient algorithm for computing Groebner
+    bases (F4)").  The rows are the halves (lcm / lead_k) g_k.  Symbolic
+    preprocessing checks each monomial against the field width and gives
+    each that a lead divides a reducer row, the shift of the first such
+    element.  A row is one int, a fixed number of bytes a column (monomials
+    in decreasing order), so one int product subtracts a multiple of a row.
+    Each other half is swept by the reducers and the new rows before it; the
+    first column it keeps, which no lead divides, makes it a new element.
+    Raises ComputationLimitError past BLOCK_CAP entries (rows x columns).
+    """
+    halves = dict.fromkeys(h for l, i, j in batch for h in ((l, i), (l, j)))
+    todo = list({b + l - basis[k][0] for l, k in halves for b in basis[k][1]})
+    seen, reducer = set(todo), {}
+    while todo:
+        z = todo.pop()
+        if z & guard:
+            raise ComputationLimitError(
+                "an exponent passed the field width of a packed monomial"
+            )
+        covered = z | guard
+        for k, (lk, f) in enumerate(basis):
+            if (covered - lk) & guard == guard:
+                reducer[z] = k
+                fresh = {b + z - lk for b in f} - seen
+                seen |= fresh
+                todo += fresh
+                break
+    rows = [(l, k) for l, k in halves if reducer[l] != k]
+    columns = sorted(seen, reverse=True)
+    if (len(reducer) + len(rows)) * len(columns) > BLOCK_CAP:
+        raise ComputationLimitError(f"block cap {BLOCK_CAP} exhausted")
+    index = {z: c for c, z in enumerate(columns)}
+    # a column holds a residue plus, per column before it, a product below p^2
+    size = (2 * p.bit_length() + len(columns).bit_length()) // 8 + 1
+    bits, mask, zero = 8 * size, (1 << 8 * size) - 1, bytes(size)
+
+    def packed(element, z):  # the row of (z / lead) terms for (lead, terms)
+        (lead, terms), first = element, index[z]
+        chunks = [zero] * (len(columns) - first)
+        for b, v in terms.items():
+            chunks[index[b + z - lead] - first] = v.to_bytes(size, "little")
+        return int.from_bytes(b"".join(chunks), "little")
+
+    pivots = {index[z]: packed(basis[k], z) for z, k in reducer.items()}
+    new = []
+    for l, k in rows:
+        row, c = packed(basis[k], l), index[l]
+        while row:
+            skip = ((row & -row).bit_length() - 1) // bits  # zero columns
+            row >>= skip * bits
+            c += skip
+            v = (row & mask) % p
+            if v:
+                if c not in pivots:
+                    break
+                row += (p - v) * pivots[c]
+            row >>= bits
+            c += 1
+        else:
+            continue
+        inverse = pow(v, -1, p)
+        chunks = row.to_bytes(size * (len(columns) - c), "little")
+        slots = (chunks[o : o + size] for o in range(0, len(chunks), size))
+        residues = (int.from_bytes(x, "little") % p for x in slots)
+        terms = {columns[d]: w * inverse % p for d, w in enumerate(residues, c) if w}
+        pivots[c] = packed((columns[c], terms), columns[c])
+        new.append(terms)
+    return new
 
 
 def _normal(terms, lead, p):
@@ -185,12 +259,14 @@ def buchberger(gens, n, order=DEGREVLEX, target=None, p=0):
 
     p = 0 computes over Z, fraction-free, and each element is primitive
     with a positive lead; a prime p computes over F_p, and each element is
-    monic, with coefficients the residues 1..p-1.  Both run the same loop.
+    monic, with coefficients the residues 1..p-1.  A step of the one loop
+    reduces one S-pair over Z, and over F_p every pending pair of the
+    lowest lcm degree as one block.
 
     Normal selection strategy (smallest lcm first, ties by pair index) with
     Buchberger's coprime and chain criteria; pending pairs wait in a heap,
     the pair queue of Gebauer-Moeller.  Raises ComputationLimitError past
-    PAIR_CAP S-pairs or BASIS_CAP basis elements.
+    PAIR_CAP S-pairs taken, BASIS_CAP elements or BLOCK_CAP block entries.
 
     target, when given, is the K-polynomial ({degree: coefficient}, as
     staircase.k_polynomial returns it) of the homogeneous ideal the
@@ -198,9 +274,10 @@ def buchberger(gens, n, order=DEGREVLEX, target=None, p=0):
     ideal J of the leads lies inside the initial ideal, which has the
     Hilbert series of the ideal under every monomial order, so equal series
     mean J is the initial ideal.  Every pending pair would reduce to zero,
-    and the basis returned is the one the full loop returns.  The leads'
-    series is updated by one colon ideal per new lead.  Raises
-    HilbertSeriesError if the pairs run out without a match.
+    and the basis returned is the one the full loop returns over the same
+    ring.  The leads' series is updated by one colon ideal per step that
+    adds one lead, else recomputed; new elements, inputs first, make pairs
+    only if it misses.  Raises HilbertSeriesError if the pairs run out.
     """
     weights = unit_keys(order, n)
     guard = guard_bits(n)
@@ -209,70 +286,76 @@ def buchberger(gens, n, order=DEGREVLEX, target=None, p=0):
     pairs = set()  # pending pairs, for the chain criterion's lookups
     queue = []  # the same pairs as a heap of (lcm, i, j)
 
-    def add(lead, exponents, terms):
+    def add(terms, lead):
         if len(basis) == BASIS_CAP:
             raise ComputationLimitError(f"basis cap {BASIS_CAP} exhausted")
-        j = len(basis)
-        for i, other in enumerate(leads):
-            pairs.add((i, j))
-            lcm = sum(map(mul, map(max, other, exponents), weights))
-            heapq.heappush(queue, (lcm, i, j))
         basis.append((lead, _normal(terms, lead, p)))
-        leads.append(exponents)
+        leads.append(unpack(lead, n))
 
     for g in gens:
-        lead = max(g)
-        add(lead, unpack(lead, n), g)
+        add(g, max(g))
     series = None if target is None else k_polynomial(leads)
     done = target is not None and series == target
+    paired = 0  # the elements before it have their pairs
     processed = 0
-    while queue and not done:
-        processed += 1
-        if processed > PAIR_CAP:
-            raise ComputationLimitError(
-                f"S-pair cap {PAIR_CAP} exhausted ({len(basis)} basis elements)"
-            )
-        l, i, j = heapq.heappop(queue)
-        pairs.discard((i, j))
-        (li, fi), (lj, fj) = basis[i], basis[j]
-        # coprime criterion
-        if l == li + lj:
-            continue
-        # chain criterion
-        skip = False
-        covered = l | guard
-        for k, (lk, _) in enumerate(basis):
-            if (covered - lk) & guard != guard or k == i or k == j:
-                continue
-            pik = (min(i, k), max(i, k))
-            pjk = (min(j, k), max(j, k))
-            if pik not in pairs and pjk not in pairs:
-                skip = True
+    while not done:
+        for j in range(paired, len(basis)):
+            for i in range(j):
+                pairs.add((i, j))
+                lcm = sum(map(mul, map(max, leads[i], leads[j]), weights))
+                heapq.heappush(queue, (lcm, i, j))
+        paired = len(basis)
+        # over F_p every pair of the lowest lcm degree, over Z one pair
+        batch = []
+        while queue and (p or not batch):
+            l, i, j = queue[0]
+            d = p and sum(map(max, leads[i], leads[j]))  # the lcm's degree
+            if batch and d != lowest:
                 break
-        if skip:
-            continue
-        # S-polynomial: cofactors lc_j / g and lc_i / g, g = gcd(lc_i, lc_j)
-        g = gcd(fi[li], fj[lj])
-        ci, cj = fi[li] // g, fj[lj] // g
-        si, sj = l - li, l - lj
-        s = {a + si: c * cj for a, c in fi.items()}
-        for a, c in fj.items():
-            b = a + sj
-            v = s.get(b, 0) - c * ci
-            if p:
-                v %= p
-            if v:
-                s[b] = v
+            lowest = d
+            heapq.heappop(queue)
+            processed += 1
+            if processed > PAIR_CAP:
+                raise ComputationLimitError(
+                    f"S-pair cap {PAIR_CAP} exhausted ({len(basis)} basis elements)"
+                )
+            pairs.discard((i, j))
+            li, lj = basis[i][0], basis[j][0]
+            # coprime criterion
+            if l == li + lj:
+                continue
+            # chain criterion
+            covered = l | guard
+            for k, (lk, _) in enumerate(basis):
+                if (covered - lk) & guard != guard or k == i or k == j:
+                    continue
+                ik, jk = (min(i, k), max(i, k)), (min(j, k), max(j, k))
+                if ik not in pairs and jk not in pairs:
+                    break
             else:
-                del s[b]
-        rem = _reduce_terms(s, basis, guard, p)
-        if rem:
-            lead = next(iter(rem))  # remainder terms come top-down
-            exponents = unpack(lead, n)
-            if target is not None:
-                series = k_polynomial_plus(series, leads, exponents)
-                done = series == target
-            add(lead, exponents, rem)
+                batch.append((l, i, j))
+        if not batch:
+            break
+        if p:
+            new = _reduce_block(batch, basis, guard, p)
+        else:
+            # S-polynomial: cofactors lc_j / g and lc_i / g, g = gcd(lc_i, lc_j)
+            (l, i, j), = batch
+            (li, fi), (lj, fj) = basis[i], basis[j]
+            g = gcd(fi[li], fj[lj])
+            ci, cj = fi[li] // g, fj[lj] // g
+            si, sj = l - li, l - lj
+            s = {a + si: c * cj for a, c in fi.items()}
+            for a, c in fj.items():
+                s[a + sj] = s.get(a + sj, 0) - c * ci
+            rem = _reduce_terms({a: c for a, c in s.items() if c}, basis, guard)
+            new = [rem] if rem else []
+        for terms in new:
+            add(terms, next(iter(terms)))  # new elements lead with their first key
+        if target is not None and new:
+            series = (k_polynomial(leads) if len(new) > 1
+                      else k_polynomial_plus(series, leads[:-1], leads[-1]))
+            done = series == target
     if target is not None and not done:
         raise HilbertSeriesError(
             f"the leads have K-polynomial {k_polynomial(leads)}, "

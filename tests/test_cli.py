@@ -693,17 +693,19 @@ def test_ray_cap_maps_to_exit_4(config_path, tmp_path, capsys, monkeypatch):
     (rings, "IMAGE_CAP", 1, "image table cap 1 exhausted", TWO_POINTS),
     (configs, "CONDITION_CAP", 0, "condition matrix cap 0 exhausted", FOUR_POINTS),
     (configs, "CONDITION_CAP", 0, "condition matrix cap 0 exhausted", THREE_LINES),
+    (groebner, "BLOCK_CAP", 0, "block cap 0 exhausted", TWO_POINTS),
 ], ids=["basis", "exponent", "k-polynomial", "image-table", "condition-matrix",
-        "condition-blocks"])
+        "condition-blocks", "f4-block"])
 def test_engine_caps_map_to_exit_4(module, cap, value, message, config,
                                    tmp_path, capsys, monkeypatch):
     # the real caps, not a faked exception: every gin draw of a symbolic
     # power of two points needs a basis of more than one element, exponents
-    # of 2 and more, and an image beyond the substitution table's first
-    # entry, that of 1; every K-polynomial call visits at least its first
-    # node; the fourth of four points in P^2, on the frame, has conditions
-    # on the monomials of every symbolic power; and so does the third of
-    # three lines in P^3, in normal form, whose conditions split in blocks
+    # of 2 and more, an image beyond the substitution table's first entry,
+    # that of 1, and one F4 block; every K-polynomial call visits at least
+    # its first node; the fourth of four points in P^2, on the frame, has
+    # conditions on the monomials of every symbolic power; and so does the
+    # third of three lines in P^3, in normal form, whose conditions split
+    # in blocks
     config_path = str(tmp_path / "config.json")
     Path(config_path).write_text(config)
     monkeypatch.setattr(module, cap, value)

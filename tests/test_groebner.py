@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd, isqrt
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -498,31 +499,33 @@ def test_stopped_loop_matches_full_loop_on_the_ladder(name):
             assert groebner.reduce_tails(stopped) == reduced
 
 
+# S-pairs each stopped F_p draw of TWO_LINES at m = 2 takes, the pairs of
+# its first block; the full draws take all 136 pairs of their 17 elements
+TWO_LINES_STOPPED_DRAW_PAIRS = 36
+
+
 def test_target_saves_reductions(monkeypatch):
-    # the stopped draws of the production entry point skip the zero
-    # reductions after the last new lead; the same two draws without a
-    # target run the full loop to the same leads
-    calls = [0]
-    reduce_terms = groebner._reduce_terms
-
-    def counting(*args):
-        calls[0] += 1
-        return reduce_terms(*args)
-
-    monkeypatch.setattr(groebner, "_reduce_terms", counting)
+    # the stopped draws of the production entry point take no S-pair after
+    # the block that completes the leads; the same two draws without a
+    # target run the full loop to the same leads, and take more pairs
     moved, _ = coordinate_position(TWO_LINES)
     seed = derive_seed(3, "row", 2)
     sp = symbolic_power(moved, 2)
-    full = [
-        groebner._gin_once(
-            sp.generators, sp.nvars, derive_seed(seed, "gin", k), None, p
-        )
-        for k, p in enumerate(groebner.GIN_PRIMES)
-    ]
-    full_calls, calls[0] = calls[0], 0
+
+    def full_draws():
+        return [
+            groebner._gin_once(
+                sp.generators, sp.nvars, derive_seed(seed, "gin", k), None, p
+            )
+            for k, p in enumerate(groebner.GIN_PRIMES)
+        ]
+
+    full = full_draws()
+    monkeypatch.setattr(groebner, "PAIR_CAP", TWO_LINES_STOPPED_DRAW_PAIRS)
     stopped = asymptotics.gin_of_symbolic_power(TWO_LINES, 2, seed)
     assert [tuple(sorted(raw)) for raw in full] == [stopped.staircase.min_gens] * 2
-    assert calls[0] < full_calls
+    with pytest.raises(ComputationLimitError, match="S-pair cap 36 exhausted"):
+        full_draws()
 
 
 def test_buchberger_keeps_the_first_of_equal_leads():
@@ -598,6 +601,63 @@ def test_gin_over_f_p_matches_draws_over_q(name):
         ideal = ideal_of(sp.generators, sp.nvars)
         over_q = gin_draws_over_q(ideal, seed, sp.hilbert_numerator)
         assert over_q == [g.raw_initial] * 2, (name, m)
+
+
+def seeded_homogeneous_gens(seed):
+    """Three dense homogeneous generators of degrees 2 and 3 in 3 or 4
+    variables, coefficients in [-5, 5], all fixed by the seed."""
+    rng = Random(seed)
+    n = rng.choice((3, 4))
+    gens = []
+    for _ in range(3):
+        monos = all_monomials(n, rng.choice((2, 3)))
+        gens.append({a: rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)) for a in monos})
+    return pack_generators(gens), n
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_blocks_over_f_p_have_the_leads_over_z(seed):
+    # the F4 blocks, one per lcm degree, against the loop over Z that takes
+    # one pair at a time; without a target both run to the end
+    gens, n = seeded_homogeneous_gens(seed)
+    over_z = [lead for lead, _ in groebner.buchberger(gens, n)]
+    p = groebner.GIN_PRIMES[0]
+    assert [lead for lead, _ in groebner.buchberger(gens, n, p=p)] == over_z
+    assert len({sum(lead) for lead in over_z}) >= 3, "leads in fewer than 3 degrees"
+
+
+def test_blocks_reduce_every_monomial_a_lead_divides(monkeypatch):
+    # symbolic preprocessing gives a reducer to each monomial of a block that
+    # a lead divides, not only to the lcms: no lead of the basis divides a
+    # new element's lead, though the tails of the halves hold such monomials
+    blocks = []
+    reduce_block = groebner._reduce_block
+
+    def recording(batch, basis, guard, p):
+        new = reduce_block(batch, basis, guard, p)
+        blocks.append((batch, list(basis), guard, new))
+        return new
+
+    monkeypatch.setattr(groebner, "_reduce_block", recording)
+    moved, _ = coordinate_position(THREE_POINTS)
+    seed = derive_seed(3, "row", 2)
+    g = asymptotics.gin_of_symbolic_power(THREE_POINTS, 2, seed)
+    sp = symbolic_power(moved, 2)
+    ideal = ideal_of(sp.generators, sp.nvars)
+    assert gin_draws_over_q(ideal, seed, sp.hilbert_numerator) == [g.raw_initial] * 2
+
+    def divisible(z, leads, guard):
+        return any(((z | guard) - lead) & guard == guard for lead in leads)
+
+    tails = 0
+    for batch, basis, guard, new in blocks:
+        leads = [lead for lead, _ in basis]
+        assert not any(divisible(next(iter(f)), leads, guard) for f in new)
+        for l, i, j in batch:
+            for k in (i, j):
+                lead, f = basis[k]
+                tails += sum(divisible(b + l - lead, leads, guard) for b in f) - 1
+    assert tails > 0
 
 
 @st.composite
