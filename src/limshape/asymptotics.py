@@ -333,19 +333,26 @@ def gin_of_symbolic_power(config: Config, m, seed) -> GinResult:
     coordinate subspace.
     """
     moved, _ = coordinate_position(config)
-    sp = symbolic_power(moved, m)
+    return _gin_in_place(moved, m, seed)
+
+
+def _gin_in_place(config: Config, m, seed) -> GinResult:
+    """gin of I^(m), computed in the coordinates config is given in."""
+    sp = symbolic_power(config, m)
     return gin(sp.generators, sp.nvars, seed, sp.hilbert_numerator)
 
 
-def compute_report_row(config: Config, t, m, seed) -> ReportRow:
-    """One (config, m) row: symbolic power -> gin -> staircase, lattice
-    count of the complement and both volume paths.  Resource, genericity
-    and saturation failures are captured in the row, not raised."""
+def compute_report_row(moved: Config, t, m, seed) -> ReportRow:
+    """One (config, m) row, from the configuration already moved into
+    coordinate position (see gin_of_symbolic_power): symbolic power -> gin
+    -> staircase, lattice count of the complement and both volume paths.
+    Resource, genericity and saturation failures are captured in the row,
+    not raised."""
     t = Fraction(t)
-    n = config.n
+    n = moved.n
     row = ReportRow(m=m)
     try:
-        g = gin_of_symbolic_power(config, m, derive_seed(seed, "row", m))
+        g = _gin_in_place(moved, m, derive_seed(seed, "row", m))
         st = g.staircase
         mt = Fraction(m) * t
         row.count = st.count_gamma(floor(mt))
@@ -379,13 +386,15 @@ def ahf_estimate(
     Closed-form target attached when the configuration has one.  Rows
     failing with resource, genericity or saturation errors are flagged, not
     fatal.  Rows are independent; jobs > 1 computes them in worker
-    processes and merges in m order.
+    processes and merges in m order.  The configuration is moved into
+    coordinate position once, for every row; the report echoes it as given.
     """
     if not m_list or list(m_list) != sorted(set(m_list)):
         raise ValueError("m_list must be nonempty and strictly increasing")
     t = Fraction(t)
     n = config.n
-    row = partial(compute_report_row, config, t, seed=seed)
+    moved, _ = coordinate_position(config)
+    row = partial(compute_report_row, moved, t, seed=seed)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

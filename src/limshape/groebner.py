@@ -8,16 +8,17 @@ number of variables passed beside them.  intersect_ideals takes and returns
 them, and gin takes them.
 
 The engine keeps each basis element as a (leading monomial, term dict)
-pair, from the input generators to a minimal basis; that list is also its
-reducer list.  Each caller reduces only what it returns: gin reads the
-leading monomials alone, and intersect_ideals tail-reduces the u-free
-pairs it keeps.
+pair, up to a minimal basis; that list is also its reducer list.  Each
+caller reduces only what it returns: gin reads the leading monomials alone,
+and intersect_ideals tail-reduces the u-free pairs it keeps.
 
 One S-pair loop (buchberger) serves both coefficient rings on ints,
 chosen by an argument p: p = 0 is Z, fraction-free (linalg's Bareiss idea)
-on primitive elements with a positive lead, one S-pair at a time
-(_reduce_terms), and a prime p is F_p, on monic elements of residues, one
-F4 block of all the pairs of an lcm degree at a time (_reduce_block).
+on primitive elements with a positive lead, whose first elements are the
+inputs, one S-pair at a time (_reduce_terms); a prime p is F_p, on monic
+elements of residues, one F4 block per degree (_reduce_block), whose rows
+are the inputs of that degree, taken mod p and never paired, and the
+halves of all the pairs of that lcm degree.
 intersect_ideals computes over Z, because its basis is the exact I^(m)
 that both of gin's primes reduce and that symbolic-power moves back, and
 so does that move back, whose basis is printed.  symbolic_power calls
@@ -43,7 +44,9 @@ ComputationLimitError before its key is used, so no key wraps.
 A caller that knows the Hilbert series of the ideal in advance passes its
 numerator, the K-polynomial, as a target, and the S-pair loop stops as soon
 as the leads found so far have it (Traverso 1996, "Hilbert functions and
-the Buchberger algorithm").  gin knows it because a linear change of
+the Buchberger algorithm"); over F_p the target's Hilbert function also
+gives each degree's count of new leads, so a block stops at its count and
+a degree that needs none is skipped.  gin knows it because a linear change of
 coordinates keeps the K-polynomial, and so does a generic hyperplane
 section of a saturated ideal; symbolic_power returns I^(m) with its
 K-polynomial, read off exact ranks or the leads of a Groebner basis.
@@ -78,12 +81,14 @@ from .staircase import (
     k_polynomial,
     k_polynomial_plus,
     minimalize,
+    simplex_count,
 )
 
 PAIR_CAP = 200_000  # S-pairs one Buchberger run may take; read at call time
 # elements one Buchberger basis may hold; read at call time.  Reach runs
-# peak at 449 in a gin draw (two planes in P^5, m = 4), 352 over Z (three
-# lines in P^4, m = 5); B^2 / 2 pending pairs at the cap take about 110 MB
+# peak at 352 over Z (three lines in P^4, m = 5) and 225 in a gin draw, whose
+# inputs are no elements (two planes in P^5, m = 4); B^2 / 2 pending pairs
+# at the cap take about 110 MB
 BASIS_CAP = 1_000
 # entries (rows x columns) one F4 block of a gin draw may hold; read at call
 # time.  Reach runs peak at 587 520 (three lines in P^4, m = 5) and 484 770
@@ -166,21 +171,24 @@ def _reduce_terms(terms, reducers, guard):
     return remainder
 
 
-def _reduce_block(batch, basis, guard, p):
-    """The new elements, monic term dicts led by their first keys, that
-    batch's S-pairs, (lcm, i, j) triples, add to basis over F_p as one F4
-    block (Faugere 1999, "A new efficient algorithm for computing Groebner
-    bases (F4)").  The rows are the halves (lcm / lead_k) g_k.  Symbolic
-    preprocessing checks each monomial against the field width and gives
-    each that a lead divides a reducer row, the shift of the first such
-    element.  A row is one int, a fixed number of bytes a column (monomials
-    in decreasing order), so one int product subtracts a multiple of a row.
-    Each other half is swept by the reducers and the new rows before it; the
-    first column it keeps, which no lead divides, makes it a new element.
-    Raises ComputationLimitError past BLOCK_CAP entries (rows x columns).
+def _reduce_block(batch, inputs, basis, guard, p, need):
+    """The new elements, monic term dicts led by their first keys, that one
+    degree's F4 block adds to basis over F_p (Faugere 1999, "A new efficient
+    algorithm for computing Groebner bases (F4)").  Its rows are the inputs,
+    (lead, residues) pairs, then the halves (lcm / lead_k) g_k of batch's
+    S-pairs, (lcm, i, j) triples.  Symbolic preprocessing checks each
+    monomial against the field width and gives each that a lead divides a
+    reducer row, the shift of the first such element.  A row is one int, a
+    fixed number of bytes a column (monomials in decreasing order), so one
+    int product subtracts a multiple of a row.  Each other row is swept by
+    the reducers and the new rows before it; the first column it keeps,
+    which no lead divides, makes it a new element.  The sweep returns after
+    the need-th new element; need None sweeps every row.  Raises
+    ComputationLimitError past BLOCK_CAP entries (rows x columns).
     """
     halves = dict.fromkeys(h for l, i, j in batch for h in ((l, i), (l, j)))
-    todo = list({b + l - basis[k][0] for l, k in halves for b in basis[k][1]})
+    todo = {b for _, f in inputs for b in f}
+    todo = list(todo | {b + l - basis[k][0] for l, k in halves for b in basis[k][1]})
     seen, reducer = set(todo), {}
     while todo:
         z = todo.pop()
@@ -196,7 +204,10 @@ def _reduce_block(batch, basis, guard, p):
                 seen |= fresh
                 todo += fresh
                 break
-    rows = [(l, k) for l, k in halves if reducer[l] != k]
+    # rows as (element, z), the element shifted to lead with z: each input
+    # as it is, and each half that is not its lcm's reducer row
+    rows = [(element, element[0]) for element in inputs]
+    rows += [(basis[k], l) for l, k in halves if reducer[l] != k]
     columns = sorted(seen, reverse=True)
     if (len(reducer) + len(rows)) * len(columns) > BLOCK_CAP:
         raise ComputationLimitError(f"block cap {BLOCK_CAP} exhausted")
@@ -214,8 +225,8 @@ def _reduce_block(batch, basis, guard, p):
 
     pivots = {index[z]: packed(basis[k], z) for z, k in reducer.items()}
     new = []
-    for l, k in rows:
-        row, c = packed(basis[k], l), index[l]
+    for element, z in rows:
+        row, c = packed(element, z), index[z]
         while row:
             skip = ((row & -row).bit_length() - 1) // bits  # zero columns
             row >>= skip * bits
@@ -234,20 +245,24 @@ def _reduce_block(batch, basis, guard, p):
         slots = (chunks[o : o + size] for o in range(0, len(chunks), size))
         residues = (int.from_bytes(x, "little") % p for x in slots)
         terms = {columns[d]: w * inverse % p for d, w in enumerate(residues, c) if w}
-        pivots[c] = packed((columns[c], terms), columns[c])
         new.append(terms)
+        if len(new) == need:
+            break
+        pivots[c] = packed((columns[c], terms), columns[c])
     return new
 
 
-def _normal(terms, lead, p):
-    """The term dict as the engine keeps it: over F_p monic, over Z divided
-    by its content signed as lead's coefficient, so the lead is positive."""
-    lc = terms[lead]
-    if p:
-        inverse = pow(lc, -1, p)
-        return {a: c * inverse % p for a, c in terms.items()}
-    content = gcd(*terms.values()) if lc > 0 else -gcd(*terms.values())
+def _primitive(terms, lead):
+    """The term dict over Z divided by its content signed as lead's
+    coefficient, so the lead is positive: the format the Z path keeps."""
+    content = gcd(*terms.values()) if terms[lead] > 0 else -gcd(*terms.values())
     return {a: c // content for a, c in terms.items()}
+
+
+def _hilbert_function(k, d, n):
+    """The Hilbert function at degree d of S/J, S in n variables, from J's
+    K-polynomial k: the sum of c * dim S_(d-e) over its terms c t^e."""
+    return sum(c * simplex_count(d - e, n - 1) for e, c in k.items())
 
 
 def buchberger(gens, n, order=DEGREVLEX, target=None, p=0):
@@ -258,10 +273,15 @@ def buchberger(gens, n, order=DEGREVLEX, target=None, p=0):
     the reduced basis.
 
     p = 0 computes over Z, fraction-free, and each element is primitive
-    with a positive lead; a prime p computes over F_p, and each element is
-    monic, with coefficients the residues 1..p-1.  A step of the one loop
-    reduces one S-pair over Z, and over F_p every pending pair of the
-    lowest lcm degree as one block.
+    with a positive lead.  The inputs are the first elements and make pairs
+    like the others; a step reduces one S-pair.
+
+    A prime p computes over F_p, and each element is monic, with
+    coefficients the residues 1..p-1; order must refine the degree, as
+    DEGREVLEX does.  The inputs are taken mod p and wait by degree; they
+    are never elements or paired.  A step reduces, as one block, the inputs
+    and every pending pair of the lowest degree, with the inputs as rows
+    beside the pairs' halves (F4 takes an input as a pair with 1).
 
     Normal selection strategy (smallest lcm first, ties by pair index) with
     Buchberger's coprime and chain criteria; pending pairs wait in a heap,
@@ -276,24 +296,43 @@ def buchberger(gens, n, order=DEGREVLEX, target=None, p=0):
     mean J is the initial ideal.  Every pending pair would reduce to zero,
     and the basis returned is the one the full loop returns over the same
     ring.  The leads' series is updated by one colon ideal per step that
-    adds one lead, else recomputed; new elements, inputs first, make pairs
-    only if it misses.  Raises HilbertSeriesError if the pairs run out.
+    adds one lead, else recomputed; new elements make pairs only if it
+    misses.  Raises HilbertSeriesError if the pairs run out.
+
+    Over F_p the target also bounds each block (Traverso 1996).  The blocks
+    of lower degrees leave J with the initial ideal's part in each of them,
+    so the block of degree d adds need = HF_J(d) - HF_target(d) new leads,
+    distinct monomials of the initial ideal outside J; the sweep stops
+    after the need-th, and every row left would reduce to zero.  A degree
+    with need = 0 is skipped, its pairs still counted; need < 0, a target
+    above HF_J(d) and so above the ideal's Hilbert function, raises
+    HilbertSeriesError.  Reducing mod p can only raise the Hilbert
+    function, so a prime that changes it leaves a block short of need and
+    the series unmatched.  A target above the ideal's Hilbert function is
+    caught only where need < 0: elsewhere it stops a block short.
     """
     weights = unit_keys(order, n)
     guard = guard_bits(n)
-    basis = []  # (lead, _normal term dict) per element; the reducer list
+    basis = []  # (lead, term dict) per element; the reducer list
     leads = []  # each lead unpacked once: the lcms, the series, the result
     pairs = set()  # pending pairs, for the chain criterion's lookups
     queue = []  # the same pairs as a heap of (lcm, i, j)
+    inputs = {}  # over F_p: degree -> the inputs' (lead, residues) pairs
 
     def add(terms, lead):
         if len(basis) == BASIS_CAP:
             raise ComputationLimitError(f"basis cap {BASIS_CAP} exhausted")
-        basis.append((lead, _normal(terms, lead, p)))
+        basis.append((lead, terms))
         leads.append(unpack(lead, n))
 
     for g in gens:
-        add(g, max(g))
+        if not p:
+            add(_primitive(g, max(g)), max(g))
+            continue
+        residues = {a: r for a, c in g.items() if (r := c % p)}
+        if residues:
+            lead = max(residues)
+            inputs.setdefault(degree(unpack(lead, n)), []).append((lead, residues))
     series = None if target is None else k_polynomial(leads)
     done = target is not None and series == target
     paired = 0  # the elements before it have their pairs
@@ -305,14 +344,31 @@ def buchberger(gens, n, order=DEGREVLEX, target=None, p=0):
                 lcm = sum(map(mul, map(max, leads[i], leads[j]), weights))
                 heapq.heappush(queue, (lcm, i, j))
         paired = len(basis)
-        # over F_p every pair of the lowest lcm degree, over Z one pair
+        # over F_p the inputs and every pair of the lowest degree d, over Z
+        # one pair
+        need = None
+        if p:
+            degrees = list(inputs)
+            if queue:
+                _, i, j = queue[0]
+                degrees.append(sum(map(max, leads[i], leads[j])))
+            if not degrees:
+                break
+            d = min(degrees)
+            rows = inputs.pop(d, [])
+            if target is not None:
+                need = _hilbert_function(series, d, n) - _hilbert_function(target, d, n)
+                if need < 0:
+                    raise HilbertSeriesError(
+                        f"in degree {d} the target's Hilbert function exceeds "
+                        f"the leads' by {-need}: the leads have K-polynomial "
+                        f"{series}, the target is {target}"
+                    )
         batch = []
         while queue and (p or not batch):
             l, i, j = queue[0]
-            d = p and sum(map(max, leads[i], leads[j]))  # the lcm's degree
-            if batch and d != lowest:
+            if p and sum(map(max, leads[i], leads[j])) != d:
                 break
-            lowest = d
             heapq.heappop(queue)
             processed += 1
             if processed > PAIR_CAP:
@@ -321,8 +377,8 @@ def buchberger(gens, n, order=DEGREVLEX, target=None, p=0):
                 )
             pairs.discard((i, j))
             li, lj = basis[i][0], basis[j][0]
-            # coprime criterion
-            if l == li + lj:
+            # a skipped block, or the coprime criterion
+            if need == 0 or l == li + lj:
                 continue
             # chain criterion
             covered = l | guard
@@ -334,11 +390,10 @@ def buchberger(gens, n, order=DEGREVLEX, target=None, p=0):
                     break
             else:
                 batch.append((l, i, j))
-        if not batch:
-            break
         if p:
-            new = _reduce_block(batch, basis, guard, p)
-        else:
+            skip = need == 0 or not (batch or rows)
+            new = [] if skip else _reduce_block(batch, rows, basis, guard, p, need)
+        elif batch:
             # S-polynomial: cofactors lc_j / g and lc_i / g, g = gcd(lc_i, lc_j)
             (l, i, j), = batch
             (li, fi), (lj, fj) = basis[i], basis[j]
@@ -349,7 +404,9 @@ def buchberger(gens, n, order=DEGREVLEX, target=None, p=0):
             for a, c in fj.items():
                 s[a + sj] = s.get(a + sj, 0) - c * ci
             rem = _reduce_terms({a: c for a, c in s.items() if c}, basis, guard)
-            new = [rem] if rem else []
+            new = [_primitive(rem, next(iter(rem)))] if rem else []
+        else:
+            break
         for terms in new:
             add(terms, next(iter(terms)))  # new elements lead with their first key
         if target is not None and new:
@@ -378,7 +435,7 @@ def reduce_tails(pairs):
     guard = guard_bits(n)
     packed = [(max(f), f) for _, f in pairs]
     reduced = [
-        _normal(_reduce_terms(f, packed[:i] + packed[i + 1 :], guard), lead, 0)
+        _primitive(_reduce_terms(f, packed[:i] + packed[i + 1 :], guard), lead)
         for i, (lead, f) in enumerate(packed)
     ]
     return [{unpack(a, n): c for a, c in f.items()} for f in reduced]

@@ -641,10 +641,13 @@ def test_non_borel_initial_ideal_maps_to_exit_3(tmp_path, capsys, monkeypatch):
         assert reason in rows[2]
 
 
-def test_pair_cap_maps_to_exit_4(config_path, tmp_path, capsys, monkeypatch):
-    # the real cap, not a faked exception: the symbolic powers of two
-    # coordinate points are monomial and take no S-pair, but each gin draw
-    # of them takes one
+def test_pair_cap_maps_to_exit_4(tmp_path, capsys, monkeypatch):
+    # the real cap, not a faked exception: the symbolic powers of four
+    # points in P^2, the fourth on the frame, come from kernels and take no
+    # S-pair, but each gin draw of them takes one at m = 1 and 2 (a draw of
+    # two coordinate points takes none: its inputs are the rows of blocks)
+    config_path = str(tmp_path / "config.json")
+    Path(config_path).write_text(FOUR_POINTS)
     monkeypatch.setattr(groebner, "PAIR_CAP", 0)
     assert run(["gin", "--config", config_path], capsys)[0] == cli.EXIT_RESOURCE
     code, out, _ = run(

@@ -499,9 +499,10 @@ def test_stopped_loop_matches_full_loop_on_the_ladder(name):
             assert groebner.reduce_tails(stopped) == reduced
 
 
-# S-pairs each stopped F_p draw of TWO_LINES at m = 2 takes, the pairs of
-# its first block; the full draws take all 136 pairs of their 17 elements
-TWO_LINES_STOPPED_DRAW_PAIRS = 36
+# S-pairs each stopped F_p draw of TWO_LINES at m = 2 takes: none, since its
+# inputs are the rows of its first block, which completes the leads; the
+# full draws take all 36 pairs of their 9 elements
+TWO_LINES_STOPPED_DRAW_PAIRS = 0
 
 
 def test_target_saves_reductions(monkeypatch):
@@ -524,7 +525,7 @@ def test_target_saves_reductions(monkeypatch):
     monkeypatch.setattr(groebner, "PAIR_CAP", TWO_LINES_STOPPED_DRAW_PAIRS)
     stopped = asymptotics.gin_of_symbolic_power(TWO_LINES, 2, seed)
     assert [tuple(sorted(raw)) for raw in full] == [stopped.staircase.min_gens] * 2
-    with pytest.raises(ComputationLimitError, match="S-pair cap 36 exhausted"):
+    with pytest.raises(ComputationLimitError, match="S-pair cap 0 exhausted"):
         full_draws()
 
 
@@ -629,13 +630,14 @@ def test_blocks_over_f_p_have_the_leads_over_z(seed):
 def test_blocks_reduce_every_monomial_a_lead_divides(monkeypatch):
     # symbolic preprocessing gives a reducer to each monomial of a block that
     # a lead divides, not only to the lcms: no lead of the basis divides a
-    # new element's lead, though the tails of the halves hold such monomials
+    # new element's lead, though the tails of the halves and the input rows
+    # hold such monomials; the input rows are residues led by their lead
     blocks = []
     reduce_block = groebner._reduce_block
 
-    def recording(batch, basis, guard, p):
-        new = reduce_block(batch, basis, guard, p)
-        blocks.append((batch, list(basis), guard, new))
+    def recording(batch, inputs, basis, guard, p, need):
+        new = reduce_block(batch, inputs, basis, guard, p, need)
+        blocks.append((batch, inputs, list(basis), guard, p, new))
         return new
 
     monkeypatch.setattr(groebner, "_reduce_block", recording)
@@ -649,15 +651,149 @@ def test_blocks_reduce_every_monomial_a_lead_divides(monkeypatch):
     def divisible(z, leads, guard):
         return any(((z | guard) - lead) & guard == guard for lead in leads)
 
-    tails = 0
-    for batch, basis, guard, new in blocks:
+    tails = input_tails = 0
+    for batch, inputs, basis, guard, p, new in blocks:
         leads = [lead for lead, _ in basis]
         assert not any(divisible(next(iter(f)), leads, guard) for f in new)
         for l, i, j in batch:
             for k in (i, j):
                 lead, f = basis[k]
                 tails += sum(divisible(b + l - lead, leads, guard) for b in f) - 1
-    assert tails > 0
+        for lead, f in inputs:
+            assert lead == max(f) and all(0 < c < p for c in f.values())
+            input_tails += sum(divisible(b, leads, guard) for b in f)
+    assert tails > 0 and input_tails > 0
+
+
+TWO_COORDINATE_LINES = Config.of(3, flats=[[(1, 0, 0, 0), (0, 1, 0, 0)],
+                                            [(0, 0, 1, 0), (0, 0, 0, 1)]])
+
+
+def test_draws_pair_no_input(monkeypatch):
+    # over F_p the inputs are rows of the blocks, never elements that make
+    # pairs: with no S-pair allowed, both draws of two coordinate lines
+    # still find the leads of the draws over Q, whose inputs are paired
+    for m in range(1, 5):
+        seed = derive_seed(3, "row", m)
+        monkeypatch.setattr(groebner, "PAIR_CAP", 0)
+        g = asymptotics.gin_of_symbolic_power(TWO_COORDINATE_LINES, m, seed)
+        monkeypatch.undo()
+        sp = symbolic_power(coordinate_position(TWO_COORDINATE_LINES)[0], m)
+        ideal = ideal_of(sp.generators, sp.nvars)
+        assert gin_draws_over_q(ideal, seed, sp.hilbert_numerator) == [g.raw_initial] * 2
+
+
+def row_case(texts, n):
+    return pack_generators([P(text, n).terms for text in texts]), n
+
+
+# the seeded generators, and inputs that try the rows of the blocks over
+# F_p: two inputs with one lead; an input of degree 3, x3 times the sum of
+# the two quadrics, whose row the reducer rows alone clear; inputs in three
+# degrees, the second x2 times the first, so that degree 2 needs no lead
+STOPPED_BLOCK_CASES = {
+    **{f"seeded-{seed}": seeded_homogeneous_gens(seed) for seed in range(6)},
+    "one-lead": row_case(["x1^2 + x2*x3", "x1^2 - x1*x3 + 2*x2^2"], 3),
+    "zero-row": row_case(
+        ["x1*x2 - x3^2", "x1^2 + x2*x3", "x1*x2*x3 - x3^3 + x1^2*x3 + x2*x3^2"], 3
+    ),
+    "three-degrees": row_case(
+        ["x1 - x2 + 2*x4", "x2*x3 - x4^2 + x1*x4", "x2^3 + x3^3 - x2*x3*x4"], 4
+    ),
+    "skipped-degree": row_case(["x1 + x3", "x1*x2 + x2*x3", "x2^3 - x1*x3^2"], 3),
+}
+
+
+@pytest.mark.parametrize("name", STOPPED_BLOCK_CASES)
+def test_stopped_blocks_have_the_leads_of_the_full_loop(name, monkeypatch):
+    # over F_p the target stops each block at its count and skips the
+    # degrees that need no lead; the loop without a target sweeps every row
+    # to the same basis
+    gens, n = STOPPED_BLOCK_CASES[name]
+    p = groebner.GIN_PRIMES[0]
+    target = oracle_target(ideal_of(gens, n))
+    full = groebner.buchberger(gens, n, p=p)
+    assert k_polynomial(lead for lead, _ in full) == target
+    swept = []
+    reduce_block = groebner._reduce_block
+
+    def recording(batch, inputs, basis, guard, p, need):
+        lowest = inputs[0][0] if inputs else batch[0][0]
+        swept.append((sum(unpack(lowest, n)), need))
+        return reduce_block(batch, inputs, basis, guard, p, need)
+
+    monkeypatch.setattr(groebner, "_reduce_block", recording)
+    assert groebner.buchberger(gens, n, target=target, p=p) == full
+    assert all(need > 0 for _, need in swept)
+    if name == "skipped-degree":
+        assert [d for d, _ in swept] == [1, 3]
+
+
+def test_a_target_off_the_ideal_raises_over_f_p():
+    p = groebner.GIN_PRIMES[0]
+    # a target whose Hilbert function is below the ideal's, that of the
+    # ideal with x3^2 added: the leads never reach it
+    gens = pack_generators([P("x1^2 - x2*x3", 3).terms, P("x1*x2", 3).terms])
+    larger = ideal_of(gens + pack_generators([P("x3^2", 3).terms]), 3)
+    with pytest.raises(HilbertSeriesError, match="the target is"):
+        groebner.buchberger(gens, 3, target=oracle_target(larger), p=p)
+    # (x1^2, x1*x2) has the Hilbert function of the leads (x1^2, x2^2) in
+    # degree 2 and one more in degree 3, so that block would need -1 leads
+    gens = pack_generators([P("x1^2", 3).terms, P("x2^2", 3).terms, P("x3^3", 3).terms])
+    target = k_polynomial([(2, 0, 0), (1, 1, 0)])
+    with pytest.raises(HilbertSeriesError, match="in degree 3 the target's Hilbert "
+                       "function exceeds the leads' by 1"):
+        groebner.buchberger(gens, 3, target=target, p=p)
+
+
+# the minimal generators of gin(I^(2)) of three generic planes in P^5
+# (Config.generic(5, 2, 3, 3), the row seed of m = 2), one word of
+# exponents each, as computed before the blocks took the inputs as rows
+THREE_PLANES_SQUARE_GIN = tuple(tuple(map(int, word)) for word in """
+    00402 00411 00420 00501 00510 00600 01302 01311 01320 01401
+    01410 01500 02201 02210 02300 03012 03020 03101 03110 03200
+    04000 10221 10230 10302 10311 10320 10401 10410 10500 11121
+    11130 11201 11210 11300 12012 12020 12101 12110 12200 13000
+    20040 20121 20130 20201 20210 20300 21011 21020 21101 21110
+    21200 22000 30003 30011 30020 30100 31000 40000
+""".split())
+
+
+def test_blocks_stop_at_their_count_on_three_planes(monkeypatch):
+    # each block of both draws is given need, the monomials of its degree
+    # outside the leads so far less those outside gin, both counted here by
+    # brute force; need is positive, so no degree that needs no lead is
+    # swept; the block returns the new elements the full sweep of all its
+    # rows returns, so every row after the need-th reduces to zero; and in
+    # each block with pairs the inputs alone reach need, so the sweep stops
+    # before the pairs' halves
+    blocks = []
+    reduce_block = groebner._reduce_block
+
+    def recording(batch, inputs, basis, guard, p, need):
+        new = reduce_block(batch, inputs, basis, guard, p, need)
+        blocks.append((batch, inputs, list(basis), guard, p, need, new))
+        return new
+
+    monkeypatch.setattr(groebner, "_reduce_block", recording)
+    config = Config.generic(5, 2, 3, 3)
+    g = asymptotics.gin_of_symbolic_power(config, 2, derive_seed(3, "row", 2))
+    monkeypatch.undo()
+    assert g.staircase.min_gens == THREE_PLANES_SQUARE_GIN
+    n = g.staircase.nvars
+
+    def outside(gens, d):
+        return sum(not any(divides(a, b) for a in gens) for b in all_monomials(n, d))
+
+    for batch, inputs, basis, guard, p, need, new in blocks:
+        d = sum(unpack(inputs[0][0] if inputs else batch[0][0], n))
+        leads = [unpack(lead, n) for lead, _ in basis]
+        assert need == outside(leads, d) - outside(THREE_PLANES_SQUARE_GIN, d) > 0
+        assert new == reduce_block(batch, inputs, basis, guard, p, None)
+        if batch:
+            assert len(reduce_block([], inputs, basis, guard, p, None)) == need
+    # three blocks a draw, of degrees 4, 5 and 6; the last two hold pairs
+    assert [bool(batch) for batch, *_ in blocks] == [False, True, True] * 2
 
 
 @st.composite
