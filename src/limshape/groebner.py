@@ -308,8 +308,9 @@ def buchberger(gens, n, order=DEGREVLEX, target=None, p=0):
     above HF_J(d) and so above the ideal's Hilbert function, raises
     HilbertSeriesError.  Reducing mod p can only raise the Hilbert
     function, so a prime that changes it leaves a block short of need and
-    the series unmatched.  A target above the ideal's Hilbert function is
-    caught only where need < 0: elsewhere it stops a block short.
+    the series unmatched.  A target above the ideal's Hilbert function can
+    stop a block short, so every input's lead must lie in J at the end, as
+    in the initial ideal, or HilbertSeriesError is raised.
     """
     weights = unit_keys(order, n)
     guard = guard_bits(n)
@@ -318,6 +319,7 @@ def buchberger(gens, n, order=DEGREVLEX, target=None, p=0):
     pairs = set()  # pending pairs, for the chain criterion's lookups
     queue = []  # the same pairs as a heap of (lcm, i, j)
     inputs = {}  # over F_p: degree -> the inputs' (lead, residues) pairs
+    heads = []  # over F_p: every input's lead, for the check at the end
 
     def add(terms, lead):
         if len(basis) == BASIS_CAP:
@@ -332,6 +334,7 @@ def buchberger(gens, n, order=DEGREVLEX, target=None, p=0):
         residues = {a: r for a, c in g.items() if (r := c % p)}
         if residues:
             lead = max(residues)
+            heads.append(lead)
             inputs.setdefault(degree(unpack(lead, n)), []).append((lead, residues))
     series = None if target is None else k_polynomial(leads)
     done = target is not None and series == target
@@ -418,6 +421,10 @@ def buchberger(gens, n, order=DEGREVLEX, target=None, p=0):
             f"the leads have K-polynomial {k_polynomial(leads)}, "
             f"the target is {target}"
         )
+    for z in heads:
+        if all(((z | guard) - lk) & guard != guard for lk, _ in basis):
+            raise HilbertSeriesError(f"the lead {unpack(z, n)} of an input lies "
+                                     "outside the leads' ideal")
     # of equal leads the first is kept
     first = {}
     for (lead, f), exponents in zip(basis, leads):
@@ -497,32 +504,27 @@ def derive_seed(seed: int, *labels) -> int:
 
 
 def random_change_matrix(rng: random.Random, n: int):
+    """(matrix, determinant) of rng's first nonsingular n x n draw."""
     while True:
-        m = tuple(
-            tuple(rng.randint(-ENTRY_BOUND, ENTRY_BOUND) for _ in range(n))
-            for _ in range(n)
-        )
-        if linalg.det([list(r) for r in m]) != 0:
-            return m
+        m = [[rng.randint(-ENTRY_BOUND, ENTRY_BOUND) for _ in range(n)]
+             for _ in range(n)]
+        if det := linalg.det(m):
+            return m, det
 
 
 def _gin_once(generators, nvars, seed: int, target, p: int):
     """One draw: the minimal leads, sorted by packed key, of the section
     x_last = 0 under the integer matrix the seed alone fixes, computed over
     F_p in the first nvars - 1 variables."""
-    matrix = random_change_matrix(random.Random(seed), nvars)
-    if linalg.det(matrix) % p == 0:
-        raise GenericityError(
-            f"prime {p} divides the determinant of the coordinate draw"
-        )
-    for g in generators:
-        lc = g[max(g)]
+    matrix, det = random_change_matrix(random.Random(seed), nvars)
+    if det % p == 0:
+        raise GenericityError(f"prime {p} divides the determinant of the draw")
+    for lc in (g[max(g)] for g in generators):
         if lc % p == 0:
             raise GenericityError(
                 f"prime {p} divides the leading coefficient {lc} of a generator"
             )
-    section = [row[:-1] for row in matrix]
-    gens = [terms for terms in cleared_substitute(generators, section, p) if terms]
+    gens = cleared_substitute(generators, [row[:-1] for row in matrix])
     try:
         pairs = buchberger(gens, nvars - 1, target=target, p=p)
     except HilbertSeriesError as exc:
@@ -540,22 +542,22 @@ def gin(generators, nvars, seed: int, target) -> GinResult:
     field F_p, one prime of GIN_PRIMES per draw, on its hyperplane section
     x_last = 0.
 
-    Draw k's integer matrix, with entries in [-ENTRY_BOUND, ENTRY_BOUND],
-    is fixed by derive_seed(seed, "gin", k) alone.  Each draw substitutes
-    the first nvars - 1 columns of its matrix into the generators mod its
-    prime; a prime dividing the determinant or the leading coefficient of a
-    generator is refused.
-    Both draws' buchberger take target, the K-polynomial of the ideal over
-    Q.  For degrevlex, in(J + (x_last)) = in(J) + (x_last) (Bayer-Stillman
-    1987); if x_last is a nonzerodivisor on S/gI, no minimal generator of
-    in(gI) involves it and the section has gI's K-polynomial.  If it is a
-    zero divisor, as in every draw of a non-saturated ideal, the section's
-    Hilbert function exceeds the target's and the loop ends without a
-    match; so a match also certifies saturation.  The two draws must agree
-    on a Borel-fixed initial ideal (Galligo, Bayer-Stillman); a failed
-    check raises GenericityError, naming the prime where one is at fault.
-    The generic matrices form a Zariski-open set, so another seed is the
-    way out of draws that disagree or are not Borel-fixed.
+    Draw k's integer matrix, with entries in [-ENTRY_BOUND, ENTRY_BOUND], is
+    fixed by derive_seed(seed, "gin", k) alone.  Each draw substitutes the
+    first nvars - 1 columns of its matrix into the generators; its
+    buchberger takes them mod its prime, with target, the ideal's
+    K-polynomial over Q.  A prime dividing the determinant or the leading
+    coefficient of a generator is refused.  For degrevlex, in(J + (x_last))
+    = in(J) + (x_last) (Bayer-Stillman 1987); if x_last is a nonzerodivisor
+    on S/gI, no minimal generator of in(gI) involves it and the section has
+    gI's K-polynomial.  If it is a zero divisor, as in every draw of a
+    non-saturated ideal, the section's Hilbert function exceeds the target's
+    and the loop ends without a match; so a match also certifies saturation.
+    The two draws must agree on a Borel-fixed initial ideal (Galligo,
+    Bayer-Stillman); a failed check raises GenericityError, naming the prime
+    where one is at fault.  The generic matrices form a Zariski-open set, so
+    another seed is the way out of draws that disagree or are not
+    Borel-fixed.
 
     Why the draws over F_p meet the standard of draws over Q: a draw over Q
     misses gin(I) only when its matrix lies on a proper Zariski-closed set,

@@ -23,15 +23,15 @@ forms to gin every polynomial has one format: a primitive integer term
 dict with a positive leading coefficient, keyed by DEGREVLEX packed
 monomials.  Each nonzero rational polynomial has exactly one multiple in
 that format, so no generator carries a denominator or a scale of its own.
-cleared_substitute moves such dicts by an integer matrix, exactly or mod a
-prime.  Polynomial, with exact rational coefficients keyed by exponent
+cleared_substitute moves such dicts by an integer matrix, in exact
+integers.  Polynomial, with exact rational coefficients keyed by exponent
 tuples, only writes the bases that symbolic-power prints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import le, mul
 
 from .linalg import ComputationLimitError, cleared, det
@@ -41,8 +41,8 @@ from .linalg import ComputationLimitError, cleared, det
 EXPONENT_BITS = 15
 
 # monomial images one cleared_substitute call may hold, read at call time:
-# the largest table on the reach ladder (the conditions of three generic
-# lines in P^3 at m = 8, in degree 25) holds 12 651
+# the largest tables on the reach ladder, three generic lines in P^3 at m = 8,
+# hold 12 651 (65 MB, conditions in degree 25) and 6 507 (68 MB, a gin draw)
 IMAGE_CAP = 100_000
 
 
@@ -256,13 +256,12 @@ def linear_substitute(polys, matrix):
     ]
 
 
-def cleared_substitute(polys, matrix, p=0, below=None):
-    """The nonzero terms of f(matrix x) for each integer term dict f keyed by
-    DEGREVLEX packed monomials in nvars variables, for an nvars x k matrix:
-    term dicts keyed by DEGREVLEX packed monomials in k variables.  The
-    coefficients are ints for an integer matrix, or their residues mod p
-    when a prime p is given with one.  gin's draws pass the first nvars - 1
-    columns of their matrices: the substitution, then x_last = 0.
+def cleared_substitute(polys, matrix, below=None):
+    """The nonzero terms of f(matrix x), exact, for each term dict f keyed by
+    DEGREVLEX packed monomials in nvars variables and an nvars x k matrix:
+    term dicts keyed by DEGREVLEX packed monomials in k variables.  gin's
+    draws pass the first nvars - 1 columns of their matrices: the
+    substitution, then x_last = 0.
 
     With below = (j, m), only the terms of degree below m in the first j
     variables are kept: a component's conditions on I^(m) in a frame
@@ -270,58 +269,55 @@ def cleared_substitute(polys, matrix, p=0, below=None):
     sum e1 + ... + ej, a high field of the DEGREVLEX key, and no factor of
     an image lowers it, so the table is truncated as it is built.
 
-    The polynomials share one table of monomial images: the image of x^a
-    is built once, as the image of x^a / x_i times row i, where x_i is the
-    first variable of x^a; times x_j is + the key of x_j.  Integer entries
-    stay Python ints in the table, so the inner products are integer
-    products when the matrix is integral, and mod p every entry of the
-    table is a residue.  Raises ComputationLimitError once the table would
-    pass IMAGE_CAP images.
+    The polynomials share one table of monomial images, each a dense row
+    (Faugere 1999) of coefficients at its degree's kept monomials in
+    decreasing order, which each degree lists once with the position of
+    each monomial of the degree below times each x_j (a last slot if the
+    cut drops it).  The image of x^a is that of x^a / x_i times row i, x_i
+    the first variable of x^a.  Raises ComputationLimitError past IMAGE_CAP.
     """
     n = len(matrix)
     weights = unit_keys(DEGREVLEX, len(matrix[0]))
-    rows = [[(w, c) for w, c in zip(weights, row) if c] for row in matrix]
-
-    def nonzero(acc):
-        if p:
-            return {b: r for b, v in acc.items() if (r := v % p)}
-        return {b: v for b, v in acc.items() if v}
-
-    table = {(0,) * n: {0: 1}}
+    rows = [[(x, c) for x, c in enumerate(row) if c] for row in matrix]
     j, m = below or (0, 0)  # j = 0 keeps every term
     if j:
         width = EXPONENT_BITS + 1 + len(weights).bit_length()
         shift = (EXPONENT_BITS + 1) * len(weights) + width * (j - 1)
         field = (1 << width) - 1
+    cols, under = [[0]], [None]  # per degree: its monomials, their positions
+    table = {(0,) * n: [1]}
 
     def image(alpha):
         img = table.get(alpha)
         if img is None:
             # an image of x^a has the degree of a, which bounds its exponents
-            check_exponent(degree(alpha))
+            check_exponent(d := degree(alpha))
             if len(table) >= IMAGE_CAP:
                 raise ComputationLimitError(f"image table cap {IMAGE_CAP} exhausted")
-            i = next(j for j, e in enumerate(alpha) if e)
+            i = next(i for i, e in enumerate(alpha) if e)
             lower = image(alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :])
-            img = {}
-            for beta, v in lower.items():
-                for w, c in rows[i]:
-                    gamma = beta + w
-                    img[gamma] = img.get(gamma, 0) + v * c
-            if j:
-                img = {b: v for b, v in img.items() if b >> shift & field < m}
-            img = table[alpha] = nonzero(img)
+            if len(cols) == d:
+                kept = sorted({b + w for b in cols[-1] for w in weights
+                               if not j or b + w >> shift & field < m}, reverse=True)
+                at = {b: t for t, b in enumerate(kept)}
+                under.append([[at.get(b + w, -1) for b in cols[-1]] for w in weights])
+                cols.append(kept)
+            img = table[alpha] = [0] * (len(cols[d]) + 1)
+            for x, c in rows[i]:
+                for t, v in compress(zip(under[d][x], lower), lower):
+                    img[t] += v * c
         return img
 
     sums = []
     for f in polys:
-        acc = {}
+        acc = {}  # degree -> the dense row of f's terms of that degree
         for key, c in f.items():
-            if p:
-                c %= p
-            for beta, v in image(unpack(key, n)).items():
-                acc[beta] = acc.get(beta, 0) + c * v
-        sums.append(nonzero(acc))
+            img = image(alpha := unpack(key, n))
+            row = acc.setdefault(degree(alpha), [0] * len(img))
+            for t, v in compress(enumerate(img), img):
+                row[t] += c * v
+        sums.append({b: v for d, row in acc.items()
+                     for b, v in compress(zip(cols[d], row), row)})
     # image is a closure over itself, so the table would wait for the
     # cycle collector; free the largest thing alive here now
     table.clear()

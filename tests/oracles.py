@@ -407,7 +407,8 @@ def symbolic_power_by_elimination(config: Config, m: int) -> GroebnerBasis:
 def gin_draw_matrix(seed, nvars, k=0):
     """The integer matrix of gin's draw k (0 or 1), which its seed alone
     fixes."""
-    return random_change_matrix(random.Random(derive_seed(seed, "gin", k)), nvars)
+    rng = random.Random(derive_seed(seed, "gin", k))
+    return random_change_matrix(rng, nvars)[0]
 
 
 def gin_draws_over_q(ideal: Ideal, seed, target=None):

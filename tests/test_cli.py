@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from limshape import asymptotics, cli, configs, groebner, polyhedra, rings, staircase
+from limshape import (asymptotics, cli, configs, groebner, linalg, polyhedra, rings,
+                      staircase)
 from limshape.configs import (
     Config,
     config_from_json,
@@ -628,7 +629,7 @@ def test_non_borel_initial_ideal_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     path.write_text(INTERSECTING_LINES)
     for matrix, reason in ((identity, "not saturated"), (permutation, "Borel-fixed")):
         monkeypatch.setattr(groebner, "random_change_matrix",
-                            lambda rng, n: matrix)
+                            lambda rng, n: (matrix, linalg.det(matrix)))
         code, _, err = run(["gin", "--config", str(path), "--m", "2"], capsys)
         assert code == cli.EXIT_GENERICITY
         assert reason in err

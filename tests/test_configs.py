@@ -397,9 +397,9 @@ def test_point_kernels_stop_where_the_hilbert_function_settles(monkeypatch):
     degrees = []
     real = configs.cleared_substitute
 
-    def recording(polys, matrix, p=0, below=None):
+    def recording(polys, matrix, below=None):
         degrees.append(max(sum(rings.unpack(max(f), 3)) for f in polys))
-        return real(polys, matrix, p, below)
+        return real(polys, matrix, below)
 
     monkeypatch.setattr(configs, "cleared_substitute", recording)
     sp = symbolic_power(config, m)

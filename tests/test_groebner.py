@@ -349,7 +349,7 @@ def test_gin_rejects_initial_ideal_that_is_not_borel_fixed(monkeypatch):
     # does not hold x2^2*x3^2 * x2/x3; so the identity is not a generic draw
     identity = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
     monkeypatch.setattr(groebner, "random_change_matrix",
-                        lambda rng, n: identity)
+                        lambda rng, n: (identity, 1))
     sp = symbolic_power(INTERSECTING_LINES, 2)
     assert initial_ideal(groebner_basis(ideal_of(sp.generators, sp.nvars))) == (
         (0, 2, 2, 0), (1, 1, 1, 0), (2, 0, 0, 0)
@@ -744,6 +744,34 @@ def test_a_target_off_the_ideal_raises_over_f_p():
     with pytest.raises(HilbertSeriesError, match="in degree 3 the target's Hilbert "
                        "function exceeds the leads' by 1"):
         groebner.buchberger(gens, 3, target=target, p=p)
+
+
+def test_a_target_above_the_ideal_raises_at_an_input_left_outside_over_f_p():
+    # (x1, x2) with the target of (x1): the degree-1 block needs one lead,
+    # stops after x1 and meets the target, and x2's lead is left outside
+    p = groebner.GIN_PRIMES[0]
+    gens = pack_generators([P("x1", 3).terms, P("x2", 3).terms])
+    target = k_polynomial([(1, 0, 0)])
+    with pytest.raises(HilbertSeriesError, match=r"lead \(0, 1, 0\) of an input"):
+        groebner.buchberger(gens, 3, target=target, p=p)
+    # the correct target passes, the inputs of a skipped degree included
+    gens += pack_generators([P("x1*x3", 3).terms])
+    target = k_polynomial([(1, 0, 0), (0, 1, 0)])
+    assert [lead for lead, _ in groebner.buchberger(gens, 3, target=target, p=p)] == [
+        (0, 1, 0), (1, 0, 0)]
+
+
+def test_intake_over_f_p_drops_inputs_zero_mod_p():
+    # an input that is nonzero over Z but zero mod p, or no term at all (a
+    # gin draw's image that vanishes on the section), adds nothing
+    p = groebner.GIN_PRIMES[0]
+    g, h = pack_generators([P("x1^2 - x2*x3", 3).terms, P("x1*x2", 3).terms])
+    multiple = {b: p * c for b, c in h.items()}
+    alone = groebner.buchberger([g], 3, p=p)
+    for target in (None, oracle_target(ideal_of([g], 3))):
+        assert groebner.buchberger([g, multiple, {}], 3, target=target, p=p) == alone
+    assert [lead for lead, _ in groebner.buchberger([g, multiple], 3)] != [
+        lead for lead, _ in alone]
 
 
 # the minimal generators of gin(I^(2)) of three generic planes in P^5

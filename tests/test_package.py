@@ -48,6 +48,21 @@ def test_groebner_imports_no_fractions():
     assert found == []
 
 
+def test_rings_functions_take_no_modulus():
+    # the substitution kernel computes in one ring, exactly: a gin draw's
+    # prime reaches its images only at buchberger's intake, so no function
+    # of rings takes a modulus
+    banned = {"p", "prime", "modulus", "mod"}
+    found = [
+        f"{node.name}({arg.arg})"
+        for node in ast.walk(ast.parse((PACKAGE / "rings.py").read_text()))
+        if isinstance(node, ast.FunctionDef)
+        for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
+        if arg.arg in banned
+    ]
+    assert found == []
+
+
 def test_no_memo_caches():
     # speed comes from the algorithms, not from memos: the benchmark reuses
     # its staircases across passes, so a cache kept on them would time the
